@@ -172,8 +172,9 @@ Status SaveInterpretationCache(const InterpretationCache& cache,
   return Status::OK();
 }
 
-Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
-                               InterpretationCache* cache) {
+Status LoadInterpretationCache(
+    std::istream* in, uint64_t epoch, InterpretationCache* cache,
+    const std::function<bool(const InterpretationCache::Entry&)>& accept) {
   cache->Clear();
   std::string magic;
   int version = 0;
@@ -234,6 +235,10 @@ Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
         cache->Clear();
         return Status::ParseError("truncated embedding for " + *key);
       }
+    }
+    if (accept && !accept(entry)) {
+      cache->Clear();
+      return Status::InvalidArgument("entry rejected: " + *key);
     }
     cache->Insert(*key, std::move(entry));
   }

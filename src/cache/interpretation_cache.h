@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <shared_mutex>
@@ -79,8 +80,9 @@ class InterpretationCache {
  private:
   friend Status SaveInterpretationCache(const InterpretationCache& cache,
                                         std::ostream* out);
-  friend Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
-                                        InterpretationCache* cache);
+  friend Status LoadInterpretationCache(
+      std::istream* in, uint64_t epoch, InterpretationCache* cache,
+      const std::function<bool(const Entry&)>& accept);
 
   struct Shard {
     mutable std::shared_mutex mu;
@@ -105,11 +107,14 @@ Status SaveInterpretationCache(const InterpretationCache& cache,
                                std::ostream* out);
 
 /// Reads a payload written by SaveInterpretationCache into `cache`,
-/// tagging every entry with `epoch` (the engine's post-open epoch). On
-/// any parse error the cache is cleared and the error returned — a
+/// tagging every entry with `epoch` (the engine's post-open epoch). When
+/// `accept` is set, every decoded entry must pass it. On any parse error
+/// or rejected entry the cache is cleared and the error returned — a
 /// half-loaded cache never serves.
-Status LoadInterpretationCache(std::istream* in, uint64_t epoch,
-                               InterpretationCache* cache);
+Status LoadInterpretationCache(
+    std::istream* in, uint64_t epoch, InterpretationCache* cache,
+    const std::function<bool(const InterpretationCache::Entry&)>& accept =
+        nullptr);
 
 }  // namespace opinedb::cache
 

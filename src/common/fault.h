@@ -32,7 +32,7 @@ inline constexpr const char* kSites[] = {
     "interpret.cooccur",     // Interpreter co-occurrence stage.
     "interpret.embed",       // Query-embedding prologue in ExecuteQuery.
     "index.scan",            // InvertedIndex::TopKWeighted entry.
-    "score.features",        // OpineDb::AtomDegreeOfTruth entry.
+    "score.features",        // ConditionScorer, per (entity, atom).
     "score.text_fallback",   // OpineDb::TextFallbackDegree entry.
     "score.alloc",           // Degree-list allocation in SubjectiveScoreOp.
     "ta.round",              // ThresholdAlgorithmTopK round loop.

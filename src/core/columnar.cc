@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/fault.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,7 +16,7 @@ namespace {
 /// Reproduces embedding::Cosine exactly: same zero-vector guard, same
 /// double-accumulated in-order dot product, same final division — the
 /// norms were themselves computed by embedding::Norm, so every double
-/// matches the row path's Cosine(query_rep, cell.centroid) bit for bit.
+/// matches Cosine(query_rep, cell.centroid) bit for bit.
 double CosineWithNorms(const float* a, double norm_a, const float* b,
                        double norm_b, size_t dim) {
   if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
@@ -146,48 +147,50 @@ size_t ColumnarSummaryStore::bytes() const {
   return total;
 }
 
-ConditionScorer::ConditionScorer(const ColumnarSummaryStore& store,
+ConditionScorer::ConditionScorer(const OpineDb& db,
+                                 const std::string& predicate,
                                  const PredicateInterpretation& interpretation,
                                  const embedding::Vec& query_rep,
-                                 double query_sentiment,
-                                 fuzzy::Variant variant,
-                                 const MembershipModel* model)
-    : query_rep_(&query_rep),
+                                 double query_sentiment)
+    : db_(&db),
+      predicate_(&predicate),
+      query_rep_(&query_rep),
       query_sentiment_(query_sentiment),
-      variant_(variant),
-      model_(model),
-      conjunctive_(interpretation.conjunctive) {
-  if (interpretation.atoms.empty()) return;
+      use_markers_(db.options().use_markers),
+      conjunctive_(interpretation.conjunctive),
+      variant_(db.options().variant),
+      model_(db.has_membership_model() ? &db.membership_model() : nullptr) {
+  if (interpretation.method == InterpretMethod::kTextFallback) return;
+  const ColumnarSummaryStore& store = *db.columnar_store();
   atoms_.reserve(interpretation.atoms.size());
   for (const auto& atom : interpretation.atoms) {
-    if (atom.attribute < 0 ||
-        static_cast<size_t>(atom.attribute) >= store.num_attributes()) {
-      return;  // Unbindable atom: ok_ stays false, caller uses rows.
-    }
-    const AttributeColumns& cols =
-        store.attribute(static_cast<size_t>(atom.attribute));
-    // MembershipFeatures clamps the marker at zero; mirror that here so
-    // a -1 marker binds to cell 0 exactly like the row path.
-    const size_t marker = static_cast<size_t>(std::max(0, atom.marker));
-    if (cols.num_markers == 0 || marker >= cols.num_markers ||
-        cols.num_entities != store.num_entities() ||
-        cols.dim != query_rep.size()) {
-      return;
-    }
-    atoms_.push_back(BoundAtom{&cols, marker});
+    const auto a = static_cast<size_t>(atom.attribute);
+    atoms_.push_back(
+        BoundAtom{a, static_cast<size_t>(atom.marker), &store.attribute(a)});
   }
-  // Same value Cosine recomputes per row-path call: Norm(query_rep).
-  query_norm_ = embedding::Norm(query_rep);
-  ok_ = true;
+  // Same value Cosine recomputes per call: Norm(query_rep).
+  if (use_markers_) query_norm_ = embedding::Norm(query_rep);
 }
 
-double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
-  // Site order matches the row path: the engine fires score.features
-  // before featurizing, and MembershipFeatures counts itself first.
+double ConditionScorer::Membership(const double* features, size_t n) const {
+  const double d = model_ != nullptr
+                       ? model_->DegreeOfTruth(features, n)
+                       : HeuristicMembershipDegree(features, n);
+  // Degrees of truth are [0, 1] by contract; one rogue NaN would
+  // propagate through every ⊗/⊕ combine and corrupt the ranking
+  // comparator's total order.
+  if (!std::isfinite(d)) return 0.0;
+  return std::clamp(d, 0.0, 1.0);
+}
+
+double ConditionScorer::MarkerDegree(const BoundAtom& atom,
+                                     size_t entity) const {
+  // Per-entity hot path (runs inside ParallelFor): counters only, no
+  // spans — a span per entity would flood the per-query ring buffer.
   OPINEDB_FAULT("score.features");
   OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
-  const BoundAtom& atom = atoms_[atom_index];
   const AttributeColumns& cols = *atom.columns;
+  // The MembershipFeatures vector, computed from the columns.
   double f[kMembershipFeatureDim] = {0.0};
   const double total = cols.total[entity];
   f[0] = std::log1p(total);
@@ -211,9 +214,8 @@ double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
           cols.centroid_norm[base + j], cols.dim);
       weighted_similarity += frac * cosine;
       if (j <= m) mass_at_or_above += frac;
-      // The row path recomputes Cosine(query, target) for f[5]; the
-      // deterministic recomputation equals the j == m loop value, so
-      // reusing it here changes no bits.
+      // MembershipFeatures recomputes Cosine(query, target) for f[5];
+      // the deterministic recomputation equals the j == m loop value.
       if (j == m) target_cosine = cosine;
     }
     f[2] = mass_at_or_above;
@@ -225,22 +227,29 @@ double ConditionScorer::AtomDegree(size_t atom_index, size_t entity) const {
     f[8] = 1.0 - std::abs(query_sentiment_ - weighted_sentiment) / 2.0;
     f[9] = 0.0;
   }
-  const double d =
-      model_ != nullptr
-          ? model_->DegreeOfTruth(f, kMembershipFeatureDim)
-          : HeuristicMembershipDegree(f, kMembershipFeatureDim);
-  if (!std::isfinite(d)) return 0.0;
-  return std::clamp(d, 0.0, 1.0);
+  return Membership(f, kMembershipFeatureDim);
+}
+
+double ConditionScorer::PhraseDegree(const BoundAtom& atom,
+                                     size_t entity) const {
+  OPINEDB_FAULT("score.features");
+  const std::vector<double> f = MembershipFeaturesNoMarkers(
+      db_->PhrasesOf(atom.attribute, static_cast<text::EntityId>(entity)),
+      db_->phrase_embedder(), *query_rep_, query_sentiment_);
+  return Membership(f.data(), f.size());
 }
 
 double ConditionScorer::Score(size_t entity) const {
+  if (atoms_.empty()) {
+    return db_->TextFallbackDegree(*predicate_,
+                                   static_cast<text::EntityId>(entity));
+  }
   double acc = 0.0;
-  bool first = true;
   for (size_t i = 0; i < atoms_.size(); ++i) {
-    const double d = AtomDegree(i, entity);
-    if (first) {
+    const double d = use_markers_ ? MarkerDegree(atoms_[i], entity)
+                                  : PhraseDegree(atoms_[i], entity);
+    if (i == 0) {
       acc = d;
-      first = false;
     } else if (conjunctive_) {
       acc = fuzzy::And(variant_, acc, d);
     } else {
@@ -250,16 +259,8 @@ double ConditionScorer::Score(size_t entity) const {
   return acc;
 }
 
-size_t ConditionScorer::scan_bytes_per_entity() const {
-  size_t bytes = 0;
-  for (const auto& atom : atoms_) {
-    bytes += atom.columns->scan_bytes_per_entity();
-  }
-  return bytes;
-}
-
 ColumnarTable::ColumnarTable(const storage::Table& table)
-    : name_(table.name()), num_rows_(table.num_rows()) {
+    : num_rows_(table.num_rows()) {
   columns_.resize(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
     Column& col = columns_[c];
@@ -322,9 +323,8 @@ size_t ColumnarTable::bytes() const {
   return total;
 }
 
-std::optional<ColumnarTable::CompiledPredicate> ColumnarTable::Compile(
+ColumnarTable::CompiledPredicate ColumnarTable::Compile(
     const storage::BoundColumnPredicate& predicate) const {
-  if (predicate.column() >= columns_.size()) return std::nullopt;
   const Column& col = columns_[predicate.column()];
   const storage::Value& literal = predicate.literal();
   CompiledPredicate compiled;

@@ -2,7 +2,6 @@
 #define OPINEDB_CORE_COLUMNAR_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,7 @@ namespace opinedb::core {
 ///
 /// centroid_norm is embedding::Norm of the cell centroid, precomputed at
 /// build time — Norm is deterministic, so the cached double is
-/// bit-identical to what the row path computes inside every Cosine call.
+/// bit-identical to the norm embedding::Cosine recomputes per call.
 struct AttributeColumns {
   size_t num_entities = 0;
   size_t num_markers = 0;
@@ -93,55 +92,69 @@ class ColumnarSummaryStore {
   size_t num_entities_ = 0;
 };
 
-/// One interpreted subjective condition bound to the columnar store for
-/// dense evaluation: every atom resolved to its attribute's columns and
-/// marker index, the query embedding's norm precomputed once. Score(e)
-/// computes the condition's degree of truth for one entity as a
-/// contiguous sweep over that entity's cells, replicating the row path's
-/// arithmetic operation for operation (same feature formulas, same fold
-/// order, same fault site and metric counter) so results are
-/// bit-identical — the row path stays on as the differential oracle
-/// behind EngineOptions::columnar.
+class OpineDb;
+
+/// The one scorer of subjective conditions (Section 3.3): binds an
+/// interpreted predicate to the engine's current state once, then
+/// Score(e) turns it into entity e's degree of truth. The shape is
+/// fixed at bind time:
+///
+///   text fallback  method kTextFallback or no atoms:
+///                  OpineDb::TextFallbackDegree (sigmoid(BM25 - c));
+///   no markers     EngineOptions::use_markers false (the Table 7
+///                  ablation): MembershipFeaturesNoMarkers over the
+///                  extracted phrases of (attribute, entity);
+///   markers        the MembershipFeatures formulas swept over the
+///                  ColumnarSummaryStore arrays.
+///
+/// Per-atom degrees go through the membership model (or the heuristic
+/// when none is trained), are clamped to [0, 1], and fold in atom order
+/// with the interpretation's connective. The score.features fault site
+/// and the membership.*_featurizations counters fire per (entity, atom)
+/// in that order.
+///
+/// Every atom must lie inside the engine's schema (attribute in range,
+/// marker in [0, K)) and the query embedding must have the phrase
+/// embedder's width; the engine rejects anything else where it enters
+/// (OpenDatabase, InstallSummaries, the interpretation-cache warm load).
+/// tests/oracle/ keeps the per-object row arithmetic this is checked
+/// against.
 class ConditionScorer {
  public:
-  /// `model` may be null (heuristic fallback). `query_rep` must outlive
-  /// the scorer. When any atom cannot be bound (attribute/marker out of
-  /// range, dimension mismatch) ok() is false and the caller must use
-  /// the row path.
-  ConditionScorer(const ColumnarSummaryStore& store,
+  /// `db`, `predicate` and `query_rep` must outlive the scorer, and `db`
+  /// must not be reconfigured while it is in use.
+  ConditionScorer(const OpineDb& db, const std::string& predicate,
                   const PredicateInterpretation& interpretation,
-                  const embedding::Vec& query_rep, double query_sentiment,
-                  fuzzy::Variant variant, const MembershipModel* model);
+                  const embedding::Vec& query_rep, double query_sentiment);
 
-  bool ok() const { return ok_; }
-
-  /// Degree of truth of the whole condition for one entity: per-atom
-  /// membership degrees folded in atom order with the interpretation's
-  /// connective — the row path's exact fold.
+  /// Degree of truth of the whole condition for one entity.
   double Score(size_t entity) const;
-
-  /// Membership degree of one atom for one entity (the columnar
-  /// equivalent of OpineDb::AtomDegreeOfTruth over markers).
-  double AtomDegree(size_t atom_index, size_t entity) const;
-
-  /// Bytes the per-entity sweep streams across all atoms — feeds the
-  /// bench's achieved-GB/s figure.
-  size_t scan_bytes_per_entity() const;
 
  private:
   struct BoundAtom {
-    const AttributeColumns* columns = nullptr;
+    size_t attribute = 0;
     size_t marker = 0;
+    const AttributeColumns* columns = nullptr;
   };
 
+  /// Membership degree of one atom from the marker columns.
+  double MarkerDegree(const BoundAtom& atom, size_t entity) const;
+  /// Membership degree of one atom from the extracted phrases.
+  double PhraseDegree(const BoundAtom& atom, size_t entity) const;
+  /// Feature vector -> degree in [0, 1].
+  double Membership(const double* features, size_t n) const;
+
+  const OpineDb* db_;
+  const std::string* predicate_;
+  const embedding::Vec* query_rep_;
+  double query_sentiment_;
+  /// Empty for the text-fallback shape.
   std::vector<BoundAtom> atoms_;
-  const embedding::Vec* query_rep_ = nullptr;
-  double query_norm_ = 0.0;
-  double query_sentiment_ = 0.0;
+  bool use_markers_ = true;
+  bool conjunctive_ = true;
   fuzzy::Variant variant_ = fuzzy::Variant::kProduct;
   const MembershipModel* model_ = nullptr;
-  bool conjunctive_ = true;
-  bool ok_ = false;
+  double query_norm_ = 0.0;
 };
 
 /// Columnar mirror of an objective table: numeric columns as contiguous
@@ -156,7 +169,6 @@ class ColumnarTable {
  public:
   explicit ColumnarTable(const storage::Table& table);
 
-  const std::string& table_name() const { return name_; }
   size_t num_rows() const { return num_rows_; }
   size_t bytes() const;
 
@@ -176,9 +188,8 @@ class ColumnarTable {
     bool accept[3] = {false, false, false};  // accept[cmp + 1].
   };
 
-  /// Lowers a bound predicate; nullopt when the column cannot be
-  /// evaluated columnar (caller falls back to the row path).
-  std::optional<CompiledPredicate> Compile(
+  /// Lowers a predicate bound against the mirrored table.
+  CompiledPredicate Compile(
       const storage::BoundColumnPredicate& predicate) const;
 
   /// Row-level evaluation, bit-identical to
@@ -224,7 +235,6 @@ class ColumnarTable {
     std::vector<std::string> dict;        // Sorted distinct strings.
   };
 
-  std::string name_;
   size_t num_rows_ = 0;
   std::vector<Column> columns_;
 };

@@ -125,6 +125,74 @@ Result<std::vector<text::Review>> DecodeReviewBatch(
   return reviews;
 }
 
+/// The shape ConditionScorer binds against: one summary vector per
+/// schema attribute, one summary per entity, the schema's marker count
+/// on every summary, and centroids `dim` wide wherever there are
+/// markers. InstallSummaries and OpenDatabase run it before any state
+/// changes, so no query can read past a centroid or a cell array.
+Status CheckSummaryShape(
+    const SubjectiveSchema& schema,
+    const std::vector<std::vector<MarkerSummary>>& summaries,
+    size_t num_entities, size_t dim) {
+  if (summaries.size() != schema.num_attributes()) {
+    return Status::InvalidArgument(
+        "summaries cover " + std::to_string(summaries.size()) +
+        " attributes, schema has " +
+        std::to_string(schema.num_attributes()));
+  }
+  for (size_t a = 0; a < summaries.size(); ++a) {
+    const std::string& name = schema.attributes[a].name;
+    if (summaries[a].size() != num_entities) {
+      return Status::InvalidArgument(
+          "summaries of " + name + " cover " +
+          std::to_string(summaries[a].size()) + " entities, corpus has " +
+          std::to_string(num_entities));
+    }
+    const size_t markers = schema.attributes[a].summary_type.num_markers();
+    for (size_t e = 0; e < num_entities; ++e) {
+      const MarkerSummary& summary = summaries[a][e];
+      if (summary.num_markers() != markers) {
+        return Status::InvalidArgument(
+            "summary of " + name + " for entity " + std::to_string(e) +
+            " has " + std::to_string(summary.num_markers()) +
+            " markers, schema has " + std::to_string(markers));
+      }
+      for (size_t m = 0; m < markers; ++m) {
+        if (summary.cell(m).centroid.size() != dim) {
+          return Status::InvalidArgument(
+              "summary of " + name + " for entity " + std::to_string(e) +
+              " has " + std::to_string(summary.cell(m).centroid.size()) +
+              "-wide centroids, the phrase embedder is " +
+              std::to_string(dim) + " wide");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Whether ConditionScorer can bind a cached interpretation: every atom
+/// inside `schema` (attribute in range, marker in [0, K)) and the query
+/// embedding `dim` wide. The interpretation-cache warm load drops a
+/// snapshot section holding any entry that fails this.
+bool Bindable(const SubjectiveSchema& schema, size_t dim,
+              const cache::InterpretationCache::Entry& entry) {
+  if (entry.rep.size() != dim) return false;
+  for (const auto& atom : entry.interpretation.atoms) {
+    if (atom.attribute < 0 ||
+        static_cast<size_t>(atom.attribute) >= schema.num_attributes()) {
+      return false;
+    }
+    const size_t markers =
+        schema.attributes[static_cast<size_t>(atom.attribute)]
+            .summary_type.num_markers();
+    if (atom.marker < 0 || static_cast<size_t>(atom.marker) >= markers) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The uniform rejection every mutating entry point returns while the
 /// engine is in follower mode (SetReadOnly(true)).
 Status ReadOnlyError(const char* op) {
@@ -273,12 +341,8 @@ void OpineDb::RebuildDerivedState() {
   // function holds the exclusive reconfiguration lock (or is Build,
   // before the engine is shared), so mirror and rows swap atomically
   // with respect to queries.
-  if (options_.columnar) {
-    columnar_ = std::make_unique<ColumnarSummaryStore>(
-        tables_, corpus_.num_entities(), pool_.get());
-  } else {
-    columnar_.reset();
-  }
+  columnar_ = std::make_unique<ColumnarSummaryStore>(
+      tables_, corpus_.num_entities(), pool_.get());
 }
 
 Status OpineDb::SetObjectiveTable(storage::Table table) {
@@ -289,47 +353,31 @@ Status OpineDb::SetObjectiveTable(storage::Table table) {
         std::to_string(table.num_rows()) + ")");
   }
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  objective_table_ = table.name();
+  const std::string name = table.name();
   Status status = catalog_.AddTable(std::move(table));
   if (!status.ok()) return status;
+  objective_table_ = name;
   // Mirror the objective rows into columns once; predicates sweep the
-  // mirror from then on. Kept even while the columnar plane is toggled
-  // off — the objective_columns() accessor gates on options_.columnar.
-  auto stored = catalog_.GetTable(objective_table_);
-  if (stored.ok()) {
-    objective_columns_ = std::make_unique<ColumnarTable>(**stored);
-  }
+  // mirror from then on. The catalog never changes a registered table.
+  objective_columns_[name] =
+      std::make_unique<ColumnarTable>(**catalog_.GetTable(name));
   return Status::OK();
 }
 
-const ColumnarTable* OpineDb::objective_columns(
+const ColumnarTable& OpineDb::objective_columns(
     const storage::Table& table) const {
-  if (!options_.columnar || objective_columns_ == nullptr) return nullptr;
-  if (objective_columns_->table_name() != table.name() ||
-      objective_columns_->num_rows() != table.num_rows()) {
-    return nullptr;  // Stale mirror (table mutated behind the catalog).
-  }
-  return objective_columns_.get();
+  return *objective_columns_.at(table.name());
 }
 
 Status OpineDb::InstallSummaries(
     std::vector<std::vector<MarkerSummary>> summaries) {
-  if (summaries.size() != schema_.num_attributes()) {
-    return Status::InvalidArgument(
-        "InstallSummaries: got " + std::to_string(summaries.size()) +
-        " attributes, engine has " +
-        std::to_string(schema_.num_attributes()));
-  }
-  for (size_t a = 0; a < summaries.size(); ++a) {
-    if (summaries[a].size() != corpus_.num_entities()) {
-      return Status::InvalidArgument(
-          "InstallSummaries: attribute " + std::to_string(a) + " covers " +
-          std::to_string(summaries[a].size()) + " entities, corpus has " +
-          std::to_string(corpus_.num_entities()));
-    }
-  }
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (read_only_) return ReadOnlyError("InstallSummaries");
+  Status shape = CheckSummaryShape(schema_, summaries, corpus_.num_entities(),
+                                   embedder_->dim());
+  if (!shape.ok()) {
+    return Status::InvalidArgument("InstallSummaries: " + shape.message());
+  }
   tables_.summaries = std::move(summaries);
   // The extraction relation described the replaced summaries' sources;
   // same post-state as OpenDatabase (summaries only, re-derivable rest).
@@ -341,43 +389,6 @@ Status OpineDb::InstallSummaries(
   RebuildDerivedState();
   InvalidateCachesLocked();
   return Status::OK();
-}
-
-void OpineDb::SetColumnar(bool enabled) {
-  if (!enabled) {
-    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-    options_.columnar = false;
-    columnar_.reset();
-    return;
-  }
-  // Enabling builds a full SoA mirror — seconds at the 1M-entity scale.
-  // Doing that under the exclusive lock would stall every query behind
-  // the build (and, with writers preferred, behind the lock request
-  // itself). Instead: build against a stable shared-lock view, then
-  // swap under the exclusive lock iff no data mutation landed in
-  // between (every mutation bumps the cache epoch under the exclusive
-  // lock, so an equal epoch proves the mirror still describes tables_).
-  for (;;) {
-    std::unique_ptr<ColumnarSummaryStore> store;
-    uint64_t built_at_epoch = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
-      if (options_.columnar && columnar_ != nullptr) return;
-      built_at_epoch = cache_epoch_.load(std::memory_order_relaxed);
-      store = std::make_unique<ColumnarSummaryStore>(
-          tables_, corpus_.num_entities(), pool_.get());
-    }
-    std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-    if (options_.columnar && columnar_ != nullptr) return;
-    if (cache_epoch_.load(std::memory_order_relaxed) != built_at_epoch) {
-      continue;  // Data moved under the build; the mirror is stale.
-    }
-    options_.columnar = true;
-    columnar_ = std::move(store);
-    return;
-  }
-  // No InvalidateCachesLocked(): both planes emit bit-identical degrees,
-  // so every cached artifact stays valid — execution config, not data.
 }
 
 Status OpineDb::TrainMembership(
@@ -599,14 +610,12 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
     return tables.status();
   }
-  const size_t snapshot_entities =
-      tables->summaries.empty() ? 0 : tables->summaries[0].size();
-  if (snapshot_entities != corpus_.num_entities()) {
+  Status shape = CheckSummaryShape(*schema, tables->summaries,
+                                   corpus_.num_entities(), embedder_->dim());
+  if (!shape.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
-    return Status::InvalidArgument(
-        "snapshot covers " + std::to_string(snapshot_entities) +
-        " entities but this engine's corpus has " +
-        std::to_string(corpus_.num_entities()));
+    return Status::InvalidArgument("snapshot does not fit this engine: " +
+                                   shape.message());
   }
 
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
@@ -639,7 +648,10 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
       std::istringstream interp_stream(*interp_payload);
       const Status warm = cache::LoadInterpretationCache(
           &interp_stream, cache_epoch_.load(std::memory_order_relaxed),
-          interp_cache_.get());
+          interp_cache_.get(),
+          [this](const cache::InterpretationCache::Entry& entry) {
+            return Bindable(schema_, embedder_->dim(), entry);
+          });
       if (warm.ok()) {
         OPINEDB_METRIC_COUNT("engine.cache.warm_entries",
                              interp_cache_->size());
@@ -763,9 +775,7 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
     }
   }
   interpreter_->AppendNewExtractions();
-  if (columnar_ != nullptr) {
-    columnar_->UpdateEntities(tables_, touched);
-  }
+  columnar_->UpdateEntities(tables_, touched);
 
   // Surgical cache maintenance — the whole reason ingest is not a
   // Reaggregate. One epoch bump expires result-cache entries lazily (a
@@ -1035,37 +1045,6 @@ Status OpineDb::CheckpointLocked() {
   return Status::OK();
 }
 
-double OpineDb::HeuristicDegree(const std::vector<double>& features) const {
-  // Single shared implementation with the columnar sweep (see
-  // core/membership.h) so both paths produce the same doubles.
-  return HeuristicMembershipDegree(features.data(), features.size());
-}
-
-double OpineDb::AtomDegreeOfTruth(const AtomInterpretation& atom,
-                                  text::EntityId entity,
-                                  const embedding::Vec& query_rep,
-                                  double query_sentiment) const {
-  OPINEDB_FAULT("score.features");
-  std::vector<double> features;
-  if (options_.use_markers) {
-    features = MembershipFeatures(
-        tables_.summaries[atom.attribute][entity], atom.marker, query_rep,
-        query_sentiment);
-  } else {
-    features = MembershipFeaturesNoMarkers(
-        extraction_lists_[atom.attribute][entity], *embedder_, query_rep,
-        query_sentiment);
-  }
-  const double d = membership_.has_value()
-                       ? membership_->DegreeOfTruth(features)
-                       : HeuristicDegree(features);
-  // Degrees of truth are [0, 1] by contract; one rogue NaN would
-  // propagate through every ⊗/⊕ combine and corrupt the ranking
-  // comparator's total order.
-  if (!std::isfinite(d)) return 0.0;
-  return std::clamp(d, 0.0, 1.0);
-}
-
 double OpineDb::TextFallbackDegree(const std::string& predicate,
                                    text::EntityId entity) const {
   OPINEDB_FAULT("score.text_fallback");
@@ -1101,12 +1080,8 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
       OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
     }
   }
-  if (!cached) interpretation = interpreter_->Interpret(predicate);
-  if (interpretation.method == InterpretMethod::kTextFallback ||
-      interpretation.atoms.empty()) {
-    return TextFallbackDegree(predicate, entity);
-  }
   if (!cached) {
+    interpretation = interpreter_->Interpret(predicate);
     rep = embedder_->Represent(predicate);
     senti = analyzer_.ScorePhrase(predicate);
     if (interp_cache_ != nullptr && !interpretation.degraded) {
@@ -1123,20 +1098,8 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
       }
     }
   }
-  double acc = 0.0;
-  bool first = true;
-  for (const auto& atom : interpretation.atoms) {
-    const double d = AtomDegreeOfTruth(atom, entity, rep, senti);
-    if (first) {
-      acc = d;
-      first = false;
-    } else if (interpretation.conjunctive) {
-      acc = fuzzy::And(options_.variant, acc, d);
-    } else {
-      acc = fuzzy::Or(options_.variant, acc, d);
-    }
-  }
-  return acc;
+  return ConditionScorer(*this, predicate, interpretation, rep, senti)
+      .Score(static_cast<size_t>(entity));
 }
 
 Result<QueryResult> OpineDb::Execute(const std::string& sql) const {

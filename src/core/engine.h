@@ -6,6 +6,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_config.h"
@@ -79,12 +80,6 @@ struct EngineOptions {
   /// Result / interpretation caching (both layers default OFF; see
   /// docs/CACHING.md). Reconfigurable at runtime via ConfigureCaches.
   cache::CacheConfig cache;
-  /// Columnar data plane (docs/SCALING.md): mirror the marker summaries
-  /// and the objective table into structure-of-arrays columns and score
-  /// subjective conditions as dense contiguous sweeps. Results are
-  /// bit-identical to the row path, which stays on as the differential
-  /// oracle when this is false. Toggle at runtime with SetColumnar.
-  bool columnar = true;
   /// Shard count of an attached DegreeCache built with the default
   /// constructor argument (lock striping for concurrent serving).
   size_t degree_cache_shards = 16;
@@ -216,12 +211,6 @@ class OpineDb {
                               const QueryControl& control) const;
   Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query,
                                    const QueryControl& control) const;
-
-  /// Degree of truth of one interpreted atom for one entity.
-  double AtomDegreeOfTruth(const AtomInterpretation& atom,
-                           text::EntityId entity,
-                           const embedding::Vec& query_rep,
-                           double query_sentiment) const;
 
   /// Degree of truth of a subjective predicate for one entity (runs the
   /// interpreter; used by experiments that bypass SQL).
@@ -366,23 +355,15 @@ class OpineDb {
   /// Replaces every marker summary wholesale (scale-harness path: the
   /// datagen scale generator synthesizes summaries directly instead of
   /// aggregating millions of reviews). `summaries[a][e]` must cover
-  /// exactly this engine's attributes × entities and be built against
-  /// this engine's schema attribute types. Clears the (now unrelated)
-  /// extraction relation, rebuilds derived state — including the
-  /// columnar mirror — and bumps the cache epoch: this is a data
-  /// mutation exactly like Reaggregate/OpenDatabase.
+  /// exactly this engine's attributes × entities, be built against this
+  /// engine's schema attribute types (the schema's marker count on every
+  /// summary) and carry centroids of phrase_embedder().dim() wherever
+  /// there are markers — InvalidArgument otherwise, engine untouched.
+  /// Clears the (now unrelated) extraction relation, rebuilds derived
+  /// state — including the columnar mirror — and bumps the cache epoch:
+  /// this is a data mutation exactly like Reaggregate/OpenDatabase.
   Status InstallSummaries(
       std::vector<std::vector<MarkerSummary>> summaries);
-
-  /// Toggles the columnar data plane at runtime (differential tests and
-  /// benches flip it between runs). Enabling builds the summary mirror
-  /// off-lock against a stable shared-lock view of the tables — queries
-  /// keep flowing during the build — then swaps it in under the
-  /// exclusive lock, retrying the build if a data mutation landed in
-  /// between (detected by a cache-epoch change). No cache-epoch bump:
-  /// both planes produce bit-identical results, so cached artifacts
-  /// remain valid — this reconfigures execution, not data.
-  void SetColumnar(bool enabled);
 
   /// Resizes the worker pool (0 = hardware concurrency, 1 = serial).
   /// Results are bit-identical at any thread count. Serialized against
@@ -456,14 +437,19 @@ class OpineDb {
   /// remains this returns the store's typed NotFound/DataLoss error).
   /// The snapshot is parsed and vetted completely before any engine
   /// state changes — on any error the engine is untouched. The loaded
-  /// summaries must cover exactly this engine's corpus entities
-  /// (InvalidArgument otherwise). After a successful open the
-  /// extraction relation is empty, so a later Reaggregate would rebuild
-  /// summaries from nothing — it returns FailedPrecondition; re-extract
-  /// from the corpus instead. An attached degree cache is cleared (its
-  /// lists described the old summaries). Any active WAL is detached
-  /// (the journal belonged to the replaced state); call EnableWal again
-  /// to replay the tail for the newly opened generation.
+  /// summaries must have the shape InstallSummaries demands — exactly
+  /// this engine's corpus entities, the snapshot schema's marker counts,
+  /// centroids of this engine's embedding width — or the open returns
+  /// InvalidArgument. The optional interpretation-cache section is
+  /// dropped (a cold open) when any entry names an atom outside the
+  /// opened schema or carries an embedding of another width. After a
+  /// successful open the extraction relation is empty, so a later
+  /// Reaggregate would rebuild summaries from nothing — it returns
+  /// FailedPrecondition; re-extract from the corpus instead. An attached
+  /// degree cache is cleared (its lists described the old summaries).
+  /// Any active WAL is detached (the journal belonged to the replaced
+  /// state); call EnableWal again to replay the tail for the newly
+  /// opened generation.
   Status OpenDatabase(const std::string& dir);
 
   /// Generation committed by the last SaveDatabase or served by the
@@ -514,18 +500,16 @@ class OpineDb {
   /// DegreeCache for parallel precomputation.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// The columnar summary mirror, or nullptr when the columnar plane is
-  /// off. Stable for the duration of a query (rebuilt only under the
-  /// exclusive reconfiguration lock).
+  /// The columnar summary mirror ConditionScorer sweeps; never null
+  /// after Build. Stable for the duration of a query (rebuilt only under
+  /// the exclusive reconfiguration lock).
   const ColumnarSummaryStore* columnar_store() const {
     return columnar_.get();
   }
 
-  /// The columnar mirror of `table` when the columnar plane is on and
-  /// the mirror matches it (same name and row count); nullptr otherwise
-  /// (callers fall back to row-at-a-time Matches).
-  const ColumnarTable* objective_columns(
-      const storage::Table& table) const;
+  /// The columnar mirror of `table`, a table registered with
+  /// SetObjectiveTable (every registered table has one).
+  const ColumnarTable& objective_columns(const storage::Table& table) const;
 
   // OpineDb holds internal cross-references (the aggregator, interpreter
   // and phrase embedder point at sibling members), so it is pinned in
@@ -540,7 +524,6 @@ class OpineDb {
   OpineDb() = default;
 
   void RebuildDerivedState();
-  double HeuristicDegree(const std::vector<double>& features) const;
   /// The single wholesale epoch-bump point: advances cache_epoch_ once,
   /// clears every cache layer (result, interpretation, attached degree
   /// cache) and advances every entity's data epoch. Requires reconfig_mu_
@@ -584,10 +567,11 @@ class OpineDb {
   std::string objective_table_;
   /// Columnar mirrors of the hot data plane (docs/SCALING.md): rebuilt
   /// by RebuildDerivedState / SetObjectiveTable under the exclusive
-  /// reconfiguration lock, read by queries under the shared lock.
-  /// columnar_ is null when options_.columnar is false.
+  /// reconfiguration lock, read by queries under the shared lock. One
+  /// objective mirror per catalog table, keyed by table name.
   std::unique_ptr<ColumnarSummaryStore> columnar_;
-  std::unique_ptr<ColumnarTable> objective_columns_;
+  std::unordered_map<std::string, std::unique_ptr<ColumnarTable>>
+      objective_columns_;
   /// Fixed worker pool for the parallel execution layer; nullptr when
   /// options_.num_threads resolves to 1 (the serial path).
   std::unique_ptr<ThreadPool> pool_;

@@ -42,45 +42,17 @@ Status ObjectiveFilterOp::Run(ExecContext* ctx) const {
     bound.push_back(*b);
   }
   span.AddAttribute("predicates", static_cast<uint64_t>(bound.size()));
-  // Columnar plane: lower every predicate onto the table mirror and run
-  // dense AND sweeps over contiguous columns, then gather survivors —
-  // same membership as the row loop (Eval is bit-identical to Matches),
-  // same ascending candidate order.
-  const ColumnarTable* columns = ctx->db->objective_columns(*ctx->table);
-  std::vector<ColumnarTable::CompiledPredicate> compiled;
-  bool all_compiled = columns != nullptr;
-  if (all_compiled) {
-    compiled.reserve(bound.size());
-    for (const auto& predicate : bound) {
-      auto lowered = columns->Compile(predicate);
-      if (!lowered.has_value()) {
-        all_compiled = false;
-        break;
-      }
-      compiled.push_back(*lowered);
-    }
+  // Lower every predicate onto the table's column mirror and run dense
+  // AND sweeps over contiguous columns, then gather survivors in
+  // ascending order.
+  const ColumnarTable& columns = ctx->db->objective_columns(*ctx->table);
+  std::vector<uint8_t> match(ctx->num_entities, 1);
+  for (const auto& predicate : bound) {
+    columns.FilterInto(columns.Compile(predicate), &match);
   }
   ctx->candidates.clear();
-  if (all_compiled) {
-    std::vector<uint8_t> match(ctx->num_entities, 1);
-    for (const auto& predicate : compiled) {
-      columns->FilterInto(predicate, &match);
-    }
-    for (size_t e = 0; e < ctx->num_entities; ++e) {
-      if (match[e] != 0) ctx->candidates.push_back(e);
-    }
-    span.AddAttribute("columnar", true);
-  } else {
-    for (size_t e = 0; e < ctx->num_entities; ++e) {
-      bool pass = true;
-      for (const auto& predicate : bound) {
-        if (!predicate.Matches(*ctx->table, e)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) ctx->candidates.push_back(e);
-    }
+  for (size_t e = 0; e < ctx->num_entities; ++e) {
+    if (match[e] != 0) ctx->candidates.push_back(e);
   }
   ctx->candidates_are_all = false;
   span.AddAttribute("entities", static_cast<uint64_t>(ctx->num_entities));
@@ -111,35 +83,22 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
     condition_span.AddAttribute("index", static_cast<uint64_t>(c));
     if (condition.kind == Condition::Kind::kObjective) {
       condition_span.AddAttribute("source", "objective");
-      // Objective predicates are table lookups: the column is resolved
-      // once, then each candidate is a direct cell comparison.
+      // Objective predicates are 0/1 lists: the predicate is bound and
+      // lowered onto the column mirror once, then each candidate is one
+      // compiled comparison.
       auto bound = condition.objective.Bind(*ctx->table);
       if (!bound.ok()) return bound.status();
+      const ColumnarTable::CompiledPredicate compiled =
+          db.objective_columns(*ctx->table).Compile(*bound);
       auto& list = ctx->computed[c];
       list.assign(num_entities, 0.0);
-      const ColumnarTable* columns =
-          ctx->db->objective_columns(*ctx->table);
-      std::optional<ColumnarTable::CompiledPredicate> compiled;
-      if (columns != nullptr) compiled = columns->Compile(*bound);
-      if (compiled.has_value()) {
-        // Dense 0/1 materialization over the column mirror (Eval is
-        // bit-identical to Matches).
-        if (ctx->candidates_are_all) {
-          for (size_t e = 0; e < num_entities; ++e) {
-            list[e] = ColumnarTable::Eval(*compiled, e) ? 1.0 : 0.0;
-          }
-        } else {
-          for (const size_t e : ctx->candidates) {
-            list[e] = ColumnarTable::Eval(*compiled, e) ? 1.0 : 0.0;
-          }
-        }
-      } else if (ctx->candidates_are_all) {
+      if (ctx->candidates_are_all) {
         for (size_t e = 0; e < num_entities; ++e) {
-          list[e] = bound->Matches(*ctx->table, e) ? 1.0 : 0.0;
+          list[e] = ColumnarTable::Eval(compiled, e) ? 1.0 : 0.0;
         }
       } else {
         for (const size_t e : ctx->candidates) {
-          list[e] = bound->Matches(*ctx->table, e) ? 1.0 : 0.0;
+          list[e] = ColumnarTable::Eval(compiled, e) ? 1.0 : 0.0;
         }
       }
       ctx->degrees[c] = &list;
@@ -209,58 +168,21 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       condition_span.AddAttribute("source", "alloc_fallback");
       continue;
     }
-    const auto& interpretation = ctx->output->interpretations[c];
-    // Columnar plane: bind the interpretation's atoms to the SoA store
-    // once per condition; Score(e) then replaces the per-entity object
-    // walk below with a contiguous sweep producing the same doubles.
-    // Unbindable shapes (no-marker ablation, text fallback, out-of-range
-    // atoms) keep the row path.
-    std::optional<ConditionScorer> scorer;
-    if (const ColumnarSummaryStore* store = db.columnar_store();
-        store != nullptr && db.options().use_markers &&
-        interpretation.method != InterpretMethod::kTextFallback &&
-        !interpretation.atoms.empty()) {
-      scorer.emplace(*store, interpretation, (*ctx->reps)[c],
-                     (*ctx->sentis)[c], db.options().variant,
-                     db.has_membership_model() ? &db.membership_model()
-                                               : nullptr);
-      if (!scorer->ok()) scorer.reset();
-    }
+    // Bound once per condition; Score(e) is then the per-entity sweep.
+    const ConditionScorer scorer(db, condition.subjective,
+                                 ctx->output->interpretations[c],
+                                 (*ctx->reps)[c], (*ctx->sentis)[c]);
     auto score_entity = [&](size_t e) {
-      const auto entity = static_cast<text::EntityId>(e);
       try {
-        if (interpretation.method == InterpretMethod::kTextFallback ||
-            interpretation.atoms.empty()) {
-          list[e] = db.TextFallbackDegree(condition.subjective, entity);
-          return;
-        }
-        if (scorer.has_value()) {
-          list[e] = scorer->Score(e);
-          return;
-        }
-        double acc = 0.0;
-        bool first = true;
-        for (const auto& atom : interpretation.atoms) {
-          const double d = db.AtomDegreeOfTruth(atom, entity,
-                                                (*ctx->reps)[c],
-                                                (*ctx->sentis)[c]);
-          if (first) {
-            acc = d;
-            first = false;
-          } else if (interpretation.conjunctive) {
-            acc = fuzzy::And(db.options().variant, acc, d);
-          } else {
-            acc = fuzzy::Or(db.options().variant, acc, d);
-          }
-        }
-        list[e] = acc;
+        list[e] = scorer.Score(e);
       } catch (const std::exception&) {
         // Per-entity failure: degrade this entity one cascade stage, to
         // the text-retrieval score, rather than losing the whole list.
         ctx->degraded.store(true, std::memory_order_relaxed);
         OPINEDB_METRIC_COUNT("engine.fallback.entity", 1);
         try {
-          list[e] = db.TextFallbackDegree(condition.subjective, entity);
+          list[e] = db.TextFallbackDegree(condition.subjective,
+                                          static_cast<text::EntityId>(e));
         } catch (const std::exception&) {
           list[e] = 0.0;
         }
@@ -349,29 +271,30 @@ Status RankOp::Run(ExecContext* ctx) const {
       combine_range(0, positions);
     }
   }
-  // Filter, rank and truncate serially. Candidates are ascending, so
-  // the pre-sort order matches the dense scan's entity-order walk.
-  std::vector<RankedResult> ranked;
-  ranked.reserve(positions);
-  auto push_entity = [&](size_t e) {
-    if (scores[e] <= 0.0) return;  // Failed hard objective predicates.
-    const auto entity = static_cast<text::EntityId>(e);
-    RankedResult result;
-    result.entity = entity;
-    result.entity_name = db.corpus().entity_name(entity);
-    result.score = scores[e];
-    ranked.push_back(std::move(result));
-  };
-  for (size_t i = 0; i < positions; ++i) push_entity(entity_at(i));
+  // Filter, rank and truncate serially over (score, entity) pairs; only
+  // the k survivors are named. Candidates are ascending, so the
+  // pre-sort order matches the dense scan's entity-order walk.
+  std::vector<std::pair<double, size_t>> scored;
+  scored.reserve(positions);
+  for (size_t i = 0; i < positions; ++i) {
+    const size_t e = entity_at(i);
+    if (scores[e] <= 0.0) continue;  // Failed hard objective predicates.
+    scored.emplace_back(scores[e], e);
+  }
   // The comparator is a total order (ties broken by entity id), so the
   // partial_sort prefix is bit-identical to a full sort + truncate.
-  const size_t k = std::min(query.limit, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    [](const RankedResult& a, const RankedResult& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.entity < b.entity;
+  const size_t k = std::min(query.limit, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
                     });
-  ranked.resize(k);
+  std::vector<RankedResult> ranked(k);
+  for (size_t i = 0; i < k; ++i) {
+    ranked[i].entity = static_cast<text::EntityId>(scored[i].second);
+    ranked[i].entity_name = db.corpus().entity_name(ranked[i].entity);
+    ranked[i].score = scored[i].first;
+  }
   rank_span.AddAttribute("results", static_cast<uint64_t>(ranked.size()));
   if (ctx->partial) {
     rank_span.AddAttribute("partial", true);

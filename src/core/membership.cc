@@ -128,7 +128,7 @@ double HeuristicMembershipDegree(const double* features, size_t n) {
   (void)n;
   // Matches the engine's historical closed-form fallback bit for bit:
   // the sigmoid here is intentionally unclamped (unlike ml::Sigmoid) so
-  // existing goldens and the columnar/row differential stay exact.
+  // existing goldens and the scorer/oracle differential stay exact.
   const double total = std::expm1(features[0]);
   // Mass at or above the interpreted marker: on a linear scale, rooms
   // "better than asked" satisfy the predicate too.

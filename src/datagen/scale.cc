@@ -29,6 +29,28 @@ double Clamp(double x, double lo, double hi) {
 
 }  // namespace
 
+storage::Table ScaledObjectiveTable(const ScaledFixture& fixture) {
+  const core::OpineDb& db = *fixture.db;
+  storage::Table table(db.schema().objective_table,
+                       {{"name", storage::ValueType::kString},
+                        {"city", storage::ValueType::kString},
+                        {"price_pn", storage::ValueType::kInt},
+                        {"rating", storage::ValueType::kDouble}});
+  Rng rng(fixture.spec.seed + 0x5eed);
+  for (size_t e = 0; e < fixture.quality.size(); ++e) {
+    const int64_t price = 40 + static_cast<int64_t>(rng.Below(360));
+    const double rating = Clamp(
+        2.0 + 3.0 * fixture.quality[e] + rng.Gaussian(0.0, 0.15), 1.0, 5.0);
+    table
+        .Append({storage::Value(
+                     db.corpus().entity_name(static_cast<text::EntityId>(e))),
+                 storage::Value(std::string(kCities[rng.Below(kNumCities)])),
+                 storage::Value(price), storage::Value(rating)})
+        .ok();
+  }
+  return table;
+}
+
 ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
   ScaledFixture fixture;
   fixture.spec = spec;
@@ -175,28 +197,7 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
   (void)installed;
 
   // 4. Full-size objective table, one row per entity in id order.
-  storage::Table table(schema.objective_table,
-                       {{"name", storage::ValueType::kString},
-                        {"city", storage::ValueType::kString},
-                        {"price_pn", storage::ValueType::kInt},
-                        {"rating", storage::ValueType::kDouble}});
-  {
-    Rng rng(spec.seed + 0x5eed);
-    for (size_t e = 0; e < num_entities; ++e) {
-      const int64_t price = 40 + static_cast<int64_t>(rng.Below(360));
-      const double rating = Clamp(
-          2.0 + 3.0 * fixture.quality[e] + rng.Gaussian(0.0, 0.15), 1.0,
-          5.0);
-      table
-          .Append({storage::Value(db.corpus().entity_name(
-                       static_cast<text::EntityId>(e))),
-                   storage::Value(std::string(
-                       kCities[rng.Below(kNumCities)])),
-                   storage::Value(price), storage::Value(rating)})
-          .ok();
-    }
-  }
-  Status table_status = db.SetObjectiveTable(std::move(table));
+  Status table_status = db.SetObjectiveTable(ScaledObjectiveTable(fixture));
   (void)table_status;
 
   // 5. Membership model, trained on tuples whose labels come from the

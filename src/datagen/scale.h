@@ -9,6 +9,7 @@
 
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
+#include "storage/table.h"
 
 namespace opinedb::datagen {
 
@@ -65,10 +66,14 @@ struct ScaledFixture {
 
 /// Builds a deterministic fixture: same spec -> bit-identical engine
 /// state (summaries, objective rows, models). See ScaleSpec for the
-/// vocab-subcorpus construction. The returned engine has columnar mode
-/// per `engine_options()`-defaults (on) and an objective table with one
-/// row per entity.
+/// vocab-subcorpus construction. The returned engine has an objective
+/// table with one row per entity.
 ScaledFixture BuildScaledFixture(const ScaleSpec& spec);
+
+/// The objective rows BuildScaledFixture registers, rebuilt from the
+/// fixture's spec, quality and entity names: same rows, same order.
+/// Differential tests evaluate objective predicates on it.
+storage::Table ScaledObjectiveTable(const ScaledFixture& fixture);
 
 }  // namespace opinedb::datagen
 

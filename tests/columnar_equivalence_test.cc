@@ -1,17 +1,24 @@
-// Columnar-vs-row differential harness (docs/SCALING.md): the columnar
-// data plane is a pure layout change, so for randomized fixture queries
-// the engine must return bit-identical RankedResult lists — same
-// entities, same names, same raw doubles — with columnar on and off, at
-// 1 and 8 threads, with tracing off and full, on the hotel and
-// restaurant fixtures and on a generated scale fixture
-// (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the Release sweep at
-// 100k and the sanitizer sweeps at 20k). Also covers the ColumnarTable
-// predicate sweep cell-by-cell against BoundColumnPredicate::Matches,
-// the InstallSummaries validation rules, and the runtime cache-shard
-// knobs. Built as its own binary labeled `scale`.
+// Scorer-vs-oracle differential harness (docs/SCALING.md). The engine
+// scores every subjective condition through core::ConditionScorer, a
+// sweep over the columnar summary mirror; tests/oracle/ recomputes the
+// same answers one entity at a time from the row objects. For
+// randomized fixture queries the engine must return exactly the
+// oracle's RankedResult lists — same entities, same names, same raw
+// doubles — at 1 and 8 threads, with tracing off and full: on the hotel
+// and restaurant fixtures with markers, under the no-marker ablation and
+// for an uninterpretable (text-fallback) predicate, and on a generated
+// scale fixture (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the
+// Release sweep at 100k and the sanitizer sweeps at 20k) as degree lists
+// plus LIMIT 10 answers with and without an objective filter. Also
+// covers the ColumnarTable predicate sweep cell-by-cell against
+// BoundColumnPredicate::Matches, the InstallSummaries validation rules,
+// and the runtime cache-shard knobs. Built as its own binary labeled
+// `scale`.
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +33,7 @@
 #include "datagen/scale.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
+#include "oracle/row_oracle.h"
 #include "storage/table.h"
 
 namespace opinedb {
@@ -40,50 +48,102 @@ size_t ScaleTestEntities() {
   return 20000;
 }
 
+/// Runs `restore` when the scope exits, also on the early return of a
+/// failed ASSERT, so a test cannot leave engine state (threads, trace,
+/// ablation flag, attached cache) behind for the suite's later tests.
+class ScopeExit {
+ public:
+  explicit ScopeExit(std::function<void()> restore)
+      : restore_(std::move(restore)) {}
+  ~ScopeExit() { restore_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  std::function<void()> restore_;
+};
+
 // Bit-identical means EXPECT_EQ on the raw doubles — no tolerance.
-void ExpectBitIdentical(const core::QueryResult& reference,
-                        const core::QueryResult& actual) {
-  ASSERT_EQ(reference.results.size(), actual.results.size());
-  for (size_t i = 0; i < reference.results.size(); ++i) {
-    EXPECT_EQ(reference.results[i].entity, actual.results[i].entity);
-    EXPECT_EQ(reference.results[i].entity_name,
-              actual.results[i].entity_name);
-    EXPECT_EQ(reference.results[i].score, actual.results[i].score);
+void ExpectBitIdentical(const std::vector<core::RankedResult>& reference,
+                        const std::vector<core::RankedResult>& actual) {
+  ASSERT_EQ(reference.size(), actual.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].entity, actual[i].entity);
+    EXPECT_EQ(reference[i].entity_name, actual[i].entity_name);
+    EXPECT_EQ(reference[i].score, actual[i].score);
   }
 }
 
-/// Runs the full {columnar off/on} x {1, 8 threads} x {off, full trace}
-/// sweep for each query: the reference is the row path, serial, trace
-/// off; every other combination must match it bit-for-bit.
-void RunColumnarSweep(core::OpineDb& db,
-                      const std::vector<std::string>& queries) {
-  for (const auto& sql : queries) {
-    db.SetColumnar(false);
+/// Runs `sql` at {1, 8} threads x {off, full} trace; every run must
+/// return `reference` bit for bit.
+void ExpectEveryConfiguration(
+    core::OpineDb& db, const std::string& sql,
+    const std::vector<core::RankedResult>& reference) {
+  const ScopeExit reset([&] {
     db.SetNumThreads(1);
     db.SetTraceLevel(obs::TraceLevel::kOff);
-    auto reference = db.Execute(sql);
-    ASSERT_TRUE(reference.ok())
-        << sql << ": " << reference.status().ToString();
-    for (const bool columnar : {false, true}) {
-      for (const size_t threads : {1, 8}) {
-        for (const auto level :
-             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-          SCOPED_TRACE(sql + " columnar=" + (columnar ? "on" : "off") +
-                       " threads=" + std::to_string(threads) + " trace=" +
-                       std::to_string(static_cast<int>(level)));
-          db.SetColumnar(columnar);
-          db.SetNumThreads(threads);
-          db.SetTraceLevel(level);
-          auto run = db.Execute(sql);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          ExpectBitIdentical(*reference, *run);
-        }
-      }
+  });
+  for (const size_t threads : {1, 8}) {
+    for (const auto level : {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+      SCOPED_TRACE(sql + " threads=" + std::to_string(threads) + " trace=" +
+                   std::to_string(static_cast<int>(level)));
+      db.SetNumThreads(threads);
+      db.SetTraceLevel(level);
+      auto run = db.Execute(sql);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectBitIdentical(reference, run->results);
     }
   }
-  db.SetColumnar(true);
+}
+
+/// The whole-answer sweep: each query's reference is the oracle's
+/// answer over `table`, the rows the engine's objective table came from.
+void RunOracleSweep(core::OpineDb& db, const storage::Table& table,
+                    const std::vector<std::string>& queries) {
+  for (const auto& sql : queries) {
+    auto reference = oracle::Execute(db, table, sql);
+    ASSERT_TRUE(reference.ok())
+        << sql << ": " << reference.status().ToString();
+    ExpectEveryConfiguration(db, sql, *reference);
+  }
+}
+
+/// Single-predicate check against the oracle's per-entity degrees: the
+/// degree cache's dense list element by element at 1 and 8 threads, and
+/// the LIMIT query's answer in every configuration.
+void ExpectPredicateMatchesOracle(core::OpineDb& db,
+                                  const std::string& table_name,
+                                  const std::string& predicate) {
+  SCOPED_TRACE(predicate);
+  const oracle::RowPredicate row(db, predicate);
+  const size_t n = db.corpus().num_entities();
+  std::vector<double> expected(n);
+  for (size_t e = 0; e < n; ++e) {
+    expected[e] = row.Degree(static_cast<text::EntityId>(e));
+  }
+  const ScopeExit reset([&] { db.SetNumThreads(1); });
+  for (const size_t threads : {1, 8}) {
+    db.SetNumThreads(threads);
+    core::DegreeCache cache(&db);
+    const std::vector<double>& degrees = cache.Degrees(predicate);
+    ASSERT_EQ(degrees.size(), n);
+    size_t mismatches = 0;
+    for (size_t e = 0; e < n; ++e) {
+      if (degrees[e] == expected[e]) continue;
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "threads=" << threads << " entity " << e
+                      << ": scorer " << degrees[e] << " vs oracle "
+                      << expected[e];
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
+  }
   db.SetNumThreads(1);
-  db.SetTraceLevel(obs::TraceLevel::kOff);
+  ExpectEveryConfiguration(
+      db,
+      "select * from " + table_name + " where \"" + predicate +
+          "\" limit 10",
+      oracle::Rank(db, expected, 10));
 }
 
 // ------------------------------------- Hotel / restaurant fixtures.
@@ -182,8 +242,15 @@ class ColumnarEquivalenceTest : public ::testing::TestWithParam<const char*> {
                         " limit " + std::to_string(limits[rng.Below(4)]));
     }
     queries.push_back("select * from " + table + " limit 7");
+    // Uninterpretable: the text-retrieval fallback shape.
+    queries.push_back("select * from " + table + " where \"" +
+                      std::string(kNonsense) + "\" limit 5");
+    queries.push_back("select * from " + table + " where " + objective() +
+                      " and \"" + std::string(kNonsense) + "\" limit 1000");
     return queries;
   }
+
+  static constexpr const char* kNonsense = "zorblatt quuxly vibes";
 
   static eval::DomainArtifacts* hotel_;
   static eval::DomainArtifacts* restaurant_;
@@ -193,31 +260,36 @@ eval::DomainArtifacts* ColumnarEquivalenceTest::hotel_ = nullptr;
 eval::DomainArtifacts* ColumnarEquivalenceTest::restaurant_ = nullptr;
 
 TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  RunColumnarSweep(db, MakeQueries(GetParam()));
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  // The nonsense predicate must really take the text-fallback shape.
+  ASSERT_EQ(db.interpreter().Interpret(kNonsense).method,
+            core::InterpretMethod::kTextFallback);
+  RunOracleSweep(db, artifacts.domain.objective_table,
+                 MakeQueries(GetParam()));
 }
 
-// The degree-cache list materialization also goes through the columnar
-// scorer; TA plans over a warm cache must stay bit-identical too.
+// The paper's Table 7 ablation: with use_markers off the scorer embeds
+// every extracted phrase per (entity, atom) instead of reading markers.
+TEST_P(ColumnarEquivalenceTest, NoMarkerAblationBitIdenticalToRow) {
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  db.mutable_options()->use_markers = false;
+  const ScopeExit restore([&] { db.mutable_options()->use_markers = true; });
+  RunOracleSweep(db, artifacts.domain.objective_table,
+                 MakeQueries(GetParam()));
+}
+
+// The degree-cache list materialization runs the same scorer; TA plans
+// over a warm cache must match the oracle too.
 TEST_P(ColumnarEquivalenceTest, WarmDegreeCacheBitIdentical) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
   core::DegreeCache cache(&db);
   db.AttachDegreeCache(&cache);
-  RunColumnarSweep(db, MakeQueries(GetParam()));
-  db.AttachDegreeCache(nullptr);
-}
-
-TEST_P(ColumnarEquivalenceTest, SetColumnarTogglesStoreWithoutEpochBump) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  db.SetColumnar(true);
-  EXPECT_NE(db.columnar_store(), nullptr);
-  const uint64_t epoch = db.cache_epoch();
-  db.SetColumnar(false);
-  EXPECT_EQ(db.columnar_store(), nullptr);
-  db.SetColumnar(true);
-  EXPECT_NE(db.columnar_store(), nullptr);
-  // Execution config, not a data mutation: cached results stay valid.
-  EXPECT_EQ(db.cache_epoch(), epoch);
+  const ScopeExit detach([&] { db.AttachDegreeCache(nullptr); });
+  RunOracleSweep(db, artifacts.domain.objective_table,
+                 MakeQueries(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ColumnarEquivalenceTest,
@@ -246,19 +318,32 @@ datagen::ScaledFixture* ScaleFixtureTest::fixture_ = nullptr;
 TEST_F(ScaleFixtureTest, ColumnarBitIdenticalToRowAtScale) {
   core::OpineDb& db = *fixture_->db;
   ASSERT_EQ(db.corpus().num_entities(), fixture_->spec.num_entities);
+  const storage::Table table = datagen::ScaledObjectiveTable(*fixture_);
+  ASSERT_EQ(table.num_rows(), fixture_->spec.num_entities);
   Rng rng(99);
-  std::vector<std::string> queries;
   for (int i = 0; i < 6; ++i) {
     const std::string& predicate = fixture_->subjective_predicates[rng.Below(
         fixture_->subjective_predicates.size())];
-    std::string where = "\"" + predicate + "\"";
-    if (i % 2 == 1) {
-      where = "price_pn < " + std::to_string(80 + 40 * i) + " and " + where;
+    ExpectPredicateMatchesOracle(db, fixture_->table_name, predicate);
+    if (i % 2 == 0) continue;
+    // A hard objective cut ahead of the subjective leaf: the filtered
+    // plan, whose candidate list is split across the worker threads. The
+    // whole answer also catches a dropped candidate the top 10 hides.
+    for (const size_t limit : {size_t{10}, table.num_rows()}) {
+      const std::string sql =
+          "select * from " + fixture_->table_name + " where price_pn < " +
+          std::to_string(80 + 40 * i) + " and \"" + predicate +
+          "\" limit " + std::to_string(limit);
+      SCOPED_TRACE(sql);
+      auto reference = oracle::Execute(db, table, sql);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_GE(reference->size(), 10u);
+      auto run = db.Execute(sql);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->plan, core::PlanKind::kFilteredScan);
+      ExpectEveryConfiguration(db, sql, *reference);
     }
-    queries.push_back("select * from " + fixture_->table_name + " where " +
-                      where + " limit 10");
   }
-  RunColumnarSweep(db, queries);
 }
 
 TEST_F(ScaleFixtureTest, FixtureIsDeterministic) {
@@ -278,7 +363,7 @@ TEST_F(ScaleFixtureTest, FixtureIsDeterministic) {
   auto rb = b.db->Execute(sql);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
-  ExpectBitIdentical(*ra, *rb);
+  ExpectBitIdentical(ra->results, rb->results);
 }
 
 // -------------------------------- ColumnarTable predicate differential.
@@ -330,19 +415,16 @@ TEST(ColumnarTableTest, EvalMatchesRowPredicateEverywhere) {
         storage::ColumnPredicate predicate{column.name, op, literal};
         auto bound = predicate.Bind(table);
         ASSERT_TRUE(bound.ok());
-        auto compiled = columns.Compile(*bound);
-        ASSERT_TRUE(compiled.has_value())
-            << column.name << " " << storage::CompareOpSymbol(op) << " "
-            << literal.ToString();
+        const auto compiled = columns.Compile(*bound);
         ++compiled_predicates;
         std::vector<uint8_t> match(table.num_rows(), 1);
-        columns.FilterInto(*compiled, &match);
+        columns.FilterInto(compiled, &match);
         for (size_t row = 0; row < table.num_rows(); ++row) {
           const bool expected = bound->Matches(table, row);
           SCOPED_TRACE(column.name + " " +
                        storage::CompareOpSymbol(op) + " " +
                        literal.ToString() + " row " + std::to_string(row));
-          EXPECT_EQ(core::ColumnarTable::Eval(*compiled, row), expected);
+          EXPECT_EQ(core::ColumnarTable::Eval(compiled, row), expected);
           EXPECT_EQ(match[row] != 0, expected);
         }
       }
@@ -371,6 +453,24 @@ TEST(InstallSummariesTest, RejectsWrongShapes) {
         core::MarkerSummary(&db.schema().attributes[a].summary_type, 4));
   }
   EXPECT_FALSE(db.InstallSummaries(std::move(short_summaries)).ok());
+
+  // One summary with another marker count, or with centroids of another
+  // width than the phrase embedder: the scorer could not bind either.
+  const uint64_t epoch = db.cache_epoch();
+  const auto& type = db.schema().attributes[0].summary_type;
+  core::MarkerSummaryType narrow = type;
+  narrow.markers.pop_back();
+  const size_t dim = db.phrase_embedder().dim();
+  for (const core::MarkerSummary& bad :
+       {core::MarkerSummary(&narrow, dim),
+        core::MarkerSummary(&type, dim + 1)}) {
+    auto summaries = db.tables().summaries;
+    summaries[0][7] = bad;
+    const Status status = db.InstallSummaries(std::move(summaries));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  EXPECT_EQ(db.cache_epoch(), epoch) << "a rejected install mutated state";
 }
 
 TEST(InstallSummariesTest, InstallBumpsEpochAndServesNewData) {
@@ -389,12 +489,10 @@ TEST(InstallSummariesTest, InstallBumpsEpochAndServesNewData) {
   }
   ASSERT_TRUE(db.InstallSummaries(std::move(summaries)).ok());
   EXPECT_GT(db.cache_epoch(), epoch);
-  // Queries still execute against the (now empty) summaries, row and
-  // columnar alike.
-  const std::string sql = "select * from " + fixture.table_name +
-                          " where \"" + fixture.subjective_predicates[0] +
-                          "\" limit 5";
-  RunColumnarSweep(db, {sql});
+  // Queries still execute against the (now empty) summaries, matching
+  // the oracle's row walk.
+  ExpectPredicateMatchesOracle(db, fixture.table_name,
+                               fixture.subjective_predicates[0]);
 }
 
 // Regression (silent-wipe bugfix): InstallSummaries clears the

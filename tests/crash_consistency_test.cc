@@ -31,6 +31,7 @@
 #include "cache/interpretation_cache.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -370,7 +371,7 @@ TEST_F(CorruptionFuzzTest, TenThousandRandomCorruptionsRecoverCleanly) {
 
 class EnginePersistenceTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static eval::BuildOptions FixtureOptions() {
     eval::BuildOptions options;
     options.generator.num_entities = 18;
     options.generator.min_reviews_per_entity = 6;
@@ -380,8 +381,12 @@ class EnginePersistenceTest : public ::testing::Test {
     options.extractor_training_sentences = 300;
     options.predicate_pool_size = 20;
     options.membership_training_tuples = 300;
+    return options;
+  }
+
+  static void SetUpTestSuite() {
     artifacts_ = new eval::DomainArtifacts(
-        eval::BuildArtifacts(datagen::HotelDomain(), options));
+        eval::BuildArtifacts(datagen::HotelDomain(), FixtureOptions()));
   }
 
   static void TearDownTestSuite() {
@@ -582,6 +587,32 @@ TEST_F(EnginePersistenceTest, EntityCountMismatchIsInvalidArgument) {
   ExpectBitIdentical(golden, MustExecute(Sql()));
 }
 
+// Regression: a snapshot saved by an engine with another word2vec width
+// used to open fine, and the first marker query read past its 16-float
+// centroids (an ASan heap-buffer-overflow). The open must refuse it
+// with InvalidArgument and leave the engine serving.
+TEST_F(EnginePersistenceTest, SnapshotOfAnotherEmbeddingWidthIsRejected) {
+  ASSERT_NE(db().phrase_embedder().dim(), 16u);
+  eval::BuildOptions options = FixtureOptions();
+  options.engine.w2v.dim = 16;
+  eval::DomainArtifacts narrow =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
+  ASSERT_TRUE(narrow.db->SaveDatabase(dir()).ok());
+
+  // The marker query that used to overflow.
+  const std::string sql =
+      "select * from " + db().schema().objective_table + " where \"" +
+      db().schema().attributes[0].summary_type.markers[0] + "\" limit 10";
+  const auto golden = MustExecute(sql);
+  const uint64_t generation = db().snapshot_generation();
+  const uint64_t epoch = db().cache_epoch();
+  const Status status = db().OpenDatabase(dir());
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(db().snapshot_generation(), generation);
+  EXPECT_EQ(db().cache_epoch(), epoch);
+  ExpectBitIdentical(golden, MustExecute(sql));
+}
+
 // ----------------------- interpretation-cache snapshot section (§5g).
 
 /// Enables both caches, runs one query to warm the interpretation
@@ -638,6 +669,83 @@ TEST_F(EnginePersistenceTest, OldFormatSnapshotOpensColdWithoutError) {
   ASSERT_TRUE(db().OpenDatabase(dir()).ok());
   EXPECT_EQ(db().interpretation_cache()->size(), 0u);
   ExpectBitIdentical(golden, MustExecute(Sql()));
+  db().ConfigureCaches(cache::CacheConfig());
+}
+
+// Regression: a CRC-valid interp_cache section whose entry the scorer
+// cannot bind — an atom outside the opened schema, or an embedding of
+// another width — used to load, and the next query on its key read out
+// of bounds (attribute 99 segfaulted). The warm load must drop the whole
+// section: a cold open, counted as a warm-load failure.
+TEST_F(EnginePersistenceTest, InterpSectionWithUnbindableEntryOpensCold) {
+  // A marker phrase interprets to one of its own markers.
+  const std::string predicate =
+      db().schema().attributes[0].summary_type.markers[0];
+  const std::string sql = "select * from " + db().schema().objective_table +
+                          " where \"" + predicate + "\" limit 10";
+  ASSERT_GT(WarmCaches(&db(), sql), 0u);
+  const auto golden = MustExecute(sql);
+  const std::string key = NormalizePredicate(predicate);
+  cache::InterpretationCache::Entry real;
+  ASSERT_TRUE(
+      db().interpretation_cache()->Lookup(key, db().cache_epoch(), &real));
+  ASSERT_FALSE(real.interpretation.atoms.empty());
+  const auto& atom = real.interpretation.atoms[0];
+  const int markers = static_cast<int>(
+      db().schema().attributes[static_cast<size_t>(atom.attribute)]
+          .summary_type.num_markers());
+
+  db().SetTraceLevel(obs::TraceLevel::kStats);
+  obs::MetricsRegistry::Counter* failures =
+      obs::MetricsRegistry::Global().GetCounter(
+          "engine.cache.warm_load_failures");
+  for (int variant = 0; variant < 4; ++variant) {
+    SCOPED_TRACE("variant " + std::to_string(variant));
+    cache::InterpretationCache::Entry forged = real;
+    auto& forged_atom = forged.interpretation.atoms[0];
+    switch (variant) {
+      case 0:
+        forged_atom.attribute = 99;
+        break;
+      case 1:
+        forged_atom.marker = markers;
+        break;
+      case 2:
+        forged_atom.marker = -1;
+        break;
+      case 3:
+        forged.rep.push_back(0.5f);
+        break;
+    }
+    cache::InterpretationCache forged_cache;
+    forged_cache.Insert(key, forged);
+    std::ostringstream forged_bytes;
+    ASSERT_TRUE(
+        cache::SaveInterpretationCache(forged_cache, &forged_bytes).ok());
+
+    ASSERT_TRUE(db().SaveDatabase(dir()).ok());
+    SnapshotStore store(dir());
+    auto loaded = store.Recover();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::vector<SnapshotSection> sections = loaded->sections;
+    bool forged_section = false;
+    for (auto& section : sections) {
+      if (section.name != "interp_cache") continue;
+      section.payload = forged_bytes.str();
+      forged_section = true;
+    }
+    ASSERT_TRUE(forged_section);
+    ASSERT_TRUE(store.Commit(sections).ok());
+
+    const uint64_t failures_before = failures->Value();
+    ASSERT_TRUE(db().OpenDatabase(dir()).ok())
+        << "derived-data corruption must never fail the open";
+    ASSERT_EQ(db().interpretation_cache()->size(), 0u)
+        << "an unbindable interpretation was left resident";
+    EXPECT_EQ(failures->Value(), failures_before + 1);
+    ExpectBitIdentical(golden, MustExecute(sql));
+  }
+  db().SetTraceLevel(obs::TraceLevel::kOff);
   db().ConfigureCaches(cache::CacheConfig());
 }
 

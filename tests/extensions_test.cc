@@ -49,11 +49,11 @@ TEST_F(ExtensionsTest, DegreeCacheMatchesDirectEvaluation) {
   core::DegreeCache cache(&db());
   const auto& degrees = cache.Degrees("clean room");
   ASSERT_EQ(degrees.size(), db().corpus().num_entities());
+  // Both sides run ConditionScorer over the same interpretation, so the
+  // doubles are identical, not merely close.
   for (size_t e = 0; e < degrees.size(); ++e) {
-    EXPECT_NEAR(degrees[e],
-                db().PredicateDegreeOfTruth(
-                    "clean room", static_cast<text::EntityId>(e)),
-                1e-12);
+    EXPECT_EQ(degrees[e], db().PredicateDegreeOfTruth(
+                              "clean room", static_cast<text::EntityId>(e)));
   }
 }
 
