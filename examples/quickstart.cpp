@@ -45,8 +45,9 @@ int main() {
   int date = 0;
   for (int copy = 0; copy < 6; ++copy) {
     for (const auto& r : reviews) {
-      corpus.AddReview(r.entity, /*reviewer=*/date % 9, /*date=*/date++,
+      corpus.AddReview(r.entity, /*reviewer=*/date % 9, /*date=*/date,
                        r.body);
+      ++date;
     }
   }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 namespace opinedb::cache {
@@ -71,79 +71,53 @@ Result<core::InterpretMethod> MethodFromChar(char c) {
 
 }  // namespace
 
-InterpretationCache::InterpretationCache(size_t num_shards)
-    : shards_(std::max<size_t>(1, num_shards)) {}
+InterpretationCache::InterpretationCache(size_t num_shards,
+                                         size_t byte_budget)
+    : lru_(byte_budget, num_shards) {}
 
-InterpretationCache::Shard& InterpretationCache::ShardFor(
-    const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-const InterpretationCache::Shard& InterpretationCache::ShardFor(
-    const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
+size_t InterpretationCache::ApproxBytes(const std::string& key,
+                                        const Entry& entry) {
+  // Same doctrine as ResultCache::ApproxBytes: flat struct size plus the
+  // owned heap payloads, and a fixed 128 bytes for the map node, LRU
+  // node and allocator slack.
+  return 128 + key.size() + sizeof(Entry) +
+         entry.interpretation.atoms.size() *
+             sizeof(core::AtomInterpretation) +
+         entry.rep.size() * sizeof(float);
 }
 
 bool InterpretationCache::Lookup(const std::string& key, uint64_t epoch,
-                                 Entry* out) const {
-  const Shard& shard = ShardFor(key);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.epoch == epoch) {
-      *out = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+                                 Entry* out) {
+  return lru_.Lookup(key, epoch, out);
 }
 
-void InterpretationCache::Insert(const std::string& key, Entry entry) {
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  shard.map[key] = std::move(entry);
+size_t InterpretationCache::Insert(const std::string& key, Entry entry) {
+  const size_t bytes = ApproxBytes(key, entry);
+  const uint64_t epoch = entry.epoch;
+  return lru_.Insert(key, epoch, std::move(entry), bytes);
 }
 
-void InterpretationCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-}
+void InterpretationCache::Clear() { lru_.Clear(); }
 
 std::vector<std::string> InterpretationCache::Keys() const {
   std::vector<std::string> keys;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.map) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
+  lru_.ForEach([&keys](const std::string& key, const Entry&) {
+    keys.push_back(key);
+  });
   return keys;
-}
-
-size_t InterpretationCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
 }
 
 Status SaveInterpretationCache(const InterpretationCache& cache,
                                std::ostream* out) {
   // Snapshot the entries under shard locks, then write sorted by key:
-  // unordered_map iteration order is not stable across instances, and
-  // the persistence suite pins save → open → save byte-identity.
+  // recency order is not stable across instances, and the persistence
+  // suite pins save → open → save byte-identity.
   std::vector<std::pair<std::string, InterpretationCache::Entry>> entries;
-  for (const auto& shard : cache.shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.map) {
-      entries.emplace_back(key, entry);
-    }
-  }
+  cache.lru_.ForEach(
+      [&entries](const std::string& key,
+                 const InterpretationCache::Entry& entry) {
+        entries.emplace_back(key, entry);
+      });
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 

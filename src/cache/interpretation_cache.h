@@ -1,21 +1,25 @@
 #ifndef OPINEDB_CACHE_INTERPRETATION_CACHE_H_
 #define OPINEDB_CACHE_INTERPRETATION_CACHE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <istream>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "cache/sharded_lru.h"
 #include "common/result.h"
 #include "core/interpreter.h"
 #include "embedding/phrase_rep.h"
 
 namespace opinedb::cache {
+
+/// Byte budget of the interpretation cache the engine builds: about 2.2k
+/// entries at 48-dimension embeddings (ApproxBytes charges about 460
+/// bytes per entry there). A constant, not a CacheConfig knob.
+inline constexpr size_t kInterpretationCacheBytes = 1u << 20;  // 1 MiB.
 
 /// Memoizes the interpretation prologue of ExecuteQuery per (normalized
 /// predicate text, epoch): the Fig. 5 cascade output plus the query
@@ -27,13 +31,16 @@ namespace opinedb::cache {
 /// with the same normalization are indistinguishable to all of them.
 ///
 /// Entries are tagged with the engine's cache epoch; a lookup whose
-/// epoch does not match is a miss, and the engine clears the cache
-/// wholesale on every epoch bump (Reaggregate / OpenDatabase /
-/// TrainMembership). Degraded interpretations are never inserted.
+/// epoch does not match is a miss (and drops the stale entry), and the
+/// engine clears the cache wholesale on every epoch bump (Reaggregate /
+/// OpenDatabase / TrainMembership). Degraded interpretations are never
+/// inserted.
 ///
-/// Thread-safe: sharded shared_mutex maps, same discipline as
-/// core::DegreeCache. Lookups copy the entry out, so no references
-/// escape a shard lock.
+/// Bounded: a ShardedLru (the same one ResultCache uses) evicts least
+/// recently used entries once the resident entries' ApproxBytes charges
+/// pass `byte_budget`, so serving a stream of fresh predicates cannot
+/// grow memory without bound. Thread-safe; lookups copy the entry out,
+/// so no references escape a shard lock.
 class InterpretationCache {
  public:
   struct Entry {
@@ -45,57 +52,57 @@ class InterpretationCache {
 
   /// `num_shards` is clamped to at least 1; the count is fixed for the
   /// cache's lifetime (the engine rebuilds the layer to change it).
-  explicit InterpretationCache(size_t num_shards = 16);
-  InterpretationCache(const InterpretationCache&) = delete;
-  InterpretationCache& operator=(const InterpretationCache&) = delete;
+  /// `byte_budget` is split evenly across shards.
+  explicit InterpretationCache(
+      size_t num_shards = 16,
+      size_t byte_budget = kInterpretationCacheBytes);
 
   /// Copies the entry for `key` into `*out` and returns true when
-  /// present with a matching epoch. A present-but-stale entry is a miss
-  /// (the engine clears on every bump, so staleness here means a racing
+  /// present with a matching epoch; a hit makes the entry its shard's
+  /// most recently used. A present-but-stale entry is a miss (the
+  /// engine clears on every bump, so staleness here means a racing
   /// reader loaded before the clear — the epoch tag is the backstop).
-  bool Lookup(const std::string& key, uint64_t epoch, Entry* out) const;
+  bool Lookup(const std::string& key, uint64_t epoch, Entry* out);
 
-  /// Inserts (or overwrites) the entry for `key`. Callers must not
+  /// Inserts (or overwrites) the entry for `key` at `entry.epoch`, then
+  /// evicts least recently used entries of its shard until the shard is
+  /// within budget; returns how many were evicted. Callers must not
   /// insert degraded interpretations — the cache would happily serve
   /// them forever while the underlying fault is long gone.
-  void Insert(const std::string& key, Entry entry);
+  size_t Insert(const std::string& key, Entry entry);
 
-  /// Drops every entry (under all shard locks).
+  /// Drops every entry.
   void Clear();
 
-  /// Snapshot of all resident keys (per-shard shared locks, key-sorted
-  /// for determinism). The ingest path uses it to re-derive entries at
-  /// the new epoch instead of dropping the warm set wholesale.
+  /// Snapshot of all resident keys, shard by shard, each shard least
+  /// recently used first — so re-inserting them in this order keeps
+  /// every shard's recency order. The ingest path uses it to re-derive
+  /// entries at the new epoch instead of dropping the warm set
+  /// wholesale.
   std::vector<std::string> Keys() const;
 
   /// Resident entries across all shards.
-  size_t size() const;
+  size_t size() const { return lru_.size(); }
+  /// Sum of the resident entries' ApproxBytes charges (<= byte_budget()).
+  size_t bytes() const { return lru_.bytes(); }
+  size_t byte_budget() const { return lru_.byte_budget(); }
 
   /// Lock-striping width this cache was built with.
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return lru_.num_shards(); }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return lru_.hits(); }
+  uint64_t misses() const { return lru_.misses(); }
+  uint64_t evictions() const { return lru_.evictions(); }
+
+  /// The byte charge of one entry (key, atoms and embedding plus
+  /// bookkeeping overhead) used for budget accounting.
+  static size_t ApproxBytes(const std::string& key, const Entry& entry);
 
  private:
   friend Status SaveInterpretationCache(const InterpretationCache& cache,
                                         std::ostream* out);
-  friend Status LoadInterpretationCache(
-      std::istream* in, uint64_t epoch, InterpretationCache* cache,
-      const std::function<bool(const Entry&)>& accept);
 
-  struct Shard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<std::string, Entry> map;
-  };
-
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
-
-  /// Sized once at construction; never resized (shards own mutexes).
-  std::vector<Shard> shards_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
+  ShardedLru<Entry> lru_;
 };
 
 /// Serializes the resident entries in a deterministic (key-sorted)
@@ -110,7 +117,9 @@ Status SaveInterpretationCache(const InterpretationCache& cache,
 /// tagging every entry with `epoch` (the engine's post-open epoch). When
 /// `accept` is set, every decoded entry must pass it. On any parse error
 /// or rejected entry the cache is cleared and the error returned — a
-/// half-loaded cache never serves.
+/// half-loaded cache never serves. A section larger than the cache's
+/// budget loads like any other stream of inserts: the LRU bound evicts
+/// as it goes, and the later (key-sorted) entries stay resident.
 Status LoadInterpretationCache(
     std::istream* in, uint64_t epoch, InterpretationCache* cache,
     const std::function<bool(const InterpretationCache::Entry&)>& accept =

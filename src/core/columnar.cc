@@ -10,25 +10,6 @@
 
 namespace opinedb::core {
 
-namespace {
-
-/// Cosine against a flattened float centroid with both norms supplied.
-/// Reproduces embedding::Cosine exactly: same zero-vector guard, same
-/// double-accumulated in-order dot product, same final division — the
-/// norms were themselves computed by embedding::Norm, so every double
-/// matches Cosine(query_rep, cell.centroid) bit for bit.
-double CosineWithNorms(const float* a, double norm_a, const float* b,
-                       double norm_b, size_t dim) {
-  if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < dim; ++i) {
-    sum += double(a[i]) * double(b[i]);
-  }
-  return sum / (norm_a * norm_b);
-}
-
-}  // namespace
-
 size_t AttributeColumns::bytes() const {
   return count.allocated_bytes() + mean_sentiment.allocated_bytes() +
          centroid_norm.allocated_bytes() + centroid.allocated_bytes() +
@@ -153,20 +134,26 @@ ConditionScorer::ConditionScorer(const OpineDb& db,
                                  const embedding::Vec& query_rep,
                                  double query_sentiment)
     : db_(&db),
-      predicate_(&predicate),
       query_rep_(&query_rep),
       query_sentiment_(query_sentiment),
       use_markers_(db.options().use_markers),
       conjunctive_(interpretation.conjunctive),
       variant_(db.options().variant),
       model_(db.has_membership_model() ? &db.membership_model() : nullptr) {
-  if (interpretation.method == InterpretMethod::kTextFallback) return;
-  const ColumnarSummaryStore& store = *db.columnar_store();
-  atoms_.reserve(interpretation.atoms.size());
-  for (const auto& atom : interpretation.atoms) {
-    const auto a = static_cast<size_t>(atom.attribute);
-    atoms_.push_back(
-        BoundAtom{a, static_cast<size_t>(atom.marker), &store.attribute(a)});
+  if (interpretation.method != InterpretMethod::kTextFallback) {
+    const ColumnarSummaryStore& store = *db.columnar_store();
+    atoms_.reserve(interpretation.atoms.size());
+    for (const auto& atom : interpretation.atoms) {
+      const auto a = static_cast<size_t>(atom.attribute);
+      atoms_.push_back(BoundAtom{a, static_cast<size_t>(atom.marker),
+                                 &store.attribute(a)});
+    }
+  }
+  if (atoms_.empty()) {
+    // Tokenize and resolve the terms once; Score(e) then only searches
+    // the entity's postings.
+    text_query_ = db.BindTextFallback(predicate);
+    return;
   }
   // Same value Cosine recomputes per call: Norm(query_rep).
   if (use_markers_) query_norm_ = embedding::Norm(query_rep);
@@ -209,7 +196,7 @@ double ConditionScorer::MarkerDegree(const BoundAtom& atom,
     for (size_t j = 0; j < k; ++j) {
       const double frac = cols.count[base + j] / total;
       weighted_sentiment += frac * cols.mean_sentiment[base + j];
-      const double cosine = CosineWithNorms(
+      const double cosine = embedding::CosineWithNorms(
           query_rep_->data(), query_norm_, centroids + j * cols.dim,
           cols.centroid_norm[base + j], cols.dim);
       weighted_similarity += frac * cosine;
@@ -241,7 +228,7 @@ double ConditionScorer::PhraseDegree(const BoundAtom& atom,
 
 double ConditionScorer::Score(size_t entity) const {
   if (atoms_.empty()) {
-    return db_->TextFallbackDegree(*predicate_,
+    return db_->TextFallbackDegree(text_query_,
                                    static_cast<text::EntityId>(entity));
   }
   double acc = 0.0;

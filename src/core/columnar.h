@@ -12,6 +12,7 @@
 #include "core/membership.h"
 #include "embedding/vector_ops.h"
 #include "fuzzy/logic.h"
+#include "index/inverted_index.h"
 #include "storage/table.h"
 
 namespace opinedb::core {
@@ -100,7 +101,9 @@ class OpineDb;
 /// fixed at bind time:
 ///
 ///   text fallback  method kTextFallback or no atoms:
-///                  OpineDb::TextFallbackDegree (sigmoid(BM25 - c));
+///                  OpineDb::TextFallbackDegree (sigmoid(BM25 - c)) over
+///                  the predicate bound to the entity index once
+///                  (OpineDb::BindTextFallback);
 ///   no markers     EngineOptions::use_markers false (the Table 7
 ///                  ablation): MembershipFeaturesNoMarkers over the
 ///                  extracted phrases of (attribute, entity);
@@ -121,8 +124,8 @@ class OpineDb;
 /// against.
 class ConditionScorer {
  public:
-  /// `db`, `predicate` and `query_rep` must outlive the scorer, and `db`
-  /// must not be reconfigured while it is in use.
+  /// `db` and `query_rep` must outlive the scorer, and `db` must not be
+  /// reconfigured while it is in use.
   ConditionScorer(const OpineDb& db, const std::string& predicate,
                   const PredicateInterpretation& interpretation,
                   const embedding::Vec& query_rep, double query_sentiment);
@@ -145,7 +148,6 @@ class ConditionScorer {
   double Membership(const double* features, size_t n) const;
 
   const OpineDb* db_;
-  const std::string* predicate_;
   const embedding::Vec* query_rep_;
   double query_sentiment_;
   /// Empty for the text-fallback shape.
@@ -155,6 +157,8 @@ class ConditionScorer {
   fuzzy::Variant variant_ = fuzzy::Variant::kProduct;
   const MembershipModel* model_ = nullptr;
   double query_norm_ = 0.0;
+  /// The text-fallback shape's predicate, bound to the entity index.
+  index::InvertedIndex::BoundQuery text_query_;
 };
 
 /// Columnar mirror of an objective table: numeric columns as contiguous

@@ -193,6 +193,15 @@ bool Bindable(const SubjectiveSchema& schema, size_t dim,
   return true;
 }
 
+/// Every engine-side interpretation-cache fill: inserts and counts the
+/// LRU evictions it caused.
+void InsertInterpretation(cache::InterpretationCache* cache,
+                          const std::string& key,
+                          cache::InterpretationCache::Entry entry) {
+  const size_t evicted = cache->Insert(key, std::move(entry));
+  if (evicted > 0) OPINEDB_METRIC_COUNT("engine.cache.interp_evict", evicted);
+}
+
 /// The uniform rejection every mutating entry point returns while the
 /// engine is in follower mode (SetReadOnly(true)).
 Status ReadOnlyError(const char* op) {
@@ -646,12 +655,19 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
     const std::string* interp_payload = snapshot->Find(kInterpCacheSection);
     if (interp_payload != nullptr) {
       std::istringstream interp_stream(*interp_payload);
+      const uint64_t evictions_before = interp_cache_->evictions();
       const Status warm = cache::LoadInterpretationCache(
           &interp_stream, cache_epoch_.load(std::memory_order_relaxed),
           interp_cache_.get(),
           [this](const cache::InterpretationCache::Entry& entry) {
             return Bindable(schema_, embedder_->dim(), entry);
           });
+      // A section saved under a larger budget loads through the same
+      // LRU bound as live fills.
+      const uint64_t evicted = interp_cache_->evictions() - evictions_before;
+      if (evicted > 0) {
+        OPINEDB_METRIC_COUNT("engine.cache.interp_evict", evicted);
+      }
       if (warm.ok()) {
         OPINEDB_METRIC_COUNT("engine.cache.warm_entries",
                              interp_cache_->size());
@@ -794,7 +810,9 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
     // per-attribute idf grow), so entries are re-derived from the
     // post-ingest interpreter and re-tagged at the new epoch — a
     // re-derivation that fails or degrades leaves the old entry behind
-    // as an inert stale-epoch miss.
+    // as an inert stale-epoch miss. The LRU bound caps this loop at the
+    // resident keys, and Keys() order (least recent first per shard)
+    // keeps each shard's recency order through the re-inserts.
     for (const auto& key : interp_cache_->Keys()) {
       try {
         auto interpretation = interpreter_->Interpret(key);
@@ -804,7 +822,7 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
         entry.rep = embedder_->Represent(key);
         entry.sentiment = analyzer_.ScorePhrase(key);
         entry.epoch = epoch;
-        interp_cache_->Insert(key, std::move(entry));
+        InsertInterpretation(interp_cache_.get(), key, std::move(entry));
       } catch (const std::exception&) {
         OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
       }
@@ -1047,10 +1065,19 @@ Status OpineDb::CheckpointLocked() {
 
 double OpineDb::TextFallbackDegree(const std::string& predicate,
                                    text::EntityId entity) const {
+  return TextFallbackDegree(BindTextFallback(predicate), entity);
+}
+
+index::InvertedIndex::BoundQuery OpineDb::BindTextFallback(
+    const std::string& predicate) const {
+  return entity_index_.Bind(text::Tokenizer().Tokenize(predicate));
+}
+
+double OpineDb::TextFallbackDegree(
+    const index::InvertedIndex::BoundQuery& query,
+    text::EntityId entity) const {
   OPINEDB_FAULT("score.text_fallback");
-  text::Tokenizer tokenizer;
-  const double bm25 =
-      entity_index_.Score(entity, tokenizer.Tokenize(predicate));
+  const double bm25 = entity_index_.Score(entity, query);
   return Sigmoid(bm25 - options_.text_fallback_c);
 }
 
@@ -1092,7 +1119,8 @@ double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
         entry.rep = rep;
         entry.sentiment = senti;
         entry.epoch = cache_epoch;
-        interp_cache_->Insert(cache_key, std::move(entry));
+        InsertInterpretation(interp_cache_.get(), cache_key,
+                             std::move(entry));
       } catch (const std::exception&) {
         OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
       }
@@ -1187,13 +1215,15 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
       cache::CachedResult hit;
       if (result_cache_->Lookup(cache_key, cache_epoch, &hit)) {
         // Bit-identical to execution by the differential cache-
-        // equivalence contract (docs/CACHING.md): results and
-        // interpretations are the fill-time values, `plan` reports the
-        // shape that produced them, and stats/trace are this call's
-        // own (nothing executed, so the phase timings stay zero).
+        // equivalence contract (docs/CACHING.md): results,
+        // interpretations and watermark are the fill-time values, `plan`
+        // reports the shape that produced them, and stats/trace are this
+        // call's own (nothing executed, so the phase timings and
+        // entities_scored stay zero).
         output.results = std::move(hit.results);
         output.interpretations = std::move(hit.interpretations);
         output.plan = hit.plan;
+        output.watermark = hit.watermark;
         output.stats.result_cache_hit = true;
         query_span.AddAttribute("result_cache", "hit");
         query_span.AddAttribute("plan", PlanKindName(output.plan));
@@ -1307,7 +1337,8 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
           entry.rep = reps[c];
           entry.sentiment = sentis[c];
           entry.epoch = cache_epoch;
-          interp_cache_->Insert(interp_key, std::move(entry));
+          InsertInterpretation(interp_cache_.get(), interp_key,
+                               std::move(entry));
         } catch (const std::exception&) {
           OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
         }
@@ -1369,6 +1400,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
                             e.what());
   }
   output.partial = ctx.partial;
+  output.watermark = output.stats.entities_scored;
   output.degraded = degraded || result_cache_fault ||
                     ctx.degraded.load(std::memory_order_relaxed);
   if (output.partial) {
@@ -1432,6 +1464,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
       value.results = output.results;
       value.interpretations = output.interpretations;
       value.plan = output.plan;
+      value.watermark = output.watermark;
       const size_t evicted =
           result_cache_->Insert(cache_key, cache_epoch, std::move(value));
       if (options_.trace_level >= obs::TraceLevel::kStats) {

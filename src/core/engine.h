@@ -161,6 +161,12 @@ struct QueryResult {
   /// answer is complete but was not produced on the preferred path. See
   /// the engine.fallback.* counters and docs/ROBUSTNESS.md.
   bool degraded = false;
+  /// Entities scored to produce `results` — for a partial result, the
+  /// exact prefix the ranking is consistent over. Equals
+  /// stats.entities_scored when the query executed; a result-cache hit
+  /// carries the figure of the execution that filled the entry (its own
+  /// stats.entities_scored is 0), so the answer is the same either way.
+  size_t watermark = 0;
 };
 
 class ColumnarSummaryStore;
@@ -219,6 +225,18 @@ class OpineDb {
 
   /// Text-retrieval degree of truth: sigmoid(BM25(D_entity, q) - c).
   double TextFallbackDegree(const std::string& predicate,
+                            text::EntityId entity) const;
+
+  /// The bind-once form of the text-retrieval fallback: the predicate
+  /// tokenized and resolved against the entity index, for scoring many
+  /// entities with the overload below.
+  index::InvertedIndex::BoundQuery BindTextFallback(
+      const std::string& predicate) const;
+
+  /// TextFallbackDegree for a predicate bound by BindTextFallback; the
+  /// string overload is this over a fresh binding. Fires the
+  /// score.text_fallback fault site once per call.
+  double TextFallbackDegree(const index::InvertedIndex::BoundQuery& query,
                             text::EntityId entity) const;
 
   /// Re-aggregates marker summaries under different review filters (e.g.

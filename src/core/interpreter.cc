@@ -37,6 +37,7 @@ void Interpreter::BuildVariationTable() {
       v.attribute = static_cast<int>(a);
       v.marker = static_cast<int>(m);
       v.rep = embedder_->Represent(markers[m]);
+      v.norm = embedding::Norm(v.rep);
       variations_.push_back(std::move(v));
       seen_variations_.emplace(static_cast<int>(a), markers[m]);
     }
@@ -60,6 +61,7 @@ void Interpreter::AppendNewExtractions() {
     v.attribute = a;
     v.marker = m;
     v.rep = embedder_->Represent(phrase);
+    v.norm = embedding::Norm(v.rep);
     variations_.push_back(std::move(v));
   }
   indexed_extractions_ = tables_->extractions.size();
@@ -107,10 +109,15 @@ PredicateInterpretation Interpreter::InterpretWord2VecOnly(
   PredicateInterpretation result;
   result.method = InterpretMethod::kWord2Vec;
   const embedding::Vec rep = embedder_->Represent(predicate);
+  // Cosine(rep, v.rep) with both norms hoisted: the query's once here,
+  // each variation's at table-build time.
+  const double rep_norm = embedding::Norm(rep);
   double best = -1.0;
   const Variation* best_v = nullptr;
   for (const auto& v : variations_) {
-    const double s = embedding::Cosine(rep, v.rep);
+    const double s = embedding::CosineWithNorms(rep.data(), rep_norm,
+                                                v.rep.data(), v.norm,
+                                                rep.size());
     if (s > best) {
       best = s;
       best_v = &v;

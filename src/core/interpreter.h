@@ -153,6 +153,8 @@ class Interpreter {
     int attribute;
     int marker;
     embedding::Vec rep;
+    /// embedding::Norm(rep), stored when the variation joins the table.
+    double norm = 0.0;
   };
 
   void BuildVariationTable();

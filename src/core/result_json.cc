@@ -80,7 +80,7 @@ std::string ResultToJson(const QueryResult& result,
   out += result.partial ? "true" : "false";
   out += ",\n  \"degraded\": ";
   out += result.degraded ? "true" : "false";
-  out += ",\n  \"watermark\": " + std::to_string(result.stats.entities_scored);
+  out += ",\n  \"watermark\": " + std::to_string(result.watermark);
   out += ",\n  \"plan\": ";
   JsonEscapeAppend(PlanKindName(result.plan), &out);
   if (!result.plan_text.empty()) {

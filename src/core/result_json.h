@@ -41,10 +41,12 @@ const char* InterpretMethodName(InterpretMethod method);
 ///     "trace": [...]               // optional, nondeterministic
 ///   }
 ///
-/// `watermark` is the number of entities actually scored — for a
-/// partial result it is the exact prefix the ranking is consistent
-/// over. Scores and confidences render with %.17g, so parsing the
-/// document recovers every double bit-exactly.
+/// `watermark` is QueryResult::watermark, the number of entities scored
+/// to produce the ranking — for a partial result the exact prefix it is
+/// consistent over; a result-cache hit renders the figure of the
+/// execution that filled the entry, so a statement renders the same
+/// bytes warm and cold. Scores and confidences render with %.17g, so
+/// parsing the document recovers every double bit-exactly.
 std::string ResultToJson(const QueryResult& result,
                          const ResultJsonOptions& options =
                              ResultJsonOptions());

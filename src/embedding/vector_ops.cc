@@ -15,10 +15,8 @@ double Dot(const Vec& a, const Vec& b) {
 double Norm(const Vec& a) { return std::sqrt(Dot(a, a)); }
 
 double Cosine(const Vec& a, const Vec& b) {
-  const double na = Norm(a);
-  const double nb = Norm(b);
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return Dot(a, b) / (na * nb);
+  assert(a.size() == b.size());
+  return CosineWithNorms(a.data(), Norm(a), b.data(), Norm(b), a.size());
 }
 
 double SquaredDistance(const Vec& a, const Vec& b) {

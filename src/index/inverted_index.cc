@@ -59,21 +59,37 @@ int32_t InvertedIndex::TermFrequency(DocId doc, std::string_view term) const {
   return 0;
 }
 
-double InvertedIndex::Score(DocId doc,
-                            const std::vector<std::string>& query) const {
-  const double avg_len = average_doc_length();
-  const double len = static_cast<double>(doc_lengths_[doc]);
-  double score = 0.0;
+InvertedIndex::BoundQuery InvertedIndex::Bind(
+    const std::vector<std::string>& query) const {
+  BoundQuery bound;
+  bound.terms_.reserve(query.size());
   for (const auto& term : query) {
-    int32_t tf = TermFrequency(doc, term);
-    if (tf == 0) continue;
-    const double idf = Bm25Idf(term);
-    const double num = tf * (params_.k1 + 1.0);
-    const double den =
-        tf + params_.k1 * (1.0 - params_.b + params_.b * len / avg_len);
-    score += idf * num / den;
+    auto it = postings_.find(term);
+    if (it == postings_.end()) continue;
+    bound.terms_.push_back(
+        BoundQuery::Term{&it->second, Bm25Idf(term)});
+  }
+  return bound;
+}
+
+double InvertedIndex::Score(DocId doc, const BoundQuery& query) const {
+  const double avg_len = average_doc_length();
+  double score = 0.0;
+  for (const auto& term : query.terms_) {
+    // Postings are appended in increasing doc order.
+    const auto& list = *term.postings;
+    auto pos = std::lower_bound(
+        list.begin(), list.end(), doc,
+        [](const Posting& p, DocId d) { return p.doc < d; });
+    if (pos == list.end() || pos->doc != doc) continue;
+    score += TermWeight(pos->tf, doc, term.idf, avg_len);
   }
   return score;
+}
+
+double InvertedIndex::Score(DocId doc,
+                            const std::vector<std::string>& query) const {
+  return Score(doc, Bind(query));
 }
 
 std::vector<ScoredDoc> InvertedIndex::RankAll(
@@ -82,39 +98,45 @@ std::vector<ScoredDoc> InvertedIndex::RankAll(
   obs::TraceSpan span("index.rank_all");
   span.AddAttribute("terms", static_cast<uint64_t>(query.size()));
   span.AddAttribute("k", static_cast<uint64_t>(k));
-  std::unordered_map<DocId, double> accum;
+  const BoundQuery bound = Bind(query);
   const double avg_len = average_doc_length();
+  // Dense per-call accumulator indexed by DocId plus the touched docs in
+  // first-touch order. Each document still sums its terms in query
+  // order, so every score equals Score(doc, query) bit for bit. The
+  // scratch is local: concurrent queries share the index.
+  std::vector<double> accum(num_documents(), 0.0);
+  std::vector<uint8_t> seen(num_documents(), 0);
+  std::vector<DocId> touched;
   uint64_t postings_scanned = 0;
-  // Deduplicate query terms while preserving multiplicity semantics of
-  // BM25 (repeated query terms contribute repeatedly, as in Okapi).
-  for (const auto& term : query) {
-    auto it = postings_.find(term);
-    if (it == postings_.end()) continue;
-    const double idf = Bm25Idf(term);
-    postings_scanned += it->second.size();
-    for (const Posting& posting : it->second) {
-      const double len = static_cast<double>(doc_lengths_[posting.doc]);
-      const double num = posting.tf * (params_.k1 + 1.0);
-      const double den = posting.tf + params_.k1 * (1.0 - params_.b +
-                                                    params_.b * len / avg_len);
-      accum[posting.doc] += idf * num / den;
+  for (const auto& term : bound.terms_) {
+    postings_scanned += term.postings->size();
+    for (const Posting& posting : *term.postings) {
+      if (seen[posting.doc] == 0) {
+        seen[posting.doc] = 1;
+        touched.push_back(posting.doc);
+      }
+      accum[posting.doc] +=
+          TermWeight(posting.tf, posting.doc, term.idf, avg_len);
     }
   }
   std::vector<ScoredDoc> scored;
-  scored.reserve(accum.size());
-  for (const auto& [doc, score] : accum) {
-    double s = score;
+  scored.reserve(touched.size());
+  for (const DocId doc : touched) {
+    double s = accum[doc];
     if (weights != nullptr) s *= (*weights)[doc];
     if (s > 0.0) scored.push_back(ScoredDoc{doc, s});
   }
-  std::sort(scored.begin(), scored.end(),
-            [](const ScoredDoc& a, const ScoredDoc& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.doc < b.doc;
-            });
-  if (scored.size() > k) scored.resize(k);
+  // Score descending, then doc ascending: a strict total order over
+  // distinct docs, so the top k are the first k of the full sort.
+  const size_t keep = std::min(k, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                    [](const ScoredDoc& a, const ScoredDoc& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.doc < b.doc;
+                    });
+  scored.resize(keep);
   span.AddAttribute("postings_scanned", postings_scanned);
-  span.AddAttribute("candidates", static_cast<uint64_t>(accum.size()));
+  span.AddAttribute("candidates", static_cast<uint64_t>(touched.size()));
   OPINEDB_METRIC_COUNT("index.rank_all_calls", 1);
   OPINEDB_METRIC_COUNT("index.postings_scanned", postings_scanned);
   return scored;

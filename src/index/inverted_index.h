@@ -28,7 +28,31 @@ struct Bm25Params {
 /// for the Elasticsearch substrate the paper relies on for the
 /// co-occurrence interpretation method and the IR baseline.
 class InvertedIndex {
+ private:
+  struct Posting {
+    DocId doc;
+    int32_t tf;
+  };
+
  public:
+  /// A tokenized query resolved against one index: each term's posting
+  /// list and BM25 idf, in query order. Repeated terms stay repeated
+  /// (they contribute repeatedly, as in Okapi); terms the index has never
+  /// seen are dropped, since they score nothing. Borrows the index's
+  /// posting lists, so it is valid until the next AddDocument.
+  class BoundQuery {
+   public:
+    size_t num_terms() const { return terms_.size(); }
+
+   private:
+    friend class InvertedIndex;
+    struct Term {
+      const std::vector<Posting>* postings;
+      double idf;
+    };
+    std::vector<Term> terms_;
+  };
+
   explicit InvertedIndex(Bm25Params params = Bm25Params())
       : params_(params) {}
 
@@ -48,7 +72,17 @@ class InvertedIndex {
   /// IDF-weighted phrase embeddings (paper Eq. 1).
   double Idf(std::string_view term) const;
 
-  /// BM25 score of one document for a tokenized query.
+  /// Resolves `query` once for repeated scoring: one posting-list lookup
+  /// and one idf per term instead of one per (document, term).
+  BoundQuery Bind(const std::vector<std::string>& query) const;
+
+  /// BM25 score of one document for a bound query (a binary search per
+  /// term). This is the index's one per-document BM25 formula; TopK
+  /// folds the same per-term weights in the same order.
+  double Score(DocId doc, const BoundQuery& query) const;
+
+  /// BM25 score of one document for a tokenized query:
+  /// Score(doc, Bind(query)).
   double Score(DocId doc, const std::vector<std::string>& query) const;
 
   /// Top-k documents by BM25 (ties broken by smaller DocId). Documents
@@ -67,10 +101,15 @@ class InvertedIndex {
   int32_t TermFrequency(DocId doc, std::string_view term) const;
 
  private:
-  struct Posting {
-    DocId doc;
-    int32_t tf;
-  };
+  /// BM25 weight of one query term in one document.
+  double TermWeight(int32_t tf, DocId doc, double idf,
+                    double avg_len) const {
+    const double len = static_cast<double>(doc_lengths_[doc]);
+    const double num = tf * (params_.k1 + 1.0);
+    const double den =
+        tf + params_.k1 * (1.0 - params_.b + params_.b * len / avg_len);
+    return idf * num / den;
+  }
 
   std::vector<ScoredDoc> RankAll(const std::vector<std::string>& query,
                                  size_t k,

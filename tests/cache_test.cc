@@ -6,11 +6,19 @@
 //  - CanonicalQueryKey: whitespace / case / literal-formatting
 //    invariance, LIMIT and literal-value sensitivity, AND-order
 //    sensitivity (floating-point fold order is part of the result).
-//  - InterpretationCache: epoch-keyed lookups and the deterministic
-//    serialized form (bit-exact round trip, byte-identical re-save).
+//  - InterpretationCache: epoch-keyed lookups, the deterministic
+//    serialized form (bit-exact round trip, byte-identical re-save) and
+//    the LRU byte bound (a distinct-key stream stays within budget, the
+//    most recently used key survives, overwrites charge once, Keys() /
+//    save / oversize loads see only resident entries).
 //  - Engine never-cache rules: EXPLAIN and forced-plan queries bypass
 //    the result cache; partial (deadline) and degraded (fault) results
-//    are never inserted; hits are bit-identical at every trace level.
+//    are never inserted; hits are bit-identical at every trace level and
+//    render byte-identical JSON (watermark included).
+//  - The engine's bounded interpretation cache: 10k fresh predicates
+//    stay within kInterpretationCacheBytes and count
+//    engine.cache.interp_evict; ingest re-derives at most the resident
+//    keys.
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,8 +33,10 @@
 #include "core/engine.h"
 #include "core/planner.h"
 #include "core/query.h"
+#include "core/result_json.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace opinedb {
@@ -292,6 +302,109 @@ TEST(InterpretationCacheTest, ReserializingIsByteIdentical) {
   EXPECT_EQ(bytes_a.str(), bytes_b.str());
 }
 
+// ------------------------------------------ InterpretationCache LRU.
+
+/// A 48-dimension entry (the hotel domain's embedding width), so the
+/// budget arithmetic below matches what the engine caches.
+InterpretationCache::Entry MakeWideEntry(uint64_t epoch) {
+  InterpretationCache::Entry entry = MakeEntry(epoch);
+  entry.rep.assign(48, 0.5f);
+  return entry;
+}
+
+std::string PredicateKey(size_t i) { return "predicate " + std::to_string(i); }
+
+TEST(InterpretationCacheLruTest, DistinctKeyStreamStaysWithinBudget) {
+  const size_t budget = 16 * 1024;
+  InterpretationCache cache(4, budget);
+  size_t evicted = 0;
+  for (size_t i = 0; i < 2000; ++i) {
+    evicted += cache.Insert(PredicateKey(i), MakeWideEntry(1));
+    ASSERT_LE(cache.bytes(), budget) << "after insert " << i;
+  }
+  EXPECT_GT(evicted, 0u);
+  EXPECT_EQ(cache.evictions(), evicted);
+  EXPECT_LT(cache.size(), 2000u);
+  // About budget / ApproxBytes entries stay resident.
+  const size_t per_entry =
+      InterpretationCache::ApproxBytes(PredicateKey(1999), MakeWideEntry(1));
+  EXPECT_GE(cache.size(), budget / per_entry / 2);
+}
+
+TEST(InterpretationCacheLruTest, MostRecentlyUsedSurvivesLeastRecentIsEvicted) {
+  // One shard, room for exactly three entries.
+  const size_t per_entry =
+      InterpretationCache::ApproxBytes(PredicateKey(0), MakeWideEntry(1));
+  InterpretationCache cache(1, 3 * per_entry + per_entry / 2);
+  cache.Insert(PredicateKey(0), MakeWideEntry(1));
+  cache.Insert(PredicateKey(1), MakeWideEntry(1));
+  cache.Insert(PredicateKey(2), MakeWideEntry(1));
+  // Touch the oldest: key 1 becomes the least recently used.
+  InterpretationCache::Entry out;
+  ASSERT_TRUE(cache.Lookup(PredicateKey(0), 1, &out));
+  EXPECT_EQ(cache.Insert(PredicateKey(3), MakeWideEntry(1)), 1u);
+  EXPECT_TRUE(cache.Lookup(PredicateKey(0), 1, &out));
+  EXPECT_FALSE(cache.Lookup(PredicateKey(1), 1, &out));
+  EXPECT_TRUE(cache.Lookup(PredicateKey(2), 1, &out));
+  EXPECT_TRUE(cache.Lookup(PredicateKey(3), 1, &out));
+}
+
+TEST(InterpretationCacheLruTest, OverwriteDoesNotChargeTwice) {
+  InterpretationCache cache(2, 64 * 1024);
+  cache.Insert("clean rooms", MakeWideEntry(1));
+  const size_t once = cache.bytes();
+  EXPECT_EQ(once, InterpretationCache::ApproxBytes("clean rooms",
+                                                   MakeWideEntry(1)));
+  cache.Insert("clean rooms", MakeWideEntry(2));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), once);
+  InterpretationCache::Entry out;
+  EXPECT_TRUE(cache.Lookup("clean rooms", 2, &out));
+}
+
+TEST(InterpretationCacheLruTest, KeysAndSaveSeeOnlyResidentEntries) {
+  const size_t per_entry =
+      InterpretationCache::ApproxBytes(PredicateKey(0), MakeWideEntry(1));
+  InterpretationCache cache(1, 4 * per_entry);
+  for (size_t i = 0; i < 10; ++i) cache.Insert(PredicateKey(i), MakeWideEntry(1));
+  ASSERT_EQ(cache.size(), 4u);
+  // Least recently used first: the four newest keys, oldest to newest.
+  const std::vector<std::string> want = {PredicateKey(6), PredicateKey(7),
+                                         PredicateKey(8), PredicateKey(9)};
+  EXPECT_EQ(cache.Keys(), want);
+
+  std::ostringstream bytes;
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, &bytes).ok());
+  InterpretationCache loaded(1, 1 << 20);
+  std::istringstream in(bytes.str());
+  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 1, &loaded).ok());
+  EXPECT_EQ(loaded.size(), 4u);
+  InterpretationCache::Entry out;
+  for (const auto& key : want) EXPECT_TRUE(loaded.Lookup(key, 1, &out)) << key;
+  EXPECT_FALSE(loaded.Lookup(PredicateKey(0), 1, &out));
+}
+
+TEST(InterpretationCacheLruTest, OversizeSectionLoadsWithinBudget) {
+  InterpretationCache big(4, 1 << 20);
+  for (size_t i = 0; i < 500; ++i) big.Insert(PredicateKey(i), MakeWideEntry(1));
+  ASSERT_EQ(big.size(), 500u);
+  std::ostringstream bytes;
+  ASSERT_TRUE(cache::SaveInterpretationCache(big, &bytes).ok());
+
+  const size_t budget = 8 * 1024;
+  InterpretationCache small(4, budget);
+  std::istringstream in(bytes.str());
+  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 7, &small).ok());
+  EXPECT_LE(small.bytes(), budget);
+  EXPECT_GT(small.size(), 0u);
+  EXPECT_LT(small.size(), 500u);
+  EXPECT_GT(small.evictions(), 0u);
+  InterpretationCache::Entry out;
+  for (const auto& key : small.Keys()) {
+    EXPECT_TRUE(small.Lookup(key, 7, &out)) << key;
+  }
+}
+
 // ------------------------------------------- engine never-cache rules.
 
 class CacheEngineTest : public ::testing::Test {
@@ -374,6 +487,20 @@ TEST_F(CacheEngineTest, HitIsBitIdenticalAcrossTraceLevels) {
     }
   }
   db().SetTraceLevel(obs::TraceLevel::kOff);
+}
+
+// One statement renders the same bytes warm and cold: a hit carries the
+// fill's watermark, while its own stats report that it scored nothing.
+TEST_F(CacheEngineTest, HitRendersTheFillsJsonByteForByte) {
+  auto fill = db().Execute(Sql());
+  ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+  ASSERT_FALSE(fill->stats.result_cache_hit);
+  ASSERT_GT(fill->stats.entities_scored, 0u);
+  auto hit = db().Execute(Sql());
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_TRUE(hit->stats.result_cache_hit);
+  EXPECT_EQ(hit->stats.entities_scored, 0u);
+  EXPECT_EQ(core::ResultToJson(*fill), core::ResultToJson(*hit));
 }
 
 TEST_F(CacheEngineTest, ExplainBypassesTheResultCache) {
@@ -461,6 +588,97 @@ TEST_F(CacheEngineTest, EpochBumpInvalidatesWholesale) {
   ASSERT_TRUE(cache_free.ok()) << cache_free.status().ToString();
   ExpectBitIdentical(*cache_free, *after);
   db().Reaggregate(original);
+}
+
+// ---------------------------------- bounded interpretation cache.
+
+/// A small engine of its own: these tests stream thousands of fresh
+/// predicates and append reviews, which the shared fixture above must
+/// not see.
+class InterpretationCacheBoundTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    eval::BuildOptions options;
+    options.generator.num_entities = 12;
+    options.generator.min_reviews_per_entity = 5;
+    options.generator.max_reviews_per_entity = 8;
+    options.generator.seed = 71;
+    options.seed = 71;
+    options.extractor_training_sentences = 250;
+    options.predicate_pool_size = 12;
+    options.membership_training_tuples = 250;
+    options.engine.num_threads = 1;
+    options.engine.cache.enable_interpretation = true;
+    artifacts_ = new eval::DomainArtifacts(
+        eval::BuildArtifacts(datagen::HotelDomain(), options));
+  }
+
+  static void TearDownTestSuite() {
+    delete artifacts_;
+    artifacts_ = nullptr;
+  }
+
+  void SetUp() override { db().SetTraceLevel(obs::TraceLevel::kStats); }
+  void TearDown() override { db().SetTraceLevel(obs::TraceLevel::kOff); }
+
+  static core::OpineDb& db() { return *artifacts_->db; }
+
+  /// Statement `i` of a stream whose predicates never repeat.
+  static std::string FreshSql(size_t i) {
+    const auto& pool = artifacts_->pool;
+    return "select * from " + db().schema().objective_table + " where \"" +
+           pool[i % pool.size()].text + " " + std::to_string(i) +
+           "\" limit 5";
+  }
+
+  static uint64_t Counter(const std::string& name) {
+    return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+  }
+
+  static eval::DomainArtifacts* artifacts_;
+};
+
+eval::DomainArtifacts* InterpretationCacheBoundTest::artifacts_ = nullptr;
+
+TEST_F(InterpretationCacheBoundTest, DistinctPredicateStreamStaysWithinBudget) {
+  cache::InterpretationCache* cache = db().interpretation_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->byte_budget(), cache::kInterpretationCacheBytes);
+  const uint64_t evictions_before = Counter("engine.cache.interp_evict");
+  for (size_t i = 0; i < 10000; ++i) {
+    auto result = db().Execute(FreshSql(i));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (i % 1000 == 999) {
+      ASSERT_LE(cache->bytes(), cache->byte_budget()) << "after " << i;
+    }
+  }
+  EXPECT_LE(cache->bytes(), cache::kInterpretationCacheBytes);
+  EXPECT_LT(cache->size(), 10000u);
+  EXPECT_GT(Counter("engine.cache.interp_evict"), evictions_before);
+}
+
+TEST_F(InterpretationCacheBoundTest, IngestRederivesAtMostResidentKeys) {
+  cache::InterpretationCache* cache = db().interpretation_cache();
+  ASSERT_NE(cache, nullptr);
+  // Fill past the budget so the cache is full and has evicted.
+  const uint64_t evictions_before = cache->evictions();
+  for (size_t i = 0; cache->evictions() == evictions_before; ++i) {
+    ASSERT_LT(i, 20000u) << "the cache never filled";
+    auto result = db().Execute(FreshSql(100000 + i));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  const size_t resident = cache->size();
+  const uint64_t calls_before = Counter("interpreter.calls");
+  text::Review review;
+  review.entity = 1;
+  review.reviewer = 905;
+  review.date = 20260901;
+  review.body = "the room was very clean and the staff was friendly";
+  ASSERT_TRUE(db().AppendReviews({review}).ok());
+  const uint64_t calls = Counter("interpreter.calls") - calls_before;
+  EXPECT_GT(calls, 0u);
+  EXPECT_LE(calls, resident);
+  EXPECT_LE(cache->bytes(), cache->byte_budget());
 }
 
 }  // namespace

@@ -69,8 +69,12 @@ TEST(DomainSpecTest, LexiconPolarityAgreesWithSpecPolarity) {
   for (const auto& attribute : HotelDomain().attributes) {
     for (const auto& opinion : attribute.opinions) {
       const double lex = analyzer.ScorePhrase(opinion.text);
-      if (opinion.polarity > 0.3) EXPECT_GT(lex, 0.0) << opinion.text;
-      if (opinion.polarity < -0.3) EXPECT_LT(lex, 0.0) << opinion.text;
+      if (opinion.polarity > 0.3) {
+        EXPECT_GT(lex, 0.0) << opinion.text;
+      }
+      if (opinion.polarity < -0.3) {
+        EXPECT_LT(lex, 0.0) << opinion.text;
+      }
     }
   }
 }

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "index/inverted_index.h"
@@ -64,8 +69,30 @@ TEST_F(IndexTest, TopKOmitsZeroScores) {
 TEST_F(IndexTest, ScoreMatchesTopK) {
   auto top = index_.TopK({"clean", "staff"}, 10);
   for (const auto& scored : top) {
-    EXPECT_NEAR(scored.score, index_.Score(scored.doc, {"clean", "staff"}),
-                1e-9);
+    EXPECT_EQ(scored.score, index_.Score(scored.doc, {"clean", "staff"}));
+  }
+}
+
+TEST_F(IndexTest, ScoreIsOkapiBm25WithRepeatedTerms) {
+  // Doc 2 is "clean clean clean room spotless bathroom": tf 3, length 6.
+  // A repeated query term contributes twice; an unknown one nothing.
+  const double k1 = 1.2;
+  const double b = 0.75;
+  const double tf = 3.0;
+  const double len = 6.0;
+  const double once =
+      index_.Bm25Idf("clean") * tf * (k1 + 1.0) /
+      (tf + k1 * (1.0 - b + b * len / index_.average_doc_length()));
+  EXPECT_DOUBLE_EQ(index_.Score(2, {"clean", "zzz", "clean"}), 2.0 * once);
+  EXPECT_EQ(index_.Score(1, {"clean", "zzz"}), 0.0);
+}
+
+TEST_F(IndexTest, BoundScoreEqualsTokenScore) {
+  const std::vector<std::string> query = {"clean", "zzz", "room", "clean"};
+  const InvertedIndex::BoundQuery bound = index_.Bind(query);
+  EXPECT_EQ(bound.num_terms(), 3u) << "unknown terms are dropped";
+  for (DocId doc = 0; doc < 4; ++doc) {
+    EXPECT_EQ(index_.Score(doc, bound), index_.Score(doc, query));
   }
 }
 
@@ -87,6 +114,88 @@ TEST_F(IndexTest, WeightedTopKAppliesWeights) {
   top = index_.TopKWeighted({"clean"}, 10, weights);
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].doc, 0);
+}
+
+// ------------------------------------------------ Brute-force top-k.
+
+/// The definition TopK / TopKWeighted must meet exactly: every document
+/// scored with Score(doc, query) times its weight, non-positive products
+/// dropped, all of them sorted by (score descending, doc ascending), cut
+/// at k.
+std::vector<ScoredDoc> BruteForceTopK(const InvertedIndex& index,
+                                      const std::vector<std::string>& query,
+                                      size_t k,
+                                      const std::vector<double>* weights) {
+  std::vector<ScoredDoc> all;
+  for (size_t d = 0; d < index.num_documents(); ++d) {
+    const DocId doc = static_cast<DocId>(d);
+    double s = index.Score(doc, query);
+    if (weights != nullptr) s *= (*weights)[d];
+    if (s > 0.0) all.push_back(ScoredDoc{doc, s});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ScoredDoc& a, const ScoredDoc& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.doc < b.doc;
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameRanking(const std::vector<ScoredDoc>& want,
+                       const std::vector<ScoredDoc>& got,
+                       const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].doc, got[i].doc) << context << " rank " << i;
+    EXPECT_EQ(want[i].score, got[i].score) << context << " rank " << i;
+  }
+}
+
+TEST(IndexTopKTest, MatchesBruteForceOnSeededCorpora) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    // A small vocabulary so terms repeat within and across documents,
+    // and several identical documents so ties are common.
+    const size_t vocab = 6 + seed % 5;
+    auto word = [&] { return "w" + std::to_string(rng() % vocab); };
+    InvertedIndex index;
+    const size_t docs = 20 + rng() % 60;
+    std::vector<std::string> twin;
+    for (size_t d = 0; d < docs; ++d) {
+      std::vector<std::string> tokens;
+      if (!twin.empty() && rng() % 5 == 0) {
+        tokens = twin;  // An exact duplicate: a guaranteed tie.
+      } else {
+        const size_t len = 1 + rng() % 12;
+        for (size_t t = 0; t < len; ++t) tokens.push_back(word());
+      }
+      twin = tokens;
+      index.AddDocument(tokens);
+    }
+    std::vector<double> weights(docs);
+    for (auto& w : weights) {
+      const uint64_t r = rng() % 4;
+      w = r == 0 ? 0.0 : (r == 1 ? 1.0 : 0.05 + (rng() % 100) / 37.0);
+    }
+    for (int q = 0; q < 6; ++q) {
+      std::vector<std::string> query;
+      const size_t terms = 1 + rng() % 5;
+      for (size_t t = 0; t < terms; ++t) query.push_back(word());
+      query.push_back(query.front());   // A repeated term.
+      query.push_back("unknown-term");  // A term no document has.
+      for (const size_t k : {size_t{0}, size_t{1}, docs / 3, docs + 10}) {
+        const std::string context = "seed " + std::to_string(seed) +
+                                    " query " + std::to_string(q) +
+                                    " k " + std::to_string(k);
+        ExpectSameRanking(BruteForceTopK(index, query, k, nullptr),
+                          index.TopK(query, k), context);
+        ExpectSameRanking(BruteForceTopK(index, query, k, &weights),
+                          index.TopKWeighted(query, k, weights),
+                          context + " weighted");
+      }
+    }
+  }
 }
 
 TEST(IndexEdgeTest, EmptyIndex) {

@@ -4,7 +4,9 @@
 //
 //  1. append ≡ rebuild: appending batches and then Reaggregate-ing the
 //     extended extraction relation must not change a byte of any
-//     answer — the additive fold is exact, not approximate;
+//     answer — the additive fold is exact, not approximate — and after
+//     every append round the answers equal the row-path oracle's
+//     (tests/oracle/), text-fallback predicate included;
 //  2. surgical cache maintenance: per-entity data epochs move only for
 //     touched entities, the attached degree cache stays warm for
 //     untouched predicates/entities, and refused mutations leave the
@@ -37,6 +39,7 @@
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "oracle/row_oracle.h"
 #include "server/server.h"
 #include "storage/wal.h"
 
@@ -156,11 +159,36 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
   const int32_t entities =
       static_cast<int32_t>(incremental.db->corpus().num_entities());
 
+  // The oracle sweep adds the text-fallback shape (an uninterpretable
+  // predicate) and a hard objective cut to the pool queries.
+  const std::string table = incremental.db->schema().objective_table;
+  std::vector<std::string> oracle_queries = queries;
+  oracle_queries.push_back("select * from " + table +
+                           " where \"zorblatt quuxly vibes\" limit 10");
+  oracle_queries.push_back("select * from " + table +
+                           " where price_pn < 200 and \"" +
+                           incremental.pool[0].text + "\" limit 1000");
+  ASSERT_EQ(incremental.db->interpreter()
+                .Interpret("zorblatt quuxly vibes")
+                .method,
+            core::InterpretMethod::kTextFallback);
+
   for (uint64_t round = 0; round < 6; ++round) {
     const auto batch = MakeBatch(round, 1 + static_cast<int>(round % 4),
                                  entities);
     ASSERT_TRUE(incremental.db->AppendReviews(batch).ok());
     ASSERT_TRUE(rebuilt.db->AppendReviews(batch).ok());
+    // After every round the delta-patched engine answers exactly what
+    // the row-path oracle computes from the folded row objects.
+    for (const std::string& sql : oracle_queries) {
+      auto answer = oracle::Execute(*incremental.db,
+                                    incremental.domain.objective_table, sql);
+      ASSERT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+      core::QueryResult want;
+      want.results = std::move(*answer);
+      ExpectBitIdentical(want, MustExecute(*incremental.db, sql),
+                         "round " + std::to_string(round) + ": " + sql);
+    }
   }
   // The rebuilt engine re-derives every summary from its (extended)
   // extraction relation; the incremental engine only ever folded

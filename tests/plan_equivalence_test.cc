@@ -1,9 +1,12 @@
 // Plan-equivalence property test: for randomized fixture queries, every
 // eligible physical plan (dense scan, filtered scan, TA top-k) must
 // return bit-identical RankedResult lists — same entities, same names,
-// same raw doubles — at 1 and 8 threads, with tracing off and full.
-// This is the planner's §5b/§5c contract: plans trade work, never
-// results. Run under -DOPINEDB_SANITIZE=thread like concurrency_test.
+// same raw doubles — at 1 and 8 threads, with tracing off and full,
+// and each must equal the row-path oracle's whole answer
+// (tests/oracle/), including for an uninterpretable (text-fallback)
+// predicate. This is the planner's §5b/§5c contract: plans trade work,
+// never results. Run under -DOPINEDB_SANITIZE=thread like
+// concurrency_test.
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
+#include "oracle/row_oracle.h"
 
 namespace opinedb {
 namespace {
@@ -113,8 +117,16 @@ class PlanEquivalenceTest : public ::testing::TestWithParam<const char*> {
                         " limit " + std::to_string(limits[rng.Below(4)]));
     }
     queries.push_back("select * from " + table + " limit 7");
+    // Uninterpretable: the text-retrieval fallback shape, alone and
+    // behind a hard objective cut.
+    queries.push_back("select * from " + table + " where \"" +
+                      std::string(kNonsense) + "\" limit 5");
+    queries.push_back("select * from " + table + " where " + objective() +
+                      " and \"" + std::string(kNonsense) + "\" limit 1000");
     return queries;
   }
+
+  static constexpr const char* kNonsense = "zorblatt quuxly vibes";
 
   static eval::DomainArtifacts* hotel_;
   static eval::DomainArtifacts* restaurant_;
@@ -124,23 +136,37 @@ eval::DomainArtifacts* PlanEquivalenceTest::hotel_ = nullptr;
 eval::DomainArtifacts* PlanEquivalenceTest::restaurant_ = nullptr;
 
 // Bit-identical means EXPECT_EQ on the raw doubles — no tolerance.
-void ExpectBitIdentical(const core::QueryResult& reference,
-                        const core::QueryResult& actual) {
-  ASSERT_EQ(reference.results.size(), actual.results.size());
-  for (size_t i = 0; i < reference.results.size(); ++i) {
-    EXPECT_EQ(reference.results[i].entity, actual.results[i].entity);
-    EXPECT_EQ(reference.results[i].entity_name,
-              actual.results[i].entity_name);
-    EXPECT_EQ(reference.results[i].score, actual.results[i].score);
+void ExpectBitIdentical(const std::vector<core::RankedResult>& reference,
+                        const std::vector<core::RankedResult>& actual) {
+  ASSERT_EQ(reference.size(), actual.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].entity, actual[i].entity);
+    EXPECT_EQ(reference[i].entity_name, actual[i].entity_name);
+    EXPECT_EQ(reference[i].score, actual[i].score);
   }
 }
 
+void ExpectBitIdentical(const core::QueryResult& reference,
+                        const core::QueryResult& actual) {
+  ExpectBitIdentical(reference.results, actual.results);
+}
+
 TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  // The nonsense predicate must really take the text-fallback shape.
+  ASSERT_EQ(db.interpreter().Interpret(kNonsense).method,
+            core::InterpretMethod::kTextFallback);
   core::DegreeCache cache(&db);
   db.AttachDegreeCache(&cache);
   std::set<core::PlanKind> plans_run;
   for (const auto& sql : MakeQueries(GetParam())) {
+    // The row-path oracle's whole answer: every plan below must equal it
+    // too, not just the dense scan.
+    auto oracle_answer =
+        oracle::Execute(db, artifacts.domain.objective_table, sql);
+    ASSERT_TRUE(oracle_answer.ok())
+        << sql << ": " << oracle_answer.status().ToString();
     // Reference: the pre-planner dense path, serial, trace off. Running
     // it with the cache attached also warms every subjective predicate,
     // so the TA sweep below runs over resident lists.
@@ -151,6 +177,7 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
     ASSERT_TRUE(reference.ok()) << sql << ": "
                                 << reference.status().ToString();
     ASSERT_EQ(reference->plan, core::PlanKind::kDenseScan);
+    ExpectBitIdentical(*oracle_answer, reference->results);
     for (const auto force :
          {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
           core::PlanForce::kFilteredScan, core::PlanForce::kTaTopK}) {
@@ -168,6 +195,7 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
           ASSERT_TRUE(run.ok()) << run.status().ToString();
           plans_run.insert(run->plan);
           ExpectBitIdentical(*reference, *run);
+          ExpectBitIdentical(*oracle_answer, run->results);
         }
       }
     }
