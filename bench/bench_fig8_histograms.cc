@@ -12,12 +12,14 @@
 namespace opinedb {
 namespace {
 
-void PrintHistogram(const char* title, const core::MarkerSummary& summary) {
+void PrintHistogram(const char* title, const core::OpineDb& db,
+                    size_t attribute, text::EntityId entity) {
   printf("%s\n", title);
-  for (size_t m = 0; m < summary.num_markers(); ++m) {
-    printf("  %-14s %6.1f  ", summary.type().markers[m].c_str(),
-           summary.count(m));
-    const int bars = static_cast<int>(summary.count(m));
+  const auto& markers = db.schema().attributes[attribute].summary_type.markers;
+  for (size_t m = 0; m < markers.size(); ++m) {
+    const double count = db.columnar_store()->count(attribute, entity, m);
+    printf("  %-14s %6.1f  ", markers[m].c_str(), count);
+    const int bars = static_cast<int>(count);
     for (int b = 0; b < bars && b < 60; ++b) printf("#");
     printf("\n");
   }
@@ -57,28 +59,29 @@ int main() {
                                  "%.2f)",
            db.corpus().entity_name(ir_winner).c_str(),
            artifacts.domain.entities[ir_winner].quality[attr]);
-  PrintHistogram(title, db.summary(attr, ir_winner));
+  PrintHistogram(title, db, attr, ir_winner);
   printf("\n");
   snprintf(title, sizeof(title), "OpineDB winner: %s (latent quietness "
                                  "%.2f)",
            db.corpus().entity_name(opine_winner).c_str(),
            artifacts.domain.entities[opine_winner].quality[attr]);
-  PrintHistogram(title, db.summary(attr, opine_winner));
+  PrintHistogram(title, db, attr, opine_winner);
 
   // The figure's claim, quantified: fraction of negative-marker mass.
-  auto negative_fraction = [&](const core::MarkerSummary& summary) {
+  auto negative_fraction = [&](text::EntityId entity) {
+    const auto& summaries = *db.columnar_store();
+    const auto& markers = db.schema().attributes[attr].summary_type.markers;
     double negative = 0.0;
-    double total = summary.total_count();
-    for (size_t m = 0; m < summary.num_markers(); ++m) {
-      if (db.analyzer().ScorePhrase(summary.type().markers[m]) < 0.0) {
-        negative += summary.count(m);
+    const double total = summaries.total(attr, entity);
+    for (size_t m = 0; m < markers.size(); ++m) {
+      if (db.analyzer().ScorePhrase(markers[m]) < 0.0) {
+        negative += summaries.count(attr, entity, m);
       }
     }
     return total > 0.0 ? negative / total : 0.0;
   };
   printf("\nNegative-marker mass: IR winner %.2f vs OpineDB winner %.2f\n",
-         negative_fraction(db.summary(attr, ir_winner)),
-         negative_fraction(db.summary(attr, opine_winner)));
+         negative_fraction(ir_winner), negative_fraction(opine_winner));
   printf("Expected shape: the IR winner carries contradicting negative "
          "mass; OpineDB's does not.\n");
   return 0;

@@ -35,8 +35,8 @@
 #include "cache/result_cache.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/columnar.h"
 #include "core/degree_cache.h"
-#include "core/marker_summary.h"
 #include "embedding/kdtree.h"
 #include "fuzzy/logic.h"
 #include "fuzzy/threshold_algorithm.h"
@@ -168,14 +168,20 @@ void BM_Tokenize(benchmark::State& state) {
 BENCHMARK(BM_Tokenize);
 
 void BM_MarkerSummaryAddPhrase(benchmark::State& state) {
-  core::MarkerSummaryType type;
-  type.name = "cleanliness";
-  type.markers = {"very clean", "average", "dirty", "filthy"};
-  core::MarkerSummary summary(&type, 48);
+  // The per-opinion store fold (one attribute, one entity, 48 dims).
+  core::SubjectiveSchema schema;
+  core::SubjectiveAttribute attribute;
+  attribute.name = "cleanliness";
+  attribute.summary_type.markers = {"very clean", "average", "dirty",
+                                    "filthy"};
+  schema.attributes.push_back(attribute);
+  core::ColumnarSummaryStore store(schema, 1, 48);
   embedding::Vec vec(48, 0.1f);
   std::vector<double> weights = {1.0, 0.0, 0.0, 0.0};
   for (auto _ : state) {
-    summary.AddPhrase(weights, 0.5, vec, 7);
+    store.AddPhrase(0, 0, weights, 0.5, vec, 7);
+    benchmark::DoNotOptimize(store.attribute(0).centroid.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_MarkerSummaryAddPhrase);

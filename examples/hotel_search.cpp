@@ -90,12 +90,16 @@ int main() {
   if (romantic.ok() && !romantic->results.empty()) {
     const auto winner = romantic->results[0].entity;
     const int service = db.schema().AttributeIndex("staff_service");
+    const auto& summaries = *db.columnar_store();
     printf("\nEvidence for %s:\n  staff_service summary %s\n",
            romantic->results[0].entity_name.c_str(),
-           db.summary(service, winner).ToString().c_str());
-    const auto& cell = db.summary(service, winner).cell(0);
-    if (!cell.provenance.empty()) {
-      const auto& review = db.corpus().review(cell.provenance[0]);
+           summaries
+               .Histogram(db.schema().attributes[service].summary_type,
+                          service, winner)
+               .c_str());
+    const auto provenance = summaries.Provenance(service, winner, 0);
+    if (!provenance.empty()) {
+      const auto& review = db.corpus().review(provenance[0]);
       printf("  sample supporting review: \"%.90s...\"\n",
              review.body.c_str());
     }

@@ -78,15 +78,16 @@ void ShowSummary(const core::OpineDb& db, const std::string& entity_name,
   for (size_t e = 0; e < db.corpus().num_entities(); ++e) {
     const auto entity = static_cast<text::EntityId>(e);
     if (db.corpus().entity_name(entity) != entity_name) continue;
-    const auto& summary = db.summary(attribute, entity);
-    printf("  %s\n", summary.ToString().c_str());
+    const auto& summaries = *db.columnar_store();
+    const auto& type = db.schema().attributes[attribute].summary_type;
+    printf("  %s\n", summaries.Histogram(type, attribute, e).c_str());
     // Evidence: one supporting review per populated marker.
-    for (size_t m = 0; m < summary.num_markers(); ++m) {
-      const auto& cell = summary.cell(m);
-      if (cell.provenance.empty()) continue;
-      const auto& review = db.corpus().review(cell.provenance[0]);
-      printf("  [%s] e.g.: \"%.70s...\"\n",
-             summary.type().markers[m].c_str(), review.body.c_str());
+    for (size_t m = 0; m < type.num_markers(); ++m) {
+      const auto provenance = summaries.Provenance(attribute, e, m);
+      if (provenance.empty()) continue;
+      const auto& review = db.corpus().review(provenance[0]);
+      printf("  [%s] e.g.: \"%.70s...\"\n", type.markers[m].c_str(),
+             review.body.c_str());
     }
     return;
   }

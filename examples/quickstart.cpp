@@ -104,7 +104,10 @@ int main() {
   if (attr >= 0 && !result->results.empty()) {
     printf("\nroom_cleanliness summary of %s: %s\n",
            result->results[0].entity_name.c_str(),
-           db->summary(attr, result->results[0].entity).ToString().c_str());
+           db->columnar_store()
+               ->Histogram(db->schema().attributes[attr].summary_type, attr,
+                           result->results[0].entity)
+               .c_str());
   }
   return 0;
 }

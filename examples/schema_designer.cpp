@@ -87,6 +87,8 @@ int main() {
 
   // 5. A resulting marker summary, with provenance counts.
   printf("\n== A marker summary (hotel 0, attribute 0) ==\n  %s\n",
-         db.summary(0, 0).ToString().c_str());
+         db.columnar_store()
+             ->Histogram(db.schema().attributes[0].summary_type, 0, 0)
+             .c_str());
   return 0;
 }

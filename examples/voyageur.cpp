@@ -74,14 +74,15 @@ int main() {
          2 * db.corpus().num_entities());
 
   // Persist and reload the queryable state.
-  std::stringstream schema_file, summaries_file, embeddings_file;
+  std::stringstream schema_file, embeddings_file;
+  const std::string summaries_file =
+      core::EncodeSummaries(*db.columnar_store());
   if (core::SaveSchema(db.schema(), &schema_file).ok() &&
-      core::SaveSummaries(db.tables(), &summaries_file).ok() &&
       embedding::SaveEmbeddings(db.embeddings(), &embeddings_file).ok()) {
     auto schema = core::LoadSchema(&schema_file);
     auto summaries =
-        schema.ok() ? core::LoadSummaries(*schema, &summaries_file)
-                    : Result<core::SubjectiveTables>(schema.status());
+        schema.ok() ? core::DecodeSummaries(*schema, summaries_file)
+                    : Result<core::ColumnarSummaryStore>(schema.status());
     auto embeddings = embedding::LoadEmbeddings(&embeddings_file);
     printf("\nPersisted + reloaded: schema %s, summaries %s, embeddings "
            "%s (%zu words).\n",

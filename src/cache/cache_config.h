@@ -18,15 +18,10 @@ struct CacheConfig {
   /// Memoize full query results per (canonical query key, epoch) in a
   /// sharded, byte-budgeted LRU.
   bool enable_results = false;
-  /// Total byte budget of the result cache, split evenly across shards.
-  /// Entries larger than one shard's budget are never cached.
+  /// Total byte budget of the result cache, split evenly across its 8
+  /// lock-striping shards. Entries larger than one shard's budget are
+  /// never cached.
   size_t result_cache_bytes = 4u << 20;  // 4 MiB.
-  /// Lock-striping widths. More shards = less contention under
-  /// concurrent serving, at a small fixed memory cost; each cache's
-  /// byte budget is split evenly across its shards. The defaults
-  /// preserve the historical hard-coded counts.
-  size_t result_cache_shards = 8;
-  size_t interp_cache_shards = 16;
 };
 
 }  // namespace opinedb::cache

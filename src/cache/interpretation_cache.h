@@ -50,8 +50,8 @@ class InterpretationCache {
     uint64_t epoch = 0;
   };
 
-  /// `num_shards` is clamped to at least 1; the count is fixed for the
-  /// cache's lifetime (the engine rebuilds the layer to change it).
+  /// `num_shards` is clamped to at least 1 and fixed for the cache's
+  /// lifetime; the engine uses the defaults, tests pass their own.
   /// `byte_budget` is split evenly across shards.
   explicit InterpretationCache(
       size_t num_shards = 16,

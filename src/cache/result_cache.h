@@ -31,8 +31,8 @@ struct CachedResult {
 /// Entries larger than one shard's budget are never cached.
 class ResultCache {
  public:
-  /// `num_shards` is clamped to at least 1; the count is fixed for the
-  /// cache's lifetime (the engine rebuilds the layer to change it).
+  /// `num_shards` is clamped to at least 1 and fixed for the cache's
+  /// lifetime; the engine uses the default, tests pass their own.
   explicit ResultCache(size_t byte_budget, size_t num_shards = 8)
       : lru_(byte_budget, num_shards) {}
 

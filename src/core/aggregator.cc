@@ -96,15 +96,8 @@ SubjectiveTables Aggregator::Build(
     const AggregationOptions& options, ThreadPool* pool) const {
   SubjectiveTables tables;
   const size_t num_attrs = schema_->num_attributes();
-  const size_t num_entities = corpus.num_entities();
-  tables.summaries.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    tables.summaries[a].reserve(num_entities);
-    for (size_t e = 0; e < num_entities; ++e) {
-      tables.summaries[a].emplace_back(
-          &schema_->attributes[a].summary_type, embedder_->dim());
-    }
-  }
+  tables.summaries = ColumnarSummaryStore(*schema_, corpus.num_entities(),
+                                          embedder_->dim());
   tables.extractions = std::move(extractions);
   const size_t num_extractions = tables.extractions.size();
   tables.extraction_attribute.assign(num_extractions, -1);
@@ -164,14 +157,16 @@ SubjectiveTables Aggregator::Build(
     const auto& opinion = tables.extractions[i];
     const int a = tables.extraction_attribute[i];
     if (prep.unmatched_in_domain) {
-      tables.summaries[a][opinion.entity].AddUnmatched();
+      tables.summaries.AddUnmatched(a, opinion.entity);
       continue;
     }
     if (!prep.matched) continue;
     tables.extraction_marker[i] = prep.best_marker;
-    tables.summaries[a][opinion.entity].AddPhrase(
-        prep.weights, opinion.sentiment, prep.phrase_vec, opinion.review);
+    tables.summaries.AddPhrase(a, opinion.entity, prep.weights,
+                               opinion.sentiment, prep.phrase_vec,
+                               opinion.review);
   }
+  tables.summaries.Refresh(pool);
   return tables;
 }
 
@@ -195,14 +190,7 @@ void Aggregator::AddOpinion(const extract::ExtractedOpinion& opinion,
     tables->extraction_marker.push_back(-1);
     return;
   }
-  // Entities appended to the corpus after Build() get summaries lazily.
-  auto& per_entity = tables->summaries[a];
-  while (per_entity.size() < corpus.num_entities()) {
-    per_entity.emplace_back(&schema_->attributes[a].summary_type,
-                            embedder_->dim());
-  }
   const auto weights = MarkerWeights(a, opinion.phrase, options);
-  MarkerSummary& summary = per_entity[opinion.entity];
   int best_marker = -1;
   double best_weight = 0.0;
   for (size_t m = 0; m < weights.size(); ++m) {
@@ -212,13 +200,15 @@ void Aggregator::AddOpinion(const extract::ExtractedOpinion& opinion,
     }
   }
   if (best_marker < 0) {
-    summary.AddUnmatched();
+    tables->summaries.AddUnmatched(a, opinion.entity);
     tables->extraction_marker.push_back(-1);
     return;
   }
   tables->extraction_marker.push_back(best_marker);
-  summary.AddPhrase(weights, opinion.sentiment,
-                    embedder_->Represent(opinion.phrase), opinion.review);
+  tables->summaries.AddPhrase(a, opinion.entity, weights, opinion.sentiment,
+                              embedder_->Represent(opinion.phrase),
+                              opinion.review);
+  tables->summaries.RefreshEntity(a, opinion.entity);
 }
 
 }  // namespace opinedb::core

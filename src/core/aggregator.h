@@ -6,7 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "core/attribute_classifier.h"
-#include "core/marker_summary.h"
+#include "core/columnar.h"
 #include "core/schema.h"
 #include "embedding/phrase_rep.h"
 #include "extract/pipeline.h"
@@ -36,8 +36,8 @@ struct AggregationOptions {
 /// Marker summaries for every (attribute, entity) pair, plus the
 /// extraction provenance that produced them.
 struct SubjectiveTables {
-  /// summaries[a][e] is the summary of attribute a for entity e.
-  std::vector<std::vector<MarkerSummary>> summaries;
+  /// The marker summary of every (attribute, entity) pair.
+  ColumnarSummaryStore summaries;
   /// The extraction relation, with each opinion's assigned attribute
   /// (-1 when the classifier had nothing to say).
   std::vector<extract::ExtractedOpinion> extractions;
@@ -61,9 +61,10 @@ class Aggregator {
 
   /// Builds summaries for all entities of `corpus` from `extractions`.
   /// With a pool, the per-extraction classification, marker matching and
-  /// phrase embedding fan out across workers; the summary fold stays
-  /// serial in extraction order, so the result is bit-identical to the
-  /// serial build.
+  /// phrase embedding fan out across workers, and so does the final
+  /// ColumnarSummaryStore::Refresh; the summary fold stays serial in
+  /// extraction order, so the result is bit-identical to the serial
+  /// build.
   SubjectiveTables Build(const text::ReviewCorpus& corpus,
                          std::vector<extract::ExtractedOpinion> extractions,
                          const AggregationOptions& options,
@@ -71,7 +72,8 @@ class Aggregator {
 
   /// Incrementally folds one opinion into existing summaries
   /// (Section 4.2.2: "the marker summaries can be incrementally
-  /// computed").
+  /// computed") and refreshes the (attribute, entity) it touched.
+  /// `opinion.entity` must be one of the store's entities.
   void AddOpinion(const extract::ExtractedOpinion& opinion,
                   const text::ReviewCorpus& corpus,
                   const AggregationOptions& options,

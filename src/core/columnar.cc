@@ -2,124 +2,126 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "common/fault.h"
 #include "core/engine.h"
+#include "core/interpreter.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace opinedb::core {
 
 size_t AttributeColumns::bytes() const {
   return count.allocated_bytes() + mean_sentiment.allocated_bytes() +
          centroid_norm.allocated_bytes() + centroid.allocated_bytes() +
-         provenance_count.allocated_bytes() + total.allocated_bytes() +
-         unmatched.allocated_bytes();
+         total.allocated_bytes() + unmatched.allocated_bytes() +
+         provenance.capacity() * sizeof(ProvenanceEntry);
 }
 
 size_t AttributeColumns::scan_bytes_per_entity() const {
   // One atom reads, per entity: K counts, K sentiments, K norms, K
-  // centroids and the two per-entity scalars. The provenance column is
-  // not touched by scoring.
+  // centroids and the two per-entity scalars.
   return num_markers * (2 * sizeof(double) + sizeof(double) +
                         dim * sizeof(float)) +
          2 * sizeof(double);
 }
 
-ColumnarSummaryStore::ColumnarSummaryStore(const SubjectiveTables& tables,
-                                           size_t num_entities,
-                                           ThreadPool* pool)
+ColumnarSummaryStore::ColumnarSummaryStore(const SubjectiveSchema& schema,
+                                           size_t num_entities, size_t dim)
     : num_entities_(num_entities) {
-  obs::TraceSpan span("columnar.build");
-  columns_.resize(tables.summaries.size());
-  for (size_t a = 0; a < tables.summaries.size(); ++a) {
-    const auto& summaries = tables.summaries[a];
+  columns_.resize(schema.num_attributes());
+  for (size_t a = 0; a < columns_.size(); ++a) {
     AttributeColumns& cols = columns_[a];
-    cols.num_entities = summaries.size();
-    if (summaries.empty()) continue;
-    cols.num_markers = summaries[0].num_markers();
-    const size_t k = cols.num_markers;
-    if (k == 0) continue;
-    cols.dim = summaries[0].cell(0).centroid.size();
-    cols.count.Reset(cols.num_entities * k);
-    cols.mean_sentiment.Reset(cols.num_entities * k);
-    cols.centroid_norm.Reset(cols.num_entities * k);
-    cols.centroid.Reset(cols.num_entities * k * cols.dim);
-    cols.provenance_count.Reset(cols.num_entities * k);
-    cols.total.Reset(cols.num_entities);
-    cols.unmatched.Reset(cols.num_entities);
-    auto fill_range = [&](size_t begin, size_t end) {
-      for (size_t e = begin; e < end; ++e) {
-        const MarkerSummary& summary = summaries[e];
-        const size_t base = e * k;
-        // total_count() is the same in-order sum the row path performs
-        // per featurization; freezing it here keeps the columnar f[0]
-        // and the count/total fractions bit-identical.
-        cols.total[e] = summary.total_count();
-        cols.unmatched[e] = summary.unmatched_count();
-        for (size_t m = 0; m < k && m < summary.num_markers(); ++m) {
-          const MarkerCell& cell = summary.cell(m);
-          cols.count[base + m] = cell.count;
-          cols.mean_sentiment[base + m] = cell.mean_sentiment;
-          cols.centroid_norm[base + m] = embedding::Norm(cell.centroid);
-          cols.provenance_count[base + m] =
-              static_cast<uint32_t>(cell.provenance.size());
-          const size_t copy =
-              std::min(cols.dim, cell.centroid.size());
-          std::copy_n(cell.centroid.data(), copy,
-                      cols.centroid.data() + (base + m) * cols.dim);
-        }
-      }
-    };
-    // Each entity writes only its own slots, so the parallel fill is
-    // equivalent to serial.
-    if (pool != nullptr) {
-      pool->ParallelFor(0, cols.num_entities, fill_range, /*min_grain=*/64);
-    } else {
-      fill_range(0, cols.num_entities);
-    }
+    cols.num_entities = num_entities;
+    cols.num_markers = schema.attributes[a].summary_type.num_markers();
+    cols.dim = dim;
+    const size_t cells = num_entities * cols.num_markers;
+    cols.count.Reset(cells);
+    cols.mean_sentiment.Reset(cells);
+    cols.centroid_norm.Reset(cells);
+    cols.centroid.Reset(cells * dim);
+    cols.total.Reset(num_entities);
+    cols.unmatched.Reset(num_entities);
   }
-  span.AddAttribute("attributes", static_cast<uint64_t>(columns_.size()));
-  span.AddAttribute("entities", static_cast<uint64_t>(num_entities_));
-  span.AddAttribute("bytes", static_cast<uint64_t>(bytes()));
-  OPINEDB_METRIC_GAUGE_SET("columnar.bytes", static_cast<double>(bytes()));
 }
 
-void ColumnarSummaryStore::UpdateEntities(
-    const SubjectiveTables& tables,
-    const std::vector<text::EntityId>& touched) {
-  obs::TraceSpan span("columnar.delta_update");
-  for (size_t a = 0; a < columns_.size() && a < tables.summaries.size();
-       ++a) {
-    const auto& summaries = tables.summaries[a];
-    AttributeColumns& cols = columns_[a];
-    const size_t k = cols.num_markers;
-    if (k == 0) continue;
-    for (const text::EntityId id : touched) {
-      if (id < 0) continue;
-      const size_t e = static_cast<size_t>(id);
-      if (e >= cols.num_entities || e >= summaries.size()) continue;
-      const MarkerSummary& summary = summaries[e];
-      const size_t base = e * k;
-      // The constructor's fill, verbatim, for one entity — the patched
-      // row is what a full rebuild would have produced.
-      cols.total[e] = summary.total_count();
-      cols.unmatched[e] = summary.unmatched_count();
-      for (size_t m = 0; m < k && m < summary.num_markers(); ++m) {
-        const MarkerCell& cell = summary.cell(m);
-        cols.count[base + m] = cell.count;
-        cols.mean_sentiment[base + m] = cell.mean_sentiment;
-        cols.centroid_norm[base + m] = embedding::Norm(cell.centroid);
-        cols.provenance_count[base + m] =
-            static_cast<uint32_t>(cell.provenance.size());
-        const size_t copy = std::min(cols.dim, cell.centroid.size());
-        std::copy_n(cell.centroid.data(), copy,
-                    cols.centroid.data() + (base + m) * cols.dim);
-      }
+void ColumnarSummaryStore::AddPhrase(size_t attribute, size_t entity,
+                                     const std::vector<double>& weights,
+                                     double sentiment,
+                                     const embedding::Vec& vec,
+                                     text::ReviewId review) {
+  AttributeColumns& cols = columns_[attribute];
+  const size_t base = entity * cols.num_markers;
+  const size_t dims = std::min(cols.dim, vec.size());
+  for (size_t m = 0; m < cols.num_markers && m < weights.size(); ++m) {
+    const double w = weights[m];
+    if (w <= 0.0) continue;
+    double& count = cols.count[base + m];
+    double& mean = cols.mean_sentiment[base + m];
+    float* centroid = cols.centroid.data() + (base + m) * cols.dim;
+    const double new_count = count + w;
+    // Running weighted means for sentiment and the centroid.
+    mean = (mean * count + sentiment * w) / new_count;
+    for (size_t d = 0; d < dims; ++d) {
+      centroid[d] = static_cast<float>(
+          (double(centroid[d]) * count + double(vec[d]) * w) / new_count);
+    }
+    count = new_count;
+    cols.provenance.push_back(ProvenanceEntry{
+        static_cast<uint32_t>(entity), static_cast<uint32_t>(m), review});
+  }
+}
+
+void ColumnarSummaryStore::RefreshEntity(size_t attribute, size_t entity) {
+  AttributeColumns& cols = columns_[attribute];
+  const size_t base = entity * cols.num_markers;
+  double total = 0.0;
+  for (size_t m = 0; m < cols.num_markers; ++m) {
+    total += cols.count[base + m];
+    cols.centroid_norm[base + m] = embedding::Norm(
+        cols.centroid.data() + (base + m) * cols.dim, cols.dim);
+  }
+  cols.total[entity] = total;
+}
+
+void ColumnarSummaryStore::Refresh(ThreadPool* pool) {
+  for (size_t a = 0; a < columns_.size(); ++a) {
+    auto refresh_range = [this, a](size_t begin, size_t end) {
+      for (size_t e = begin; e < end; ++e) RefreshEntity(a, e);
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(0, num_entities_, refresh_range, /*min_grain=*/64);
+    } else {
+      refresh_range(0, num_entities_);
     }
   }
-  span.AddAttribute("entities", static_cast<uint64_t>(touched.size()));
-  OPINEDB_METRIC_COUNT("columnar.delta_updates", 1);
+}
+
+std::vector<text::ReviewId> ColumnarSummaryStore::Provenance(
+    size_t attribute, size_t entity, size_t marker) const {
+  std::vector<text::ReviewId> reviews;
+  for (const ProvenanceEntry& entry : columns_[attribute].provenance) {
+    if (entry.entity == entity && entry.marker == marker) {
+      reviews.push_back(entry.review);
+    }
+  }
+  return reviews;
+}
+
+std::string ColumnarSummaryStore::Histogram(const MarkerSummaryType& type,
+                                            size_t attribute,
+                                            size_t entity) const {
+  std::string out = "[";
+  for (size_t m = 0; m < columns_[attribute].num_markers; ++m) {
+    if (m > 0) out += ", ";
+    out += type.markers[m];
+    out += ": ";
+    char buf[32];
+    snprintf(buf, sizeof(buf), "%.1f", count(attribute, entity, m));
+    out += buf;
+  }
+  out += "]";
+  return out;
 }
 
 size_t ColumnarSummaryStore::bytes() const {
@@ -172,48 +174,10 @@ double ConditionScorer::Membership(const double* features, size_t n) const {
 
 double ConditionScorer::MarkerDegree(const BoundAtom& atom,
                                      size_t entity) const {
-  // Per-entity hot path (runs inside ParallelFor): counters only, no
-  // spans — a span per entity would flood the per-query ring buffer.
   OPINEDB_FAULT("score.features");
-  OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
-  const AttributeColumns& cols = *atom.columns;
-  // The MembershipFeatures vector, computed from the columns.
-  double f[kMembershipFeatureDim] = {0.0};
-  const double total = cols.total[entity];
-  f[0] = std::log1p(total);
-  if (total <= 0.0) {
-    f[9] = 1.0;  // Empty-summary indicator.
-  } else {
-    const size_t k = cols.num_markers;
-    const size_t base = entity * k;
-    const size_t m = atom.marker;
-    f[1] = cols.count[base + m] / total;
-    const float* centroids = cols.centroid.data() + base * cols.dim;
-    double weighted_sentiment = 0.0;
-    double weighted_similarity = 0.0;
-    double mass_at_or_above = 0.0;
-    double target_cosine = 0.0;
-    for (size_t j = 0; j < k; ++j) {
-      const double frac = cols.count[base + j] / total;
-      weighted_sentiment += frac * cols.mean_sentiment[base + j];
-      const double cosine = embedding::CosineWithNorms(
-          query_rep_->data(), query_norm_, centroids + j * cols.dim,
-          cols.centroid_norm[base + j], cols.dim);
-      weighted_similarity += frac * cosine;
-      if (j <= m) mass_at_or_above += frac;
-      // MembershipFeatures recomputes Cosine(query, target) for f[5];
-      // the deterministic recomputation equals the j == m loop value.
-      if (j == m) target_cosine = cosine;
-    }
-    f[2] = mass_at_or_above;
-    f[3] = weighted_sentiment;
-    f[4] = cols.mean_sentiment[base + m];
-    f[5] = target_cosine;
-    f[6] = weighted_similarity;
-    f[7] = cols.unmatched[entity] / (total + cols.unmatched[entity]);
-    f[8] = 1.0 - std::abs(query_sentiment_ - weighted_sentiment) / 2.0;
-    f[9] = 0.0;
-  }
+  double f[kMembershipFeatureDim];
+  MarkerFeatures(*atom.columns, entity, atom.marker, query_rep_->data(),
+                 query_norm_, query_sentiment_, f);
   return Membership(f, kMembershipFeatureDim);
 }
 

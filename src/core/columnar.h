@@ -1,41 +1,49 @@
 #ifndef OPINEDB_CORE_COLUMNAR_H_
 #define OPINEDB_CORE_COLUMNAR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/aligned.h"
 #include "common/thread_pool.h"
-#include "core/aggregator.h"
-#include "core/interpreter.h"
 #include "core/membership.h"
+#include "core/schema.h"
 #include "embedding/vector_ops.h"
 #include "fuzzy/logic.h"
 #include "index/inverted_index.h"
+#include "obs/metrics.h"
 #include "storage/table.h"
+#include "text/corpus.h"
 
 namespace opinedb::core {
 
-/// One attribute's marker summaries in structure-of-arrays layout.
-///
-/// The row-oriented engine reaches a marker cell through
-/// tables_.summaries[a][e].cell(k) — a MarkerSummary object per entity
-/// whose cells each own a heap-allocated centroid vector. A dense scan
-/// therefore chases two pointers per cell and strides across unrelated
-/// allocations, which defeats both the cache and the auto-vectorizer.
-/// Here every quantity the membership features read lives in its own
-/// contiguous 64-byte-aligned array, entity-major so one entity's cells
-/// are adjacent:
+struct PredicateInterpretation;
+
+/// One entry of an attribute's provenance log: `review` contributed a
+/// phrase to marker `marker` of entity `entity`.
+struct ProvenanceEntry {
+  uint32_t entity = 0;
+  uint32_t marker = 0;
+  text::ReviewId review = 0;
+};
+
+/// One attribute's marker summaries (Section 2) in structure-of-arrays
+/// layout: a histogram over the K markers per entity, with each cell's
+/// mean phrase sentiment and phrase centroid. Every quantity the
+/// membership features read lives in its own contiguous 64-byte-aligned
+/// array, entity-major so one entity's cells are adjacent:
 ///
 ///   count[e*K + k], mean_sentiment[e*K + k], centroid_norm[e*K + k]
 ///   centroid[(e*K + k) * dim .. +dim)          (float, flattened)
-///   provenance_count[e*K + k]
 ///   total[e], unmatched[e]                     (per entity)
 ///
-/// centroid_norm is embedding::Norm of the cell centroid, precomputed at
-/// build time — Norm is deterministic, so the cached double is
-/// bit-identical to the norm embedding::Cosine recomputes per call.
+/// count, mean_sentiment, centroid and unmatched are the folded state.
+/// total (the in-order sum of the entity's K counts) and centroid_norm
+/// (embedding::Norm of the cell centroid) are derived from it by
+/// ColumnarSummaryStore::RefreshEntity, so the features never recompute
+/// them per query. The shape fields are set by the store's constructor.
 struct AttributeColumns {
   size_t num_entities = 0;
   size_t num_markers = 0;
@@ -44,11 +52,14 @@ struct AttributeColumns {
   common::AlignedArray<double> mean_sentiment;
   common::AlignedArray<double> centroid_norm;
   common::AlignedArray<float> centroid;
-  common::AlignedArray<uint32_t> provenance_count;
   common::AlignedArray<double> total;
   common::AlignedArray<double> unmatched;
+  /// Append-only, in fold order: one entry per marker a phrase gave
+  /// positive weight. A cell's reviews are the entries naming it, in log
+  /// order. Scoring never reads the log.
+  std::vector<ProvenanceEntry> provenance;
 
-  /// Total allocation footprint of this attribute's columns.
+  /// Total allocation footprint of this attribute's columns and log.
   size_t bytes() const;
   /// Bytes one atom evaluation streams per entity (all cell columns for
   /// K markers plus the two per-entity scalars) — the numerator of the
@@ -56,34 +67,71 @@ struct AttributeColumns {
   size_t scan_bytes_per_entity() const;
 };
 
-/// Columnar mirror of the engine's marker summaries: one AttributeColumns
-/// per subjective attribute, rebuilt from the row tables whenever they
-/// change wholesale (Build / Reaggregate / OpenDatabase /
-/// InstallSummaries) and patched in place per touched entity by the
-/// incremental ingest path (UpdateEntities) — always under the exclusive
-/// reconfiguration lock; see docs/SCALING.md for the sync rules. Between
-/// mutations it is read-only, so queries holding the shared lock may
-/// scan it from any number of threads.
+/// The engine's marker summaries: one AttributeColumns per subjective
+/// attribute, the only resident copy. The aggregator folds opinions into
+/// it (Build, Reaggregate, AppendReviews); InstallSummaries and
+/// OpenDatabase replace it wholesale — every mutation under the engine's
+/// exclusive reconfiguration lock (docs/SCALING.md). Between mutations
+/// it is read-only, so queries holding the shared lock may scan it from
+/// any number of threads.
 class ColumnarSummaryStore {
  public:
-  /// Copies `tables` into columnar layout; entities fan out across
-  /// `pool` when provided (each entity writes only its own slots).
-  ColumnarSummaryStore(const SubjectiveTables& tables, size_t num_entities,
-                       ThreadPool* pool);
+  ColumnarSummaryStore() = default;
+  /// An all-zero store: for every attribute of `schema`, `num_entities`
+  /// summaries over the attribute's markers with `dim`-wide centroids.
+  ColumnarSummaryStore(const SubjectiveSchema& schema, size_t num_entities,
+                       size_t dim);
 
-  /// In-place delta update for ingest: refills the column slots of
-  /// `touched` entities from the row tables, running exactly the
-  /// per-entity fill the constructor runs — so the patched store is
-  /// bit-identical to a full rebuild over the same tables. Requires the
-  /// exclusive reconfiguration lock (this writes the arrays queries
-  /// read). Ingest never adds entities, so out-of-range ids are
-  /// ignored.
-  void UpdateEntities(const SubjectiveTables& tables,
-                      const std::vector<text::EntityId>& touched);
+  /// Folds one phrase into (attribute, entity) (Section 4.2.2):
+  /// `weights[m]` is the phrase's mass on marker m (one-hot by default,
+  /// fractional when enabled), `sentiment` and `vec` describe the phrase,
+  /// `review` is its provenance. Running weighted means in double, then
+  /// the float centroid stores. Leaves total and centroid_norm stale
+  /// until RefreshEntity.
+  void AddPhrase(size_t attribute, size_t entity,
+                 const std::vector<double>& weights, double sentiment,
+                 const embedding::Vec& vec, text::ReviewId review);
+
+  /// Records a phrase of (attribute, entity) that matched no marker.
+  void AddUnmatched(size_t attribute, size_t entity) {
+    columns_[attribute].unmatched[entity] += 1.0;
+  }
+
+  /// Recomputes the derived values of (attribute, entity) from its
+  /// cells: total (the in-order sum of the K counts) and every cell's
+  /// centroid_norm. Writes only that entity's slots.
+  void RefreshEntity(size_t attribute, size_t entity);
+
+  /// RefreshEntity over every (attribute, entity); entities fan out
+  /// across `pool` when provided (equivalent to serial: each writes only
+  /// its own slots).
+  void Refresh(ThreadPool* pool);
 
   size_t num_attributes() const { return columns_.size(); }
   size_t num_entities() const { return num_entities_; }
   const AttributeColumns& attribute(size_t a) const { return columns_[a]; }
+  /// Direct writes into the folded arrays (the scale fixture synthesizes
+  /// histograms; the snapshot decoder fills column images). Callers
+  /// Refresh before the store is scored.
+  AttributeColumns& mutable_attribute(size_t a) { return columns_[a]; }
+
+  /// Phrase mass on one marker, and across all markers.
+  double count(size_t attribute, size_t entity, size_t marker) const {
+    const AttributeColumns& cols = columns_[attribute];
+    return cols.count[entity * cols.num_markers + marker];
+  }
+  double total(size_t attribute, size_t entity) const {
+    return columns_[attribute].total[entity];
+  }
+
+  /// Reviews that contributed to one cell, in fold order.
+  std::vector<text::ReviewId> Provenance(size_t attribute, size_t entity,
+                                         size_t marker) const;
+
+  /// Renders one histogram, e.g. "[very_clean: 20.0, average: 70.0]";
+  /// `type` names the attribute's markers.
+  std::string Histogram(const MarkerSummaryType& type, size_t attribute,
+                        size_t entity) const;
 
   /// Total allocation footprint across all attributes.
   size_t bytes() const;
@@ -92,6 +140,57 @@ class ColumnarSummaryStore {
   std::vector<AttributeColumns> columns_;
   size_t num_entities_ = 0;
 };
+
+/// The membership-function features of Section 3.3 for `marker` of
+/// `entity`, written to f[0, kMembershipFeatureDim): marker mass,
+/// average sentiments and phrase-centroid similarities, all read from
+/// the columns, so no scan of the extraction relation is needed.
+/// `query_norm` is embedding::Norm of the `cols.dim`-wide `query_rep`.
+/// The one featurization formula: ConditionScorer calls it per (entity,
+/// atom) and membership training per labeled tuple; each call counts
+/// one membership.marker_featurizations.
+inline void MarkerFeatures(const AttributeColumns& cols, size_t entity,
+                           size_t marker, const float* query_rep,
+                           double query_norm, double query_sentiment,
+                           double* f) {
+  // Per-entity hot path (runs inside ParallelFor): counters only, no
+  // spans — a span per entity would flood the per-query ring buffer.
+  OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
+  for (size_t i = 0; i < kMembershipFeatureDim; ++i) f[i] = 0.0;
+  const double total = cols.total[entity];
+  f[0] = std::log1p(total);
+  if (total <= 0.0) {
+    f[9] = 1.0;  // Empty-summary indicator.
+    return;
+  }
+  const size_t k = cols.num_markers;
+  const size_t base = entity * k;
+  const size_t m = marker;
+  f[1] = cols.count[base + m] / total;  // Mass at the interpreted marker.
+  const float* centroids = cols.centroid.data() + base * cols.dim;
+  double weighted_sentiment = 0.0;
+  double weighted_similarity = 0.0;
+  double mass_at_or_above = 0.0;  // Markers no further down the scale.
+  double target_cosine = 0.0;
+  for (size_t j = 0; j < k; ++j) {
+    const double frac = cols.count[base + j] / total;
+    weighted_sentiment += frac * cols.mean_sentiment[base + j];
+    const double cosine = embedding::CosineWithNorms(
+        query_rep, query_norm, centroids + j * cols.dim,
+        cols.centroid_norm[base + j], cols.dim);
+    weighted_similarity += frac * cosine;
+    if (j <= m) mass_at_or_above += frac;
+    if (j == m) target_cosine = cosine;
+  }
+  f[2] = mass_at_or_above;
+  f[3] = weighted_sentiment;
+  f[4] = cols.mean_sentiment[base + m];
+  f[5] = target_cosine;
+  f[6] = weighted_similarity;
+  f[7] = cols.unmatched[entity] / (total + cols.unmatched[entity]);
+  f[8] = 1.0 - std::abs(query_sentiment - weighted_sentiment) / 2.0;
+  f[9] = 0.0;
+}
 
 class OpineDb;
 
@@ -107,8 +206,8 @@ class OpineDb;
 ///   no markers     EngineOptions::use_markers false (the Table 7
 ///                  ablation): MembershipFeaturesNoMarkers over the
 ///                  extracted phrases of (attribute, entity);
-///   markers        the MembershipFeatures formulas swept over the
-///                  ColumnarSummaryStore arrays.
+///   markers        MarkerFeatures over the ColumnarSummaryStore
+///                  arrays.
 ///
 /// Per-atom degrees go through the membership model (or the heuristic
 /// when none is trained), are clamped to [0, 1], and fold in atom order

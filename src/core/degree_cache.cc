@@ -14,10 +14,7 @@
 namespace opinedb::core {
 
 DegreeCache::DegreeCache(const OpineDb* db, size_t num_shards)
-    : db_(db),
-      shards_(num_shards > 0
-                  ? num_shards
-                  : std::max<size_t>(1, db->options().degree_cache_shards)) {}
+    : db_(db), shards_(std::max<size_t>(1, num_shards)) {}
 
 const DegreeCache::Shard& DegreeCache::ShardFor(
     const std::string& predicate) const {

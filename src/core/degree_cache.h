@@ -43,10 +43,9 @@ class DegreeCache {
     size_t misses = 0;
   };
 
-  /// `num_shards` = 0 (default) adopts the engine's
-  /// EngineOptions::degree_cache_shards; any positive value overrides
-  /// it. The count is fixed for the cache's lifetime.
-  explicit DegreeCache(const OpineDb* db, size_t num_shards = 0);
+  /// Lock-striping width (shards) for concurrent serving; `num_shards`
+  /// is clamped to at least 1 and fixed for the cache's lifetime.
+  explicit DegreeCache(const OpineDb* db, size_t num_shards = 16);
 
   /// Lock-striping width this cache was built with.
   size_t num_shards() const { return shards_.size(); }

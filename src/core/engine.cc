@@ -125,47 +125,47 @@ Result<std::vector<text::Review>> DecodeReviewBatch(
   return reviews;
 }
 
-/// The shape ConditionScorer binds against: one summary vector per
-/// schema attribute, one summary per entity, the schema's marker count
-/// on every summary, and centroids `dim` wide wherever there are
-/// markers. InstallSummaries and OpenDatabase run it before any state
-/// changes, so no query can read past a centroid or a cell array.
-Status CheckSummaryShape(
-    const SubjectiveSchema& schema,
-    const std::vector<std::vector<MarkerSummary>>& summaries,
-    size_t num_entities, size_t dim) {
-  if (summaries.size() != schema.num_attributes()) {
+/// The shape ConditionScorer binds against: one AttributeColumns per
+/// schema attribute, each covering `num_entities` entities with the
+/// schema's marker count and `dim`-wide centroids. The store's
+/// constructor sizes every array from that shape, so InstallSummaries
+/// and OpenDatabase run this before any state changes and no query can
+/// read past a centroid or a cell array.
+Status CheckSummaryShape(const SubjectiveSchema& schema,
+                         const ColumnarSummaryStore& store,
+                         size_t num_entities, size_t dim) {
+  if (store.num_attributes() != schema.num_attributes()) {
     return Status::InvalidArgument(
-        "summaries cover " + std::to_string(summaries.size()) +
+        "summaries cover " + std::to_string(store.num_attributes()) +
         " attributes, schema has " +
         std::to_string(schema.num_attributes()));
   }
-  for (size_t a = 0; a < summaries.size(); ++a) {
+  if (store.num_entities() != num_entities) {
+    return Status::InvalidArgument(
+        "summaries cover " + std::to_string(store.num_entities()) +
+        " entities, corpus has " + std::to_string(num_entities));
+  }
+  for (size_t a = 0; a < store.num_attributes(); ++a) {
+    const AttributeColumns& cols = store.attribute(a);
     const std::string& name = schema.attributes[a].name;
-    if (summaries[a].size() != num_entities) {
+    if (cols.num_entities != num_entities) {
       return Status::InvalidArgument(
           "summaries of " + name + " cover " +
-          std::to_string(summaries[a].size()) + " entities, corpus has " +
+          std::to_string(cols.num_entities) + " entities, corpus has " +
           std::to_string(num_entities));
     }
     const size_t markers = schema.attributes[a].summary_type.num_markers();
-    for (size_t e = 0; e < num_entities; ++e) {
-      const MarkerSummary& summary = summaries[a][e];
-      if (summary.num_markers() != markers) {
-        return Status::InvalidArgument(
-            "summary of " + name + " for entity " + std::to_string(e) +
-            " has " + std::to_string(summary.num_markers()) +
-            " markers, schema has " + std::to_string(markers));
-      }
-      for (size_t m = 0; m < markers; ++m) {
-        if (summary.cell(m).centroid.size() != dim) {
-          return Status::InvalidArgument(
-              "summary of " + name + " for entity " + std::to_string(e) +
-              " has " + std::to_string(summary.cell(m).centroid.size()) +
-              "-wide centroids, the phrase embedder is " +
-              std::to_string(dim) + " wide");
-        }
-      }
+    if (cols.num_markers != markers) {
+      return Status::InvalidArgument(
+          "summaries of " + name + " have " +
+          std::to_string(cols.num_markers) + " markers, schema has " +
+          std::to_string(markers));
+    }
+    if (cols.dim != dim) {
+      return Status::InvalidArgument(
+          "summaries of " + name + " have " + std::to_string(cols.dim) +
+          "-wide centroids, the phrase embedder is " + std::to_string(dim) +
+          " wide");
     }
   }
   return Status::OK();
@@ -233,12 +233,11 @@ std::unique_ptr<OpineDb> OpineDb::Build(
     db.pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
   if (options.cache.enable_interpretation) {
-    db.interp_cache_ = std::make_unique<cache::InterpretationCache>(
-        options.cache.interp_cache_shards);
+    db.interp_cache_ = std::make_unique<cache::InterpretationCache>();
   }
   if (options.cache.enable_results) {
     db.result_cache_ = std::make_unique<cache::ResultCache>(
-        options.cache.result_cache_bytes, options.cache.result_cache_shards);
+        options.cache.result_cache_bytes);
   }
 
   // 1. Tokenize reviews; build the review index (one document per
@@ -346,12 +345,8 @@ void OpineDb::RebuildDerivedState() {
   interpreter_ = std::make_unique<Interpreter>(
       &schema_, &tables_, embedder_.get(), &review_index_,
       &review_sentiment_, options_.interpreter);
-  // The columnar mirror shadows tables_.summaries; every caller of this
-  // function holds the exclusive reconfiguration lock (or is Build,
-  // before the engine is shared), so mirror and rows swap atomically
-  // with respect to queries.
-  columnar_ = std::make_unique<ColumnarSummaryStore>(
-      tables_, corpus_.num_entities(), pool_.get());
+  OPINEDB_METRIC_GAUGE_SET("columnar.bytes",
+                           static_cast<double>(tables_.summaries.bytes()));
 }
 
 Status OpineDb::SetObjectiveTable(storage::Table table) {
@@ -378,8 +373,7 @@ const ColumnarTable& OpineDb::objective_columns(
   return *objective_columns_.at(table.name());
 }
 
-Status OpineDb::InstallSummaries(
-    std::vector<std::vector<MarkerSummary>> summaries) {
+Status OpineDb::InstallSummaries(ColumnarSummaryStore summaries) {
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   if (read_only_) return ReadOnlyError("InstallSummaries");
   Status shape = CheckSummaryShape(schema_, summaries, corpus_.num_entities(),
@@ -387,6 +381,7 @@ Status OpineDb::InstallSummaries(
   if (!shape.ok()) {
     return Status::InvalidArgument("InstallSummaries: " + shape.message());
   }
+  summaries.Refresh(pool_.get());
   tables_.summaries = std::move(summaries);
   // The extraction relation described the replaced summaries' sources;
   // same post-state as OpenDatabase (summaries only, re-derivable rest).
@@ -452,14 +447,9 @@ void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   options_.cache = config;
   if (config.enable_interpretation) {
-    // Keep a live layer (and its warm entries) unless the striping
-    // width changed — that is a constructor parameter, so honoring it
-    // means rebuilding the layer empty.
-    if (interp_cache_ == nullptr ||
-        interp_cache_->num_shards() !=
-            std::max<size_t>(1, config.interp_cache_shards)) {
-      interp_cache_ = std::make_unique<cache::InterpretationCache>(
-          config.interp_cache_shards);
+    // Keep a live layer and its warm entries.
+    if (interp_cache_ == nullptr) {
+      interp_cache_ = std::make_unique<cache::InterpretationCache>();
     }
   } else {
     interp_cache_.reset();
@@ -467,8 +457,8 @@ void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
   if (config.enable_results) {
     // Always rebuilt: the byte budget is a constructor parameter, and a
     // fresh empty cache is cheap next to any real serving mix.
-    result_cache_ = std::make_unique<cache::ResultCache>(
-        config.result_cache_bytes, config.result_cache_shards);
+    result_cache_ =
+        std::make_unique<cache::ResultCache>(config.result_cache_bytes);
   } else {
     result_cache_.reset();
   }
@@ -548,15 +538,12 @@ Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
   std::ostringstream schema_bytes;
   Status status = SaveSchema(schema_, &schema_bytes);
   if (!status.ok()) return status;
-  std::ostringstream summaries_bytes;
-  status = SaveSummaries(tables_, &summaries_bytes);
-  if (!status.ok()) return status;
 
   std::vector<storage::SnapshotSection> sections(2);
   sections[0].name = kSchemaSection;
   sections[0].payload = std::move(schema_bytes).str();
   sections[1].name = kSummariesSection;
-  sections[1].payload = std::move(summaries_bytes).str();
+  sections[1].payload = EncodeSummaries(tables_.summaries);
   // A warm interpretation cache rides along so a reopened database
   // serves warm (docs/CACHING.md). Derived data: older snapshots
   // without the section (and engines without the layer) stay valid,
@@ -610,16 +597,12 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
     return schema.status();
   }
-  std::istringstream summaries_stream(*summaries_payload);
-  // Summaries bind marker-cell pointers into schema->attributes' heap
-  // buffer; the vector moves below transfer that buffer wholesale, so
-  // the bindings survive into schema_.
-  auto tables = LoadSummaries(*schema, &summaries_stream);
-  if (!tables.ok()) {
+  auto summaries = DecodeSummaries(*schema, *summaries_payload);
+  if (!summaries.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
-    return tables.status();
+    return summaries.status();
   }
-  Status shape = CheckSummaryShape(*schema, tables->summaries,
+  Status shape = CheckSummaryShape(*schema, *summaries,
                                    corpus_.num_entities(), embedder_->dim());
   if (!shape.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
@@ -629,7 +612,7 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
 
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
   schema_ = std::move(*schema);
-  tables_.summaries = std::move(tables->summaries);
+  tables_.summaries = std::move(*summaries);
   // Summaries are the queryable state; the extraction relation was not
   // persisted and anything left from the pre-open build describes the
   // old schema/tables.
@@ -738,9 +721,10 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
   }
 
   // Fold the delta. AddOpinion replays Build's per-extraction loop body
-  // against the live summaries, so appending in order is bit-identical
-  // to a full rebuild over the extended corpus (the models it consults
-  // — classifier, embedder, analyzer, review-index idf — are frozen).
+  // against the live store and refreshes the cell it touched, so
+  // appending in order is bit-identical to a full rebuild over the
+  // extended corpus (the models it consults — classifier, embedder,
+  // analyzer, review-index idf — are frozen).
   const extract::ExtractedOpinion* old_data = tables_.extractions.data();
   const size_t old_size = tables_.extractions.size();
   std::vector<text::EntityId> touched;
@@ -791,7 +775,8 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
     }
   }
   interpreter_->AppendNewExtractions();
-  columnar_->UpdateEntities(tables_, touched);
+  OPINEDB_METRIC_GAUGE_SET("columnar.bytes",
+                           static_cast<double>(tables_.summaries.bytes()));
 
   // Surgical cache maintenance — the whole reason ingest is not a
   // Reaggregate. One epoch bump expires result-cache entries lazily (a

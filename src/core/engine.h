@@ -80,9 +80,6 @@ struct EngineOptions {
   /// Result / interpretation caching (both layers default OFF; see
   /// docs/CACHING.md). Reconfigurable at runtime via ConfigureCaches.
   cache::CacheConfig cache;
-  /// Shard count of an attached DegreeCache built with the default
-  /// constructor argument (lock striping for concurrent serving).
-  size_t degree_cache_shards = 16;
 };
 
 /// Per-query observability façade (threads, work, cache traffic and
@@ -169,7 +166,6 @@ struct QueryResult {
   size_t watermark = 0;
 };
 
-class ColumnarSummaryStore;
 class ColumnarTable;
 class DegreeCache;
 
@@ -372,16 +368,16 @@ class OpineDb {
 
   /// Replaces every marker summary wholesale (scale-harness path: the
   /// datagen scale generator synthesizes summaries directly instead of
-  /// aggregating millions of reviews). `summaries[a][e]` must cover
-  /// exactly this engine's attributes × entities, be built against this
-  /// engine's schema attribute types (the schema's marker count on every
-  /// summary) and carry centroids of phrase_embedder().dim() wherever
-  /// there are markers — InvalidArgument otherwise, engine untouched.
-  /// Clears the (now unrelated) extraction relation, rebuilds derived
-  /// state — including the columnar mirror — and bumps the cache epoch:
-  /// this is a data mutation exactly like Reaggregate/OpenDatabase.
-  Status InstallSummaries(
-      std::vector<std::vector<MarkerSummary>> summaries);
+  /// aggregating millions of reviews). `summaries` must have one
+  /// attribute per schema attribute, each covering exactly this
+  /// engine's entities with the schema's marker count and centroids of
+  /// phrase_embedder().dim() — InvalidArgument otherwise, engine
+  /// untouched. Recomputes the store's derived columns
+  /// (ColumnarSummaryStore::Refresh), clears the (now unrelated)
+  /// extraction relation, rebuilds derived state and bumps the cache
+  /// epoch: this is a data mutation exactly like
+  /// Reaggregate/OpenDatabase.
+  Status InstallSummaries(ColumnarSummaryStore summaries);
 
   /// Resizes the worker pool (0 = hardware concurrency, 1 = serial).
   /// Results are bit-identical at any thread count. Serialized against
@@ -497,10 +493,6 @@ class OpineDb {
   }
   const sentiment::Analyzer& analyzer() const { return analyzer_; }
   const EngineOptions& options() const { return options_; }
-  const MarkerSummary& summary(size_t attribute,
-                               text::EntityId entity) const {
-    return tables_.summaries[attribute][entity];
-  }
   bool has_membership_model() const { return membership_.has_value(); }
   /// The trained membership model (requires has_membership_model()).
   const MembershipModel& membership_model() const { return *membership_; }
@@ -518,11 +510,11 @@ class OpineDb {
   /// DegreeCache for parallel precomputation.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// The columnar summary mirror ConditionScorer sweeps; never null
-  /// after Build. Stable for the duration of a query (rebuilt only under
+  /// The marker summaries ConditionScorer sweeps (tables().summaries);
+  /// never null. Stable for the duration of a query (mutated only under
   /// the exclusive reconfiguration lock).
   const ColumnarSummaryStore* columnar_store() const {
-    return columnar_.get();
+    return &tables_.summaries;
   }
 
   /// The columnar mirror of `table`, a table registered with
@@ -583,11 +575,10 @@ class OpineDb {
   std::optional<MembershipModel> membership_;
   storage::Catalog catalog_;
   std::string objective_table_;
-  /// Columnar mirrors of the hot data plane (docs/SCALING.md): rebuilt
-  /// by RebuildDerivedState / SetObjectiveTable under the exclusive
-  /// reconfiguration lock, read by queries under the shared lock. One
-  /// objective mirror per catalog table, keyed by table name.
-  std::unique_ptr<ColumnarSummaryStore> columnar_;
+  /// Columnar mirrors of the objective tables (docs/SCALING.md), one
+  /// per catalog table keyed by table name: built by SetObjectiveTable
+  /// under the exclusive reconfiguration lock, read by queries under the
+  /// shared lock.
   std::unordered_map<std::string, std::unique_ptr<ColumnarTable>>
       objective_columns_;
   /// Fixed worker pool for the parallel execution layer; nullptr when

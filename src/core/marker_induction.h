@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/marker_summary.h"
+#include "core/schema.h"
 #include "embedding/phrase_rep.h"
 #include "sentiment/analyzer.h"
 

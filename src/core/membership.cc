@@ -7,48 +7,6 @@
 
 namespace opinedb::core {
 
-std::vector<double> MembershipFeatures(const MarkerSummary& summary,
-                                       int marker,
-                                       const embedding::Vec& query_rep,
-                                       double query_sentiment) {
-  // Per-entity hot path (runs inside ParallelFor): counters only, no
-  // spans — a span per entity would flood the per-query ring buffer.
-  OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
-  std::vector<double> f(kMembershipFeatureDim, 0.0);
-  const double total = summary.total_count();
-  f[0] = std::log1p(total);
-  if (total <= 0.0) {
-    f[9] = 1.0;  // Empty-summary indicator.
-    return f;
-  }
-  const size_t m = static_cast<size_t>(std::max(0, marker));
-  const MarkerCell& target = summary.cell(m);
-  f[1] = target.count / total;  // Mass at the interpreted marker.
-
-  // Weighted aggregates over all markers.
-  double weighted_sentiment = 0.0;
-  double weighted_similarity = 0.0;
-  double mass_at_or_above = 0.0;  // Markers no further down the scale.
-  for (size_t k = 0; k < summary.num_markers(); ++k) {
-    const MarkerCell& cell = summary.cell(k);
-    const double frac = cell.count / total;
-    weighted_sentiment += frac * cell.mean_sentiment;
-    weighted_similarity +=
-        frac * embedding::Cosine(query_rep, cell.centroid);
-    if (k <= m) mass_at_or_above += frac;
-  }
-  f[2] = mass_at_or_above;
-  f[3] = weighted_sentiment;
-  f[4] = target.mean_sentiment;
-  f[5] = embedding::Cosine(query_rep, target.centroid);
-  f[6] = weighted_similarity;
-  f[7] = summary.unmatched_count() /
-         (total + summary.unmatched_count());
-  f[8] = 1.0 - std::abs(query_sentiment - weighted_sentiment) / 2.0;
-  f[9] = 0.0;
-  return f;
-}
-
 std::vector<double> MembershipFeaturesNoMarkers(
     const std::vector<const extract::ExtractedOpinion*>& phrases,
     const embedding::PhraseEmbedder& embedder,

@@ -5,26 +5,15 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/aggregator.h"
-#include "core/marker_summary.h"
 #include "embedding/phrase_rep.h"
+#include "extract/pipeline.h"
 #include "ml/logistic_regression.h"
-#include "sentiment/analyzer.h"
 
 namespace opinedb::core {
 
-/// Number of features the marker-based membership model consumes.
+/// Number of features the marker-based membership model consumes; the
+/// features themselves are core::MarkerFeatures (core/columnar.h).
 inline constexpr size_t kMembershipFeatureDim = 10;
-
-/// Computes the membership-function feature vector of Section 3.3 for a
-/// marker summary w.r.t. an interpreted marker and the original query
-/// predicate: marker sizes, average sentiment scores, and phrase-centroid
-/// similarities — all precomputed in the summary, so no scan of the
-/// extraction table is needed.
-std::vector<double> MembershipFeatures(const MarkerSummary& summary,
-                                       int marker,
-                                       const embedding::Vec& query_rep,
-                                       double query_sentiment);
 
 /// The "no markers" ablation of Table 7: equivalent engineered features
 /// computed directly from the extracted phrases of (attribute, entity) —
@@ -43,13 +32,13 @@ Status ValidateFeatureVector(const std::vector<double>& features);
 /// Closed-form membership degree used when no model has been trained:
 /// similarity-weighted mass plus sentiment agreement, squashed, and
 /// discounted by the amount of supporting evidence. `features` is a
-/// MembershipFeatures vector of length kMembershipFeatureDim. Shared by
+/// MarkerFeatures vector of length kMembershipFeatureDim. Shared by
 /// ConditionScorer and the test oracle so both produce the same doubles
 /// from the same features.
 double HeuristicMembershipDegree(const double* features, size_t n);
 
 /// A learned membership function: logistic regression over
-/// MembershipFeatures whose probability output is the degree of truth.
+/// MarkerFeatures whose probability output is the degree of truth.
 class MembershipModel {
  public:
   /// Labeled tuple (S_i, p_i, y_i): precomputed features + binary label.

@@ -3,19 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/columnar.h"
+
 namespace opinedb::core {
 
 namespace {
 
 /// Fraction of a summary's mass lying on positive-sentiment markers,
 /// discounted by evidence volume (one phrase is weak evidence).
-double PositiveMass(const OpineDb& db, const MarkerSummary& summary) {
-  const double total = summary.total_count();
+double PositiveMass(const OpineDb& db, size_t attribute,
+                    text::EntityId entity) {
+  const ColumnarSummaryStore& store = *db.columnar_store();
+  const double total = store.total(attribute, entity);
   if (total <= 0.0) return 0.0;
+  const auto& markers = db.schema().attributes[attribute].summary_type.markers;
   double positive = 0.0;
-  for (size_t m = 0; m < summary.num_markers(); ++m) {
-    if (db.analyzer().ScorePhrase(summary.type().markers[m]) > 0.0) {
-      positive += summary.count(m);
+  for (size_t m = 0; m < markers.size(); ++m) {
+    if (db.analyzer().ScorePhrase(markers[m]) > 0.0) {
+      positive += store.count(attribute, entity, m);
     }
   }
   const double fraction = positive / total;
@@ -49,7 +54,7 @@ double ProfileAffinity(const OpineDb& db, const UserProfile& profile,
   for (size_t a = 0; a < n; ++a) {
     const double w = profile.attribute_weights[a];
     if (w <= 0.0) continue;
-    weighted += w * PositiveMass(db, db.summary(a, entity));
+    weighted += w * PositiveMass(db, a, entity);
     weight_sum += w;
   }
   return weight_sum > 0.0 ? weighted / weight_sum : 0.0;
@@ -105,13 +110,13 @@ Result<std::vector<UnexpectedFinding>> FindUnexpected(
   std::vector<UnexpectedFinding> findings;
   for (size_t e = 0; e < n; ++e) {
     for (size_t a = 0; a < db.schema().num_attributes(); ++a) {
-      const auto& summary = db.summary(a, static_cast<text::EntityId>(e));
-      if (summary.total_count() < 3.0) continue;  // Too little evidence.
+      // Too little evidence.
+      if (db.columnar_store()->total(a, e) < 3.0) continue;
       UnexpectedFinding finding;
       finding.entity = static_cast<text::EntityId>(e);
       finding.attribute = static_cast<int>(a);
       finding.objective_percentile = percentile[e];
-      finding.subjective_score = PositiveMass(db, summary);
+      finding.subjective_score = PositiveMass(db, a, finding.entity);
       finding.surprise =
           finding.objective_percentile - finding.subjective_score;
       const auto& name = db.corpus().entity_name(finding.entity);

@@ -4,9 +4,27 @@
 #include <string>
 #include <vector>
 
-#include "core/marker_summary.h"
-
 namespace opinedb::core {
+
+/// Whether a marker summary's markers form a linear scale or a set of
+/// categories (Section 2).
+enum class SummaryKind {
+  kLinearlyOrdered,
+  kCategorical,
+};
+
+/// The record *type* of a marker summary: a name plus its ordered marker
+/// phrases, e.g. room_cleanliness : [very_clean, average, dirty,
+/// very_dirty]. The instances, one histogram per (attribute, entity),
+/// live in core::ColumnarSummaryStore.
+struct MarkerSummaryType {
+  std::string name;
+  std::vector<std::string> markers;
+  SummaryKind kind = SummaryKind::kLinearlyOrdered;
+
+  size_t num_markers() const { return markers.size(); }
+  int MarkerIndex(const std::string& marker) const;
+};
 
 /// Seed phrases the schema designer provides for one subjective attribute
 /// (Section 4.2): aspect terms E and opinion terms P.

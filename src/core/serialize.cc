@@ -1,5 +1,8 @@
 #include "core/serialize.h"
 
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <unordered_set>
@@ -11,20 +14,14 @@ namespace {
 constexpr char kSchemaMagic[] = "opinedb-schema";
 constexpr char kSummariesMagic[] = "opinedb-summaries";
 constexpr int kSchemaVersion = 1;
-/// v2: every summary row is prefixed with its entity id, so duplicate
-/// or missing rows are detectable instead of silently shifting every
-/// later entity's summaries by one slot.
-constexpr int kSummariesVersion = 2;
+/// v3: little-endian column images of the ColumnarSummaryStore (v2 was
+/// a text encoding of per-entity rows; it is refused as NotSupported).
+constexpr int kSummariesVersion = 3;
 
-/// Plausibility bounds on deserialized sizes. A corrupt or truncated
-/// stream must produce a ParseError, not a multi-gigabyte allocation:
-/// every count below is read from untrusted bytes and used to size a
-/// container, so each gets a ceiling far above anything a real file
-/// contains (markers and phrases are short; embedding dims are small).
-constexpr size_t kMaxStringLength = 1u << 20;     // 1 MiB per string.
-constexpr size_t kMaxCentroidDim = 1u << 16;      // 65536 dims.
-constexpr size_t kMaxProvenance = 1u << 26;       // 67M review ids.
-constexpr size_t kMaxEntities = 1u << 26;         // 67M entities.
+/// Plausibility bound on a deserialized string length: a corrupt or
+/// truncated schema must produce a ParseError, not a multi-gigabyte
+/// allocation.
+constexpr size_t kMaxStringLength = 1u << 20;  // 1 MiB per string.
 
 /// Netstring-style string encoding: "<length>:<bytes>" — robust to
 /// spaces inside markers and phrases.
@@ -154,143 +151,197 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
   return schema;
 }
 
-Status SaveSummaries(const SubjectiveTables& tables, std::ostream* out) {
-  // Full double precision so reload is bit-exact.
-  out->precision(std::numeric_limits<double>::max_digits10);
-  *out << kSummariesMagic << ' ' << kSummariesVersion << '\n';
-  *out << tables.summaries.size() << ' '
-       << (tables.summaries.empty() ? 0 : tables.summaries[0].size())
-       << '\n';
-  for (const auto& per_entity : tables.summaries) {
-    for (size_t entity = 0; entity < per_entity.size(); ++entity) {
-      const auto& summary = per_entity[entity];
-      // Each row names its entity (v2): the loader can then reject
-      // duplicated or out-of-range rows instead of letting one slip
-      // shift every later summary onto the wrong entity.
-      *out << entity << ' ' << summary.num_markers() << ' '
-           << summary.unmatched_count();
-      const size_t dim =
-          summary.num_markers() > 0 ? summary.cell(0).centroid.size() : 0;
-      *out << ' ' << dim << '\n';
-      for (size_t m = 0; m < summary.num_markers(); ++m) {
-        const MarkerCell& cell = summary.cell(m);
-        *out << cell.count << ' ' << cell.mean_sentiment;
-        for (float x : cell.centroid) *out << ' ' << x;
-        *out << ' ' << cell.provenance.size();
-        for (auto review : cell.provenance) *out << ' ' << review;
-        *out << '\n';
-      }
-    }
-  }
-  // End-of-stream sentinel: the numeric tail of a truncated text stream
-  // would otherwise still parse (e.g. "123" cut to "12"); losing the
-  // sentinel makes any truncation detectable.
-  *out << "end\n";
-  if (!out->good()) return Status::Internal("write failed");
-  return Status::OK();
+namespace {
+
+/// Column images are little-endian, the byte order of every supported
+/// host, so each array is written and read with one copy.
+static_assert(std::endian::native == std::endian::little,
+              "the summaries codec assumes a little-endian host");
+
+/// An empty column has no buffer (data() is null), so n == 0 copies
+/// nothing rather than hand memcpy a null pointer.
+template <typename T>
+void AppendArray(const T* data, size_t n, std::string* out) {
+  if (n > 0) out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
 
-Result<SubjectiveTables> LoadSummaries(const SubjectiveSchema& schema,
-                                       std::istream* in) {
-  std::string magic;
-  int version = 0;
-  if (!(*in >> magic >> version) || magic != kSummariesMagic) {
-    return Status::ParseError("not an opinedb summaries file");
+template <typename T>
+void ReadArray(const std::string& in, size_t* pos, T* data, size_t n) {
+  if (n > 0) std::memcpy(data, in.data() + *pos, n * sizeof(T));
+  *pos += n * sizeof(T);
+}
+
+void AppendU64(uint64_t v, std::string* out) { AppendArray(&v, 1, out); }
+
+bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
+  if (in.size() - *pos < sizeof(uint64_t)) return false;
+  ReadArray(in, pos, v, 1);
+  return true;
+}
+
+/// One provenance log entry on disk: u32 entity, u32 marker, i32 review.
+constexpr uint64_t kProvenanceEntryBytes = 12;
+
+/// acc += a * b, false on u64 overflow.
+bool AddProduct(uint64_t a, uint64_t b, uint64_t* acc) {
+  uint64_t product = 0;
+  return !__builtin_mul_overflow(a, b, &product) &&
+         !__builtin_add_overflow(*acc, product, acc);
+}
+
+template <typename T>
+bool AllFinite(const T* data, size_t n) {
+  bool finite = true;
+  for (size_t i = 0; i < n; ++i) finite &= std::isfinite(data[i]);
+  return finite;
+}
+
+}  // namespace
+
+std::string EncodeSummaries(const ColumnarSummaryStore& store) {
+  std::string out = kSummariesMagic;
+  out += ' ' + std::to_string(kSummariesVersion) + '\n';
+  AppendU64(store.num_attributes(), &out);
+  AppendU64(store.num_entities(), &out);
+  for (size_t a = 0; a < store.num_attributes(); ++a) {
+    const AttributeColumns& cols = store.attribute(a);
+    AppendU64(cols.num_markers, &out);
+    AppendU64(cols.dim, &out);
+    AppendU64(cols.provenance.size(), &out);
   }
-  if (version != kSummariesVersion) {
+  for (size_t a = 0; a < store.num_attributes(); ++a) {
+    const AttributeColumns& cols = store.attribute(a);
+    const size_t cells = cols.num_entities * cols.num_markers;
+    AppendArray(cols.count.data(), cells, &out);
+    AppendArray(cols.mean_sentiment.data(), cells, &out);
+    AppendArray(cols.centroid.data(), cells * cols.dim, &out);
+    AppendArray(cols.unmatched.data(), cols.num_entities, &out);
+    for (const ProvenanceEntry& entry : cols.provenance) {
+      const uint32_t review = static_cast<uint32_t>(entry.review);
+      AppendArray(&entry.entity, 1, &out);
+      AppendArray(&entry.marker, 1, &out);
+      AppendArray(&review, 1, &out);
+    }
+  }
+  return out;
+}
+
+Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
+                                             const std::string& payload) {
+  const std::string magic = std::string(kSummariesMagic) + ' ';
+  if (payload.compare(0, magic.size(), magic) != 0) {
+    return Status::ParseError("not an opinedb summaries payload");
+  }
+  size_t pos = magic.size();
+  uint64_t version = 0;
+  size_t digits = 0;
+  while (pos < payload.size() && digits < 9 && payload[pos] >= '0' &&
+         payload[pos] <= '9') {
+    version = version * 10 + static_cast<uint64_t>(payload[pos] - '0');
+    ++pos;
+    ++digits;
+  }
+  if (digits == 0 || pos >= payload.size() || payload[pos] != '\n') {
+    return Status::ParseError("bad summaries version line");
+  }
+  ++pos;
+  if (version != static_cast<uint64_t>(kSummariesVersion)) {
     return Status::NotSupported("summaries version " +
                                 std::to_string(version));
   }
-  size_t num_attributes = 0;
-  size_t num_entities = 0;
-  if (!(*in >> num_attributes >> num_entities)) {
-    return Status::ParseError("bad summaries header");
+
+  uint64_t num_attributes = 0;
+  uint64_t num_entities = 0;
+  if (!ReadU64(payload, &pos, &num_attributes) ||
+      !ReadU64(payload, &pos, &num_entities)) {
+    return Status::ParseError("truncated summaries header");
   }
   if (num_attributes != schema.num_attributes()) {
     return Status::InvalidArgument(
         "schema has " + std::to_string(schema.num_attributes()) +
-        " attributes, file has " + std::to_string(num_attributes));
+        " attributes, summaries have " + std::to_string(num_attributes));
   }
-  // The loader preallocates per-entity slots; cap the count before a
-  // corrupt header turns into a multi-gigabyte allocation.
-  if (num_entities > kMaxEntities) {
-    return Status::ParseError("implausible entity count " +
-                              std::to_string(num_entities));
-  }
-  SubjectiveTables tables;
-  tables.summaries.resize(num_attributes);
-  for (size_t a = 0; a < num_attributes; ++a) {
-    // Rows carry explicit entity ids; track which slots have been
-    // filled so a duplicated row is an error, not a last-wins
-    // overwrite (and, by pigeonhole over num_entities rows, a
-    // duplicate is also the only way a slot could stay empty).
-    std::vector<MarkerSummary> loaded(num_entities);
-    std::vector<char> seen(num_entities, 0);
-    for (size_t e = 0; e < num_entities; ++e) {
-      size_t entity = 0;
-      size_t markers = 0;
-      double unmatched = 0.0;
-      size_t dim = 0;
-      if (!(*in >> entity >> markers >> unmatched >> dim)) {
-        return Status::ParseError("bad summary header");
-      }
-      if (entity >= num_entities) {
-        return Status::ParseError(
-            "entity row " + std::to_string(entity) + " out of range in " +
-            schema.attributes[a].name);
-      }
-      if (seen[entity]) {
-        return Status::InvalidArgument(
-            "duplicate entity row " + std::to_string(entity) + " in " +
-            schema.attributes[a].name);
-      }
-      seen[entity] = 1;
-      if (dim > kMaxCentroidDim) {
-        return Status::ParseError("implausible centroid dimension " +
-                                  std::to_string(dim));
-      }
-      if (markers != schema.attributes[a].summary_type.num_markers()) {
-        return Status::InvalidArgument("marker count mismatch in " +
-                                       schema.attributes[a].name);
-      }
-      MarkerSummary summary(&schema.attributes[a].summary_type, dim);
-      for (size_t m = 0; m < markers; ++m) {
-        MarkerCell cell;
-        if (!(*in >> cell.count >> cell.mean_sentiment)) {
-          return Status::ParseError("bad marker cell");
-        }
-        cell.centroid.resize(dim);
-        for (size_t d = 0; d < dim; ++d) {
-          if (!(*in >> cell.centroid[d])) {
-            return Status::ParseError("bad centroid");
-          }
-        }
-        size_t provenance = 0;
-        if (!(*in >> provenance)) {
-          return Status::ParseError("bad provenance count");
-        }
-        if (provenance > kMaxProvenance) {
-          return Status::ParseError("implausible provenance count " +
-                                    std::to_string(provenance));
-        }
-        cell.provenance.resize(provenance);
-        for (size_t r = 0; r < provenance; ++r) {
-          if (!(*in >> cell.provenance[r])) {
-            return Status::ParseError("bad provenance entry");
-          }
-        }
-        summary.RestoreCell(m, std::move(cell));
-      }
-      summary.SetUnmatchedCount(unmatched);
-      loaded[entity] = std::move(summary);
+  struct Shape {
+    uint64_t markers = 0;
+    uint64_t dim = 0;
+    uint64_t provenance = 0;
+  };
+  std::vector<Shape> shapes(num_attributes);
+  for (Shape& shape : shapes) {
+    if (!ReadU64(payload, &pos, &shape.markers) ||
+        !ReadU64(payload, &pos, &shape.dim) ||
+        !ReadU64(payload, &pos, &shape.provenance)) {
+      return Status::ParseError("truncated summaries header");
     }
-    tables.summaries[a] = std::move(loaded);
   }
-  std::string sentinel;
-  if (!(*in >> sentinel) || sentinel != "end") {
-    return Status::ParseError("truncated summaries stream (missing sentinel)");
+  // The exact payload length the header implies, before any allocation:
+  // a corrupt count cannot turn into a giant buffer.
+  uint64_t expected = pos;
+  for (const Shape& shape : shapes) {
+    uint64_t cells = 0;
+    uint64_t floats = 0;
+    if (!AddProduct(num_entities, shape.markers, &cells) ||
+        !AddProduct(cells, shape.dim, &floats) ||
+        !AddProduct(cells, 2 * sizeof(double), &expected) ||
+        !AddProduct(floats, sizeof(float), &expected) ||
+        !AddProduct(num_entities, sizeof(double), &expected) ||
+        !AddProduct(shape.provenance, kProvenanceEntryBytes, &expected)) {
+      return Status::ParseError("implausible summaries header");
+    }
   }
-  return tables;
+  if (expected != payload.size()) {
+    return Status::ParseError("summaries payload is " +
+                              std::to_string(payload.size()) +
+                              " bytes, its header implies " +
+                              std::to_string(expected));
+  }
+  for (size_t a = 0; a < shapes.size(); ++a) {
+    const std::string& name = schema.attributes[a].name;
+    if (shapes[a].markers != schema.attributes[a].summary_type.num_markers()) {
+      return Status::InvalidArgument("marker count mismatch in " + name);
+    }
+    if (shapes[a].dim != shapes[0].dim) {
+      return Status::InvalidArgument(
+          "summaries of " + name + " have " + std::to_string(shapes[a].dim) +
+          "-wide centroids, " + schema.attributes[0].name + " has " +
+          std::to_string(shapes[0].dim));
+    }
+  }
+
+  ColumnarSummaryStore store(schema, num_entities,
+                             shapes.empty() ? 0 : shapes[0].dim);
+  for (size_t a = 0; a < shapes.size(); ++a) {
+    const std::string& name = schema.attributes[a].name;
+    AttributeColumns& cols = store.mutable_attribute(a);
+    const size_t cells = cols.num_entities * cols.num_markers;
+    ReadArray(payload, &pos, cols.count.data(), cells);
+    ReadArray(payload, &pos, cols.mean_sentiment.data(), cells);
+    ReadArray(payload, &pos, cols.centroid.data(), cells * cols.dim);
+    ReadArray(payload, &pos, cols.unmatched.data(), cols.num_entities);
+    if (!AllFinite(cols.count.data(), cells) ||
+        !AllFinite(cols.mean_sentiment.data(), cells) ||
+        !AllFinite(cols.centroid.data(), cells * cols.dim) ||
+        !AllFinite(cols.unmatched.data(), cols.num_entities)) {
+      return Status::ParseError("non-finite value in summaries of " + name);
+    }
+    cols.provenance.resize(shapes[a].provenance);
+    for (ProvenanceEntry& entry : cols.provenance) {
+      uint32_t review = 0;
+      ReadArray(payload, &pos, &entry.entity, 1);
+      ReadArray(payload, &pos, &entry.marker, 1);
+      ReadArray(payload, &pos, &review, 1);
+      entry.review = static_cast<text::ReviewId>(review);
+      if (entry.entity >= cols.num_entities ||
+          entry.marker >= cols.num_markers) {
+        return Status::ParseError(
+            "provenance entry (entity " + std::to_string(entry.entity) +
+            ", marker " + std::to_string(entry.marker) +
+            ") out of range in " + name);
+      }
+    }
+  }
+  store.Refresh(nullptr);
+  return store;
 }
 
 }  // namespace opinedb::core

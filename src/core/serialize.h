@@ -3,9 +3,10 @@
 
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/result.h"
-#include "core/aggregator.h"
+#include "core/columnar.h"
 #include "core/schema.h"
 
 namespace opinedb::core {
@@ -17,17 +18,26 @@ Status SaveSchema(const SubjectiveSchema& schema, std::ostream* out);
 /// Reads a schema written by SaveSchema.
 Result<SubjectiveSchema> LoadSchema(std::istream* in);
 
-/// Persists the marker summaries of `tables` (histogram counts, mean
-/// sentiments, centroids and provenance). The extraction relation itself
-/// is not persisted — summaries are the queryable state; extractions can
-/// be re-derived from the corpus.
-Status SaveSummaries(const SubjectiveTables& tables, std::ostream* out);
+/// Encodes `store` as the version-3 "summaries" snapshot section: the
+/// ASCII line "opinedb-summaries 3\n", a little-endian u64 header (attribute
+/// count, entity count, then K, dim and provenance-log length per
+/// attribute) and, per attribute, the column images count[N*K] and
+/// mean_sentiment[N*K] (f64), centroid[N*K*dim] (f32), unmatched[N]
+/// (f64) and the provenance log (u32 entity, u32 marker, i32 review per
+/// entry). total and centroid_norm are derived and not written. See
+/// docs/PERSISTENCE.md.
+std::string EncodeSummaries(const ColumnarSummaryStore& store);
 
-/// Reads summaries written by SaveSummaries. `schema` must be the loaded
-/// engine's schema (summary types are bound by attribute index) and must
-/// outlive the returned tables.
-Result<SubjectiveTables> LoadSummaries(const SubjectiveSchema& schema,
-                                       std::istream* in);
+/// Decodes an EncodeSummaries payload into a refreshed store (total and
+/// centroid_norm recomputed by ColumnarSummaryStore::Refresh). `schema`
+/// is the schema saved with it. Refusals: another attribute count, another marker count, or
+/// attributes of unequal centroid width is InvalidArgument; a version
+/// other than 3 is NotSupported; a wrong magic, a payload whose length
+/// differs from the one its header implies, a non-finite number, or a
+/// provenance entry naming an entity >= N or a marker >= K is
+/// ParseError. Review ids are not range-checked.
+Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
+                                             const std::string& payload);
 
 }  // namespace opinedb::core
 

@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/marker_summary.h"
-#include "core/membership.h"
+#include "core/columnar.h"
 #include "datagen/generator.h"
 #include "embedding/vector_ops.h"
 #include "extract/opinion_tagger.h"
@@ -130,18 +129,14 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
   }
   for (auto& w : attribute_weight) w /= weight_sum;
 
-  // 3. Synthesize the full-size summaries. Per entity: a latent quality
-  // q, opinion mass split across attributes by the zipf weights, and a
-  // gaussian bump of mass centered at scale position (1 - q) * (K - 1).
-  // Centroids are the marker bases with a small jitter on the first two
-  // coordinates — an additive perturbation, so per-entity cosines vary
-  // (a multiplicative one would leave cosine invariant).
-  std::vector<std::vector<core::MarkerSummary>> summaries(num_attributes);
-  for (size_t a = 0; a < num_attributes; ++a) {
-    summaries[a].assign(
-        num_entities,
-        core::MarkerSummary(&schema.attributes[a].summary_type, dim));
-  }
+  // 3. Synthesize the full-size summaries straight into a store. Per
+  // entity: a latent quality q, opinion mass split across attributes by
+  // the zipf weights, and a gaussian bump of mass centered at scale
+  // position (1 - q) * (K - 1). Centroids are the marker bases with a
+  // small jitter on the first two coordinates — an additive
+  // perturbation, so per-entity cosines vary (a multiplicative one would
+  // leave cosine invariant).
+  core::ColumnarSummaryStore store(schema, num_entities, dim);
   fixture.quality.resize(num_entities);
   for (size_t e = 0; e < num_entities; ++e) {
     Rng rng(spec.seed ^ (kEntityStride * (e + 1)));
@@ -150,8 +145,8 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
     const double mass =
         rng.Uniform(spec.min_opinion_mass, spec.max_opinion_mass);
     for (size_t a = 0; a < num_attributes; ++a) {
-      core::MarkerSummary& summary = summaries[a][e];
-      const size_t num_markers = summary.num_markers();
+      core::AttributeColumns& cols = store.mutable_attribute(a);
+      const size_t num_markers = cols.num_markers;
       if (num_markers == 0) continue;
       const double attr_mass = mass * attribute_weight[a];
       const double position =
@@ -166,34 +161,30 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
         bump_sum += bump[m];
       }
       for (size_t m = 0; m < num_markers; ++m) {
+        const size_t cell = e * num_markers + m;
         const double count = attr_mass * bump[m] / bump_sum;
-        core::MarkerCell cell;
-        cell.count = count;
-        if (count > 1e-6) {
-          const double polarity =
-              num_markers > 1
-                  ? 1.0 - 2.0 * static_cast<double>(m) /
-                              static_cast<double>(num_markers - 1)
-                  : 0.0;
-          cell.mean_sentiment =
-              Clamp(polarity + rng.Gaussian(0.0, 0.1), -1.0, 1.0);
-          cell.centroid = bases[a][m];
-          cell.centroid[0] +=
-              static_cast<float>(rng.Gaussian(0.0, 0.05));
-          if (dim > 1) {
-            cell.centroid[1] +=
-                static_cast<float>(rng.Gaussian(0.0, 0.05));
-          }
-        } else {
-          cell.count = 0.0;
-          cell.centroid = embedding::Zeros(dim);
+        // Cells below the mass floor stay zero (count, sentiment and
+        // centroid), as the store was created.
+        if (count <= 1e-6) continue;
+        cols.count[cell] = count;
+        const double polarity =
+            num_markers > 1
+                ? 1.0 - 2.0 * static_cast<double>(m) /
+                            static_cast<double>(num_markers - 1)
+                : 0.0;
+        cols.mean_sentiment[cell] =
+            Clamp(polarity + rng.Gaussian(0.0, 0.1), -1.0, 1.0);
+        float* centroid = cols.centroid.data() + cell * dim;
+        std::copy(bases[a][m].begin(), bases[a][m].end(), centroid);
+        centroid[0] += static_cast<float>(rng.Gaussian(0.0, 0.05));
+        if (dim > 1) {
+          centroid[1] += static_cast<float>(rng.Gaussian(0.0, 0.05));
         }
-        summary.RestoreCell(m, std::move(cell));
       }
-      summary.SetUnmatchedCount(attr_mass * 0.05 * rng.Uniform());
+      cols.unmatched[e] = attr_mass * 0.05 * rng.Uniform();
     }
   }
-  Status installed = db.InstallSummaries(std::move(summaries));
+  Status installed = db.InstallSummaries(std::move(store));
   (void)installed;
 
   // 4. Full-size objective table, one row per entity in id order.
@@ -216,9 +207,10 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
       const embedding::Vec rep = db.phrase_embedder().Represent(markers[m]);
       const double senti = db.analyzer().ScorePhrase(markers[m]);
       core::MembershipModel::LabeledTuple tuple;
-      tuple.features = core::MembershipFeatures(
-          db.summary(a, static_cast<text::EntityId>(e)), static_cast<int>(m),
-          rep, senti);
+      tuple.features.resize(core::kMembershipFeatureDim);
+      core::MarkerFeatures(db.columnar_store()->attribute(a), e, m,
+                           rep.data(), embedding::Norm(rep), senti,
+                           tuple.features.data());
       const double expected =
           (1.0 - fixture.quality[e]) * static_cast<double>(markers.size() - 1);
       tuple.label =

@@ -12,7 +12,13 @@ double Dot(const Vec& a, const Vec& b) {
   return sum;
 }
 
-double Norm(const Vec& a) { return std::sqrt(Dot(a, a)); }
+double Norm(const Vec& a) { return Norm(a.data(), a.size()); }
+
+double Norm(const float* a, size_t dim) {
+  double sum = 0.0;
+  for (size_t i = 0; i < dim; ++i) sum += double(a[i]) * double(a[i]);
+  return std::sqrt(sum);
+}
 
 double Cosine(const Vec& a, const Vec& b) {
   assert(a.size() == b.size());

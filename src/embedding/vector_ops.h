@@ -16,6 +16,10 @@ double Dot(const Vec& a, const Vec& b);
 /// Euclidean norm.
 double Norm(const Vec& a);
 
+/// Norm over `dim` floats at `a`: the same in-order double-accumulated
+/// sum of squares, so it equals Norm of the same values bit for bit.
+double Norm(const float* a, size_t dim);
+
 /// Cosine similarity in [-1, 1]; 0 if either vector is zero.
 double Cosine(const Vec& a, const Vec& b);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/columnar.h"
 #include "eval/metrics.h"
 
 namespace opinedb::eval {
@@ -34,8 +35,11 @@ std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
     const double senti = db.analyzer().ScorePhrase(predicate.text);
     core::MembershipModel::LabeledTuple tuple;
     if (use_markers) {
-      tuple.features = core::MembershipFeatures(
-          db.summary(atom.attribute, entity), atom.marker, rep, senti);
+      tuple.features.resize(core::kMembershipFeatureDim);
+      core::MarkerFeatures(
+          db.columnar_store()->attribute(static_cast<size_t>(atom.attribute)),
+          static_cast<size_t>(entity), static_cast<size_t>(atom.marker),
+          rep.data(), embedding::Norm(rep), senti, tuple.features.data());
     } else {
       tuple.features = core::MembershipFeaturesNoMarkers(
           db.PhrasesOf(atom.attribute, entity), embedder, rep, senti);

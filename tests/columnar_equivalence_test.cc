@@ -1,7 +1,10 @@
 // Scorer-vs-oracle differential harness (docs/SCALING.md). The engine
+// keeps its marker summaries in one core::ColumnarSummaryStore and
 // scores every subjective condition through core::ConditionScorer, a
-// sweep over the columnar summary mirror; tests/oracle/ recomputes the
-// same answers one entity at a time from the row objects. For
+// sweep over it; tests/oracle/ recomputes the same answers one entity
+// at a time from row objects it folds itself (or reads back from an
+// installed store), and Build's store must equal that fold bit for
+// bit. For
 // randomized fixture queries the engine must return exactly the
 // oracle's RankedResult lists — same entities, same names, same raw
 // doubles — at 1 and 8 threads, with tracing off and full: on the hotel
@@ -12,8 +15,7 @@
 // plus LIMIT 10 answers with and without an objective filter. Also
 // covers the ColumnarTable predicate sweep cell-by-cell against
 // BoundColumnPredicate::Matches, the InstallSummaries validation rules,
-// and the runtime cache-shard knobs. Built as its own binary labeled
-// `scale`.
+// and the cache-shard widths. Built as its own binary labeled `scale`.
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -29,6 +31,7 @@
 #include "core/columnar.h"
 #include "core/degree_cache.h"
 #include "core/engine.h"
+#include "core/serialize.h"
 #include "datagen/domain_spec.h"
 #include "datagen/scale.h"
 #include "eval/experiment.h"
@@ -262,6 +265,10 @@ eval::DomainArtifacts* ColumnarEquivalenceTest::restaurant_ = nullptr;
 TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
   core::OpineDb& db = *artifacts.db;
+  // The store Build folded equals the oracle's independent row fold of
+  // the same extraction relation, bit for bit.
+  ASSERT_TRUE(oracle::RowSummaries(db).folded());
+  EXPECT_EQ(oracle::CompareStoreToRows(db), "");
   // The nonsense predicate must really take the text-fallback shape.
   ASSERT_EQ(db.interpreter().Interpret(kNonsense).method,
             core::InterpretMethod::kTextFallback);
@@ -359,6 +366,8 @@ TEST_F(ScaleFixtureTest, FixtureIsDeterministic) {
   }
   const std::string sql = "select * from " + a.table_name + " where \"" +
                           a.subjective_predicates[0] + "\" limit 10";
+  EXPECT_TRUE(oracle::StoreImage(*a.db->columnar_store()) ==
+              oracle::StoreImage(*b.db->columnar_store()));
   auto ra = a.db->Execute(sql);
   auto rb = b.db->Execute(sql);
   ASSERT_TRUE(ra.ok());
@@ -440,36 +449,28 @@ TEST(InstallSummariesTest, RejectsWrongShapes) {
   spec.num_entities = 200;
   datagen::ScaledFixture fixture = datagen::BuildScaledFixture(spec);
   core::OpineDb& db = *fixture.db;
-  const size_t num_attributes = db.schema().num_attributes();
+  const uint64_t epoch = db.cache_epoch();
+  const size_t dim = db.phrase_embedder().dim();
 
   // Wrong attribute count.
-  EXPECT_FALSE(db.InstallSummaries({}).ok());
+  EXPECT_FALSE(db.InstallSummaries(core::ColumnarSummaryStore()).ok());
 
-  // Wrong entity count in one attribute.
-  std::vector<std::vector<core::MarkerSummary>> short_summaries;
-  for (size_t a = 0; a < num_attributes; ++a) {
-    short_summaries.emplace_back(
-        a == 0 ? 100 : 200,
-        core::MarkerSummary(&db.schema().attributes[a].summary_type, 4));
-  }
-  EXPECT_FALSE(db.InstallSummaries(std::move(short_summaries)).ok());
+  // Wrong entity count.
+  EXPECT_FALSE(
+      db.InstallSummaries(core::ColumnarSummaryStore(db.schema(), 100, dim))
+          .ok());
 
-  // One summary with another marker count, or with centroids of another
-  // width than the phrase embedder: the scorer could not bind either.
-  const uint64_t epoch = db.cache_epoch();
-  const auto& type = db.schema().attributes[0].summary_type;
-  core::MarkerSummaryType narrow = type;
-  narrow.markers.pop_back();
-  const size_t dim = db.phrase_embedder().dim();
-  for (const core::MarkerSummary& bad :
-       {core::MarkerSummary(&narrow, dim),
-        core::MarkerSummary(&type, dim + 1)}) {
-    auto summaries = db.tables().summaries;
-    summaries[0][7] = bad;
-    const Status status = db.InstallSummaries(std::move(summaries));
+  // Another marker count, or centroids of another width than the phrase
+  // embedder: the scorer could not bind either.
+  core::SubjectiveSchema narrow = db.schema();
+  narrow.attributes[0].summary_type.markers.pop_back();
+  const auto expect_invalid = [&db](core::ColumnarSummaryStore bad) {
+    const Status status = db.InstallSummaries(std::move(bad));
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
-  }
+  };
+  expect_invalid(core::ColumnarSummaryStore(narrow, 200, dim));
+  expect_invalid(core::ColumnarSummaryStore(db.schema(), 200, dim + 1));
   EXPECT_EQ(db.cache_epoch(), epoch) << "a rejected install mutated state";
 }
 
@@ -479,15 +480,11 @@ TEST(InstallSummariesTest, InstallBumpsEpochAndServesNewData) {
   datagen::ScaledFixture fixture = datagen::BuildScaledFixture(spec);
   core::OpineDb& db = *fixture.db;
   const uint64_t epoch = db.cache_epoch();
-  const size_t dim = db.phrase_embedder().dim();
 
-  std::vector<std::vector<core::MarkerSummary>> summaries;
-  for (size_t a = 0; a < db.schema().num_attributes(); ++a) {
-    summaries.emplace_back(
-        200, core::MarkerSummary(&db.schema().attributes[a].summary_type,
-                                 dim));
-  }
-  ASSERT_TRUE(db.InstallSummaries(std::move(summaries)).ok());
+  ASSERT_TRUE(db.InstallSummaries(core::ColumnarSummaryStore(
+                                      db.schema(), 200,
+                                      db.phrase_embedder().dim()))
+                  .ok());
   EXPECT_GT(db.cache_epoch(), epoch);
   // Queries still execute against the (now empty) summaries, matching
   // the oracle's row walk.
@@ -506,24 +503,24 @@ TEST(InstallSummariesTest, ReaggregateAfterInstallIsRefused) {
   datagen::ScaledFixture fixture = datagen::BuildScaledFixture(spec);
   core::OpineDb& db = *fixture.db;
 
-  auto installed = db.tables().summaries;  // Same shape, same types.
-  ASSERT_TRUE(db.InstallSummaries(std::move(installed)).ok());
+  // Same shape, same values: a copy through the snapshot codec.
+  auto installed = core::DecodeSummaries(
+      db.schema(), core::EncodeSummaries(*db.columnar_store()));
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  ASSERT_TRUE(db.InstallSummaries(std::move(*installed)).ok());
   const uint64_t epoch = db.cache_epoch();
-  const double mass_before = db.summary(0, 0).total_count() +
-                             db.summary(0, 0).unmatched_count();
+  const std::string image = oracle::StoreImage(*db.columnar_store());
 
   auto status = db.Reaggregate(db.options().aggregation);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(db.cache_epoch(), epoch)
       << "a refused mutation must not bump the epoch";
-  EXPECT_EQ(db.summary(0, 0).total_count() +
-                db.summary(0, 0).unmatched_count(),
-            mass_before)
+  EXPECT_TRUE(oracle::StoreImage(*db.columnar_store()) == image)
       << "the installed summaries were modified by a refused Reaggregate";
 }
 
-// ------------------------------------------- Runtime shard knobs.
+// ------------------------------------------------ Cache shard widths.
 
 TEST(CacheShardKnobsTest, EngineHonorsConfiguredShardCounts) {
   eval::BuildOptions options;
@@ -536,36 +533,26 @@ TEST(CacheShardKnobsTest, EngineHonorsConfiguredShardCounts) {
   options.membership_training_tuples = 100;
   options.engine.cache.enable_results = true;
   options.engine.cache.enable_interpretation = true;
-  options.engine.cache.result_cache_shards = 4;
-  options.engine.cache.interp_cache_shards = 3;
-  options.engine.degree_cache_shards = 5;
   auto artifacts = eval::BuildArtifacts(datagen::HotelDomain(), options);
   core::OpineDb& db = *artifacts.db;
 
+  // The engine stripes its layers with fixed widths.
   ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 4u);
+  EXPECT_EQ(db.result_cache()->num_shards(), 8u);
+  ASSERT_NE(db.interpretation_cache(), nullptr);
+  EXPECT_EQ(db.interpretation_cache()->num_shards(), 16u);
+  db.ConfigureCaches(db.options().cache);
+  ASSERT_NE(db.result_cache(), nullptr);
+  EXPECT_EQ(db.result_cache()->num_shards(), 8u);
 
   core::DegreeCache degree_cache(&db);
-  EXPECT_EQ(degree_cache.num_shards(), 5u);
+  EXPECT_EQ(degree_cache.num_shards(), 16u);
   core::DegreeCache explicit_cache(&db, 2);
   EXPECT_EQ(explicit_cache.num_shards(), 2u);
 
-  // Reconfigure at runtime: shard counts follow the new config.
-  cache::CacheConfig config = db.options().cache;
-  config.result_cache_shards = 2;
-  config.interp_cache_shards = 7;
-  db.ConfigureCaches(config);
-  ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 2u);
-
   // Degenerate counts clamp to one shard instead of crashing.
-  cache::CacheConfig degenerate = db.options().cache;
-  degenerate.result_cache_shards = 0;
-  degenerate.interp_cache_shards = 0;
-  db.ConfigureCaches(degenerate);
-  ASSERT_NE(db.result_cache(), nullptr);
-  EXPECT_EQ(db.result_cache()->num_shards(), 1u);
-
+  core::DegreeCache degenerate(&db, 0);
+  EXPECT_EQ(degenerate.num_shards(), 1u);
   cache::InterpretationCache standalone(0);
   EXPECT_EQ(standalone.num_shards(), 1u);
   cache::ResultCache standalone_results(1 << 20, 0);

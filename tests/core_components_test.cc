@@ -7,6 +7,7 @@
 
 #include "core/aggregator.h"
 #include "core/attribute_classifier.h"
+#include "core/columnar.h"
 #include "core/membership.h"
 #include "embedding/phrase_rep.h"
 #include "embedding/word2vec.h"
@@ -103,15 +104,15 @@ TEST_F(AggregatorTest, RoutesOpinionsToAttributesAndMarkers) {
       Opinion(hotel, r1, "staff", "friendly", 0.7),
   };
   auto tables = aggregator_.Build(corpus, opinions, AggregationOptions());
-  const auto& cleanliness = tables.summaries[0][hotel];
-  EXPECT_DOUBLE_EQ(cleanliness.count(0), 2.0);  // clean + spotless.
-  EXPECT_DOUBLE_EQ(cleanliness.count(1), 1.0);  // dirty.
-  const auto& service = tables.summaries[1][hotel];
-  EXPECT_DOUBLE_EQ(service.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(service.count(1), 0.0);
+  const auto& store = tables.summaries;
+  EXPECT_DOUBLE_EQ(store.count(0, hotel, 0), 2.0);  // clean + spotless.
+  EXPECT_DOUBLE_EQ(store.count(0, hotel, 1), 1.0);  // dirty.
+  EXPECT_DOUBLE_EQ(store.total(0, hotel), 3.0);
+  EXPECT_DOUBLE_EQ(store.count(1, hotel, 0), 1.0);
+  EXPECT_DOUBLE_EQ(store.count(1, hotel, 1), 0.0);
   // Provenance recorded.
-  EXPECT_EQ(cleanliness.cell(0).provenance.size(), 2u);
-  EXPECT_EQ(cleanliness.cell(1).provenance[0], r1);
+  EXPECT_EQ(store.Provenance(0, hotel, 0).size(), 2u);
+  EXPECT_EQ(store.Provenance(0, hotel, 1)[0], r1);
 }
 
 TEST_F(AggregatorTest, IncrementalAddMatchesBatch) {
@@ -129,10 +130,12 @@ TEST_F(AggregatorTest, IncrementalAddMatchesBatch) {
                          &incremental);
   for (size_t a = 0; a < 2; ++a) {
     for (size_t m = 0; m < 2; ++m) {
-      EXPECT_DOUBLE_EQ(batch.summaries[a][hotel].count(m),
-                       incremental.summaries[a][hotel].count(m))
+      EXPECT_DOUBLE_EQ(batch.summaries.count(a, hotel, m),
+                       incremental.summaries.count(a, hotel, m))
           << a << "," << m;
     }
+    EXPECT_EQ(batch.summaries.total(a, hotel),
+              incremental.summaries.total(a, hotel));
   }
   EXPECT_EQ(batch.extraction_attribute, incremental.extraction_attribute);
   EXPECT_EQ(batch.extraction_marker, incremental.extraction_marker);
@@ -150,8 +153,8 @@ TEST_F(AggregatorTest, DateFilterExcludesOldReviews) {
   AggregationOptions options;
   options.min_date = 500;
   auto tables = aggregator_.Build(corpus, opinions, options);
-  EXPECT_DOUBLE_EQ(tables.summaries[0][hotel].count(0), 1.0);
-  EXPECT_DOUBLE_EQ(tables.summaries[0][hotel].count(1), 0.0);
+  EXPECT_DOUBLE_EQ(tables.summaries.count(0, hotel, 0), 1.0);
+  EXPECT_DOUBLE_EQ(tables.summaries.count(0, hotel, 1), 0.0);
   EXPECT_EQ(tables.extraction_attribute[0], -1);  // Filtered out.
 }
 
@@ -200,29 +203,46 @@ TEST_F(AggregatorTest, MatchThresholdProducesUnmatched) {
 
 // --------------------------------------------------- MembershipFeatures.
 
+/// A refreshed store over one two-marker attribute with 2-wide
+/// centroids, and MarkerFeatures of its entity 0 against `query`.
+ColumnarSummaryStore GoodBadStore() {
+  SubjectiveSchema schema;
+  SubjectiveAttribute attribute;
+  attribute.summary_type.markers = {"good", "bad"};
+  schema.attributes.push_back(attribute);
+  return ColumnarSummaryStore(schema, 1, 2);
+}
+
+std::vector<double> Features(const ColumnarSummaryStore& store, size_t marker,
+                             const embedding::Vec& query, double sentiment) {
+  std::vector<double> f(kMembershipFeatureDim, -1.0);
+  MarkerFeatures(store.attribute(0), 0, marker, query.data(),
+                 embedding::Norm(query), sentiment, f.data());
+  return f;
+}
+
 TEST(MembershipFeaturesTest, EmptySummarySetsIndicator) {
-  MarkerSummaryType type;
-  type.markers = {"a", "b"};
-  MarkerSummary summary(&type, 2);
-  auto f = MembershipFeatures(summary, 0, {1.0f, 0.0f}, 0.5);
+  ColumnarSummaryStore store = GoodBadStore();
+  store.Refresh(nullptr);
+  auto f = Features(store, 0, {1.0f, 0.0f}, 0.5);
   ASSERT_EQ(f.size(), kMembershipFeatureDim);
   EXPECT_EQ(f[9], 1.0);
   EXPECT_EQ(f[0], 0.0);
+  for (size_t i = 1; i < 9; ++i) EXPECT_EQ(f[i], 0.0) << i;
 }
 
 TEST(MembershipFeaturesTest, MassFractionsAndSentiment) {
-  MarkerSummaryType type;
-  type.markers = {"good", "bad"};
-  MarkerSummary summary(&type, 2);
-  summary.AddPhrase({1, 0}, 0.8, {1.0f, 0.0f}, 0);
-  summary.AddPhrase({1, 0}, 0.6, {1.0f, 0.0f}, 1);
-  summary.AddPhrase({0, 1}, -0.9, {0.0f, 1.0f}, 2);
-  auto f = MembershipFeatures(summary, 0, {1.0f, 0.0f}, 0.7);
+  ColumnarSummaryStore store = GoodBadStore();
+  store.AddPhrase(0, 0, {1, 0}, 0.8, {1.0f, 0.0f}, 0);
+  store.AddPhrase(0, 0, {1, 0}, 0.6, {1.0f, 0.0f}, 1);
+  store.AddPhrase(0, 0, {0, 1}, -0.9, {0.0f, 1.0f}, 2);
+  store.Refresh(nullptr);
+  auto f = Features(store, 0, {1.0f, 0.0f}, 0.7);
   EXPECT_NEAR(f[1], 2.0 / 3.0, 1e-9);       // Mass at marker 0.
   EXPECT_NEAR(f[2], 2.0 / 3.0, 1e-9);       // Mass at-or-above marker 0.
   EXPECT_NEAR(f[4], 0.7, 1e-9);             // Target mean sentiment.
   EXPECT_GT(f[5], 0.9);                     // Centroid similarity.
-  auto f_bad = MembershipFeatures(summary, 1, {1.0f, 0.0f}, 0.7);
+  auto f_bad = Features(store, 1, {1.0f, 0.0f}, 0.7);
   EXPECT_NEAR(f_bad[1], 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(f_bad[2], 1.0, 1e-9);  // All markers at or above "bad".
 }

@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "core/columnar.h"
 #include "core/marker_induction.h"
-#include "core/marker_summary.h"
 #include "core/query.h"
 #include "core/schema.h"
 
 namespace opinedb::core {
 namespace {
 
-// -------------------------------------------------------- MarkerSummary.
+// ---------------------------------- Marker summaries (the store fold).
 
 MarkerSummaryType CleanlinessType() {
   MarkerSummaryType type;
@@ -25,46 +25,67 @@ TEST(MarkerSummaryTypeTest, MarkerIndex) {
   EXPECT_EQ(type.num_markers(), 4u);
 }
 
+/// A store over one attribute of type CleanlinessType(): the marker
+/// summaries of `entities` entities with `dim`-wide centroids.
+ColumnarSummaryStore CleanlinessStore(size_t entities, size_t dim) {
+  SubjectiveSchema schema;
+  SubjectiveAttribute attribute;
+  attribute.name = "room_cleanliness";
+  attribute.summary_type = CleanlinessType();
+  schema.attributes.push_back(attribute);
+  return ColumnarSummaryStore(schema, entities, dim);
+}
+
 TEST(MarkerSummaryTest, AddPhraseOneHot) {
-  auto type = CleanlinessType();
-  MarkerSummary summary(&type, 2);
-  summary.AddPhrase({1.0, 0.0, 0.0, 0.0}, 0.8, {1.0f, 0.0f}, 7);
-  summary.AddPhrase({1.0, 0.0, 0.0, 0.0}, 0.6, {0.0f, 1.0f}, 8);
-  summary.AddPhrase({0.0, 0.0, 1.0, 0.0}, -0.7, {0.5f, 0.5f}, 9);
-  EXPECT_DOUBLE_EQ(summary.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(summary.count(2), 1.0);
-  EXPECT_DOUBLE_EQ(summary.total_count(), 3.0);
-  EXPECT_NEAR(summary.cell(0).mean_sentiment, 0.7, 1e-12);
-  EXPECT_FLOAT_EQ(summary.cell(0).centroid[0], 0.5f);
-  EXPECT_EQ(summary.DominantMarker(), 0);
-  ASSERT_EQ(summary.cell(0).provenance.size(), 2u);
-  EXPECT_EQ(summary.cell(0).provenance[0], 7);
+  // Entity 1 of 2, so the fold must land at the entity's own offsets.
+  ColumnarSummaryStore store = CleanlinessStore(2, 2);
+  store.AddPhrase(0, 1, {1.0, 0.0, 0.0, 0.0}, 0.8, {1.0f, 0.0f}, 7);
+  store.AddPhrase(0, 1, {1.0, 0.0, 0.0, 0.0}, 0.6, {0.0f, 1.0f}, 8);
+  store.AddPhrase(0, 1, {0.0, 0.0, 1.0, 0.0}, -0.7, {0.5f, 0.5f}, 9);
+  store.RefreshEntity(0, 1);
+  EXPECT_DOUBLE_EQ(store.count(0, 1, 0), 2.0);
+  EXPECT_DOUBLE_EQ(store.count(0, 1, 2), 1.0);
+  EXPECT_DOUBLE_EQ(store.total(0, 1), 3.0);
+  EXPECT_DOUBLE_EQ(store.total(0, 0), 0.0);
+  const AttributeColumns& cols = store.attribute(0);
+  const size_t cell = 1 * 4 + 0;
+  EXPECT_NEAR(cols.mean_sentiment[cell], 0.7, 1e-12);
+  EXPECT_FLOAT_EQ(cols.centroid[cell * 2], 0.5f);
+  EXPECT_EQ(cols.centroid_norm[cell],
+            embedding::Norm(embedding::Vec{cols.centroid[cell * 2],
+                                           cols.centroid[cell * 2 + 1]}));
+  EXPECT_EQ(store.Provenance(0, 1, 0), (std::vector<text::ReviewId>{7, 8}));
+  EXPECT_EQ(store.Provenance(0, 1, 2), std::vector<text::ReviewId>{9});
+  EXPECT_TRUE(store.Provenance(0, 0, 0).empty());
 }
 
 TEST(MarkerSummaryTest, FractionalContribution) {
-  auto type = CleanlinessType();
-  MarkerSummary summary(&type, 1);
-  summary.AddPhrase({0.5, 0.5, 0.0, 0.0}, 0.4, {1.0f}, 1);
-  EXPECT_DOUBLE_EQ(summary.count(0), 0.5);
-  EXPECT_DOUBLE_EQ(summary.count(1), 0.5);
-  EXPECT_DOUBLE_EQ(summary.total_count(), 1.0);
+  ColumnarSummaryStore store = CleanlinessStore(1, 1);
+  store.AddPhrase(0, 0, {0.5, 0.5, 0.0, 0.0}, 0.4, {1.0f}, 1);
+  store.RefreshEntity(0, 0);
+  EXPECT_DOUBLE_EQ(store.count(0, 0, 0), 0.5);
+  EXPECT_DOUBLE_EQ(store.count(0, 0, 1), 0.5);
+  EXPECT_DOUBLE_EQ(store.total(0, 0), 1.0);
+  // One log entry per marker with positive weight.
+  EXPECT_EQ(store.attribute(0).provenance.size(), 2u);
+  EXPECT_EQ(store.Provenance(0, 0, 1), std::vector<text::ReviewId>{1});
 }
 
 TEST(MarkerSummaryTest, UnmatchedTracked) {
-  auto type = CleanlinessType();
-  MarkerSummary summary(&type, 1);
-  summary.AddUnmatched();
-  summary.AddUnmatched();
-  EXPECT_DOUBLE_EQ(summary.unmatched_count(), 2.0);
-  EXPECT_EQ(summary.DominantMarker(), -1);
+  ColumnarSummaryStore store = CleanlinessStore(1, 1);
+  store.AddUnmatched(0, 0);
+  store.AddUnmatched(0, 0);
+  store.RefreshEntity(0, 0);
+  EXPECT_DOUBLE_EQ(store.attribute(0).unmatched[0], 2.0);
+  EXPECT_DOUBLE_EQ(store.total(0, 0), 0.0);
+  EXPECT_TRUE(store.attribute(0).provenance.empty());
 }
 
 TEST(MarkerSummaryTest, ToStringListsMarkers) {
-  auto type = CleanlinessType();
-  MarkerSummary summary(&type, 1);
-  summary.AddPhrase({1, 0, 0, 0}, 0.5, {1.0f}, 0);
-  const std::string s = summary.ToString();
-  EXPECT_NE(s.find("very clean: 1.0"), std::string::npos);
+  ColumnarSummaryStore store = CleanlinessStore(1, 1);
+  store.AddPhrase(0, 0, {1, 0, 0, 0}, 0.5, {1.0f}, 0);
+  EXPECT_EQ(store.Histogram(CleanlinessType(), 0, 0),
+            "[very clean: 1.0, average: 0.0, dirty: 0.0, very dirty: 0.0]");
 }
 
 // --------------------------------------------------------------- Schema.

@@ -38,6 +38,7 @@
 #include "eval/experiment.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracle/row_oracle.h"
 #include "storage/snapshot_store.h"
 
 namespace opinedb {
@@ -472,11 +473,13 @@ TEST_F(EnginePersistenceTest, CorruptNewestGenerationFallsBackToGolden) {
   // extraction relation — rebuilding from it is now refused (see
   // ReaggregateAfterOpenIsRefused below) instead of silently wiping
   // the summaries as it used to.
-  auto perturbed = db().tables().summaries;
-  ASSERT_FALSE(perturbed.empty());
-  ASSERT_FALSE(perturbed[0].empty());
-  perturbed[0][0].AddUnmatched();
-  ASSERT_TRUE(db().InstallSummaries(std::move(perturbed)).ok());
+  auto perturbed = core::DecodeSummaries(
+      db().schema(), core::EncodeSummaries(*db().columnar_store()));
+  ASSERT_TRUE(perturbed.ok()) << perturbed.status().ToString();
+  ASSERT_GT(perturbed->num_attributes(), 0u);
+  ASSERT_GT(perturbed->num_entities(), 0u);
+  perturbed->AddUnmatched(0, 0);
+  ASSERT_TRUE(db().InstallSummaries(std::move(*perturbed)).ok());
   ASSERT_TRUE(db().SaveDatabase(dir()).ok());
   ASSERT_EQ(db().snapshot_generation(), 2u);
 
@@ -490,6 +493,54 @@ TEST_F(EnginePersistenceTest, CorruptNewestGenerationFallsBackToGolden) {
   ASSERT_TRUE(db().OpenDatabase(dir()).ok());
   EXPECT_EQ(db().snapshot_generation(), 1u);
   ExpectBitIdentical(golden1, MustExecute(Sql()));
+}
+
+// The summaries section holds column images: a Checkpoint after
+// appends, a wholesale perturbation, then an open must bring back every
+// scan column and provenance log (appended reviews included) byte for
+// byte. Runs on its own engine so the WAL and appends stay local.
+TEST_F(EnginePersistenceTest, CheckpointOpenRestoresEveryColumnByteForByte) {
+  eval::BuildOptions options = FixtureOptions();
+  options.generator.num_entities = 10;
+  eval::DomainArtifacts artifacts =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
+  core::OpineDb& engine = *artifacts.db;
+  ASSERT_TRUE(engine.SaveDatabase(dir()).ok());
+  ASSERT_TRUE(engine.EnableWal(dir()).ok());
+  const auto log_entries = [&engine] {
+    size_t entries = 0;
+    for (size_t a = 0; a < engine.columnar_store()->num_attributes(); ++a) {
+      entries += engine.columnar_store()->attribute(a).provenance.size();
+    }
+    return entries;
+  };
+  const size_t log_before = log_entries();
+  std::vector<text::Review> batch;
+  for (int i = 0; i < 6; ++i) {
+    text::Review review;
+    review.entity = i % 10;
+    review.reviewer = 900 + i;
+    review.date = 20260901;
+    review.body = i % 2 == 0
+                      ? "the room was very clean and the staff was friendly"
+                      : "rude reception and a dirty noisy room";
+    batch.push_back(std::move(review));
+  }
+  ASSERT_TRUE(engine.AppendReviews(batch).ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  const std::string want = oracle::StoreImage(*engine.columnar_store());
+  ASSERT_GT(log_entries(), log_before) << "the batch added no provenance";
+
+  ASSERT_TRUE(engine
+                  .InstallSummaries(core::ColumnarSummaryStore(
+                      engine.schema(), engine.corpus().num_entities(),
+                      engine.phrase_embedder().dim()))
+                  .ok());
+  ASSERT_NE(oracle::StoreImage(*engine.columnar_store()), want);
+  ASSERT_TRUE(engine.OpenDatabase(dir()).ok());
+  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_TRUE(oracle::StoreImage(*engine.columnar_store()) == want)
+      << "the opened store differs from the checkpointed one";
 }
 
 // Regression (silent-wipe bugfix): once OpenDatabase replaced the
@@ -575,9 +626,8 @@ TEST_F(EnginePersistenceTest, EntityCountMismatchIsInvalidArgument) {
   std::vector<SnapshotSection> sections(2);
   sections[0] = {"schema", std::move(schema_bytes).str()};
   sections[1] = {"summaries",
-                 "opinedb-summaries 2\n" +
-                     std::to_string(db().schema().num_attributes()) +
-                     " 0\nend\n"};
+                 core::EncodeSummaries(core::ColumnarSummaryStore(
+                     db().schema(), 0, db().phrase_embedder().dim()))};
   ASSERT_TRUE(store.Commit(sections).ok());
 
   const auto golden = MustExecute(Sql());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/columnar.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 
@@ -73,14 +74,13 @@ TEST_F(EngineIntegrationTest, SummariesReflectLatentQuality) {
       dirtiest = static_cast<int>(e);
     }
   }
-  const auto& clean_summary = db().summary(attr, cleanest);
-  const auto& dirty_summary = db().summary(attr, dirtiest);
-  ASSERT_GT(clean_summary.total_count(), 0.0);
-  ASSERT_GT(dirty_summary.total_count(), 0.0);
-  const double clean_top = clean_summary.count(0) /
-                           clean_summary.total_count();
-  const double dirty_top = dirty_summary.count(0) /
-                           dirty_summary.total_count();
+  const core::ColumnarSummaryStore& store = *db().columnar_store();
+  ASSERT_GT(store.total(attr, cleanest), 0.0);
+  ASSERT_GT(store.total(attr, dirtiest), 0.0);
+  const double clean_top =
+      store.count(attr, cleanest, 0) / store.total(attr, cleanest);
+  const double dirty_top =
+      store.count(attr, dirtiest, 0) / store.total(attr, dirtiest);
   EXPECT_GT(clean_top, dirty_top);
 }
 
@@ -205,16 +205,14 @@ TEST_F(EngineIntegrationTest, ReaggregationWithReviewerFilterShrinksMass) {
   const int attr = 0;
   double before = 0.0;
   for (size_t e = 0; e < domain().entities.size(); ++e) {
-    before += db().summary(attr, static_cast<text::EntityId>(e))
-                  .total_count();
+    before += db().columnar_store()->total(attr, e);
   }
   core::AggregationOptions filtered = db().options().aggregation;
   filtered.min_reviewer_reviews = 3;
   db_mutable->Reaggregate(filtered);
   double after = 0.0;
   for (size_t e = 0; e < domain().entities.size(); ++e) {
-    after += db().summary(attr, static_cast<text::EntityId>(e))
-                 .total_count();
+    after += db().columnar_store()->total(attr, e);
   }
   EXPECT_LT(after, before);
   EXPECT_GT(after, 0.0);

@@ -11,6 +11,7 @@
 #include "datagen/domain_spec.h"
 #include "embedding/io.h"
 #include "eval/experiment.h"
+#include "oracle/row_oracle.h"
 
 namespace opinedb {
 namespace {
@@ -234,27 +235,12 @@ TEST_F(ExtensionsTest, SchemaRoundTrip) {
 }
 
 TEST_F(ExtensionsTest, SummariesRoundTrip) {
-  std::stringstream buffer;
-  ASSERT_TRUE(core::SaveSummaries(db().tables(), &buffer).ok());
-  auto loaded = core::LoadSummaries(db().schema(), &buffer);
+  const core::ColumnarSummaryStore& original = *db().columnar_store();
+  auto loaded =
+      core::DecodeSummaries(db().schema(), core::EncodeSummaries(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->summaries.size(), db().tables().summaries.size());
-  for (size_t a = 0; a < loaded->summaries.size(); ++a) {
-    ASSERT_EQ(loaded->summaries[a].size(),
-              db().tables().summaries[a].size());
-    for (size_t e = 0; e < loaded->summaries[a].size(); ++e) {
-      const auto& original = db().tables().summaries[a][e];
-      const auto& reloaded = loaded->summaries[a][e];
-      ASSERT_EQ(reloaded.num_markers(), original.num_markers());
-      EXPECT_EQ(reloaded.unmatched_count(), original.unmatched_count());
-      for (size_t m = 0; m < original.num_markers(); ++m) {
-        EXPECT_DOUBLE_EQ(reloaded.count(m), original.count(m));
-        EXPECT_DOUBLE_EQ(reloaded.cell(m).mean_sentiment,
-                         original.cell(m).mean_sentiment);
-        EXPECT_EQ(reloaded.cell(m).provenance, original.cell(m).provenance);
-      }
-    }
-  }
+  // Saved columns, recomputed derived ones and provenance, byte for byte.
+  EXPECT_TRUE(oracle::StoreImage(*loaded) == oracle::StoreImage(original));
 }
 
 TEST(SerializeErrorTest, RejectsGarbage) {

@@ -178,8 +178,11 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
                                  entities);
     ASSERT_TRUE(incremental.db->AppendReviews(batch).ok());
     ASSERT_TRUE(rebuilt.db->AppendReviews(batch).ok());
-    // After every round the delta-patched engine answers exactly what
-    // the row-path oracle computes from the folded row objects.
+    // After every round the store equals the oracle's own row fold of
+    // the extended relation, and the delta-patched engine answers
+    // exactly what the oracle computes from those rows.
+    EXPECT_EQ(oracle::CompareStoreToRows(*incremental.db), "")
+        << "round " << round;
     for (const std::string& sql : oracle_queries) {
       auto answer = oracle::Execute(*incremental.db,
                                     incremental.domain.objective_table, sql);
@@ -199,6 +202,10 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
                      "append vs rebuild");
   EXPECT_EQ(incremental.db->corpus().num_reviews(),
             rebuilt.db->corpus().num_reviews());
+  // The stores themselves: every column array and provenance log.
+  EXPECT_TRUE(oracle::StoreImage(*incremental.db->columnar_store()) ==
+              oracle::StoreImage(*rebuilt.db->columnar_store()))
+      << "appended store differs from the rebuilt one";
 }
 
 TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {

@@ -1,16 +1,21 @@
 // Round-trip tests for the schema / summaries serializers: a save →
-// load cycle must be bit-exact (doubles compared with EXPECT_EQ, no
-// tolerance), and corrupt or truncated streams must produce clean
-// Status errors — never exceptions, crashes, or huge allocations.
+// load cycle must be bit-exact (doubles compared with EXPECT_EQ or as
+// raw bytes, no tolerance), and corrupt or truncated payloads must produce
+// clean Status errors — never exceptions, crashes, or huge allocations.
+#include <array>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/interpretation_cache.h"
 #include "core/serialize.h"
+#include "oracle/row_oracle.h"
 
 namespace opinedb::core {
 namespace {
@@ -41,37 +46,70 @@ SubjectiveSchema MakeSchema() {
   return schema;
 }
 
-SubjectiveTables MakeSummaries(const SubjectiveSchema& schema) {
-  constexpr size_t kEntities = 3;
-  constexpr size_t kDim = 4;
-  SubjectiveTables tables;
-  tables.summaries.resize(schema.num_attributes());
+constexpr size_t kEntities = 3;
+constexpr size_t kDim = 4;
+
+ColumnarSummaryStore MakeSummaries(const SubjectiveSchema& schema) {
+  ColumnarSummaryStore store(schema, kEntities, kDim);
   // Awkward doubles (1/3, pi-ish) so bit-exactness is actually tested.
   double v = 1.0 / 3.0;
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
-    const auto& type = schema.attributes[a].summary_type;
+    AttributeColumns& cols = store.mutable_attribute(a);
     for (size_t e = 0; e < kEntities; ++e) {
-      MarkerSummary summary(&type, kDim);
-      for (size_t m = 0; m < type.num_markers(); ++m) {
-        MarkerCell cell;
-        cell.count = v * 7.0;
-        cell.mean_sentiment = v - 0.5;
-        cell.centroid.resize(kDim);
+      for (size_t m = 0; m < cols.num_markers; ++m) {
+        const size_t cell = e * cols.num_markers + m;
+        cols.count[cell] = v * 7.0;
+        cols.mean_sentiment[cell] = v - 0.5;
         for (size_t d = 0; d < kDim; ++d) {
-          cell.centroid[d] = static_cast<float>(v * (d + 1) - 0.6);
+          cols.centroid[cell * kDim + d] =
+              static_cast<float>(v * (d + 1) - 0.6);
         }
         for (size_t r = 0; r < m + 1; ++r) {
-          cell.provenance.push_back(
-              static_cast<text::ReviewId>(e * 10 + r));
+          cols.provenance.push_back(ProvenanceEntry{
+              static_cast<uint32_t>(e), static_cast<uint32_t>(m),
+              static_cast<text::ReviewId>(e * 10 + r)});
         }
-        summary.RestoreCell(m, cell);
         v = v * 3.9 * (1.0 - v);  // Logistic map: irregular doubles.
       }
-      summary.SetUnmatchedCount(v * 5.0);
-      tables.summaries[a].push_back(std::move(summary));
+      cols.unmatched[e] = v * 5.0;
     }
   }
-  return tables;
+  store.Refresh(nullptr);
+  return store;
+}
+
+/// Byte-for-byte equality of two stores: every column (the saved ones
+/// and the recomputed total / centroid_norm) and every provenance log.
+void ExpectSameStore(const ColumnarSummaryStore& want,
+                     const ColumnarSummaryStore& got) {
+  EXPECT_TRUE(oracle::StoreImage(got) == oracle::StoreImage(want));
+}
+
+void AppendU64(uint64_t v, std::string* out) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// A version-3 header: the attribute and entity counts, then (K, dim,
+/// provenance entries) per attribute — no column bytes follow.
+std::string SummariesHeader(uint64_t attributes, uint64_t entities,
+                            const std::vector<std::array<uint64_t, 3>>&
+                                shapes) {
+  std::string out = "opinedb-summaries 3\n";
+  AppendU64(attributes, &out);
+  AppendU64(entities, &out);
+  for (const auto& shape : shapes) {
+    for (const uint64_t field : shape) AppendU64(field, &out);
+  }
+  return out;
+}
+
+/// Overwrites the little-endian u32 at `offset` of `bytes`.
+void PatchU32(size_t offset, uint32_t v, std::string* bytes) {
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
 }
 
 // ------------------------------------------------------ Schema cycle.
@@ -113,46 +151,30 @@ TEST(SerializeRoundtripTest, SchemaSecondCycleIsByteIdentical) {
 
 TEST(SerializeRoundtripTest, SummariesRoundTripBitExactly) {
   const SubjectiveSchema schema = MakeSchema();
-  const SubjectiveTables tables = MakeSummaries(schema);
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSummaries(tables, &stream).ok());
-  auto loaded = LoadSummaries(schema, &stream);
+  const ColumnarSummaryStore store = MakeSummaries(schema);
+  auto loaded = DecodeSummaries(schema, EncodeSummaries(store));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  ASSERT_EQ(loaded->summaries.size(), tables.summaries.size());
-  for (size_t a = 0; a < tables.summaries.size(); ++a) {
-    ASSERT_EQ(loaded->summaries[a].size(), tables.summaries[a].size());
-    for (size_t e = 0; e < tables.summaries[a].size(); ++e) {
-      const auto& want = tables.summaries[a][e];
-      const auto& got = loaded->summaries[a][e];
-      ASSERT_EQ(got.num_markers(), want.num_markers());
-      // Bit-exact: EXPECT_EQ on raw doubles/floats, no tolerance.
-      EXPECT_EQ(got.unmatched_count(), want.unmatched_count());
-      for (size_t m = 0; m < want.num_markers(); ++m) {
-        const auto& want_cell = want.cell(m);
-        const auto& got_cell = got.cell(m);
-        EXPECT_EQ(got_cell.count, want_cell.count);
-        EXPECT_EQ(got_cell.mean_sentiment, want_cell.mean_sentiment);
-        ASSERT_EQ(got_cell.centroid.size(), want_cell.centroid.size());
-        for (size_t d = 0; d < want_cell.centroid.size(); ++d) {
-          EXPECT_EQ(got_cell.centroid[d], want_cell.centroid[d]);
-        }
-        EXPECT_EQ(got_cell.provenance, want_cell.provenance);
-      }
-    }
-  }
+  ExpectSameStore(store, *loaded);
 }
 
 TEST(SerializeRoundtripTest, SummariesSecondCycleIsByteIdentical) {
   const SubjectiveSchema schema = MakeSchema();
-  const SubjectiveTables tables = MakeSummaries(schema);
-  std::stringstream first;
-  ASSERT_TRUE(SaveSummaries(tables, &first).ok());
-  auto loaded = LoadSummaries(schema, &first);
+  const std::string first = EncodeSummaries(MakeSummaries(schema));
+  auto loaded = DecodeSummaries(schema, first);
   ASSERT_TRUE(loaded.ok());
-  std::stringstream second;
-  ASSERT_TRUE(SaveSummaries(*loaded, &second).ok());
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(EncodeSummaries(*loaded), first);
+}
+
+TEST(SerializeRoundtripTest, ZeroMarkerAttributeRoundTrips) {
+  SubjectiveSchema schema = MakeSchema();
+  schema.attributes[1].summary_type.markers.clear();
+  const ColumnarSummaryStore store = MakeSummaries(schema);
+  ASSERT_EQ(store.attribute(1).num_markers, 0u);
+  const std::string bytes = EncodeSummaries(store);
+  auto loaded = DecodeSummaries(schema, bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameStore(store, *loaded);
+  EXPECT_EQ(EncodeSummaries(*loaded), bytes);
 }
 
 // ------------------------------------------- Corruption / truncation.
@@ -176,17 +198,70 @@ TEST(SerializeRoundtripTest, TruncatedSchemaStreamsErrCleanly) {
 
 TEST(SerializeRoundtripTest, TruncatedSummariesStreamsErrCleanly) {
   const SubjectiveSchema schema = MakeSchema();
-  const SubjectiveTables tables = MakeSummaries(schema);
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSummaries(tables, &stream).ok());
-  const std::string full = stream.str();
-  for (size_t length = 0; length + 1 < full.size(); ++length) {
-    std::stringstream truncated(full.substr(0, length));
+  const std::string full = EncodeSummaries(MakeSummaries(schema));
+  // The header fixes the exact length, so every proper prefix is refused.
+  for (size_t length = 0; length < full.size(); ++length) {
     EXPECT_NO_THROW({
-      auto loaded = LoadSummaries(schema, &truncated);
-      EXPECT_FALSE(loaded.ok()) << "prefix length " << length;
+      auto loaded = DecodeSummaries(schema, full.substr(0, length));
+      ASSERT_FALSE(loaded.ok()) << "prefix length " << length;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << "prefix length " << length;
     });
   }
+}
+
+TEST(SerializeRoundtripTest, TrailingSummariesBytesAreParseError) {
+  const SubjectiveSchema schema = MakeSchema();
+  const std::string full = EncodeSummaries(MakeSummaries(schema));
+  for (const std::string& tail : {std::string(1, '\0'), std::string("x"),
+                                 std::string(12, '\0')}) {
+    auto loaded = DecodeSummaries(schema, full + tail);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST(SerializeRoundtripTest, NonFiniteSummaryValueIsParseError) {
+  const SubjectiveSchema schema = MakeSchema();
+  const std::string full = EncodeSummaries(MakeSummaries(schema));
+  // The first column byte follows the version line and the header.
+  const size_t first_count = SummariesHeader(2, 0, {{}, {}}).size();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    std::string mutated = full;
+    std::memcpy(mutated.data() + first_count, &bad, sizeof(bad));
+    auto loaded = DecodeSummaries(schema, mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(SerializeRoundtripTest, ProvenanceOutOfRangeIsParseError) {
+  const SubjectiveSchema schema = MakeSchema();
+  const std::string full = EncodeSummaries(MakeSummaries(schema));
+  // The payload ends with the last attribute's last provenance entry:
+  // u32 entity, u32 marker, i32 review.
+  const size_t entity_at = full.size() - 12;
+  const size_t marker_at = full.size() - 8;
+  const size_t markers = schema.attributes[1].summary_type.num_markers();
+  for (const auto& [offset, value] :
+       {std::pair<size_t, uint32_t>{entity_at, kEntities},
+        std::pair<size_t, uint32_t>{entity_at, 0xffffffffu},
+        std::pair<size_t, uint32_t>{marker_at,
+                                    static_cast<uint32_t>(markers)}}) {
+    std::string mutated = full;
+    PatchU32(offset, value, &mutated);
+    auto loaded = DecodeSummaries(schema, mutated);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << loaded.status().ToString();
+  }
+  // Review ids are not checked against any corpus.
+  std::string foreign = full;
+  PatchU32(full.size() - 4, 123456789u, &foreign);
+  EXPECT_TRUE(DecodeSummaries(schema, foreign).ok());
 }
 
 TEST(SerializeRoundtripTest, WrongMagicIsParseError) {
@@ -195,8 +270,7 @@ TEST(SerializeRoundtripTest, WrongMagicIsParseError) {
   ASSERT_FALSE(schema.ok());
   EXPECT_EQ(schema.status().code(), StatusCode::kParseError);
 
-  std::stringstream summaries_stream("garbage 1\n0 0\n");
-  auto summaries = LoadSummaries(MakeSchema(), &summaries_stream);
+  auto summaries = DecodeSummaries(MakeSchema(), "garbage 1\n0 0\n");
   ASSERT_FALSE(summaries.ok());
   EXPECT_EQ(summaries.status().code(), StatusCode::kParseError);
 }
@@ -206,6 +280,16 @@ TEST(SerializeRoundtripTest, UnknownVersionIsNotSupported) {
   auto loaded = LoadSchema(&stream);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotSupported);
+
+  // A future version, and a version-2 (text rows) summaries payload.
+  for (const std::string& payload :
+       {std::string("opinedb-summaries 99\n"),
+        std::string("opinedb-summaries 2\n2 1\n0 3 0.5 0\n1 0 0\nend\n")}) {
+    auto summaries = DecodeSummaries(MakeSchema(), payload);
+    ASSERT_FALSE(summaries.ok());
+    EXPECT_EQ(summaries.status().code(), StatusCode::kNotSupported)
+        << summaries.status().ToString();
+  }
 }
 
 TEST(SerializeRoundtripTest, ImplausibleStringLengthIsParseError) {
@@ -218,41 +302,60 @@ TEST(SerializeRoundtripTest, ImplausibleStringLengthIsParseError) {
 
 TEST(SerializeRoundtripTest, ImplausibleDimensionIsParseError) {
   const SubjectiveSchema schema = MakeSchema();
-  // Valid header for schema (2 attributes, 1 entity), then a summary
-  // row (entity 0) claiming a ludicrous centroid dimension.
-  std::stringstream stream(
-      "opinedb-summaries 2\n2 1\n0 3 0 999999999999\n");
-  auto loaded = LoadSummaries(schema, &stream);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  // Schema-shaped header (2 attributes, 1 entity) claiming a ludicrous
+  // centroid width: the implied length can never match the payload.
+  for (const uint64_t dim : {uint64_t{999999999999}, ~uint64_t{0}}) {
+    auto loaded = DecodeSummaries(
+        schema, SummariesHeader(2, 1, {{3, dim, 0}, {2, dim, 0}}));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(SerializeRoundtripTest, ImplausibleProvenanceCountIsParseError) {
   const SubjectiveSchema schema = MakeSchema();
-  // One marker cell whose provenance count would allocate gigabytes.
-  std::stringstream stream(
-      "opinedb-summaries 2\n2 1\n0 3 0 1\n1 0 0 99999999999\n");
-  auto loaded = LoadSummaries(schema, &stream);
+  // A provenance log that would take gigabytes.
+  auto loaded = DecodeSummaries(
+      schema, SummariesHeader(2, 1, {{3, 1, 99999999999}, {2, 1, 0}}));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST(SerializeRoundtripTest, AttributeCountMismatchIsInvalidArgument) {
   const SubjectiveSchema schema = MakeSchema();  // 2 attributes.
-  std::stringstream stream("opinedb-summaries 2\n5 1\n");
-  auto loaded = LoadSummaries(schema, &stream);
+  auto loaded = DecodeSummaries(schema, SummariesHeader(5, 1, {}));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(SerializeRoundtripTest, DimensionMismatchIsInvalidArgument) {
+  // Attributes whose centroids disagree on width cannot form one store,
+  // and a marker count other than the schema's cannot bind to it.
+  SubjectiveSchema schema = MakeSchema();
+  auto wide = DecodeSummaries(
+      schema, SummariesHeader(2, 1, {{3, 4, 0}, {2, 5, 0}}) +
+                  std::string(3 * 16 + 3 * 4 * 4 + 8 + 2 * 16 + 2 * 5 * 4 + 8,
+                              '\0'));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument)
+      << wide.status().ToString();
+  schema.attributes[0].summary_type.markers.pop_back();
+  auto narrow =
+      DecodeSummaries(schema, EncodeSummaries(MakeSummaries(MakeSchema())));
+  ASSERT_FALSE(narrow.ok());
+  EXPECT_EQ(narrow.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SerializeRoundtripTest, ImplausibleEntityCountIsParseError) {
   const SubjectiveSchema schema = MakeSchema();
-  // The loader preallocates per-entity slots, so a corrupt entity count
-  // must be rejected before it turns into a giant allocation.
-  std::stringstream stream("opinedb-summaries 2\n2 99999999999\n");
-  auto loaded = LoadSummaries(schema, &stream);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  // A corrupt entity count must be rejected before it turns into a
+  // giant allocation.
+  for (const uint64_t entities : {uint64_t{99999999999}, ~uint64_t{0}}) {
+    auto loaded = DecodeSummaries(
+        schema, SummariesHeader(2, entities, {{3, 4, 0}, {2, 4, 0}}));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
 }
 
 // ------------------------------------------------ Duplicate-key rows.
@@ -269,39 +372,6 @@ TEST(SerializeRoundtripTest, DuplicateAttributeNameIsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   // The error must name the offending key.
   EXPECT_NE(loaded.status().message().find("room_cleanliness"),
-            std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST(SerializeRoundtripTest, DuplicateEntityRowIsInvalidArgument) {
-  const SubjectiveSchema schema = MakeSchema();
-  // Two entities, but both rows of attribute 0 claim entity 0 (dim 0,
-  // three empty marker cells each, matching the schema's marker count).
-  std::stringstream stream(
-      "opinedb-summaries 2\n2 2\n"
-      "0 3 0.5 0\n1 0 0\n1 0 0\n1 0 0\n"
-      "0 3 0.5 0\n");
-  auto loaded = LoadSummaries(schema, &stream);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("duplicate entity row 0"),
-            std::string::npos)
-      << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("room_cleanliness"),
-            std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST(SerializeRoundtripTest, OutOfRangeEntityRowIsParseError) {
-  const SubjectiveSchema schema = MakeSchema();
-  std::stringstream stream(
-      "opinedb-summaries 2\n2 2\n"
-      "0 3 0.5 0\n1 0 0\n1 0 0\n1 0 0\n"
-      "7 3 0.5 0\n");
-  auto loaded = LoadSummaries(schema, &stream);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  EXPECT_NE(loaded.status().message().find("out of range"),
             std::string::npos)
       << loaded.status().ToString();
 }
@@ -382,36 +452,26 @@ TEST(SerializeRoundtripTest, SchemaSurvivesRandomBitFlips) {
 
 TEST(SerializeRoundtripTest, SummariesSurviveRandomByteFlips) {
   const SubjectiveSchema schema = MakeSchema();
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSummaries(MakeSummaries(schema), &stream).ok());
   const auto load = [&schema](const std::string& bytes) {
-    std::stringstream in(bytes);
-    return LoadSummaries(schema, &in);
+    return DecodeSummaries(schema, bytes);
   };
-  const auto save = [](const SubjectiveTables& tables) {
-    std::stringstream out;
-    EXPECT_TRUE(SaveSummaries(tables, &out).ok());
-    return out.str();
+  const auto save = [](const ColumnarSummaryStore& store) {
+    return EncodeSummaries(store);
   };
-  FuzzFlips(stream.str(), /*seed=*/0x5eed0003, /*bit_level=*/false, load,
-            save);
+  FuzzFlips(EncodeSummaries(MakeSummaries(schema)), /*seed=*/0x5eed0003,
+            /*bit_level=*/false, load, save);
 }
 
 TEST(SerializeRoundtripTest, SummariesSurviveRandomBitFlips) {
   const SubjectiveSchema schema = MakeSchema();
-  std::stringstream stream;
-  ASSERT_TRUE(SaveSummaries(MakeSummaries(schema), &stream).ok());
   const auto load = [&schema](const std::string& bytes) {
-    std::stringstream in(bytes);
-    return LoadSummaries(schema, &in);
+    return DecodeSummaries(schema, bytes);
   };
-  const auto save = [](const SubjectiveTables& tables) {
-    std::stringstream out;
-    EXPECT_TRUE(SaveSummaries(tables, &out).ok());
-    return out.str();
+  const auto save = [](const ColumnarSummaryStore& store) {
+    return EncodeSummaries(store);
   };
-  FuzzFlips(stream.str(), /*seed=*/0x5eed0004, /*bit_level=*/true, load,
-            save);
+  FuzzFlips(EncodeSummaries(MakeSummaries(schema)), /*seed=*/0x5eed0004,
+            /*bit_level=*/true, load, save);
 }
 
 // --------------------------- Interpretation-cache payload (§5g).
