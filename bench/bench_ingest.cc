@@ -10,9 +10,11 @@
 //     writer appends WAL-journaled review batches back-to-back;
 //     records sustained reviews/sec, appended-batch latency
 //     percentiles, the query p50/p99 during ingest and the p99
-//     regression ratio against phase 1, plus the attached degree
-//     cache's hit rate across the phase (warm lists must survive
-//     ingest — RefreshAfterIngest patches, it does not evict).
+//     regression ratio against phase 1, plus how the precomputed degree
+//     lists (the markers and every reader predicate, so readers are
+//     served from lists) were maintained across the phase: warm lists
+//     must survive ingest — a list whose interpretation is unchanged is
+//     patched in place, never evicted.
 //  3. Checkpoint: folds the accumulated WAL into the next snapshot
 //     generation and records the fold latency and resulting segment
 //     rotation.
@@ -33,14 +35,15 @@
 #include <filesystem>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "storage/wal.h"
 
 namespace opinedb {
@@ -185,10 +188,13 @@ int Main() {
   const int readers = IntEnv("OPINEDB_INGEST_READERS", 4);
   const int32_t entities = static_cast<int32_t>(db.corpus().num_entities());
 
-  core::DegreeCache degree_cache(&db);
-  db.AttachDegreeCache(&degree_cache);
-  const size_t warm_lists = degree_cache.PrecomputeMarkers();
-  printf("Warm degree cache: %zu marker lists precomputed\n", warm_lists);
+  std::vector<std::string> predicates = db.schema().Markers();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    predicates.push_back(artifacts.pool[i].text);
+  }
+  const size_t warm_lists = db.PrecomputeDegrees(predicates);
+  printf("Precomputed degrees: %zu lists (markers + reader predicates)\n",
+         warm_lists);
 
   const auto wal_dir =
       std::filesystem::temp_directory_path() / "opinedb_bench_ingest_wal";
@@ -217,20 +223,38 @@ int Main() {
          baseline.qps, baseline.p50_ms, baseline.p99_ms, baseline.failures);
 
   // Phase 2: the same query load with the WAL-journaled writer running.
-  const auto cache_before = degree_cache.stats();
+  // Each append's ingest.append span reports how the lists were kept.
+  uint64_t lists_patched = 0;
+  uint64_t lists_rescored = 0;
+  uint64_t lists_dropped = 0;
+  auto count = [](const obs::SpanRecord& span, const char* key) {
+    return std::strtoull(std::string(span.Attribute(key)).c_str(), nullptr,
+                         10);
+  };
   std::vector<double> append_ms;
   uint64_t batches = 0;
   uint64_t reviews_appended = 0;
   const auto ingest_start = Clock::now();
   std::function<bool()> ingest = [&]() {
     const auto batch = MakeBatch(batches, batch_size, entities);
+    obs::TraceBuffer trace(256);
     const auto begin = Clock::now();
-    const Status appended = db.AppendReviews(batch);
+    Status appended;
+    {
+      obs::TraceScope scope(&trace);
+      appended = db.AppendReviews(batch);
+    }
     if (!appended.ok()) {
       fprintf(stderr, "append failed: %s\n", appended.ToString().c_str());
       return false;
     }
     append_ms.push_back(ElapsedSeconds(begin) * 1e3);
+    for (const auto& span : trace.Snapshot()) {
+      if (span.name != "ingest.append") continue;
+      lists_patched += count(span, "lists_patched");
+      lists_rescored += count(span, "lists_rescored");
+      lists_dropped += count(span, "lists_dropped");
+    }
     ++batches;
     reviews_appended += batch.size();
     return true;
@@ -240,14 +264,15 @@ int Main() {
   const double ingest_seconds = ElapsedSeconds(ingest_start);
   const double reviews_per_sec =
       static_cast<double>(reviews_appended) / ingest_seconds;
-  const auto cache_after = degree_cache.stats();
-  const size_t phase_hits = cache_after.hits - cache_before.hits;
-  const size_t phase_misses = cache_after.misses - cache_before.misses;
-  const double hit_rate =
-      phase_hits + phase_misses == 0
-          ? 1.0
-          : static_cast<double>(phase_hits) /
-                static_cast<double>(phase_hits + phase_misses);
+  // Resident lists, by distinct key (a marker may double as a reader
+  // predicate).
+  std::set<const std::vector<double>*> resident;
+  for (const auto& predicate : predicates) {
+    if (const auto* list = db.precomputed_degrees(predicate)) {
+      resident.insert(list);
+    }
+  }
+  const size_t lists_resident = resident.size();
   const double p99_regression =
       baseline.p99_ms > 0.0 ? under_ingest.p99_ms / baseline.p99_ms : 0.0;
   printf("  under ingest  qps=%7.1f  p50=%6.2fms  p99=%6.2fms  "
@@ -255,10 +280,15 @@ int Main() {
          under_ingest.qps, under_ingest.p50_ms, under_ingest.p99_ms,
          under_ingest.failures);
   printf("  writer: %llu batches, %.1f reviews/sec sustained, append "
-         "p50=%.2fms p99=%.2fms; degree-cache hit rate %.3f\n",
+         "p50=%.2fms p99=%.2fms\n",
          static_cast<unsigned long long>(batches), reviews_per_sec,
-         Percentile(&append_ms, 0.50), Percentile(&append_ms, 0.99),
-         hit_rate);
+         Percentile(&append_ms, 0.50), Percentile(&append_ms, 0.99));
+  printf("  precomputed lists: %llu patched in place, %llu rescored, %llu "
+         "dropped; %zu/%zu still resident\n",
+         static_cast<unsigned long long>(lists_patched),
+         static_cast<unsigned long long>(lists_rescored),
+         static_cast<unsigned long long>(lists_dropped), lists_resident,
+         warm_lists);
 
   // Phase 3: fold the accumulated log into the next generation.
   const auto fold_begin = Clock::now();
@@ -301,7 +331,13 @@ int Main() {
   fprintf(out, "    \"reviews_per_sec\": %.2f,\n", reviews_per_sec);
   fprintf(out, "    \"append_p50_ms\": %.3f,\n", Percentile(&append_ms, 0.50));
   fprintf(out, "    \"append_p99_ms\": %.3f,\n", Percentile(&append_ms, 0.99));
-  fprintf(out, "    \"degree_cache_hit_rate\": %.4f\n", hit_rate);
+  fprintf(out, "    \"lists_patched\": %llu,\n",
+          static_cast<unsigned long long>(lists_patched));
+  fprintf(out, "    \"lists_rescored\": %llu,\n",
+          static_cast<unsigned long long>(lists_rescored));
+  fprintf(out, "    \"lists_dropped\": %llu,\n",
+          static_cast<unsigned long long>(lists_dropped));
+  fprintf(out, "    \"lists_resident\": %zu\n", lists_resident);
   fprintf(out, "  },\n");
   fprintf(out, "  \"checkpoint\": {\"fold_ms\": %.3f, \"generation\": %llu}\n",
           checkpoint_ms,
@@ -309,7 +345,6 @@ int Main() {
   fprintf(out, "}\n");
   fclose(out);
 
-  db.AttachDegreeCache(nullptr);
   std::filesystem::remove_all(wal_dir, ec);
   printf("Wrote BENCH_ingest.json (%.1f reviews/sec sustained, query p99 "
          "regression %.2fx)\n",

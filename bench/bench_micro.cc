@@ -1,18 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the core kernels: BM25 top-k,
 // fuzzy evaluation (both t-norm variants — the DESIGN.md ablation),
-// Fagin's TA vs full scan, k-d tree search, logistic-regression
-// inference, tokenization, marker-summary aggregation and the
-// observability primitives. After the google-benchmark run, a
-// threads={1,2,4,8} sweep of PrecomputeMarkers and ExecuteQuery on the
+// k-d tree search, logistic-regression inference, tokenization,
+// marker-summary aggregation and the observability primitives. After
+// the google-benchmark run, a threads={1,2,4,8} sweep of
+// PrecomputeDegrees over the schema's markers and of ExecuteQuery on the
 // seed hotel dataset writes BENCH_parallel.json (skip with
 // OPINEDB_SKIP_PARALLEL_SWEEP=1), and a trace_level={off,stats,full}
 // sweep of the same query list writes BENCH_obs.json — the
 // metrics-overhead numbers DESIGN.md "Observability" quotes (skip with
 // OPINEDB_SKIP_OBS_SWEEP=1). Finally, a physical-plan sweep pits the
 // dense scan against the objective-pushdown filtered scan across
-// price_pn selectivities and against the TA fast path on a warm degree
-// cache, writing BENCH_planner.json (skip with
-// OPINEDB_SKIP_PLANNER_SWEEP=1), and a snapshot-store sweep times
+// price_pn selectivities, and a cold dense scan of a conjunction
+// against the same scan over precomputed degree lists, writing
+// BENCH_planner.json (skip with OPINEDB_SKIP_PLANNER_SWEEP=1), and a
+// snapshot-store sweep times
 // SaveDatabase / OpenDatabase / corrupted-generation fallback recovery,
 // writing BENCH_snapshot.json (skip with OPINEDB_SKIP_SNAPSHOT_SWEEP=1),
 // and a result/interpretation-cache sweep times a zipfian repeat mix
@@ -36,10 +37,8 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "embedding/kdtree.h"
 #include "fuzzy/logic.h"
-#include "fuzzy/threshold_algorithm.h"
 #include "index/inverted_index.h"
 #include "ml/logistic_regression.h"
 #include "obs/metrics.h"
@@ -94,34 +93,6 @@ void BM_FuzzyEvaluate(benchmark::State& state) {
 BENCHMARK(BM_FuzzyEvaluate)
     ->Arg(static_cast<int>(fuzzy::Variant::kGodel))
     ->Arg(static_cast<int>(fuzzy::Variant::kProduct));
-
-std::vector<std::vector<double>> RandomLists(size_t lists, size_t entities) {
-  Rng rng(3);
-  std::vector<std::vector<double>> out(lists,
-                                       std::vector<double>(entities));
-  for (auto& list : out) {
-    for (auto& v : list) v = rng.Uniform();
-  }
-  return out;
-}
-
-void BM_ThresholdAlgorithm(benchmark::State& state) {
-  auto lists = RandomLists(3, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fuzzy::ThresholdAlgorithmTopK(
-        lists, 10, fuzzy::Variant::kProduct));
-  }
-}
-BENCHMARK(BM_ThresholdAlgorithm)->Arg(1000)->Arg(10000);
-
-void BM_FullScanTopK(benchmark::State& state) {
-  auto lists = RandomLists(3, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fuzzy::FullScanTopK(lists, 10, fuzzy::Variant::kProduct));
-  }
-}
-BENCHMARK(BM_FullScanTopK)->Arg(1000)->Arg(10000);
 
 void BM_KdTreeNearest(benchmark::State& state) {
   Rng rng(4);
@@ -258,11 +229,12 @@ double BestOfMs(int repeats, const Fn& fn) {
 
 void RunParallelSweep() {
   const std::vector<size_t> threads = {1, 2, 4, 8};
-  printf("\nParallel sweep: PrecomputeMarkers + ExecuteQuery on the seed "
-         "hotel dataset (threads = 1, 2, 4, 8)...\n");
+  printf("\nParallel sweep: PrecomputeDegrees(markers) + ExecuteQuery on "
+         "the seed hotel dataset (threads = 1, 2, 4, 8)...\n");
   auto artifacts =
       eval::BuildArtifacts(datagen::HotelDomain(), bench::HotelBuildOptions());
   core::OpineDb& db = *artifacts.db;
+  const std::vector<std::string> markers = db.schema().Markers();
   const std::vector<std::string> queries = {
       "select * from hotels where \"clean room\" limit 10",
       "select * from hotels where \"clean room\" and \"friendly staff\" "
@@ -276,10 +248,10 @@ void RunParallelSweep() {
   std::vector<double> execute_ms;
   for (size_t t : threads) {
     db.SetNumThreads(t);
-    precompute_ms.push_back(BestOfMs(repeats, [&] {
-      core::DegreeCache cache(&db);
-      cache.PrecomputeMarkers();
-    }));
+    precompute_ms.push_back(
+        BestOfMs(repeats, [&] { db.PrecomputeDegrees(markers); }));
+    // The queries below must score, not read lists.
+    db.PrecomputeDegrees({});
     execute_ms.push_back(BestOfMs(repeats, [&] {
       for (const auto& sql : queries) {
         auto result = db.Execute(sql);
@@ -290,7 +262,7 @@ void RunParallelSweep() {
         }
       }
     }));
-    printf("  threads=%zu  PrecomputeMarkers %8.2f ms   ExecuteQuery(x%zu) "
+    printf("  threads=%zu  PrecomputeDegrees %8.2f ms   ExecuteQuery(x%zu) "
            "%8.2f ms\n",
            t, precompute_ms.back(), queries.size(), execute_ms.back());
   }
@@ -327,7 +299,7 @@ void RunParallelSweep() {
   fprintf(out, "}\n");
   fclose(out);
   printf("  wrote BENCH_parallel.json (4-thread speedups: "
-         "PrecomputeMarkers %.2fx, ExecuteQuery %.2fx)\n",
+         "PrecomputeDegrees %.2fx, ExecuteQuery %.2fx)\n",
          precompute_speedup[2], execute_speedup[2]);
 }
 
@@ -431,8 +403,8 @@ void RunObsOverheadSweep() {
 // ------------------------------------------------ Planner plan sweep.
 
 void RunPlannerSweep() {
-  printf("\nPlanner sweep: dense scan vs objective pushdown vs TA fast "
-         "path on the seed hotel dataset...\n");
+  printf("\nPlanner sweep: dense scan vs objective pushdown, and cold vs "
+         "precomputed degree lists, on the seed hotel dataset...\n");
   auto artifacts =
       eval::BuildArtifacts(datagen::HotelDomain(), bench::HotelBuildOptions());
   core::OpineDb& db = *artifacts.db;
@@ -457,7 +429,7 @@ void RunPlannerSweep() {
   };
 
   // Pushdown: one subjective predicate behind a price cut-off of
-  // decreasing selectivity. No degree cache attached, so subjective
+  // decreasing selectivity. No lists are precomputed, so subjective
   // scoring really recomputes per entity — the work the filter skips.
   const std::vector<int> cutoffs = {100, 200, 300, 400, 550};
   std::vector<double> dense_ms;
@@ -488,30 +460,29 @@ void RunPlannerSweep() {
            filtered_ms.back(), pushdown_speedup.back());
   }
 
-  // TA fast path: conjunctive subjective query over a warm degree
-  // cache. Dense still reads the cached lists, so the delta is pure
-  // combine+rank work vs Fagin early termination.
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  const std::string ta_sql =
+  // Precomputed lists: a conjunctive subjective query scored cold, then
+  // served from lists of both conjuncts (Section 3.3). Same dense plan
+  // and answer; the delta is the per-entity scoring the lists replace.
+  const std::string conj_sql =
       "select * from hotels where \"clean room\" and \"friendly staff\" "
       "limit 10";
-  core::QueryResult ta_result;
-  (void)run_forced(core::PlanForce::kDenseScan, ta_sql, nullptr);  // Warm.
-  const double ta_dense_ms =
-      run_forced(core::PlanForce::kDenseScan, ta_sql, nullptr);
-  const double ta_ms = run_forced(core::PlanForce::kTaTopK, ta_sql,
-                                  &ta_result);
-  db.AttachDegreeCache(nullptr);
-  if (ta_result.plan != core::PlanKind::kTaTopK) {
-    fprintf(stderr, "expected ta_topk plan\n");
+  core::QueryResult cold_result;
+  core::QueryResult precomputed_result;
+  const double cold_ms =
+      run_forced(core::PlanForce::kAuto, conj_sql, &cold_result);
+  const size_t lists =
+      db.PrecomputeDegrees({"clean room", "friendly staff"});
+  const double precomputed_ms =
+      run_forced(core::PlanForce::kAuto, conj_sql, &precomputed_result);
+  db.PrecomputeDegrees({});
+  if (lists != 2 || precomputed_result.stats.cache_hits != 2) {
+    fprintf(stderr, "expected both conjuncts served from lists\n");
     std::exit(1);
   }
-  const double ta_speedup = ta_dense_ms / ta_ms;
-  printf("  TA (warm cache): dense %7.2f ms  ta %.2f ms  speedup %.2fx  "
-         "entities_seen %zu/%zu\n",
-         ta_dense_ms, ta_ms, ta_speedup, ta_result.stats.entities_scored,
-         num_entities);
+  const double precomputed_speedup = cold_ms / precomputed_ms;
+  printf("  conjunction: cold %7.2f ms  precomputed lists %.2f ms  "
+         "speedup %.2fx\n",
+         cold_ms, precomputed_ms, precomputed_speedup);
 
   FILE* out = fopen("BENCH_planner.json", "w");
   if (out == nullptr) {
@@ -534,16 +505,14 @@ void RunPlannerSweep() {
           bench::JsonArray(filtered_ms).c_str());
   fprintf(out, "  \"pushdown_speedup\": %s,\n",
           bench::JsonArray(pushdown_speedup).c_str());
-  fprintf(out, "  \"ta_dense_ms\": %g,\n", ta_dense_ms);
-  fprintf(out, "  \"ta_ms\": %g,\n", ta_ms);
-  fprintf(out, "  \"ta_speedup\": %g,\n", ta_speedup);
-  fprintf(out, "  \"ta_entities_seen\": %zu\n",
-          ta_result.stats.entities_scored);
+  fprintf(out, "  \"conjunction_cold_ms\": %g,\n", cold_ms);
+  fprintf(out, "  \"conjunction_precomputed_ms\": %g,\n", precomputed_ms);
+  fprintf(out, "  \"precomputed_speedup\": %g\n", precomputed_speedup);
   fprintf(out, "}\n");
   fclose(out);
   printf("  wrote BENCH_planner.json (most selective pushdown %.2fx, "
-         "TA %.2fx)\n",
-         pushdown_speedup.front(), ta_speedup);
+         "precomputed lists %.2fx)\n",
+         pushdown_speedup.front(), precomputed_speedup);
 }
 
 // ------------------------------------------------ Snapshot store sweep.

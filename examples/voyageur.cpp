@@ -4,12 +4,15 @@
 //   * user profiles re-ranking results by what this traveler cares about,
 //   * expectation mining ("an expensive hotel with dirty rooms is worth
 //     pointing out"),
-//   * degree-of-truth caching and Threshold-Algorithm top-k, and
+//   * precomputed degrees of truth (Section 3.3) for a hot query, and
 //   * persisting the subjective database to disk and reloading it.
+//
+// Also a checked smoke test (ctest examples.voyageur): it exits 1 unless
+// the hot query answers identically cold and from precomputed lists,
+// with both conditions served from the lists.
 #include <cstdio>
 #include <sstream>
 
-#include "core/degree_cache.h"
 #include "core/personalize.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -25,7 +28,7 @@ int main() {
   options.seed = 31;
   printf("Voyageur: building the travel subjective database...\n\n");
   auto artifacts = eval::BuildArtifacts(datagen::HotelDomain(), options);
-  const auto& db = *artifacts.db;
+  auto& db = *artifacts.db;
 
   // A base experiential query.
   const char* sql =
@@ -61,17 +64,38 @@ int main() {
     }
   }
 
-  // Degree caching + Threshold-Algorithm top-k for a hot query path.
-  printf("\nCached conjunctive top-3 via the Threshold Algorithm:\n");
-  core::DegreeCache cache(&db);
-  fuzzy::TaStats stats;
-  for (const auto& ranked : cache.TopKConjunction(
-           {"friendly staff", "delicious breakfast"}, 3, &stats)) {
-    printf("  %-12s %.3f\n",
-           db.corpus().entity_name(ranked.entity).c_str(), ranked.score);
+  // Precomputed degrees for a hot query: the same conjunction answered
+  // cold (interpret + score every entity), then from lists precomputed
+  // for both conditions.
+  const char* hot_sql =
+      "select * from hotels where \"friendly staff\" and "
+      "\"delicious breakfast\" limit 3";
+  printf("\nHot query, cold and from precomputed degree lists:\n  %s\n",
+         hot_sql);
+  auto cold = db.Execute(hot_sql);
+  const size_t lists =
+      db.PrecomputeDegrees({"friendly staff", "delicious breakfast"});
+  auto served = db.Execute(hot_sql);
+  if (!cold.ok() || !served.ok()) {
+    const Status& failed = cold.ok() ? served.status() : cold.status();
+    printf("error: %s\n", failed.ToString().c_str());
+    return 1;
   }
-  printf("  (%zu sorted accesses instead of %zu)\n", stats.sorted_accesses,
-         2 * db.corpus().num_entities());
+  for (const auto& r : served->results) {
+    printf("  %-12s %.3f\n", r.entity_name.c_str(), r.score);
+  }
+  printf("  (%zu lists; %zu of 2 conditions served from them)\n", lists,
+         served->stats.cache_hits);
+  bool same = cold->results.size() == served->results.size();
+  for (size_t i = 0; same && i < cold->results.size(); ++i) {
+    same = cold->results[i].entity == served->results[i].entity &&
+           cold->results[i].score == served->results[i].score;
+  }
+  if (!same || served->stats.cache_hits != 2) {
+    printf("error: the precomputed answer differs from the cold one, or "
+           "a condition was not served from its list\n");
+    return 1;
+  }
 
   // Persist and reload the queryable state.
   std::stringstream schema_file, embeddings_file;

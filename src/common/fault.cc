@@ -29,6 +29,14 @@ Registry& GetRegistry() {
 
 }  // namespace
 
+std::vector<const char*> SitesOfKind(SiteKind kind) {
+  std::vector<const char*> names;
+  for (const Site& site : kSites) {
+    if (site.kind == kind) names.push_back(site.name);
+  }
+  return names;
+}
+
 bool CompiledIn() {
 #if defined(OPINEDB_ENABLE_FAULT_INJECTION)
   return true;

@@ -22,93 +22,102 @@ class FaultInjected : public std::runtime_error {
   std::string site_;
 };
 
-/// The catalog of named fault sites compiled into the library. Tests
-/// sweep this list; keep it in sync with the OPINEDB_FAULT call sites
-/// (fault_injection_test asserts every entry is reachable).
-inline constexpr const char* kSites[] = {
-    "cache.lookup",          // DegreeCache::Degrees / TryDegrees entry.
-    "cache.compute",         // DegreeCache::ComputeDegrees entry.
-    "interpret.w2v",         // Interpreter word2vec stage.
-    "interpret.cooccur",     // Interpreter co-occurrence stage.
-    "interpret.embed",       // Query-embedding prologue in ExecuteQuery.
-    "index.scan",            // InvertedIndex::TopKWeighted entry.
-    "score.features",        // ConditionScorer, per (entity, atom).
-    "score.text_fallback",   // OpineDb::TextFallbackDegree entry.
-    "score.alloc",           // Degree-list allocation in SubjectiveScoreOp.
-    "ta.round",              // ThresholdAlgorithmTopK round loop.
-    "cache.interp_lookup",   // Interpretation-cache consult (ExecuteQuery
-                             // prologue / PredicateDegreeOfTruth).
-    "cache.interp_insert",   // Interpretation-cache fill.
-    "cache.result_lookup",   // Result-cache consult in ExecuteQuery.
-    "cache.result_insert",   // Result-cache fill after execution.
+/// Blast radius of a fault site: what a fired site does to the running
+/// system, and therefore which drill owns it.
+enum class SiteKind {
+  /// OPINEDB_FAULT throws into the serving path's degradation cascade:
+  /// the query degrades one stage (or one cache layer) and keeps
+  /// serving. tests/fault_injection_test.cc sweeps every entry across
+  /// every plan shape.
+  kDegrade,
+  /// OPINEDB_FAULT_HIT in the snapshot commit protocol: instead of
+  /// throwing, SnapshotStore::Commit simulates a crash or media fault —
+  /// it stops mid-protocol (or silently corrupts the written bytes for
+  /// storage.bitflip) and leaves the directory in exactly the state a
+  /// real power cut would. tests/crash_consistency_test.cc sweeps these.
+  kStorage,
+  /// OPINEDB_FAULT_HIT in the WAL append protocol and the engine's
+  /// checkpoint fold: wal_short_write leaves a torn record on disk and
+  /// fails the append, wal_fsync leaves the record in the page cache but
+  /// reports the durability failure, and wal_fold crashes a checkpoint
+  /// after the new snapshot generation committed but before the folded
+  /// segment was retired. tests/wal_test.cc and tests/ingest_test.cc
+  /// drill these.
+  kWal,
+  /// The HTTP front door (src/server/httpd.cc): a fired site degrades
+  /// exactly one connection or response — accept drops the new
+  /// connection, read abandons the in-flight request, write substitutes
+  /// a well-formed 500 without poisoning the keep-alive stream, and shed
+  /// forces the admission-control 429 path.
+  /// tests/fault_injection_test.cc sweeps these over a live loopback
+  /// server.
+  kServer,
+  /// Replication (src/repl/ + engine promote): fetch simulates a
+  /// partitioned primary (the cycle fails Unavailable and the backoff
+  /// loop retries), apply simulates a crash between journaling batches
+  /// (never a double apply, never a loss), checksum corrupts the
+  /// follower's computed batch fingerprint (typed DataLoss, nothing
+  /// applied), and promote fails OpineDb::Promote before the read-only
+  /// flag flips. tests/repl_test.cc drills these.
+  kRepl,
 };
 
-/// Storage fault sites (the snapshot commit protocol). These live in a
-/// separate catalog because their semantics differ from kSites: instead
-/// of throwing into a degradation cascade, a fired storage site makes
-/// SnapshotStore::Commit *simulate a crash or media fault* — it stops
-/// mid-protocol (or silently corrupts the written bytes for
-/// storage.bitflip) and leaves the directory in exactly the state a real
-/// power cut would. tests/crash_consistency_test.cc sweeps this list and
-/// asserts every entry is reachable (the persistence-suite counterpart
-/// of fault_injection_test's kSites liveness check).
-inline constexpr const char* kStorageSites[] = {
-    "storage.short_write",      // Torn write: tmp file cut mid-payload.
-    "storage.fsync",            // fsync of the tmp data file fails.
-    "storage.rename_data",      // Crash before gen-N.tmp -> gen-N.snap.
-    "storage.rename_manifest",  // Crash between data and MANIFEST rename.
-    "storage.bitflip",          // Post-write single-bit media corruption.
+/// One named fault site compiled into the library.
+struct Site {
+  const char* name;
+  SiteKind kind;
 };
 
-/// WAL fault sites (src/storage/wal.cc + the engine checkpoint fold).
-/// Like kStorageSites these are OPINEDB_FAULT_HIT protocol-state sites,
-/// not throwing ones: a fired WAL site makes the append protocol stop
-/// exactly where a power cut would — wal_short_write leaves a torn
-/// record on disk and fails the append, wal_fsync leaves the record in
-/// the page cache but reports the durability failure, and wal_fold
-/// crashes a checkpoint after the new snapshot generation committed but
-/// before the folded WAL segment was retired. tests/wal_test.cc sweeps
-/// this list and asserts every entry is reachable.
-inline constexpr const char* kWalSites[] = {
-    "storage.wal_short_write",  // Torn record: append cut mid-payload.
-    "storage.wal_fsync",        // fsync of the WAL segment fails.
-    "storage.wal_fold",         // Crash between checkpoint commit and
-                                // WAL-segment retirement.
+/// The one catalog of fault sites. Keep it in sync with the
+/// OPINEDB_FAULT / OPINEDB_FAULT_HIT call sites: the suite that owns
+/// each kind iterates its entries and fails on any entry no drill
+/// reached, so a stale entry or a new site without a drill fails loudly.
+inline constexpr Site kSites[] = {
+    // Interpreter stages and the predicate preparation around them.
+    {"interpret.w2v", SiteKind::kDegrade},
+    {"interpret.cooccur", SiteKind::kDegrade},
+    {"interpret.embed", SiteKind::kDegrade},
+    // InvertedIndex::TopKWeighted entry.
+    {"index.scan", SiteKind::kDegrade},
+    // ConditionScorer per (entity, atom); TextFallbackDegree entry; the
+    // degree-list allocation in SubjectiveScoreOp.
+    {"score.features", SiteKind::kDegrade},
+    {"score.text_fallback", SiteKind::kDegrade},
+    {"score.alloc", SiteKind::kDegrade},
+    // Interpretation- and result-cache consults and fills.
+    {"cache.interp_lookup", SiteKind::kDegrade},
+    {"cache.interp_insert", SiteKind::kDegrade},
+    {"cache.result_lookup", SiteKind::kDegrade},
+    {"cache.result_insert", SiteKind::kDegrade},
+    // Snapshot commit: torn tmp write, failed data fsync, crash before
+    // the data rename, crash between data and MANIFEST renames,
+    // post-write bit rot.
+    {"storage.short_write", SiteKind::kStorage},
+    {"storage.fsync", SiteKind::kStorage},
+    {"storage.rename_data", SiteKind::kStorage},
+    {"storage.rename_manifest", SiteKind::kStorage},
+    {"storage.bitflip", SiteKind::kStorage},
+    // WAL: torn record, failed segment fsync, crash between checkpoint
+    // commit and segment retirement.
+    {"storage.wal_short_write", SiteKind::kWal},
+    {"storage.wal_fsync", SiteKind::kWal},
+    {"storage.wal_fold", SiteKind::kWal},
+    // Front door: after ::accept, before each ::recv, before response
+    // serialization, at the admission decision.
+    {"server.accept", SiteKind::kServer},
+    {"server.read", SiteKind::kServer},
+    {"server.write", SiteKind::kServer},
+    {"server.shed", SiteKind::kServer},
+    // Replication client: before each fetch, before each record apply,
+    // on the computed batch fingerprint; engine Promote before the flip.
+    {"repl.fetch", SiteKind::kRepl},
+    {"repl.apply", SiteKind::kRepl},
+    {"repl.checksum", SiteKind::kRepl},
+    {"repl.promote", SiteKind::kRepl},
 };
 
-/// Serving-layer fault sites (src/server/httpd.cc). Like kStorageSites
-/// these live outside kSites because their blast radius differs: a
-/// fired server site must degrade exactly one connection or response —
-/// accept drops the new connection, read abandons the in-flight
-/// request, write substitutes a well-formed 500 WITHOUT poisoning the
-/// keep-alive stream, and shed forces the admission-control 429 path.
-/// tests/fault_injection_test.cc sweeps this list over a live loopback
-/// server and asserts each entry is reachable.
-inline constexpr const char* kServerSites[] = {
-    "server.accept",  // Acceptor, just after ::accept.
-    "server.read",    // Worker, before each ::recv.
-    "server.write",   // Worker, before response serialization.
-    "server.shed",    // Acceptor admission decision (forces a 429).
-};
-
-/// Replication fault sites (src/repl/ + engine promote). The first three
-/// fire inside the ReplicationClient's pull loop and must degrade exactly
-/// one sync cycle: fetch simulates a partitioned primary (the cycle fails
-/// Unavailable and the backoff loop retries), apply simulates a crash
-/// between journaling batches (already-applied records stay applied, the
-/// rest are re-fetched — never a double apply, never a loss), and
-/// checksum corrupts the follower's computed batch fingerprint so the
-/// divergence path (typed DataLoss, nothing applied) is exercised.
-/// repl.promote fires inside OpineDb::Promote before the read-only flag
-/// flips — a failed promote leaves a consistent follower.
-/// tests/repl_test.cc sweeps this list and asserts every entry is
-/// reachable.
-inline constexpr const char* kReplSites[] = {
-    "repl.fetch",     // Client, before each WAL/snapshot HTTP fetch.
-    "repl.apply",     // Client, before applying each shipped record.
-    "repl.checksum",  // Client, corrupts the computed batch fingerprint.
-    "repl.promote",   // Engine Promote, before accepting writes.
-};
+/// The names of every catalog entry of `kind`, in catalog order.
+std::vector<const char*> SitesOfKind(SiteKind kind);
 
 /// True when the library was compiled with fault injection
 /// (OPINEDB_ENABLE_FAULT_INJECTION); release builds compile the macro
@@ -136,7 +145,7 @@ bool ShouldFail(const char* site);
 
 /// Deterministic fault-injection point:
 ///
-///   OPINEDB_FAULT("cache.lookup");
+///   OPINEDB_FAULT("score.features");
 ///
 /// Compiled out (a no-op with zero code) unless the build defines
 /// OPINEDB_ENABLE_FAULT_INJECTION (CMake option OPINEDB_FAULT_INJECTION,

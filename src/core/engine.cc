@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 #include "cache/interpretation_cache.h"
 #include "cache/result_cache.h"
@@ -12,7 +13,6 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "core/exec_ops.h"
 #include "core/marker_induction.h"
 #include "core/serialize.h"
@@ -191,6 +191,22 @@ bool Bindable(const SubjectiveSchema& schema, size_t dim,
     }
   }
   return true;
+}
+
+/// Scores every entity into `degrees` (resized to the entity count),
+/// fanned out across `pool` when there is one. Each entity writes only
+/// its own slot, so the list is bit-identical at any thread count.
+void ScoreEveryEntity(const ConditionScorer& scorer, size_t num_entities,
+                      ThreadPool* pool, std::vector<double>* degrees) {
+  degrees->resize(num_entities);
+  auto score_range = [&](size_t begin, size_t end) {
+    for (size_t e = begin; e < end; ++e) (*degrees)[e] = scorer.Score(e);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(0, num_entities, score_range, /*min_grain=*/8);
+  } else {
+    score_range(0, num_entities);
+  }
 }
 
 /// Every engine-side interpretation-cache fill: inserts and counts the
@@ -409,9 +425,8 @@ Status OpineDb::TrainMembership(
   if (read_only_) return ReadOnlyError("TrainMembership");
   membership_ = MembershipModel::Train(tuples, seed);
   // A new membership model changes every degree of truth the engine
-  // emits: cached results, interpretations-with-degrees and degree
-  // lists all describe the old model. (The degree-cache clear here is a
-  // bugfix — TrainMembership previously left stale lists resident.)
+  // emits: cached results, interpretations-with-degrees and precomputed
+  // degree lists all describe the old model.
   InvalidateCachesLocked();
   return Status::OK();
 }
@@ -421,14 +436,7 @@ void OpineDb::InvalidateCachesLocked() {
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (result_cache_ != nullptr) result_cache_->Clear();
   if (interp_cache_ != nullptr) interp_cache_->Clear();
-  if (degree_cache_ != nullptr) {
-    // The exclusive reconfiguration lock provides the external
-    // synchronization Clear() demands (no concurrent readers, no
-    // outstanding references).
-    degree_cache_->Clear();
-    OPINEDB_METRIC_GAUGE_SET("engine.cache_epoch",
-                             static_cast<double>(degree_cache_->epoch()));
-  }
+  precomputed_.clear();
   // Wholesale mutation: every entity's served data changed.
   entity_data_epoch_.assign(corpus_.num_entities(), epoch);
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch", static_cast<double>(epoch));
@@ -484,9 +492,9 @@ Status OpineDb::Reaggregate(const AggregationOptions& aggregation) {
   tables_ = aggregator_->Build(corpus_, std::move(extractions), aggregation,
                                pool_.get());
   RebuildDerivedState();
-  // Every cached artifact (results, interpretations, degree lists) was
-  // computed against the old summaries; serving any of them now would
-  // silently ignore the re-aggregation.
+  // Every cached artifact (results, interpretations, precomputed degree
+  // lists) was computed against the old summaries; serving any of them
+  // now would silently ignore the re-aggregation.
   InvalidateCachesLocked();
   return Status::OK();
 }
@@ -510,9 +518,43 @@ void OpineDb::SetTraceLevel(obs::TraceLevel level) {
   obs::SetMetricsEnabled(level >= obs::TraceLevel::kStats);
 }
 
-void OpineDb::AttachDegreeCache(DegreeCache* cache) {
+size_t OpineDb::PrecomputeDegrees(
+    const std::vector<std::string>& predicates) {
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  degree_cache_ = cache;
+  obs::TraceSpan span("engine.precompute_degrees");
+  const uint64_t epoch = cache_epoch_.load(std::memory_order_relaxed);
+  std::unordered_map<std::string, PrecomputedList> lists;
+  for (const std::string& predicate : predicates) {
+    std::string key = NormalizePredicate(predicate);
+    if (lists.count(key) > 0) continue;
+    PreparedPredicate prepared = PreparePredicate(predicate, &key, epoch,
+                                                  /*deadline=*/nullptr);
+    // A list scored under a degraded interpretation would keep serving
+    // degraded degrees long after the fault is gone.
+    if (prepared.interpretation.degraded) continue;
+    PrecomputedList list;
+    try {
+      ScoreEveryEntity(ConditionScorer(*this, predicate,
+                                       prepared.interpretation,
+                                       prepared.rep, prepared.sentiment),
+                       corpus_.num_entities(), pool_.get(), &list.degrees);
+    } catch (const std::exception&) {
+      continue;
+    }
+    list.interpretation = std::move(prepared.interpretation);
+    lists.emplace(std::move(key), std::move(list));
+  }
+  precomputed_ = std::move(lists);
+  span.AddAttribute("predicates", static_cast<uint64_t>(predicates.size()));
+  span.AddAttribute("lists", static_cast<uint64_t>(precomputed_.size()));
+  return precomputed_.size();
+}
+
+const std::vector<double>* OpineDb::precomputed_degrees(
+    const std::string& predicate) const {
+  std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
+  auto it = precomputed_.find(NormalizePredicate(predicate));
+  return it == precomputed_.end() ? nullptr : &it->second.degrees;
 }
 
 Status OpineDb::SaveDatabase(const std::string& dir) const {
@@ -790,33 +832,69 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
   for (const text::EntityId entity : touched) {
     entity_data_epoch_[static_cast<size_t>(entity)] = epoch;
   }
-  if (interp_cache_ != nullptr) {
-    // Interpretations can change under ingest (the variation table and
-    // per-attribute idf grow), so entries are re-derived from the
-    // post-ingest interpreter and re-tagged at the new epoch — a
-    // re-derivation that fails or degrades leaves the old entry behind
-    // as an inert stale-epoch miss. The LRU bound caps this loop at the
-    // resident keys, and Keys() order (least recent first per shard)
-    // keeps each shard's recency order through the re-inserts.
-    for (const auto& key : interp_cache_->Keys()) {
-      try {
-        auto interpretation = interpreter_->Interpret(key);
-        if (interpretation.degraded) continue;
-        cache::InterpretationCache::Entry entry;
-        entry.interpretation = std::move(interpretation);
-        entry.rep = embedder_->Represent(key);
-        entry.sentiment = analyzer_.ScorePhrase(key);
-        entry.epoch = epoch;
-        InsertInterpretation(interp_cache_.get(), key, std::move(entry));
-      } catch (const std::exception&) {
-        OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-      }
+  // One maintenance pass over every predicate the engine keeps warm:
+  // each distinct key of the interpretation cache and of the
+  // precomputed lists is prepared once against the post-ingest
+  // interpreter (the variation table and per-attribute idf grow under
+  // ingest, so an interpretation can change). Keys() order — least
+  // recent first per shard — keeps each shard's recency order through
+  // the re-inserts; a preparation that degrades leaves the old
+  // interpretation entry behind as an inert stale-epoch miss.
+  std::vector<std::string> keys;
+  if (interp_cache_ != nullptr) keys = interp_cache_->Keys();
+  const size_t interp_keys = keys.size();
+  if (!precomputed_.empty()) {
+    const std::unordered_set<std::string> cached(keys.begin(), keys.end());
+    for (const auto& entry : precomputed_) {
+      if (cached.count(entry.first) == 0) keys.push_back(entry.first);
     }
   }
-  if (degree_cache_ != nullptr) {
-    // In-place refresh: untouched entities' slots (the warm working
-    // set) survive; only touched slots are rescored.
-    degree_cache_->RefreshAfterIngest(touched);
+  size_t patched = 0, rescored = 0, dropped = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string& key = keys[i];
+    PreparedPredicate prepared =
+        PreparePredicate(key, /*key=*/nullptr, epoch, /*deadline=*/nullptr);
+    const bool degraded = prepared.interpretation.degraded;
+    if (i < interp_keys && !degraded) {
+      cache::InterpretationCache::Entry entry;
+      entry.interpretation = prepared.interpretation;
+      entry.rep = prepared.rep;
+      entry.sentiment = prepared.sentiment;
+      entry.epoch = epoch;
+      InsertInterpretation(interp_cache_.get(), key, std::move(entry));
+    }
+    auto it = precomputed_.find(key);
+    if (it == precomputed_.end()) continue;
+    PrecomputedList& list = it->second;
+    // A list must never keep slots from a degraded or failed pass.
+    bool keep = !degraded;
+    if (keep) {
+      try {
+        const ConditionScorer scorer(*this, key, prepared.interpretation,
+                                     prepared.rep, prepared.sentiment);
+        if (prepared.interpretation == list.interpretation) {
+          // Additive ingest under an unchanged interpretation leaves
+          // every untouched entity's degree bit-exact: rescore only the
+          // touched slots.
+          for (const text::EntityId entity : touched) {
+            const size_t e = static_cast<size_t>(entity);
+            list.degrees[e] = scorer.Score(e);
+          }
+          ++patched;
+        } else {
+          ScoreEveryEntity(scorer, corpus_.num_entities(), pool_.get(),
+                           &list.degrees);
+          list.interpretation = std::move(prepared.interpretation);
+          ++rescored;
+        }
+      } catch (const std::exception&) {
+        keep = false;
+      }
+    }
+    if (!keep) {
+      precomputed_.erase(it);
+      ++dropped;
+    }
   }
 
   span.AddAttribute("reviews", static_cast<uint64_t>(reviews.size()));
@@ -824,6 +902,9 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
   span.AddAttribute("entities_touched",
                     static_cast<uint64_t>(touched.size()));
   span.AddAttribute("replay", !journal);
+  span.AddAttribute("lists_patched", static_cast<uint64_t>(patched));
+  span.AddAttribute("lists_rescored", static_cast<uint64_t>(rescored));
+  span.AddAttribute("lists_dropped", static_cast<uint64_t>(dropped));
   OPINEDB_METRIC_COUNT("engine.ingest.batches", 1);
   OPINEDB_METRIC_COUNT("engine.ingest.reviews", reviews.size());
   OPINEDB_METRIC_COUNT("engine.ingest.opinions", num_opinions);
@@ -1066,53 +1147,86 @@ double OpineDb::TextFallbackDegree(
   return Sigmoid(bm25 - options_.text_fallback_c);
 }
 
-double OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
-                                       text::EntityId entity) const {
-  // Top-level entry point (like ExecuteQuery): hold the reconfiguration
-  // lock shared so tables_/interpreter_ cannot be rebuilt mid-call.
-  std::shared_lock<std::shared_mutex> reconfig_lock(reconfig_mu_);
-  const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
-  std::string cache_key;
-  PredicateInterpretation interpretation;
-  embedding::Vec rep;
-  double senti = 0.0;
-  bool cached = false;
-  if (interp_cache_ != nullptr) {
-    cache_key = NormalizePredicate(predicate);
+OpineDb::PreparedPredicate OpineDb::PreparePredicate(
+    const std::string& text, const std::string* key, uint64_t epoch,
+    const QueryDeadline* deadline) const {
+  cache::InterpretationCache* cache =
+      key != nullptr ? interp_cache_.get() : nullptr;
+  PreparedPredicate prepared;
+  if (cache != nullptr) {
+    // The cascade output is a pure function of (normalized predicate,
+    // epoch), so a hit skips the w2v / co-occurrence lookups and the
+    // embedding prologue whole.
     try {
       OPINEDB_FAULT("cache.interp_lookup");
       cache::InterpretationCache::Entry entry;
-      if (interp_cache_->Lookup(cache_key, cache_epoch, &entry)) {
-        interpretation = std::move(entry.interpretation);
-        rep = std::move(entry.rep);
-        senti = entry.sentiment;
-        cached = true;
+      if (cache->Lookup(*key, epoch, &entry)) {
+        OPINEDB_METRIC_COUNT("engine.cache.interp_hit", 1);
+        prepared.interpretation = std::move(entry.interpretation);
+        prepared.rep = std::move(entry.rep);
+        prepared.sentiment = entry.sentiment;
+        return prepared;
       }
+      OPINEDB_METRIC_COUNT("engine.cache.interp_miss", 1);
     } catch (const std::exception&) {
       OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
     }
   }
-  if (!cached) {
-    interpretation = interpreter_->Interpret(predicate);
-    rep = embedder_->Represent(predicate);
-    senti = analyzer_.ScorePhrase(predicate);
-    if (interp_cache_ != nullptr && !interpretation.degraded) {
-      try {
-        OPINEDB_FAULT("cache.interp_insert");
-        cache::InterpretationCache::Entry entry;
-        entry.interpretation = interpretation;
-        entry.rep = rep;
-        entry.sentiment = senti;
-        entry.epoch = cache_epoch;
-        InsertInterpretation(interp_cache_.get(), cache_key,
-                             std::move(entry));
-      } catch (const std::exception&) {
-        OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-      }
+  try {
+    OPINEDB_FAULT("interpret.embed");
+    prepared.interpretation = interpreter_->Interpret(text, deadline);
+    prepared.rep = embedder_->Represent(text);
+    prepared.sentiment = analyzer_.ScorePhrase(text);
+  } catch (const std::exception&) {
+    // Interpretation machinery unusable: degrade to the text-retrieval
+    // stage.
+    prepared = PreparedPredicate();
+    prepared.interpretation.degraded = true;
+    OPINEDB_METRIC_COUNT("engine.fallback.interpret", 1);
+  }
+  if (cache != nullptr && deadline == nullptr &&
+      !prepared.interpretation.degraded) {
+    // Fill only full-fidelity entries: a degraded interpretation would
+    // be served forever while the underlying fault is long gone, and a
+    // deadline-shaped one may have skipped stages.
+    try {
+      OPINEDB_FAULT("cache.interp_insert");
+      cache::InterpretationCache::Entry entry;
+      entry.interpretation = prepared.interpretation;
+      entry.rep = prepared.rep;
+      entry.sentiment = prepared.sentiment;
+      entry.epoch = epoch;
+      InsertInterpretation(cache, *key, std::move(entry));
+    } catch (const std::exception&) {
+      OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
     }
   }
-  return ConditionScorer(*this, predicate, interpretation, rep, senti)
-      .Score(static_cast<size_t>(entity));
+  return prepared;
+}
+
+Result<double> OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
+                                               text::EntityId entity) const {
+  // Top-level entry point (like ExecuteQuery): hold the reconfiguration
+  // lock shared so tables_/interpreter_ cannot be rebuilt mid-call.
+  std::shared_lock<std::shared_mutex> reconfig_lock(reconfig_mu_);
+  if (entity < 0 || static_cast<size_t>(entity) >= corpus_.num_entities()) {
+    return Status::InvalidArgument(
+        "PredicateDegreeOfTruth: entity " + std::to_string(entity) +
+        " outside [0, " + std::to_string(corpus_.num_entities()) + ")");
+  }
+  std::string key;
+  if (interp_cache_ != nullptr) key = NormalizePredicate(predicate);
+  const PreparedPredicate prepared = PreparePredicate(
+      predicate, interp_cache_ != nullptr ? &key : nullptr,
+      cache_epoch_.load(std::memory_order_relaxed), /*deadline=*/nullptr);
+  try {
+    return ConditionScorer(*this, predicate, prepared.interpretation,
+                           prepared.rep, prepared.sentiment)
+        .Score(static_cast<size_t>(entity));
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("PredicateDegreeOfTruth: ") +
+                            e.what());
+  }
 }
 
 Result<QueryResult> OpineDb::Execute(const std::string& sql) const {
@@ -1133,9 +1247,9 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query) const {
 Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
                                           const QueryControl& control) const {
   // Shared for the whole query: reconfigurators (Reaggregate,
-  // SetNumThreads, AttachDegreeCache, ...) take this exclusively, so
-  // the pool/tables/cache snapshotted below stay alive and coherent
-  // until we return.
+  // SetNumThreads, PrecomputeDegrees, ...) take this exclusively, so
+  // the pool/tables/lists read below stay alive and coherent until we
+  // return.
   std::shared_lock<std::shared_mutex> reconfig_lock(reconfig_mu_);
   // Thread the deadline only when there is something to poll, so the
   // unbounded path never pays for (or branches on) expiry checks.
@@ -1146,7 +1260,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   QueryResult output;
   // Full tracing installs a per-query ring buffer as the calling
   // thread's ambient trace context; every TraceSpan below (and inside
-  // the interpreter / degree cache / TA on this thread) records into it.
+  // the interpreter on this thread) records into it.
   // Worker threads never see the context, so spans cannot perturb the
   // parallel-vs-serial bit-identity contract.
   std::optional<obs::TraceScope> trace_scope;
@@ -1163,17 +1277,13 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   query_span.AddAttribute("threads",
                           static_cast<uint64_t>(output.stats.threads_used));
   // "Which data am I serving": the snapshot generation behind the
-  // summaries (0 = built in-process, never saved/loaded) and the degree
-  // cache's invalidation epoch, so traces correlate with Reaggregate /
-  // OpenDatabase events. Recorded only when a store/cache is in play so
-  // pre-persistence trace goldens stay unchanged.
+  // summaries (0 = built in-process, never saved/loaded), so traces
+  // correlate with OpenDatabase / Checkpoint events. Recorded only when
+  // a store is in play so pre-persistence trace goldens stay unchanged.
   const uint64_t snapshot_generation =
       snapshot_generation_.load(std::memory_order_relaxed);
   if (snapshot_generation > 0) {
     query_span.AddAttribute("snapshot_generation", snapshot_generation);
-  }
-  if (degree_cache_ != nullptr) {
-    query_span.AddAttribute("cache_epoch", degree_cache_->epoch());
   }
   auto table_result = catalog_.GetTable(query.table);
   if (!table_result.ok()) return table_result.status();
@@ -1246,7 +1356,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   const LogicalPlan logical = AnalyzeQuery(query);
   PlannerContext planner_context;
   planner_context.num_entities = corpus_.num_entities();
-  planner_context.cache = degree_cache_;
   planner_context.force = options_.force_plan;
   planner_context.variant = options_.variant;
   const PhysicalPlan physical = SelectPlan(query, logical, planner_context);
@@ -1259,75 +1368,42 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     return output;
   }
 
-  // Interpret every subjective condition once, up front (serial: a
-  // handful of conditions against thousands of entities).
+  // Prepare every subjective condition once, up front (serial: a
+  // handful of conditions against thousands of entities). A condition
+  // with a precomputed list needs no preparation: the list carries its
+  // interpretation. The key is normalized only when a cache or a list
+  // can use it.
   const size_t num_conditions = query.conditions.size();
   output.interpretations.resize(num_conditions);
   std::vector<embedding::Vec> reps(num_conditions);
   std::vector<double> sentis(num_conditions, 0.0);
+  std::vector<const std::vector<double>*> precomputed;
+  if (!precomputed_.empty()) precomputed.assign(num_conditions, nullptr);
   bool degraded = false;
   {
     OPINEDB_SPAN("interpret");
     for (size_t c = 0; c < num_conditions; ++c) {
       const Condition& condition = query.conditions[c];
       if (condition.kind != Condition::Kind::kSubjective) continue;
-      // Interpretation-cache consult: the cascade output is a pure
-      // function of (normalized predicate, epoch), so a hit skips the
-      // w2v / co-occurrence lookups and the embedding prologue whole.
-      std::string interp_key;
-      bool interp_cached = false;
-      if (interp_cache_ != nullptr) {
-        interp_key = NormalizePredicate(condition.subjective);
-        try {
-          OPINEDB_FAULT("cache.interp_lookup");
-          cache::InterpretationCache::Entry entry;
-          if (interp_cache_->Lookup(interp_key, cache_epoch, &entry)) {
-            output.interpretations[c] = std::move(entry.interpretation);
-            reps[c] = std::move(entry.rep);
-            sentis[c] = entry.sentiment;
-            interp_cached = true;
-            OPINEDB_METRIC_COUNT("engine.cache.interp_hit", 1);
-          } else {
-            OPINEDB_METRIC_COUNT("engine.cache.interp_miss", 1);
-          }
-        } catch (const std::exception&) {
-          OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
+      std::string key;
+      if (interp_cache_ != nullptr || !precomputed_.empty()) {
+        key = NormalizePredicate(condition.subjective);
+      }
+      if (!precomputed_.empty()) {
+        auto it = precomputed_.find(key);
+        if (it != precomputed_.end()) {
+          output.interpretations[c] = it->second.interpretation;
+          precomputed[c] = &it->second.degrees;
+          continue;
         }
       }
-      if (interp_cached) continue;
-      try {
-        OPINEDB_FAULT("interpret.embed");
-        output.interpretations[c] =
-            interpreter_->Interpret(condition.subjective, deadline);
-        reps[c] = embedder_->Represent(condition.subjective);
-        sentis[c] = analyzer_.ScorePhrase(condition.subjective);
-      } catch (const std::exception&) {
-        // Interpretation machinery unusable for this condition: degrade
-        // to the text-retrieval stage (which needs neither the
-        // embedding nor the sentiment prologue).
-        output.interpretations[c] = PredicateInterpretation();
-        output.interpretations[c].degraded = true;
-        OPINEDB_METRIC_COUNT("engine.fallback.interpret", 1);
-      }
-      if (output.interpretations[c].degraded) {
-        degraded = true;
-      } else if (interp_cache_ != nullptr && deadline == nullptr) {
-        // Fill only full-fidelity entries: a degraded interpretation
-        // would be served forever while the underlying fault is long
-        // gone, and a deadline-shaped one may have skipped stages.
-        try {
-          OPINEDB_FAULT("cache.interp_insert");
-          cache::InterpretationCache::Entry entry;
-          entry.interpretation = output.interpretations[c];
-          entry.rep = reps[c];
-          entry.sentiment = sentis[c];
-          entry.epoch = cache_epoch;
-          InsertInterpretation(interp_cache_.get(), interp_key,
-                               std::move(entry));
-        } catch (const std::exception&) {
-          OPINEDB_METRIC_COUNT("engine.fallback.interp_cache", 1);
-        }
-      }
+      PreparedPredicate prepared = PreparePredicate(
+          condition.subjective, interp_cache_ != nullptr ? &key : nullptr,
+          cache_epoch, deadline);
+      degraded = degraded || prepared.interpretation.degraded;
+      output.interpretations[c] = std::move(prepared.interpretation);
+      reps[c] = std::move(prepared.rep);
+      sentis[c] = prepared.sentiment;
     }
   }
   output.stats.interpret_ms = phase.ElapsedMillis();
@@ -1338,46 +1414,25 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   ctx.query = &query;
   ctx.logical = &logical;
   ctx.table = table;
-  ctx.cache = degree_cache_;
   ctx.output = &output;
   ctx.reps = &reps;
   ctx.sentis = &sentis;
+  ctx.precomputed = std::move(precomputed);
   ctx.num_entities = corpus_.num_entities();
   ctx.deadline = deadline;
   phase.Reset();
   try {
-    if (physical.kind == PlanKind::kTaTopK) {
-      // One fused operator: cached lists in, ranked top-k out.
-      output.stats.scoring_ms = phase.ElapsedMillis();
-      phase.Reset();
-      Status status;
-      try {
-        status = TaTopKOp().Run(&ctx);
-      } catch (const std::exception&) {
-        // TA path unusable (fault in the cache or the index): fall back
-        // to the dense pipeline, which recomputes what it needs and
-        // degrades internally instead of throwing.
-        ctx.degraded.store(true, std::memory_order_relaxed);
-        OPINEDB_METRIC_COUNT("engine.fallback.ta", 1);
-        query_span.AddAttribute("fallback", "dense_scan");
-        status = SubjectiveScoreOp().Run(&ctx);
-        if (status.ok()) status = RankOp().Run(&ctx);
-      }
+    if (physical.kind == PlanKind::kFilteredScan) {
+      Status status = ObjectiveFilterOp().Run(&ctx);
       if (!status.ok()) return status;
-      output.stats.rank_ms = phase.ElapsedMillis();
-    } else {
-      if (physical.kind == PlanKind::kFilteredScan) {
-        Status status = ObjectiveFilterOp().Run(&ctx);
-        if (!status.ok()) return status;
-      }
-      Status status = SubjectiveScoreOp().Run(&ctx);
-      if (!status.ok()) return status;
-      output.stats.scoring_ms = phase.ElapsedMillis();
-      phase.Reset();
-      status = RankOp().Run(&ctx);
-      if (!status.ok()) return status;
-      output.stats.rank_ms = phase.ElapsedMillis();
     }
+    Status status = SubjectiveScoreOp().Run(&ctx);
+    if (!status.ok()) return status;
+    output.stats.scoring_ms = phase.ElapsedMillis();
+    phase.Reset();
+    status = RankOp().Run(&ctx);
+    if (!status.ok()) return status;
+    output.stats.rank_ms = phase.ElapsedMillis();
   } catch (const std::exception& e) {
     // Backstop: no exception escapes ExecuteQuery. Anything the
     // per-stage fallbacks could not absorb becomes a Status.
@@ -1412,11 +1467,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
     // epoch answered recent queries.
     OPINEDB_METRIC_GAUGE_SET("storage.snapshot.generation",
                              static_cast<double>(snapshot_generation));
-    if (degree_cache_ != nullptr) {
-      OPINEDB_METRIC_GAUGE_SET(
-          "engine.cache_epoch",
-          static_cast<double>(degree_cache_->epoch()));
-    }
     if (result_cache_ != nullptr || interp_cache_ != nullptr) {
       OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch",
                                static_cast<double>(cache_epoch));
@@ -1429,9 +1479,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
         break;
       case PlanKind::kFilteredScan:
         OPINEDB_METRIC_COUNT("engine.plan.filtered_scan", 1);
-        break;
-      case PlanKind::kTaTopK:
-        OPINEDB_METRIC_COUNT("engine.plan.ta_topk", 1);
         break;
     }
   }

@@ -94,9 +94,10 @@ struct ExecutionStats {
   size_t threads_used = 1;
   /// Entities scored (the size of the parallel fan-out).
   size_t entities_scored = 0;
-  /// Subjective degree lists served by the attached DegreeCache.
+  /// Subjective conditions served from a precomputed degree list
+  /// (OpineDb::PrecomputeDegrees).
   size_t cache_hits = 0;
-  /// Subjective degree lists computed from scratch this query.
+  /// Subjective conditions scored entity by entity this query.
   size_t cache_misses = 0;
   /// Predicate interpretation + query embedding (serial prologue).
   double interpret_ms = 0.0;
@@ -115,7 +116,7 @@ struct ExecutionStats {
 /// also the behaviour of the control-less Execute overloads.
 struct QueryControl {
   /// Wall-clock budget and/or cancellation token polled at operator
-  /// checkpoints (per condition, per chunk, per TA round). When it
+  /// checkpoints (per condition, per chunk). When it
   /// expires mid-query, ExecuteQuery stops starting new work and
   /// returns a QueryResult with partial = true whose ranking is
   /// prefix-consistent: every emitted score is the exact full score.
@@ -154,7 +155,7 @@ struct QueryResult {
   /// expiry, and every emitted score is the exact full score.
   bool partial = false;
   /// True when any stage fell back to a cheaper path after a failure
-  /// (interpreter stage, cache access, per-entity scoring, TA): the
+  /// (interpreter stage, cache access, per-entity scoring): the
   /// answer is complete but was not produced on the preferred path. See
   /// the engine.fallback.* counters and docs/ROBUSTNESS.md.
   bool degraded = false;
@@ -167,7 +168,6 @@ struct QueryResult {
 };
 
 class ColumnarTable;
-class DegreeCache;
 
 /// OpineDB: the subjective database engine (Fig. 4).
 ///
@@ -214,10 +214,13 @@ class OpineDb {
   Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query,
                                    const QueryControl& control) const;
 
-  /// Degree of truth of a subjective predicate for one entity (runs the
-  /// interpreter; used by experiments that bypass SQL).
-  double PredicateDegreeOfTruth(const std::string& predicate,
-                                text::EntityId entity) const;
+  /// Degree of truth of a subjective predicate for one entity, prepared
+  /// and scored exactly as a query would (used by experiments that
+  /// bypass SQL). Always computes — it never reads a precomputed list —
+  /// so tests can hold the lists against it. InvalidArgument for an
+  /// entity outside [0, corpus().num_entities()).
+  Result<double> PredicateDegreeOfTruth(const std::string& predicate,
+                                        text::EntityId entity) const;
 
   /// Text-retrieval degree of truth: sigmoid(BM25(D_entity, q) - c).
   double TextFallbackDegree(const std::string& predicate,
@@ -237,7 +240,7 @@ class OpineDb {
 
   /// Re-aggregates marker summaries under different review filters (e.g.
   /// "only reviewers with >= 10 reviews"); replaces the current tables
-  /// and invalidates any attached degree cache (its lists were computed
+  /// and drops every precomputed degree list (the lists were scored
   /// against the old summaries). Serialized against in-flight queries by
   /// the reconfiguration lock.
   ///
@@ -263,10 +266,14 @@ class OpineDb {
   /// Cache maintenance is surgical rather than wholesale: the cache
   /// epoch is bumped once (result-cache entries lazily expire — a
   /// ranking may depend on every entity, so per-entity invalidation is
-  /// unsound there), interpretation-cache entries are re-derived and
-  /// re-tagged at the new epoch, and an attached degree cache is patched
-  /// in place for just the touched entities (DegreeCache::
-  /// RefreshAfterIngest). Per-entity data epochs (entity_data_epoch)
+  /// unsound there), and every predicate the engine keeps warm — each
+  /// distinct key of the interpretation cache and of the precomputed
+  /// degree lists — is prepared once more against the post-ingest
+  /// interpreter. Interpretation entries are re-tagged at the new epoch;
+  /// a list whose interpretation is unchanged has only the touched
+  /// entities' slots rescored in place, a list whose interpretation
+  /// changed is rescored for every entity, and a list whose preparation
+  /// degrades is dropped. Per-entity data epochs (entity_data_epoch)
   /// advance only for entities with new reviews.
   ///
   /// When a WAL is enabled (EnableWal) the batch is journaled —
@@ -388,16 +395,36 @@ class OpineDb {
 
   /// Changes the observability level. Also flips the process-wide
   /// metrics switch (obs::SetMetricsEnabled) so library-internal
-  /// instrumentation (index, fuzzy TA, thread pool, membership) follows
+  /// instrumentation (index, thread pool, membership) follows
   /// this engine's level — with several engines per process the most
   /// recent call wins.
   void SetTraceLevel(obs::TraceLevel level);
 
-  /// Attaches a degree-of-truth cache consulted (and warmed) by
-  /// ExecuteQuery for subjective conditions; pass nullptr to detach. The
-  /// cache must outlive the attachment and be built over this engine.
-  /// Serialized against in-flight queries by the reconfiguration lock.
-  void AttachDegreeCache(DegreeCache* cache);
+  /// Precomputed degrees (Section 3.3: the degrees of truth "can be
+  /// pre-computed so that they can simply be looked up at query time").
+  /// Makes the resident degree lists exactly one per distinct predicate
+  /// of `predicates` — stored under NormalizePredicate(text), so
+  /// spellings that normalize alike collapse — replacing any lists held
+  /// before; an empty vector drops them all. Each predicate is prepared
+  /// once through the query path's preparation (consulting and filling
+  /// the interpretation cache) and scored for every entity across the
+  /// worker pool, each entity writing only its own slot, so a list is
+  /// bit-identical at any thread count and to what a query computes. A
+  /// predicate whose preparation degrades, or whose scoring throws, gets
+  /// no list. Queries serve a subjective condition from its list on
+  /// every plan; AppendReviews keeps the lists current, and wholesale
+  /// mutations (Reaggregate, OpenDatabase, InstallSummaries,
+  /// TrainMembership) drop them. Not a data mutation: the cache epoch
+  /// does not move, and a read-only follower may precompute. Holds the
+  /// reconfiguration lock exclusively. Returns the number of lists built.
+  size_t PrecomputeDegrees(const std::vector<std::string>& predicates);
+
+  /// The resident precomputed list of `predicate` (indexed by entity id),
+  /// or nullptr when none is resident. Valid until the next
+  /// PrecomputeDegrees, AppendReviews or wholesale mutation; for tests
+  /// and benches.
+  const std::vector<double>* precomputed_degrees(
+      const std::string& predicate) const;
 
   /// Reconfigures the result / interpretation cache layers (creating,
   /// resizing or destroying them). Fresh layers start empty; the cache
@@ -409,7 +436,7 @@ class OpineDb {
   /// once by every mutation of served data (Reaggregate, OpenDatabase,
   /// InstallSummaries, TrainMembership, AppendReviews) under the
   /// exclusive reconfiguration lock, and by nothing else (SetNumThreads
-  /// / SetTraceLevel / AttachDegreeCache / ConfigureCaches reconfigure
+  /// / SetTraceLevel / ConfigureCaches / PrecomputeDegrees reconfigure
   /// execution, not data). Cache entries are tagged with the epoch they
   /// were filled at; a mismatch is a miss.
   uint64_t cache_epoch() const {
@@ -459,8 +486,8 @@ class OpineDb {
   /// opened schema or carries an embedding of another width. After a
   /// successful open the extraction relation is empty, so a later
   /// Reaggregate would rebuild summaries from nothing — it returns
-  /// FailedPrecondition; re-extract from the corpus instead. An attached
-  /// degree cache is cleared (its lists described the old summaries).
+  /// FailedPrecondition; re-extract from the corpus instead. Precomputed
+  /// degree lists are dropped (they described the old summaries).
   /// Any active WAL is detached (the journal belonged to the replaced
   /// state); call EnableWal again to replay the tail for the newly
   /// opened generation.
@@ -506,8 +533,7 @@ class OpineDb {
   /// Mutable options (for ablations like toggling use_markers).
   EngineOptions* mutable_options() { return &options_; }
 
-  /// The worker pool (nullptr on the serial path). Shared with
-  /// DegreeCache for parallel precomputation.
+  /// The worker pool (nullptr on the serial path).
   ThreadPool* pool() const { return pool_.get(); }
 
   /// The marker summaries ConditionScorer sweeps (tables().summaries);
@@ -533,12 +559,43 @@ class OpineDb {
  private:
   OpineDb() = default;
 
+  /// A subjective predicate prepared for scoring: the Fig. 5 cascade's
+  /// interpretation, the query embedding and the sentiment.
+  struct PreparedPredicate {
+    PredicateInterpretation interpretation;
+    embedding::Vec rep;
+    double sentiment = 0.0;
+  };
+
+  /// A precomputed degree list plus the interpretation it was scored
+  /// under: a query served from the list reports that interpretation,
+  /// and ingest compares a fresh one against it to choose between
+  /// patching the touched slots and rescoring every entity.
+  struct PrecomputedList {
+    std::vector<double> degrees;
+    PredicateInterpretation interpretation;
+  };
+
+  /// The one path that prepares a predicate — the ExecuteQuery
+  /// prologue, PredicateDegreeOfTruth, PrecomputeDegrees and the ingest
+  /// refresh all call it. With `key` (NormalizePredicate(text)) and the
+  /// interpretation cache on, an entry at `epoch` is served instead of
+  /// running the cascade, and a freshly prepared full-fidelity result is
+  /// filled in unless `deadline` (nullptr = unbounded) may have shaped
+  /// it. Never throws: a failing stage degrades the interpretation to
+  /// the text-retrieval fallback, which needs neither embedding nor
+  /// sentiment.
+  PreparedPredicate PreparePredicate(const std::string& text,
+                                     const std::string* key, uint64_t epoch,
+                                     const QueryDeadline* deadline) const;
+
   void RebuildDerivedState();
   /// The single wholesale epoch-bump point: advances cache_epoch_ once,
-  /// clears every cache layer (result, interpretation, attached degree
-  /// cache) and advances every entity's data epoch. Requires reconfig_mu_
-  /// held exclusively. AppendReviews deliberately does NOT route through
-  /// here — it bumps the epoch but keeps caches warm (see its doc).
+  /// clears every cache layer (result, interpretation, precomputed
+  /// degree lists) and advances every entity's data epoch. Requires
+  /// reconfig_mu_ held exclusively. AppendReviews deliberately does NOT
+  /// route through here — it bumps the epoch but keeps caches warm (see
+  /// its doc).
   void InvalidateCachesLocked();
   /// SaveDatabase body without the lock acquisition; Checkpoint calls it
   /// inside its own exclusive critical section.
@@ -584,8 +641,10 @@ class OpineDb {
   /// Fixed worker pool for the parallel execution layer; nullptr when
   /// options_.num_threads resolves to 1 (the serial path).
   std::unique_ptr<ThreadPool> pool_;
-  /// Optional degree cache consulted by ExecuteQuery (not owned).
-  DegreeCache* degree_cache_ = nullptr;
+  /// Precomputed degree lists keyed by NormalizePredicate(text); see
+  /// PrecomputeDegrees. Guarded by reconfig_mu_: changed only under the
+  /// exclusive lock, read by queries under the shared one.
+  std::unordered_map<std::string, PrecomputedList> precomputed_;
   /// Optional caching layers (nullptr when disabled); both are
   /// internally thread-safe, and creation/destruction happens only
   /// under the exclusive reconfiguration lock.
@@ -620,12 +679,12 @@ class OpineDb {
   /// without the reconfiguration lock).
   storage::GenerationPins pins_;
   /// Reconfiguration lock: ExecuteQuery / PredicateDegreeOfTruth hold it
-  /// shared for their whole run; Reaggregate, SetNumThreads,
-  /// SetTraceLevel, AttachDegreeCache and TrainMembership hold it
-  /// exclusively. This (a) keeps pool_ alive for the queries that
-  /// snapshotted it, (b) provides the external synchronization
-  /// DegreeCache::Clear() demands, and (c) prevents queries from
-  /// reading tables_/interpreter_ mid-rebuild.
+  /// shared for their whole run; every mutation and reconfiguration
+  /// (Reaggregate, AppendReviews, SetNumThreads, SetTraceLevel,
+  /// PrecomputeDegrees, TrainMembership, ...) holds it exclusively. This
+  /// (a) keeps pool_ alive for the queries that snapshotted it, (b)
+  /// keeps precomputed_ from changing under a query that reads it, and
+  /// (c) prevents queries from reading tables_/interpreter_ mid-rebuild.
   mutable std::shared_mutex reconfig_mu_;
   /// extraction_lists_[a][e]: pointers into tables_.extractions.
   std::vector<std::vector<std::vector<const extract::ExtractedOpinion*>>>

@@ -7,7 +7,6 @@
 
 #include "common/fault.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -105,6 +104,15 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       continue;
     }
     condition_span.AddAttribute("predicate", condition.subjective);
+    if (c < ctx->precomputed.size() && ctx->precomputed[c] != nullptr) {
+      // A precomputed list holds the exact degree of every entity (the
+      // same scorer wrote it), so it serves any candidate set and costs
+      // the deadline nothing.
+      ctx->degrees[c] = ctx->precomputed[c];
+      ++ctx->output->stats.cache_hits;
+      condition_span.AddAttribute("source", "precomputed");
+      continue;
+    }
     if (deadline_active && deadline->Expired()) {
       // Budget exhausted before this condition started: no exact degree
       // exists for any candidate, so the consistent prefix collapses.
@@ -115,45 +123,8 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
       condition_span.AddAttribute("source", "deadline_skipped");
       continue;
     }
-    bool use_cache = ctx->cache != nullptr;
-    if (use_cache) {
-      // The cache computes misses through the same per-entity code path,
-      // so cached and freshly-computed lists are bit-identical.
-      try {
-        if (ctx->cache->Contains(condition.subjective)) {
-          ++ctx->output->stats.cache_hits;
-          condition_span.AddAttribute("source", "cache_hit");
-        } else {
-          ++ctx->output->stats.cache_misses;
-          condition_span.AddAttribute("source", "cache_miss");
-        }
-        const std::vector<double>* cached =
-            ctx->cache->TryDegrees(condition.subjective, deadline);
-        if (cached == nullptr) {
-          // Deadline fired before the miss finished computing; the
-          // incomplete list was discarded, so nothing here is exact.
-          auto& list = ctx->computed[c];
-          list.assign(num_entities, 0.0);
-          ctx->degrees[c] = &list;
-          watermark = 0;
-          condition_span.AddAttribute("deadline_abandoned", true);
-          continue;
-        }
-        ctx->degrees[c] = cached;
-        continue;
-      } catch (const std::exception&) {
-        // Cache path unusable (injected fault, broken compute): fall
-        // back to computing this condition's list locally — the query
-        // keeps serving, just without the shared cache.
-        use_cache = false;
-        ctx->degraded.store(true, std::memory_order_relaxed);
-        OPINEDB_METRIC_COUNT("engine.fallback.cache", 1);
-        condition_span.AddAttribute("source", "cache_fallback");
-      }
-    } else {
-      ++ctx->output->stats.cache_misses;
-      condition_span.AddAttribute("source", "computed");
-    }
+    ++ctx->output->stats.cache_misses;
+    condition_span.AddAttribute("source", "computed");
     auto& list = ctx->computed[c];
     try {
       OPINEDB_FAULT("score.alloc");
@@ -302,56 +273,6 @@ Status RankOp::Run(ExecContext* ctx) const {
                            static_cast<uint64_t>(ctx->watermark));
   }
   rank_span.End();
-  ctx->output->results = std::move(ranked);
-  return Status::OK();
-}
-
-Status TaTopKOp::Run(ExecContext* ctx) const {
-  const OpineDb& db = *ctx->db;
-  const SubjectiveQuery& query = *ctx->query;
-  obs::TraceSpan span("ta_topk");
-  std::vector<std::string> predicates;
-  predicates.reserve(ctx->logical->conjuncts.size());
-  for (const size_t c : ctx->logical->conjuncts) {
-    const std::string& predicate = query.conditions[c].subjective;
-    // Same per-condition cache accounting as the dense scan.
-    if (ctx->cache->Contains(predicate)) {
-      ++ctx->output->stats.cache_hits;
-    } else {
-      ++ctx->output->stats.cache_misses;
-    }
-    predicates.push_back(predicate);
-  }
-  span.AddAttribute("lists", static_cast<uint64_t>(predicates.size()));
-  span.AddAttribute("k", static_cast<uint64_t>(query.limit));
-  fuzzy::TaStats ta_stats;
-  const auto top = ctx->cache->TopKConjunction(predicates, query.limit,
-                                               &ta_stats, ctx->deadline);
-  // TA aggregates every list, so entities it never materialized scored
-  // below the threshold; this is the work actually done.
-  ctx->output->stats.entities_scored = ta_stats.entities_seen;
-  if (ta_stats.deadline_expired ||
-      (ctx->deadline != nullptr && ctx->deadline->Expired())) {
-    // Every returned score is exact (TA materializes full aggregates),
-    // but the scan frontier never reached the proof of completeness.
-    ctx->partial = true;
-    span.AddAttribute("partial", true);
-  }
-  span.AddAttribute("entities_seen",
-                    static_cast<uint64_t>(ta_stats.entities_seen));
-  std::vector<RankedResult> ranked;
-  ranked.reserve(top.size());
-  for (const auto& entry : top) {
-    // Positives sort strictly before zeros, so dropping zeros from the
-    // TA top-k leaves exactly the dense scan's positive prefix.
-    if (entry.score <= 0.0) continue;
-    RankedResult result;
-    result.entity = static_cast<text::EntityId>(entry.entity);
-    result.entity_name = db.corpus().entity_name(result.entity);
-    result.score = entry.score;
-    ranked.push_back(std::move(result));
-  }
-  span.AddAttribute("results", static_cast<uint64_t>(ranked.size()));
   ctx->output->results = std::move(ranked);
   return Status::OK();
 }

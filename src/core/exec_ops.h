@@ -11,8 +11,6 @@
 
 namespace opinedb::core {
 
-class DegreeCache;
-
 /// Shared state threaded through the physical operator chain. The
 /// engine fills the borrowed pointers (query, plan, interpretation
 /// prologue), then each operator reads its inputs and writes its
@@ -21,20 +19,21 @@ class DegreeCache;
 ///   ObjectiveFilterOp : entities            -> candidates
 ///   SubjectiveScoreOp : candidates          -> degrees (per condition)
 ///   RankOp            : degrees, candidates -> output->results
-///   TaTopKOp          : cached lists        -> output->results
 struct ExecContext {
   const OpineDb* db = nullptr;
   const SubjectiveQuery* query = nullptr;
   const LogicalPlan* logical = nullptr;
   const storage::Table* table = nullptr;
-  /// Attached degree cache; nullptr when none.
-  DegreeCache* cache = nullptr;
   /// Destination: interpretations (already filled), stats, results.
   QueryResult* output = nullptr;
   /// Per-condition query representations from the interpret prologue
   /// (indexed by condition; objective slots are defaulted).
   const std::vector<embedding::Vec>* reps = nullptr;
   const std::vector<double>* sentis = nullptr;
+  /// Per-condition precomputed degree lists (OpineDb::PrecomputeDegrees)
+  /// found by the prologue; nullptr where none is resident, and empty
+  /// when the engine holds no lists at all.
+  std::vector<const std::vector<double>*> precomputed;
 
   size_t num_entities = 0;
   /// Selection vector of surviving entity ids, ascending. While
@@ -49,7 +48,7 @@ struct ExecContext {
   }
 
   /// Degree lists: computed[c] owns lists built this query; degrees[c]
-  /// points either there or into the cache.
+  /// points either there or at precomputed[c].
   std::vector<std::vector<double>> computed;
   std::vector<const std::vector<double>*> degrees;
   /// Combined WHERE score per entity (RankOp scratch).
@@ -93,8 +92,8 @@ class ObjectiveFilterOp : public ExecOp {
 
 /// Materializes the per-condition degree lists restricted to the
 /// candidate set: objective conditions as 0/1 vectors (column bound
-/// once), subjective conditions through the degree cache when attached
-/// or a parallel slot-per-entity computation otherwise.
+/// once), subjective conditions from their precomputed list when one is
+/// resident or by a parallel slot-per-entity computation otherwise.
 class SubjectiveScoreOp : public ExecOp {
  public:
   const char* name() const override { return "score"; }
@@ -108,18 +107,6 @@ class SubjectiveScoreOp : public ExecOp {
 class RankOp : public ExecOp {
  public:
   const char* name() const override { return "combine_rank"; }
-  Status Run(ExecContext* ctx) const override;
-};
-
-/// Routes fully-conjunctive all-subjective queries through Fagin's
-/// Threshold Algorithm over the cached degree lists, skipping the dense
-/// combine entirely. The TA aggregate folds lists in conjunct order,
-/// matching fuzzy::Expr::Evaluate over an AND of leaves, and zero
-/// scores are filtered from its output — bit-identical to the dense
-/// path.
-class TaTopKOp : public ExecOp {
- public:
-  const char* name() const override { return "ta_topk"; }
   Status Run(ExecContext* ctx) const override;
 };
 

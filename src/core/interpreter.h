@@ -58,10 +58,10 @@ struct PredicateInterpretation {
   /// `degraded` span/result attribute and engine.fallback.* counters.
   bool degraded = false;
 
-  /// Exact (bit-level) equality — the degree cache uses it after ingest
-  /// to decide whether a cached list's interpretation is still the one
-  /// this predicate maps to (equal → only touched entities need
-  /// rescoring; different → the whole list is stale).
+  /// Exact (bit-level) equality — ingest uses it to decide whether a
+  /// precomputed degree list's interpretation is still the one this
+  /// predicate maps to (equal → only touched entities need rescoring;
+  /// different → the whole list is stale).
   friend bool operator==(const PredicateInterpretation& a,
                          const PredicateInterpretation& b) {
     return a.method == b.method && a.atoms == b.atoms &&

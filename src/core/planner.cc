@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/string_util.h"
-#include "core/degree_cache.h"
 
 namespace opinedb::core {
 
@@ -69,51 +68,16 @@ LogicalPlan AnalyzeQuery(const SubjectiveQuery& query) {
   if (query.where == nullptr) return plan;
   CollectHardObjective(query.where.get(), query.conditions,
                        &plan.hard_objective);
-  // MakeAnd collapses a single child to the child itself, so the
-  // conjunctive shapes are exactly: one leaf, or one AND whose children
-  // are all leaves. Nested ANDs are excluded on purpose — flattening
-  // them would change the floating-point fold order.
-  const fuzzy::Expr* root = query.where.get();
-  if (root->kind() == fuzzy::Expr::Kind::kLeaf) {
-    plan.conjunctive_leaves_only = true;
-    plan.conjuncts.push_back(root->leaf_index());
-  } else if (root->kind() == fuzzy::Expr::Kind::kAnd) {
-    plan.conjunctive_leaves_only = true;
-    for (const auto& child : root->children()) {
-      if (child->kind() != fuzzy::Expr::Kind::kLeaf) {
-        plan.conjunctive_leaves_only = false;
-        plan.conjuncts.clear();
-        break;
-      }
-      plan.conjuncts.push_back(child->leaf_index());
-    }
-  }
   return plan;
 }
 
-PhysicalPlan SelectPlan(const SubjectiveQuery& query,
+PhysicalPlan SelectPlan(const SubjectiveQuery& /*query*/,
                         const LogicalPlan& logical,
                         const PlannerContext& context) {
   PhysicalPlan plan;
   plan.filtered_eligible = !logical.hard_objective.empty();
-  plan.ta_eligible = logical.conjunctive_leaves_only &&
-                     !logical.conjuncts.empty() &&
-                     logical.objective_leaves.empty() &&
-                     context.cache != nullptr && query.limit > 0;
-  if (context.cache != nullptr) {
-    for (const size_t c : logical.conjuncts) {
-      if (context.cache->Peek(query.conditions[c].subjective) != nullptr) {
-        ++plan.cached_conjuncts;
-      }
-    }
-  }
-  const bool auto_ta = plan.ta_eligible && logical.conjuncts.size() >= 2 &&
-                       plan.cached_conjuncts == logical.conjuncts.size() &&
-                       query.limit < context.num_entities;
-  const PlanKind auto_kind = auto_ta ? PlanKind::kTaTopK
-                             : plan.filtered_eligible
-                                 ? PlanKind::kFilteredScan
-                                 : PlanKind::kDenseScan;
+  const PlanKind auto_kind = plan.filtered_eligible ? PlanKind::kFilteredScan
+                                                    : PlanKind::kDenseScan;
   switch (context.force) {
     case PlanForce::kAuto:
       plan.kind = auto_kind;
@@ -124,14 +88,6 @@ PhysicalPlan SelectPlan(const SubjectiveQuery& query,
     case PlanForce::kFilteredScan:
       if (plan.filtered_eligible) {
         plan.kind = PlanKind::kFilteredScan;
-      } else {
-        plan.kind = auto_kind;
-        plan.forced_fallback = true;
-      }
-      break;
-    case PlanForce::kTaTopK:
-      if (plan.ta_eligible) {
-        plan.kind = PlanKind::kTaTopK;
       } else {
         plan.kind = auto_kind;
         plan.forced_fallback = true;
@@ -243,8 +199,6 @@ const char* PlanKindName(PlanKind kind) {
       return "dense_scan";
     case PlanKind::kFilteredScan:
       return "filtered_scan";
-    case PlanKind::kTaTopK:
-      return "ta_topk";
   }
   return "unknown";
 }
@@ -279,11 +233,6 @@ std::string ExplainPlan(const SubjectiveQuery& query,
         }
       } else {
         out += "subjective \"" + condition.subjective + "\"";
-        if (context.cache != nullptr) {
-          out += context.cache->Peek(condition.subjective) != nullptr
-                     ? " [cached]"
-                     : " [uncached]";
-        }
       }
       out += '\n';
     }
@@ -306,10 +255,6 @@ std::string ExplainPlan(const SubjectiveQuery& query,
              " condition lists over survivors)\n";
       out += "  Rank(top " + std::to_string(query.limit) +
              ", partial_sort)\n";
-      break;
-    case PlanKind::kTaTopK:
-      out += "  TaTopK(" + std::to_string(logical.conjuncts.size()) +
-             " degree lists, k=" + std::to_string(query.limit) + ")\n";
       break;
   }
   return out;

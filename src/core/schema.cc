@@ -1,5 +1,7 @@
 #include "core/schema.h"
 
+#include <algorithm>
+
 namespace opinedb::core {
 
 int MarkerSummaryType::MarkerIndex(const std::string& marker) const {
@@ -14,6 +16,19 @@ int SubjectiveSchema::AttributeIndex(const std::string& name) const {
     if (attributes[i].name == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+std::vector<std::string> SubjectiveSchema::Markers() const {
+  std::vector<std::string> markers;
+  for (const auto& attribute : attributes) {
+    for (const auto& marker : attribute.summary_type.markers) {
+      if (std::find(markers.begin(), markers.end(), marker) ==
+          markers.end()) {
+        markers.push_back(marker);
+      }
+    }
+  }
+  return markers;
 }
 
 }  // namespace opinedb::core

@@ -56,6 +56,10 @@ struct SubjectiveSchema {
 
   int AttributeIndex(const std::string& name) const;
   size_t num_attributes() const { return attributes.size(); }
+  /// Every marker phrase of every attribute, each once, in schema order
+  /// (the "variations in the linguistic domain" whose degrees Section
+  /// 3.3 precomputes).
+  std::vector<std::string> Markers() const;
 };
 
 }  // namespace opinedb::core

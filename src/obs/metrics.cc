@@ -34,8 +34,8 @@ void SetMetricsEnabled(bool enabled) {
 
 size_t MetricsRegistry::Counter::ShardIndex() {
   // One shard per thread (hashed): increments from different threads
-  // usually land on different cache lines, mirroring DegreeCache's
-  // hash-sharding. The thread_local caches the hash computation.
+  // usually land on different cache lines. The thread_local caches the
+  // hash computation.
   static thread_local const size_t shard =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % kNumShards;
   return shard;

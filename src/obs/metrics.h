@@ -25,12 +25,11 @@ void SetMetricsEnabled(bool enabled);
 /// A process-wide registry of named counters, gauges and fixed-bucket
 /// latency histograms with JSON export.
 ///
-/// Lock discipline mirrors DegreeCache: registration (GetCounter /
-/// GetGauge / GetHistogram) takes the registry mutex, but instruments are
-/// registered once and the returned pointers are stable for the life of
-/// the registry, so hot paths hold no locks at all — Counter::Add is one
-/// relaxed fetch_add on a per-thread shard (16-way, cache-line padded,
-/// merged on scrape exactly like DegreeCache's hash-sharded maps), and
+/// Lock discipline: registration (GetCounter / GetGauge / GetHistogram)
+/// takes the registry mutex, but instruments are registered once and the
+/// returned pointers are stable for the life of the registry, so hot
+/// paths hold no locks at all — Counter::Add is one relaxed fetch_add on
+/// a per-thread shard (16-way, cache-line padded, merged on scrape), and
 /// Histogram::Observe is a bucket lookup plus two relaxed atomics.
 /// Concurrent increments therefore sum exactly; see tests/obs_test.cc.
 class MetricsRegistry {

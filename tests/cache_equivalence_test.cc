@@ -2,7 +2,9 @@
 //
 // Two engines are built from the same seed — identical corpora, models
 // and summaries. Engine A serves with every cache enabled (result +
-// interpretation + attached degree cache); engine B serves bare. A
+// interpretation caches, plus precomputed degree lists for half the
+// predicates, rebuilt after every wholesale mutation drops them); engine
+// B serves bare. A
 // seeded randomized operation stream — zipfian-skewed queries (with
 // whitespace/case predicate variants) interleaved with Reaggregate,
 // TrainMembership, SetNumThreads, SetTraceLevel and SaveDatabase →
@@ -31,7 +33,6 @@
 #include "cache/cache_config.h"
 #include "cache/interpretation_cache.h"
 #include "cache/result_cache.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
@@ -108,12 +109,9 @@ class CacheEquivalenceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     cached_ = new eval::DomainArtifacts(BuildEngine());
     bare_ = new eval::DomainArtifacts(BuildEngine());
-    degree_cache_ = new core::DegreeCache(cached_->db.get());
   }
 
   static void TearDownTestSuite() {
-    delete degree_cache_;
-    degree_cache_ = nullptr;
     delete cached_;
     cached_ = nullptr;
     delete bare_;
@@ -125,11 +123,11 @@ class CacheEquivalenceTest : public ::testing::Test {
     on.enable_interpretation = true;
     on.enable_results = true;
     cached().ConfigureCaches(on);
-    cached().AttachDegreeCache(degree_cache_);
+    PrecomputeHalf();
   }
 
   void TearDown() override {
-    cached().AttachDegreeCache(nullptr);
+    cached().PrecomputeDegrees({});
     cached().ConfigureCaches(cache::CacheConfig());
     for (auto* db : {&cached(), &bare()}) {
       db->SetNumThreads(1);
@@ -139,6 +137,18 @@ class CacheEquivalenceTest : public ::testing::Test {
 
   static core::OpineDb& cached() { return *cached_->db; }
   static core::OpineDb& bare() { return *bare_->db; }
+
+  /// Precomputes the lists of the even-indexed query predicates on the
+  /// cached engine, so single-predicate, conjunctive and disjunctive
+  /// queries mix served and scored conditions.
+  static void PrecomputeHalf() {
+    const auto& pool = cached_->pool;
+    std::vector<std::string> predicates;
+    for (size_t i = 0; i < 8; i += 2) {
+      predicates.push_back(pool[i % pool.size()].text);
+    }
+    cached().PrecomputeDegrees(predicates);
+  }
 
   /// A mixed pool of distinct executable queries: single-predicate,
   /// conjunction, disjunction, objective+subjective, varied limits.
@@ -163,12 +173,10 @@ class CacheEquivalenceTest : public ::testing::Test {
 
   static eval::DomainArtifacts* cached_;
   static eval::DomainArtifacts* bare_;
-  static core::DegreeCache* degree_cache_;
 };
 
 eval::DomainArtifacts* CacheEquivalenceTest::cached_ = nullptr;
 eval::DomainArtifacts* CacheEquivalenceTest::bare_ = nullptr;
-core::DegreeCache* CacheEquivalenceTest::degree_cache_ = nullptr;
 
 // The harness proper: 160 steps of zipfian-skewed queries with every
 // mutation class interleaved, equivalence checked at each step.
@@ -234,8 +242,8 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       // Incremental ingest, applied to both engines in lockstep: one
       // batch built once, appended to each, exactly one epoch bump.
       // The cached engine's warm layers (re-derived interpretations,
-      // refreshed degree lists, lazily expired results) must keep
-      // every later answer bit-identical to the bare engine.
+      // patched degree lists, lazily expired results) must keep every
+      // later answer bit-identical to the bare engine.
       std::vector<text::Review> batch;
       const size_t batch_size = 1 + rng() % 3;
       for (size_t i = 0; i < batch_size; ++i) {
@@ -263,6 +271,7 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
             << "step " << step << ": " << bare_status.ToString();
         toggled = !toggled;
         ++expected_epoch;
+        PrecomputeHalf();
       } else {
         // Silent-wipe regression: rebuilding summaries from the
         // post-open (empty) extraction relation must be refused with a
@@ -291,6 +300,7 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       ASSERT_TRUE(cached().TrainMembership(tuples, 7).ok());
       ASSERT_TRUE(bare().TrainMembership(tuples, 7).ok());
       ++expected_epoch;
+      PrecomputeHalf();
     } else {
       ASSERT_TRUE(cached().SaveDatabase(snap_a.string()).ok());
       ASSERT_TRUE(bare().SaveDatabase(snap_b.string()).ok());
@@ -298,6 +308,7 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       ASSERT_TRUE(bare().OpenDatabase(snap_b.string()).ok());
       authoritative = false;
       ++expected_epoch;
+      PrecomputeHalf();
     }
     // Epoch discipline: monotone, lockstep, exactly one bump per
     // mutation and zero per execution-reconfig or query.
@@ -311,6 +322,8 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       << "the zipfian stream never hit the result cache";
   ASSERT_NE(cached().interpretation_cache(), nullptr);
   EXPECT_GT(cached().interpretation_cache()->hits(), 0u);
+  EXPECT_NE(cached().precomputed_degrees(cached_->pool[0].text), nullptr)
+      << "ingest dropped a precomputed list";
 
   // Restore the fixture's aggregation for any later suite (possible
   // only while the relation still derives the summaries).

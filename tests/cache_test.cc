@@ -19,6 +19,11 @@
 //    stay within kInterpretationCacheBytes and count
 //    engine.cache.interp_evict; ingest re-derives at most the resident
 //    keys.
+//  - One interpretation per predicate, pinned by interpreter.calls: a
+//    query miss, PrecomputeDegrees, a query served from a precomputed
+//    list and an ingest refresh each run the cascade exactly as often
+//    as they have distinct keys to prepare.
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "cache/result_cache.h"
 #include "common/deadline.h"
 #include "common/fault.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/planner.h"
 #include "core/query.h"
@@ -679,6 +685,78 @@ TEST_F(InterpretationCacheBoundTest, IngestRederivesAtMostResidentKeys) {
   EXPECT_GT(calls, 0u);
   EXPECT_LE(calls, resident);
   EXPECT_LE(cache->bytes(), cache->byte_budget());
+}
+
+TEST_F(InterpretationCacheBoundTest, OneInterpretationPerPredicate) {
+  const auto& pool = artifacts_->pool;
+  const std::string queried = pool[0].text + " calls";
+  const std::string listed = pool[1].text + " calls";
+  auto sql = [](const std::string& predicate) {
+    return "select * from " + db().schema().objective_table + " where \"" +
+           predicate + "\" limit 5";
+  };
+  auto run = [&](const std::string& predicate) {
+    auto result = db().Execute(sql(predicate));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : core::QueryResult{};
+  };
+  // The distinct keys an ingest refresh must prepare.
+  auto distinct_keys = [&](const std::vector<std::string>& lists) {
+    std::set<std::string> keys;
+    for (const auto& key : db().interpretation_cache()->Keys()) {
+      keys.insert(key);
+    }
+    for (const auto& predicate : lists) {
+      keys.insert(NormalizePredicate(predicate));
+    }
+    return keys.size();
+  };
+  auto append = [&](int32_t reviewer) {
+    text::Review review;
+    review.entity = 2;
+    review.reviewer = reviewer;
+    review.date = 20260902;
+    review.body = "excellent breakfast and a spotless bathroom";
+    ASSERT_TRUE(db().AppendReviews({review}).ok());
+  };
+
+  // A query miss on a fresh predicate interprets it once.
+  uint64_t before = Counter("interpreter.calls");
+  EXPECT_EQ(run(queried).stats.cache_misses, 1u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 1u);
+  // PrecomputeDegrees interprets a fresh predicate once, and a predicate
+  // the interpretation cache holds not at all.
+  before = Counter("interpreter.calls");
+  ASSERT_EQ(db().PrecomputeDegrees({listed}), 1u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 1u);
+  before = Counter("interpreter.calls");
+  ASSERT_EQ(db().PrecomputeDegrees({queried, listed}), 2u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 0u);
+  // A query on a precomputed predicate interprets nothing.
+  before = Counter("interpreter.calls");
+  EXPECT_EQ(run(queried).stats.cache_hits, 1u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 0u);
+  // One append prepares each distinct key of the interpretation cache
+  // and the lists once: here the list keys are also cache keys ...
+  size_t expected = distinct_keys({queried, listed});
+  before = Counter("interpreter.calls");
+  append(906);
+  EXPECT_EQ(Counter("interpreter.calls") - before, expected);
+  // ... and here they are not: a fresh interpretation cache holds one
+  // other predicate, so the refresh prepares three keys.
+  cache::CacheConfig config = db().options().cache;
+  config.enable_interpretation = false;
+  db().ConfigureCaches(config);
+  config.enable_interpretation = true;
+  db().ConfigureCaches(config);
+  run(pool[2].text + " calls");
+  expected = distinct_keys({queried, listed});
+  EXPECT_EQ(expected, 3u);
+  before = Counter("interpreter.calls");
+  append(907);
+  EXPECT_EQ(Counter("interpreter.calls") - before, expected);
+  EXPECT_NE(db().precomputed_degrees(listed), nullptr);
+  db().PrecomputeDegrees({});
 }
 
 }  // namespace

@@ -11,8 +11,11 @@
 // and restaurant fixtures with markers, under the no-marker ablation and
 // for an uninterpretable (text-fallback) predicate, and on a generated
 // scale fixture (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the
-// Release sweep at 100k and the sanitizer sweeps at 20k) as degree lists
-// plus LIMIT 10 answers with and without an objective filter. Also
+// Release sweep at 100k and the sanitizer sweeps at 20k) as precomputed
+// degree lists plus LIMIT 10 answers with and without an objective
+// filter. Precomputed lists of the markers, pool predicates and a
+// text-fallback predicate equal PredicateDegreeOfTruth and the oracle
+// slot by slot at 1 and 8 threads. Also
 // covers the ColumnarTable predicate sweep cell-by-cell against
 // BoundColumnPredicate::Matches, the InstallSummaries validation rules,
 // and the cache-shard widths. Built as its own binary labeled `scale`.
@@ -29,7 +32,6 @@
 #include "cache/result_cache.h"
 #include "common/rng.h"
 #include "core/columnar.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -53,7 +55,7 @@ size_t ScaleTestEntities() {
 
 /// Runs `restore` when the scope exits, also on the early return of a
 /// failed ASSERT, so a test cannot leave engine state (threads, trace,
-/// ablation flag, attached cache) behind for the suite's later tests.
+/// ablation flag, precomputed lists) behind for the suite's later tests.
 class ScopeExit {
  public:
   explicit ScopeExit(std::function<void()> restore)
@@ -112,8 +114,8 @@ void RunOracleSweep(core::OpineDb& db, const storage::Table& table,
 }
 
 /// Single-predicate check against the oracle's per-entity degrees: the
-/// degree cache's dense list element by element at 1 and 8 threads, and
-/// the LIMIT query's answer in every configuration.
+/// precomputed list element by element at 1 and 8 threads, and the
+/// LIMIT query's answer in every configuration, scored and served.
 void ExpectPredicateMatchesOracle(core::OpineDb& db,
                                   const std::string& table_name,
                                   const std::string& predicate) {
@@ -124,11 +126,14 @@ void ExpectPredicateMatchesOracle(core::OpineDb& db,
   for (size_t e = 0; e < n; ++e) {
     expected[e] = row.Degree(static_cast<text::EntityId>(e));
   }
-  const ScopeExit reset([&] { db.SetNumThreads(1); });
+  const ScopeExit reset([&] {
+    db.SetNumThreads(1);
+    db.PrecomputeDegrees({});
+  });
   for (const size_t threads : {1, 8}) {
     db.SetNumThreads(threads);
-    core::DegreeCache cache(&db);
-    const std::vector<double>& degrees = cache.Degrees(predicate);
+    ASSERT_EQ(db.PrecomputeDegrees({predicate}), 1u);
+    const std::vector<double>& degrees = *db.precomputed_degrees(predicate);
     ASSERT_EQ(degrees.size(), n);
     size_t mismatches = 0;
     for (size_t e = 0; e < n; ++e) {
@@ -142,11 +147,12 @@ void ExpectPredicateMatchesOracle(core::OpineDb& db,
     EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
   }
   db.SetNumThreads(1);
-  ExpectEveryConfiguration(
-      db,
-      "select * from " + table_name + " where \"" + predicate +
-          "\" limit 10",
-      oracle::Rank(db, expected, 10));
+  const std::string sql = "select * from " + table_name + " where \"" +
+                          predicate + "\" limit 10";
+  const auto reference = oracle::Rank(db, expected, 10);
+  ExpectEveryConfiguration(db, sql, reference);  // Served from the list.
+  db.PrecomputeDegrees({});
+  ExpectEveryConfiguration(db, sql, reference);  // Scored.
 }
 
 // ------------------------------------- Hotel / restaurant fixtures.
@@ -287,16 +293,75 @@ TEST_P(ColumnarEquivalenceTest, NoMarkerAblationBitIdenticalToRow) {
                  MakeQueries(GetParam()));
 }
 
-// The degree-cache list materialization runs the same scorer; TA plans
-// over a warm cache must match the oracle too.
+// Queries served from precomputed lists — every subjective predicate of
+// the sweep has one — must match the oracle too. (The name is kept from
+// the degree cache this test first covered.)
 TEST_P(ColumnarEquivalenceTest, WarmDegreeCacheBitIdentical) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
   core::OpineDb& db = *artifacts.db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  const ScopeExit detach([&] { db.AttachDegreeCache(nullptr); });
-  RunOracleSweep(db, artifacts.domain.objective_table,
-                 MakeQueries(GetParam()));
+  const auto queries = MakeQueries(GetParam());
+  std::vector<std::string> predicates;
+  for (const auto& sql : queries) {
+    auto query = core::ParseSubjectiveSql(sql);
+    ASSERT_TRUE(query.ok()) << sql;
+    for (const auto& condition : query->conditions) {
+      if (condition.kind == core::Condition::Kind::kSubjective) {
+        predicates.push_back(condition.subjective);
+      }
+    }
+  }
+  const ScopeExit drop([&] { db.PrecomputeDegrees({}); });
+  ASSERT_GT(db.PrecomputeDegrees(predicates), 0u);
+  RunOracleSweep(db, artifacts.domain.objective_table, queries);
+}
+
+// Every slot of every precomputed list — the markers, the pool
+// predicates and a text-fallback predicate — equals both the degree
+// PredicateDegreeOfTruth computes and the oracle's row-path degree, at 1
+// and 8 threads, and the two thread counts build identical lists.
+TEST_P(ColumnarEquivalenceTest, PrecomputedListsMatchScorerAndOracle) {
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
+  std::vector<std::string> predicates = db.schema().Markers();
+  for (size_t i = 0; i < 12 && i < artifacts.pool.size(); ++i) {
+    predicates.push_back(artifacts.pool[i].text);
+  }
+  predicates.push_back(kNonsense);
+  const size_t n = db.corpus().num_entities();
+  std::vector<std::vector<double>> expected;
+  for (const auto& predicate : predicates) {
+    const oracle::RowPredicate row(db, predicate);
+    std::vector<double> degrees(n);
+    for (size_t e = 0; e < n; ++e) {
+      degrees[e] = row.Degree(static_cast<text::EntityId>(e));
+      auto direct =
+          db.PredicateDegreeOfTruth(predicate, static_cast<text::EntityId>(e));
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      ASSERT_EQ(*direct, degrees[e]) << predicate << " entity " << e;
+    }
+    expected.push_back(std::move(degrees));
+  }
+  const ScopeExit reset([&] {
+    db.SetNumThreads(1);
+    db.PrecomputeDegrees({});
+  });
+  std::vector<std::vector<double>> serial;
+  for (const size_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    db.SetNumThreads(threads);
+    ASSERT_GT(db.PrecomputeDegrees(predicates), 0u);
+    for (size_t p = 0; p < predicates.size(); ++p) {
+      const std::vector<double>* list =
+          db.precomputed_degrees(predicates[p]);
+      ASSERT_NE(list, nullptr) << predicates[p];
+      EXPECT_TRUE(*list == expected[p]) << predicates[p];
+      if (threads == 1) {
+        serial.push_back(*list);
+      } else {
+        EXPECT_TRUE(*list == serial[p]) << predicates[p];
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ColumnarEquivalenceTest,
@@ -545,14 +610,7 @@ TEST(CacheShardKnobsTest, EngineHonorsConfiguredShardCounts) {
   ASSERT_NE(db.result_cache(), nullptr);
   EXPECT_EQ(db.result_cache()->num_shards(), 8u);
 
-  core::DegreeCache degree_cache(&db);
-  EXPECT_EQ(degree_cache.num_shards(), 16u);
-  core::DegreeCache explicit_cache(&db, 2);
-  EXPECT_EQ(explicit_cache.num_shards(), 2u);
-
   // Degenerate counts clamp to one shard instead of crashing.
-  core::DegreeCache degenerate(&db, 0);
-  EXPECT_EQ(degenerate.num_shards(), 1u);
   cache::InterpretationCache standalone(0);
   EXPECT_EQ(standalone.num_shards(), 1u);
   cache::ResultCache standalone_results(1 << 20, 0);

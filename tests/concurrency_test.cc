@@ -1,7 +1,8 @@
 // Concurrency and determinism tests for the parallel execution layer:
 // multi-threaded query execution must be bit-identical to serial on both
-// integration fixtures, the thread-safe DegreeCache must be coherent
-// under concurrent hammering, and the ThreadPool itself must partition
+// integration fixtures, precomputed degree lists must be bit-identical
+// at any thread count and stay coherent while queries and rebuilds
+// hammer them, and the ThreadPool itself must partition
 // deterministically. Run these under -DOPINEDB_SANITIZE=thread — they
 // are the race-detection gate (see docs/SANITIZERS.md).
 #include <atomic>
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -192,27 +192,30 @@ TEST_P(ConcurrencyTest, ParallelQueriesBitIdenticalToSerial) {
   db.SetNumThreads(1);
 }
 
+// (The DegreeCache names below are kept from the shared per-predicate
+// cache these tests first covered; they now pin precomputed lists.)
 TEST_P(ConcurrencyTest, DegreeCacheContentsBitIdenticalToSerial) {
   core::OpineDb& db = Fixture(GetParam());
+  const std::vector<std::string> markers = db.schema().Markers();
   db.SetNumThreads(1);
-  core::DegreeCache serial_cache(&db);
-  ASSERT_GT(serial_cache.PrecomputeMarkers(), 0u);
+  ASSERT_EQ(db.PrecomputeDegrees(markers), markers.size());
+  std::vector<std::vector<double>> serial;
+  for (const auto& marker : markers) {
+    serial.push_back(*db.precomputed_degrees(marker));
+  }
 
-  db.SetNumThreads(4);
-  core::DegreeCache parallel_cache(&db);
-  EXPECT_EQ(parallel_cache.PrecomputeMarkers(), serial_cache.size());
-  EXPECT_EQ(parallel_cache.size(), serial_cache.size());
-  for (const auto& attribute : db.schema().attributes) {
-    for (const auto& marker : attribute.summary_type.markers) {
-      ASSERT_TRUE(parallel_cache.Contains(marker)) << marker;
-      const auto& serial = serial_cache.Degrees(marker);
-      const auto& parallel = parallel_cache.Degrees(marker);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (size_t e = 0; e < serial.size(); ++e) {
-        EXPECT_EQ(serial[e], parallel[e]) << marker << " entity " << e;
-      }
+  db.SetNumThreads(8);
+  ASSERT_EQ(db.PrecomputeDegrees(markers), markers.size());
+  for (size_t m = 0; m < markers.size(); ++m) {
+    const std::vector<double>* parallel = db.precomputed_degrees(markers[m]);
+    ASSERT_NE(parallel, nullptr) << markers[m];
+    ASSERT_EQ(parallel->size(), serial[m].size());
+    for (size_t e = 0; e < serial[m].size(); ++e) {
+      EXPECT_EQ(serial[m][e], (*parallel)[e])
+          << markers[m] << " entity " << e;
     }
   }
+  db.PrecomputeDegrees({});
   db.SetNumThreads(1);
 }
 
@@ -223,7 +226,7 @@ TEST_P(ConcurrencyTest, ExecutionStatsArepopulated) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.threads_used, 2u);
   EXPECT_EQ(result->stats.entities_scored, db.corpus().num_entities());
-  // Without an attached cache every subjective list is a miss.
+  // Without precomputed lists every subjective condition is scored.
   EXPECT_EQ(result->stats.cache_hits, 0u);
   EXPECT_EQ(result->stats.cache_misses, 1u);
   EXPECT_GE(result->stats.total_ms, 0.0);
@@ -235,23 +238,27 @@ TEST_P(ConcurrencyTest, AttachedCacheServesHitsWithIdenticalResults) {
   core::OpineDb& db = Fixture(GetParam());
   db.SetNumThreads(2);
   const auto sql = Queries(GetParam()).front();
-  auto uncached = db.Execute(sql);
-  ASSERT_TRUE(uncached.ok());
+  auto computed = db.Execute(sql);
+  ASSERT_TRUE(computed.ok());
+  EXPECT_EQ(computed->stats.cache_misses, 1u);
 
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  auto cold = db.Execute(sql);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->stats.cache_misses, 1u);
-  auto warm = db.Execute(sql);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->stats.cache_hits, 1u);
-  EXPECT_EQ(warm->stats.cache_misses, 0u);
-  db.AttachDegreeCache(nullptr);
+  auto query = core::ParseSubjectiveSql(sql);
+  ASSERT_TRUE(query.ok());
+  std::vector<std::string> predicates;
+  for (const auto& condition : query->conditions) {
+    if (condition.kind == core::Condition::Kind::kSubjective) {
+      predicates.push_back(condition.subjective);
+    }
+  }
+  ASSERT_EQ(db.PrecomputeDegrees(predicates), 1u);
+  auto served = db.Execute(sql);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->stats.cache_hits, 1u);
+  EXPECT_EQ(served->stats.cache_misses, 0u);
+  db.PrecomputeDegrees({});
   db.SetNumThreads(1);
 
-  ExpectIdenticalResults(*uncached, *cold);
-  ExpectIdenticalResults(*uncached, *warm);
+  ExpectIdenticalResults(*computed, *served);
 }
 
 TEST_P(ConcurrencyTest, ReaggregateBitIdenticalAcrossThreadCounts) {
@@ -304,20 +311,28 @@ TEST_P(ConcurrencyTest, FullTracingPreservesBitIdentityContract) {
 
 // ------------------------------------------------------ Cache stress.
 
+// Eight threads mix queries over the marker predicates with rebuilds of
+// the lists (PrecomputeDegrees takes the exclusive lock while queries
+// hold the shared one), so a query sees either a whole list or none.
 TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
   core::OpineDb& db = Fixture(GetParam());
   db.SetNumThreads(4);  // Workers live under the stress threads too.
-  core::DegreeCache cache(&db);
-
-  // Overlapping predicate sets: every thread touches every predicate,
-  // in a rotated order, so insert races are guaranteed.
-  std::vector<std::string> predicates;
-  for (const auto& attribute : db.schema().attributes) {
-    for (const auto& marker : attribute.summary_type.markers) {
-      predicates.push_back(marker);
-    }
+  const std::vector<std::string> markers = db.schema().Markers();
+  ASSERT_GE(markers.size(), 4u);
+  const std::string table =
+      std::string(GetParam()) == "hotel" ? "hotels" : "restaurants";
+  auto sql_of = [&](size_t i) {
+    return "select * from " + table + " where \"" +
+           markers[i % markers.size()] + "\" and \"" +
+           markers[(i + 1) % markers.size()] + "\" limit 5";
+  };
+  // Computed answers, before any list exists.
+  std::vector<core::QueryResult> expected;
+  for (size_t i = 0; i < markers.size(); ++i) {
+    auto run = db.Execute(sql_of(i));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    expected.push_back(std::move(*run));
   }
-  ASSERT_GE(predicates.size(), 4u);
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 3;
@@ -326,20 +341,30 @@ TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
   for (int t = 0; t < kThreads; ++t) {
     hammers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
-        for (size_t i = 0; i < predicates.size(); ++i) {
-          const auto& predicate =
-              predicates[(i + static_cast<size_t>(t)) % predicates.size()];
-          const auto& degrees = cache.Degrees(predicate);
-          if (degrees.size() != db.corpus().num_entities()) {
+        for (size_t i = 0; i < markers.size(); ++i) {
+          const size_t q = (i + static_cast<size_t>(t)) % markers.size();
+          auto run = db.Execute(sql_of(q));
+          if (!run.ok() || run->results.size() != expected[q].results.size()) {
             failures.fetch_add(1);
+            continue;
           }
-          if (!cache.Contains(predicate)) failures.fetch_add(1);
+          for (size_t r = 0; r < run->results.size(); ++r) {
+            if (run->results[r].entity != expected[q].results[r].entity ||
+                run->results[r].score != expected[q].results[r].score) {
+              failures.fetch_add(1);
+            }
+          }
         }
         if (t % 2 == 0) {
-          // Concurrent TA queries over the same lists.
-          auto top = cache.TopKConjunction(
-              {predicates[0], predicates[1 % predicates.size()]}, 3);
-          if (top.empty()) failures.fetch_add(1);
+          // Rebuild a rotated half of the lists under the readers.
+          std::vector<std::string> half;
+          for (size_t i = 0; i < markers.size() / 2; ++i) {
+            half.push_back(markers[(i + static_cast<size_t>(t + round)) %
+                                   markers.size()]);
+          }
+          if (db.PrecomputeDegrees(half) != half.size()) {
+            failures.fetch_add(1);
+          }
         }
       }
     });
@@ -347,22 +372,21 @@ TEST_P(ConcurrencyTest, SharedDegreeCacheSurvivesEightThreadHammer) {
   for (auto& hammer : hammers) hammer.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Coherence after the dust settles: contents equal a serial cache.
+  // Coherence after the dust settles: every slot of every list equals
+  // the degree PredicateDegreeOfTruth computes.
   db.SetNumThreads(1);
-  core::DegreeCache serial_cache(&db);
-  for (const auto& predicate : predicates) {
-    const auto& expected = serial_cache.Degrees(predicate);
-    const auto& actual = cache.Degrees(predicate);
-    ASSERT_EQ(expected.size(), actual.size());
-    for (size_t e = 0; e < expected.size(); ++e) {
-      EXPECT_EQ(expected[e], actual[e]) << predicate << " entity " << e;
+  ASSERT_EQ(db.PrecomputeDegrees(markers), markers.size());
+  for (const auto& marker : markers) {
+    const std::vector<double>* list = db.precomputed_degrees(marker);
+    ASSERT_NE(list, nullptr) << marker;
+    for (size_t e = 0; e < list->size(); ++e) {
+      auto direct =
+          db.PredicateDegreeOfTruth(marker, static_cast<text::EntityId>(e));
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      EXPECT_EQ((*list)[e], *direct) << marker << " entity " << e;
     }
   }
-  const auto stats = cache.stats();
-  // Every unique predicate was computed at least once and most lookups
-  // were served from the cache.
-  EXPECT_GE(stats.misses, 1u);
-  EXPECT_GT(stats.hits, stats.misses);
+  db.PrecomputeDegrees({});
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ConcurrencyTest,

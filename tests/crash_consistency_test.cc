@@ -1,12 +1,12 @@
 // Crash-consistency harness for the snapshot store and the engine's
 // SaveDatabase / OpenDatabase wiring. Three layers:
 //
-//  1. a deterministic sweep of every fault::kStorageSites entry — each
-//     injected crash / media fault must leave the store serving either
-//     the previous generation bit-identically or the new one, with the
-//     commit reporting the truth, and a later clean commit self-heals.
-//     This sweep is also the storage catalog's liveness check (the
-//     persistence counterpart of fault_injection_test's kSites sweep);
+//  1. a deterministic sweep of every fault::SiteKind::kStorage entry —
+//     each injected crash / media fault must leave the store serving
+//     either the previous generation bit-identically or the new one,
+//     with the commit reporting the truth, and a later clean commit
+//     self-heals. This sweep is also the storage kind's liveness check
+//     (the persistence counterpart of fault_injection_test's sweep);
 //  2. a randomized corruption fuzzer: >= 10k seeded mutations of a real
 //     snapshot file, each of which must recover the intact older
 //     generation bit-identically (or, when nothing valid remains, a
@@ -236,12 +236,12 @@ TEST_F(CrashSweepTest, TornFirstCommitLeavesTypedError) {
   ExpectSelfHeals(&store);
 }
 
-// Catalog liveness: every entry of fault::kStorageSites must be reached
+// Catalog liveness: every fault::SiteKind::kStorage entry must be reached
 // by a plain two-commit workload. A stale catalog entry fails here, the
 // same contract fault_injection_test enforces for the serving-path
 // catalog.
 TEST_F(CrashSweepTest, EveryStorageSiteIsLive) {
-  for (const char* site : fault::kStorageSites) {
+  for (const char* site : fault::SitesOfKind(fault::SiteKind::kStorage)) {
     SCOPED_TRACE(site);
     fault::DisarmAll();
     std::error_code ec;
@@ -259,7 +259,7 @@ TEST_F(CrashSweepTest, EveryStorageSiteIsLive) {
 TEST_F(CrashSweepTest, UnfiredFaultPerturbsNothing) {
   SnapshotStore store(dir());
   CommitBaseline(&store);
-  for (const char* site : fault::kStorageSites) {
+  for (const char* site : fault::SitesOfKind(fault::SiteKind::kStorage)) {
     fault::Arm(site, 1000);
   }
   auto committed = store.Commit(new_sections_);

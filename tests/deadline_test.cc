@@ -4,8 +4,9 @@
 //    partial = true and a prefix-consistent ranking — every emitted
 //    score is the exact full score, never a fabricated one.
 //  - A huge budget is indistinguishable from no deadline: bit-identical
-//    results across 1/8 threads, trace off/full, and every forced plan
-//    (the §5b/§5c/§5d contracts extended to the deadline machinery).
+//    results across 1/8 threads, trace off/full, every forced plan, with
+//    and without precomputed degree lists (the §5b/§5c/§5d contracts
+//    extended to the deadline machinery).
 //  - A pre-cancelled CancellationToken behaves like an expired budget.
 #include <map>
 #include <string>
@@ -14,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/deadline.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -157,46 +157,53 @@ TEST_F(DeadlineTest, PartialResultsCarryExactScores) {
 }
 
 // A deadline that never fires must be invisible: bit-identical to the
-// unbounded run across threads x trace x forced plans.
+// unbounded run across threads x trace x forced plans, with conditions
+// scored and (second pass) mostly served from precomputed lists.
 TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  for (const auto& sql : Queries()) {
-    db().SetNumThreads(1);
-    db().SetTraceLevel(obs::TraceLevel::kOff);
-    db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
-    auto reference = db().Execute(sql);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const auto force :
-         {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-          core::PlanForce::kFilteredScan, core::PlanForce::kTaTopK}) {
-      for (const size_t threads : {1, 8}) {
-        for (const auto level :
-             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-          SCOPED_TRACE(sql + " force=" +
-                       std::to_string(static_cast<int>(force)) +
-                       " threads=" + std::to_string(threads) + " trace=" +
-                       std::to_string(static_cast<int>(level)));
-          db().SetNumThreads(threads);
-          db().SetTraceLevel(level);
-          db().mutable_options()->force_plan = force;
-          CancellationToken token;  // Armed but never cancelled.
-          core::QueryControl control;
-          control.deadline = QueryDeadline::AfterMillis(1e9);
-          control.deadline.set_token(&token);
-          auto run = db().Execute(sql, control);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          EXPECT_FALSE(run->partial);
-          EXPECT_FALSE(run->degraded);
-          ExpectBitIdentical(*reference, *run);
+  const auto& pool = artifacts_->pool;
+  for (const bool lists : {false, true}) {
+    db().PrecomputeDegrees(lists ? std::vector<std::string>{pool[0].text,
+                                                            pool[1].text}
+                                 : std::vector<std::string>{});
+    for (const auto& sql : Queries()) {
+      db().SetNumThreads(1);
+      db().SetTraceLevel(obs::TraceLevel::kOff);
+      db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
+      auto reference = db().Execute(sql);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      for (const auto force :
+           {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
+            core::PlanForce::kFilteredScan}) {
+        for (const size_t threads : {1, 8}) {
+          for (const auto level :
+               {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+            SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
+                         " force=" +
+                         std::to_string(static_cast<int>(force)) +
+                         " threads=" + std::to_string(threads) +
+                         " trace=" +
+                         std::to_string(static_cast<int>(level)));
+            db().SetNumThreads(threads);
+            db().SetTraceLevel(level);
+            db().mutable_options()->force_plan = force;
+            CancellationToken token;  // Armed but never cancelled.
+            core::QueryControl control;
+            control.deadline = QueryDeadline::AfterMillis(1e9);
+            control.deadline.set_token(&token);
+            auto run = db().Execute(sql, control);
+            ASSERT_TRUE(run.ok()) << run.status().ToString();
+            EXPECT_FALSE(run->partial);
+            EXPECT_FALSE(run->degraded);
+            ExpectBitIdentical(*reference, *run);
+          }
         }
       }
     }
   }
+  db().PrecomputeDegrees({});
   db().mutable_options()->force_plan = core::PlanForce::kAuto;
   db().SetTraceLevel(obs::TraceLevel::kOff);
   db().SetNumThreads(1);
-  db().AttachDegreeCache(nullptr);
 }
 
 }  // namespace

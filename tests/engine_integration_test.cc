@@ -181,10 +181,10 @@ TEST_F(EngineIntegrationTest, PredicateDegreeCorrelatesWithQuality) {
   const int attr = db().schema().AttributeIndex("breakfast_food");
   std::vector<std::pair<double, double>> pairs;  // (quality, degree)
   for (size_t e = 0; e < domain().entities.size(); ++e) {
-    pairs.emplace_back(
-        domain().entities[e].quality[attr],
-        db().PredicateDegreeOfTruth("delicious breakfast",
-                                    static_cast<text::EntityId>(e)));
+    auto degree = db().PredicateDegreeOfTruth(
+        "delicious breakfast", static_cast<text::EntityId>(e));
+    ASSERT_TRUE(degree.ok()) << degree.status().ToString();
+    pairs.emplace_back(domain().entities[e].quality[attr], *degree);
   }
   // Spearman-ish check: the top-quality third must have a higher average
   // degree than the bottom third.

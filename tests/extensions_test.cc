@@ -1,11 +1,10 @@
-// Tests for the extension features: the degree-of-truth cache with
-// Threshold-Algorithm top-k, user-profile personalization, unexpectedness
-// mining, and serialization round-trips.
+// Tests for the extension features: precomputed degree lists,
+// user-profile personalization, unexpectedness mining, and
+// serialization round-trips.
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "core/degree_cache.h"
 #include "core/personalize.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
@@ -37,72 +36,64 @@ class ExtensionsTest : public ::testing::Test {
     artifacts_ = nullptr;
   }
 
-  const core::OpineDb& db() const { return *artifacts_->db; }
+  core::OpineDb& db() const { return *artifacts_->db; }
 
   static eval::DomainArtifacts* artifacts_;
 };
 
 eval::DomainArtifacts* ExtensionsTest::artifacts_ = nullptr;
 
-// --------------------------------------------------------- DegreeCache.
+// --------------------------------------------- Precomputed degrees.
+// (The DegreeCache* names are kept from the lazily filled per-predicate
+// cache these tests first covered; they now pin the engine's
+// precomputed lists.)
 
 TEST_F(ExtensionsTest, DegreeCacheMatchesDirectEvaluation) {
-  core::DegreeCache cache(&db());
-  const auto& degrees = cache.Degrees("clean room");
-  ASSERT_EQ(degrees.size(), db().corpus().num_entities());
+  ASSERT_EQ(db().PrecomputeDegrees({"clean room"}), 1u);
+  const std::vector<double>* degrees = db().precomputed_degrees("clean room");
+  ASSERT_NE(degrees, nullptr);
+  ASSERT_EQ(degrees->size(), db().corpus().num_entities());
   // Both sides run ConditionScorer over the same interpretation, so the
   // doubles are identical, not merely close.
-  for (size_t e = 0; e < degrees.size(); ++e) {
-    EXPECT_EQ(degrees[e], db().PredicateDegreeOfTruth(
-                              "clean room", static_cast<text::EntityId>(e)));
+  for (size_t e = 0; e < degrees->size(); ++e) {
+    auto direct = db().PredicateDegreeOfTruth(
+        "clean room", static_cast<text::EntityId>(e));
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ((*degrees)[e], *direct);
   }
+  db().PrecomputeDegrees({});
 }
 
 TEST_F(ExtensionsTest, DegreeCacheCachesByText) {
-  core::DegreeCache cache(&db());
-  EXPECT_FALSE(cache.Contains("friendly staff"));
-  cache.Degrees("friendly staff");
-  EXPECT_TRUE(cache.Contains("friendly staff"));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Degrees("friendly staff");
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(db().precomputed_degrees("friendly staff"), nullptr);
+  // Spellings that normalize alike collapse onto one list.
+  EXPECT_EQ(db().PrecomputeDegrees({"friendly staff", "  Friendly\tSTAFF "}),
+            1u);
+  const std::vector<double>* list = db().precomputed_degrees("friendly staff");
+  ASSERT_NE(list, nullptr);
+  EXPECT_EQ(db().precomputed_degrees("FRIENDLY staff"), list);
+  // Each call replaces the resident set; an empty one drops it.
+  EXPECT_EQ(db().PrecomputeDegrees({"quiet street"}), 1u);
+  EXPECT_EQ(db().precomputed_degrees("friendly staff"), nullptr);
+  EXPECT_NE(db().precomputed_degrees("quiet street"), nullptr);
+  EXPECT_EQ(db().PrecomputeDegrees({}), 0u);
+  EXPECT_EQ(db().precomputed_degrees("quiet street"), nullptr);
 }
 
 TEST_F(ExtensionsTest, PrecomputeMarkersMaterializesEveryMarker) {
-  core::DegreeCache cache(&db());
-  const size_t materialized = cache.PrecomputeMarkers();
-  size_t expected = 0;
+  const std::vector<std::string> markers = db().schema().Markers();
+  size_t total = 0;
   for (const auto& attribute : db().schema().attributes) {
-    expected += attribute.summary_type.markers.size();
+    total += attribute.summary_type.markers.size();
   }
-  // Duplicated marker phrases across attributes cache once.
-  EXPECT_LE(materialized, expected);
-  EXPECT_GT(materialized, 0u);
-  EXPECT_EQ(cache.size(), materialized);
-}
-
-TEST_F(ExtensionsTest, ThresholdAlgorithmTopKMatchesFullScan) {
-  core::DegreeCache cache(&db());
-  const std::vector<std::string> predicates = {"clean room",
-                                               "friendly staff",
-                                               "quiet street"};
-  auto ta = cache.TopKConjunction(predicates, 5);
-  auto scan = cache.TopKConjunctionFullScan(predicates, 5);
-  ASSERT_EQ(ta.size(), scan.size());
-  for (size_t i = 0; i < ta.size(); ++i) {
-    EXPECT_EQ(ta[i].entity, scan[i].entity);
-    EXPECT_NEAR(ta[i].score, scan[i].score, 1e-12);
+  // Duplicated marker phrases across attributes are listed once.
+  EXPECT_LE(markers.size(), total);
+  ASSERT_GT(markers.size(), 0u);
+  EXPECT_EQ(db().PrecomputeDegrees(markers), markers.size());
+  for (const auto& marker : markers) {
+    EXPECT_NE(db().precomputed_degrees(marker), nullptr) << marker;
   }
-}
-
-TEST_F(ExtensionsTest, ThresholdAlgorithmReportsStats) {
-  core::DegreeCache cache(&db());
-  fuzzy::TaStats stats;
-  cache.TopKConjunction({"clean room", "comfortable bed"}, 3, &stats);
-  EXPECT_GT(stats.sorted_accesses, 0u);
-  EXPECT_GT(stats.rounds, 0u);
+  db().PrecomputeDegrees({});
 }
 
 // ------------------------------------------------------- Personalizing.

@@ -1,9 +1,9 @@
 // Deterministic fault-injection sweep over the serving path.
 //
-// Every named site in fault::kSites is armed against every plan shape
-// (dense scan, text-fallback scan, filtered scan, cold cached scan,
-// warm TA top-k, result/interpretation-cached serving). The contract
-// under test:
+// Every throw-and-degrade site of fault::kSites is armed against every
+// plan shape (dense scan, text-fallback scan, filtered scan, a
+// conjunction over a list precomputed under the armed site,
+// result/interpretation-cached serving). The contract under test:
 //
 //  - no injected fault ever crashes, hangs, or leaks a query — every
 //    Execute returns ok() with sane, finite scores (graceful
@@ -12,10 +12,11 @@
 //    the N-th hit is never reached) perturbs nothing: results stay
 //    bit-identical to the unfaulted run;
 //  - after a fault storm the unfaulted path is fully recovered — and in
-//    particular the degree cache never retains data computed under a
-//    degraded interpretation;
-//  - the kSites catalog is live: every site is reached by at least one
-//    shape (a stale catalog entry fails the sweep).
+//    particular no precomputed degree list is ever built from a
+//    degraded or failed preparation;
+//  - the catalog is live: every throw-and-degrade site is reached by at
+//    least one shape, and every server site through a live loopback
+//    server (a stale catalog entry fails the sweep).
 //
 // The whole file self-skips in builds where OPINEDB_FAULT_INJECTION is
 // off (plain Release): the macro compiles to nothing there.
@@ -33,7 +34,6 @@
 #include "cache/result_cache.h"
 #include "common/fault.h"
 #include "common/string_util.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "core/result_json.h"
 #include "datagen/domain_spec.h"
@@ -127,8 +127,8 @@ void ExpectSane(const core::QueryResult& run) {
 }
 
 /// One plan shape: `run(site)` rebuilds the shape's starting state from
-/// scratch (fresh cache, unfaulted warm-up), then arms `site` (empty =
-/// none) and executes the measured query.
+/// scratch, arms `site` (empty = none) and executes the measured query,
+/// leaving no caches or lists behind.
 struct Shape {
   std::string name;
   std::function<Result<core::QueryResult>(const std::string& site)> run;
@@ -160,32 +160,18 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
   shapes.push_back({"dense", plain(dense_sql)});
   shapes.push_back({"text_fallback", plain(textfb_sql)});
   shapes.push_back({"filtered", plain(filtered_sql)});
-  shapes.push_back({"cached_cold", [&db, arm, dense_sql](
+  shapes.push_back({"precomputed", [&db, arm, conj_sql, atom_preds](
                                        const std::string& site) {
-                      core::DegreeCache cache(&db);
-                      db.AttachDegreeCache(&cache);
+                      // The armed site may fire while the first conjunct's
+                      // list is built (it then gets no list) or in the
+                      // query, which serves that conjunct from the list
+                      // and scores the second.
                       db.mutable_options()->force_plan =
                           core::PlanForce::kAuto;
                       arm(site);
-                      auto run = db.Execute(dense_sql);
-                      db.AttachDegreeCache(nullptr);
-                      return run;
-                    }});
-  shapes.push_back({"ta_warm", [&db, arm, conj_sql](
-                                   const std::string& site) {
-                      core::DegreeCache cache(&db);
-                      db.AttachDegreeCache(&cache);
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
-                      auto warm = db.Execute(conj_sql);  // Fills both lists.
-                      EXPECT_TRUE(warm.ok()) << warm.status().ToString();
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kTaTopK;
-                      arm(site);
+                      db.PrecomputeDegrees({atom_preds[0]});
                       auto run = db.Execute(conj_sql);
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
-                      db.AttachDegreeCache(nullptr);
+                      db.PrecomputeDegrees({});
                       return run;
                     }});
   shapes.push_back(
@@ -216,13 +202,14 @@ TEST_F(FaultInjectionTest, SweepEverySiteAcrossEveryPlanShape) {
   ASSERT_GE(atom_preds.size(), 2u)
       << "fixture produced no word2vec-interpretable predicates";
   auto shapes = MakeShapes(db(), atom_preds, NonsensePredicate());
+  const auto sites = fault::SitesOfKind(fault::SiteKind::kDegrade);
   std::map<std::string, bool> covered;
-  for (const char* site : fault::kSites) covered[site] = false;
+  for (const char* site : sites) covered[site] = false;
   for (const auto& shape : shapes) {
     fault::DisarmAll();
     auto reference = shape.run("");
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const char* site : fault::kSites) {
+    for (const char* site : sites) {
       SCOPED_TRACE(shape.name + " site=" + site);
       fault::DisarmAll();
       auto run = shape.run(site);
@@ -249,7 +236,7 @@ TEST_F(FaultInjectionTest, SweepEverySiteAcrossEveryPlanShape) {
   }
   for (const auto& [site, hit] : covered) {
     EXPECT_TRUE(hit) << "catalog entry never reached by any shape: " << site
-                     << " (stale kSites entry or dead OPINEDB_FAULT site)";
+                     << " (stale catalog entry or dead OPINEDB_FAULT site)";
   }
 }
 
@@ -295,12 +282,12 @@ TEST_F(FaultInjectionTest, DegradedFlagReportsEveryFallback) {
   }
 }
 
-// The degree cache must never retain a list computed under a degraded
-// interpretation: arm the word2vec stage so its failure lands inside
-// the cache's own Interpret call (hit 1 is the query prologue, hit 2
-// the cache compute). The compute aborts, nothing is cached, and the
-// query falls back to local scoring with the clean prologue
-// interpretation — bit-identical to the unfaulted run.
+// No precomputed list may be built from a degraded or failed
+// preparation: with a fault armed inside PrecomputeDegrees — the
+// embedding prologue, the word2vec stage, per-entity scoring — the
+// predicate gets no list, and the next query scores it cleanly. An
+// unfaulted rebuild then serves a list bit-identical to the unfaulted
+// run. (The name is kept from the degree cache this test first covered.)
 TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
   const auto atom_preds = AtomPredicates(1);
   ASSERT_FALSE(atom_preds.empty());
@@ -308,23 +295,27 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
   auto reference = db().Execute(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  fault::Arm("interpret.w2v", 2);
-  auto run = db().Execute(sql);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(run->degraded);
-  ExpectBitIdentical(*reference, *run);
-  // The poisoned compute was discarded, not cached.
-  EXPECT_FALSE(cache.Contains(atom_preds[0]));
-  fault::DisarmAll();
-  // The next (unfaulted) query repairs the cache with a clean list.
-  auto repaired = db().Execute(sql);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_FALSE(repaired->degraded);
-  ExpectBitIdentical(*reference, *repaired);
-  EXPECT_TRUE(cache.Contains(atom_preds[0]));
-  db().AttachDegreeCache(nullptr);
+  for (const char* site :
+       {"interpret.embed", "interpret.w2v", "score.features"}) {
+    SCOPED_TRACE(site);
+    fault::Arm(site, 1);
+    EXPECT_EQ(db().PrecomputeDegrees({atom_preds[0]}), 0u);
+    EXPECT_GT(fault::HitCount(site), 0u);
+    EXPECT_EQ(db().precomputed_degrees(atom_preds[0]), nullptr);
+    fault::DisarmAll();
+    auto run = db().Execute(sql);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->stats.cache_misses, 1u);
+    EXPECT_FALSE(run->degraded);
+    ExpectBitIdentical(*reference, *run);
+  }
+  ASSERT_EQ(db().PrecomputeDegrees({atom_preds[0]}), 1u);
+  auto served = db().Execute(sql);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->stats.cache_hits, 1u);
+  EXPECT_FALSE(served->degraded);
+  ExpectBitIdentical(*reference, *served);
+  db().PrecomputeDegrees({});
 }
 
 // A fault at the result-cache fill site must leave the cache exactly as
@@ -416,10 +407,10 @@ TEST_F(FaultInjectionTest, ResultCacheLookupFaultFallsBackToExecution) {
 }
 
 // ------------------------------------------------- Serving-layer sites.
-// The kServerSites catalog (common/fault.h) is swept over a live
-// loopback server. The blast-radius contract: a fired server site
-// degrades exactly one connection or response — never the server, and
-// never a *different* connection's request.
+// The server entries of the fault catalog (common/fault.h) are swept
+// over a live loopback server. The blast-radius contract: a fired server
+// site degrades exactly one connection or response — never the server,
+// and never a *different* connection's request.
 
 TEST_F(FaultInjectionTest, ServerAcceptFaultDropsOneConnectionOnly) {
   server::QueryServer query_server(&db());
@@ -513,13 +504,13 @@ TEST_F(FaultInjectionTest, ServerShedFaultForcesThe429Path) {
   query_server.Stop();
 }
 
-// Catalog liveness for kServerSites, mirroring the kSites sweep: every
-// entry must be reachable through the loopback server — a stale entry
-// or dead OPINEDB_FAULT site fails loudly.
+// Catalog liveness for the server kind, mirroring the throw-and-degrade
+// sweep: every entry must be reachable through the loopback server — a
+// stale entry or dead OPINEDB_FAULT site fails loudly.
 TEST_F(FaultInjectionTest, EveryServerSiteIsReachable) {
   server::QueryServer query_server(&db());
   ASSERT_TRUE(query_server.Start().ok());
-  for (const char* site : fault::kServerSites) {
+  for (const char* site : fault::SitesOfKind(fault::SiteKind::kServer)) {
     SCOPED_TRACE(site);
     fault::DisarmAll();
     fault::Arm(site, 1);
@@ -530,7 +521,7 @@ TEST_F(FaultInjectionTest, EveryServerSiteIsReachable) {
     (void)client.Get("/healthz");
     EXPECT_GT(fault::HitCount(site), 0u)
         << "catalog entry never reached: " << site
-        << " (stale kServerSites entry or dead OPINEDB_FAULT site)";
+        << " (stale catalog entry or dead OPINEDB_FAULT site)";
     fault::DisarmAll();
     server::HttpClient after;
     ASSERT_TRUE(after.Connect("127.0.0.1", query_server.port()).ok());

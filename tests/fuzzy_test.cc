@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "fuzzy/logic.h"
-#include "fuzzy/threshold_algorithm.h"
 
 namespace opinedb::fuzzy {
 namespace {
@@ -115,62 +114,6 @@ TEST(ExprTest, SingleChildCollapses) {
 TEST(ExprTest, ToStringIsReadable) {
   auto expr = Expr::MakeOr({Expr::Leaf(0), Expr::Leaf(1)});
   EXPECT_EQ(expr->ToString(), "(p0 OR p1)");
-}
-
-// ------------------------------------------------- Threshold Algorithm.
-
-std::vector<std::vector<double>> RandomLists(size_t lists, size_t entities,
-                                             uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> out(lists,
-                                       std::vector<double>(entities));
-  for (auto& list : out) {
-    for (auto& v : list) v = rng.Uniform();
-  }
-  return out;
-}
-
-class TaTest : public ::testing::TestWithParam<Variant> {};
-
-TEST_P(TaTest, MatchesFullScan) {
-  const Variant variant = GetParam();
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    auto lists = RandomLists(3, 100, seed);
-    auto ta = ThresholdAlgorithmTopK(lists, 10, variant);
-    auto scan = FullScanTopK(lists, 10, variant);
-    ASSERT_EQ(ta.size(), scan.size());
-    for (size_t i = 0; i < ta.size(); ++i) {
-      EXPECT_EQ(ta[i].entity, scan[i].entity) << "seed " << seed;
-      EXPECT_NEAR(ta[i].score, scan[i].score, 1e-12);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllVariants, TaTest,
-                         ::testing::Values(Variant::kGodel,
-                                           Variant::kProduct));
-
-TEST(TaTest, EarlyTerminationDoesLessWork) {
-  auto lists = RandomLists(2, 5000, 42);
-  TaStats stats;
-  ThresholdAlgorithmTopK(lists, 5, Variant::kProduct, &stats);
-  // Sorted accesses bounded well below a full scan of both lists.
-  EXPECT_LT(stats.sorted_accesses, 2u * 5000u / 2u);
-}
-
-TEST(TaTest, EmptyInputs) {
-  const std::vector<std::vector<double>> empty;
-  EXPECT_TRUE(ThresholdAlgorithmTopK(empty, 5, Variant::kProduct).empty());
-  EXPECT_TRUE(FullScanTopK(empty, 5, Variant::kProduct).empty());
-  std::vector<std::vector<double>> lists = {{0.5, 0.6}};
-  EXPECT_TRUE(ThresholdAlgorithmTopK(lists, 0, Variant::kProduct).empty());
-}
-
-TEST(TaTest, KLargerThanEntities) {
-  std::vector<std::vector<double>> lists = {{0.5, 0.9, 0.1}};
-  auto top = ThresholdAlgorithmTopK(lists, 10, Variant::kProduct);
-  ASSERT_EQ(top.size(), 3u);
-  EXPECT_EQ(top[0].entity, 1);
 }
 
 }  // namespace

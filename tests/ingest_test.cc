@@ -8,15 +8,18 @@
 //     every append round the answers equal the row-path oracle's
 //     (tests/oracle/), text-fallback predicate included;
 //  2. surgical cache maintenance: per-entity data epochs move only for
-//     touched entities, the attached degree cache stays warm for
-//     untouched predicates/entities, and refused mutations leave the
-//     epoch alone (min_reviewer_reviews, unknown entities);
+//     touched entities, precomputed degree lists stay resident and equal
+//     a fresh PrecomputeDegrees after every append (a list whose
+//     interpretation is unchanged is patched, not rescored), and refused
+//     mutations leave the epoch alone (min_reviewer_reviews, unknown
+//     entities);
 //  3. durability: EnableWal → append → reopen-from-snapshot → EnableWal
 //     replays the tail bit-identically; Checkpoint folds the log into
 //     the next snapshot generation and retires the segment; the
 //     storage.wal_* crash sites (torn append, failed fsync, fold crash)
 //     each leave a state recovery repairs without losing an
-//     acknowledged batch;
+//     acknowledged batch, and every WAL entry of the fault catalog is
+//     reached by a drill;
 //  4. concurrency: appends and checkpoints under a live query hammer at
 //     8 threads keep answers bit-identical to a single-threaded
 //     reference engine fed the same batches (the tsan gate for the
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,10 +39,11 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "core/degree_cache.h"
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "obs/trace.h"
 #include "oracle/row_oracle.h"
 #include "server/server.h"
 #include "storage/wal.h"
@@ -173,11 +178,76 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
                 .method,
             core::InterpretMethod::kTextFallback);
 
+  // The incremental engine keeps precomputed lists for the pool
+  // predicates, the markers and the text-fallback predicate: its answers
+  // below are served from lists the ingest path maintains.
+  // One spelling per list, so each predicate below names its own list.
+  std::vector<std::string> predicates;
+  std::set<std::string> keys;
+  auto add = [&](const std::string& predicate) {
+    if (keys.insert(NormalizePredicate(predicate)).second) {
+      predicates.push_back(predicate);
+    }
+  };
+  for (const auto& marker : incremental.db->schema().Markers()) add(marker);
+  for (size_t i = 0; i < 8 && i < incremental.pool.size(); ++i) {
+    add(incremental.pool[i].text);
+  }
+  add("zorblatt quuxly vibes");
+  const size_t lists = incremental.db->PrecomputeDegrees(predicates);
+  ASSERT_EQ(lists, predicates.size());
+  uint64_t patched_total = 0;
+
   for (uint64_t round = 0; round < 6; ++round) {
     const auto batch = MakeBatch(round, 1 + static_cast<int>(round % 4),
                                  entities);
-    ASSERT_TRUE(incremental.db->AppendReviews(batch).ok());
+    std::vector<core::PredicateInterpretation> before;
+    for (const auto& predicate : predicates) {
+      before.push_back(incremental.db->interpreter().Interpret(predicate));
+    }
+    obs::TraceBuffer trace(64);
+    {
+      obs::TraceScope scope(&trace);
+      ASSERT_TRUE(incremental.db->AppendReviews(batch).ok());
+    }
     ASSERT_TRUE(rebuilt.db->AppendReviews(batch).ok());
+    // Each maintained list equals a fresh PrecomputeDegrees over the same
+    // post-append state, bit for bit.
+    ASSERT_EQ(rebuilt.db->PrecomputeDegrees(predicates), lists);
+    uint64_t unchanged = 0;
+    for (size_t p = 0; p < predicates.size(); ++p) {
+      const std::vector<double>* kept =
+          incremental.db->precomputed_degrees(predicates[p]);
+      const std::vector<double>* fresh =
+          rebuilt.db->precomputed_degrees(predicates[p]);
+      ASSERT_NE(kept, nullptr) << predicates[p];
+      ASSERT_NE(fresh, nullptr) << predicates[p];
+      EXPECT_TRUE(*kept == *fresh)
+          << "round " << round << ": list of " << predicates[p]
+          << " differs from a fresh PrecomputeDegrees";
+      if (incremental.db->interpreter().Interpret(predicates[p]) ==
+          before[p]) {
+        ++unchanged;
+      }
+    }
+    // A list whose interpretation did not change was patched (only the
+    // touched entities' slots rescored); every other one was rescored
+    // whole.
+    const obs::SpanRecord* append = nullptr;
+    const auto spans = trace.Snapshot();
+    for (const auto& span : spans) {
+      if (span.name == "ingest.append") append = &span;
+    }
+    ASSERT_NE(append, nullptr);
+    const uint64_t patched = std::stoull(std::string(
+        append->Attribute("lists_patched")));
+    const uint64_t rescored = std::stoull(std::string(
+        append->Attribute("lists_rescored")));
+    EXPECT_EQ(append->Attribute("lists_dropped"), "0");
+    EXPECT_EQ(patched + rescored, lists);
+    EXPECT_EQ(patched, unchanged) << "round " << round;
+    patched_total += patched;
+
     // After every round the store equals the oracle's own row fold of
     // the extended relation, and the delta-patched engine answers
     // exactly what the oracle computes from those rows.
@@ -193,6 +263,7 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
                          "round " + std::to_string(round) + ": " + sql);
     }
   }
+  EXPECT_GT(patched_total, 0u) << "no list ever took the patch path";
   // The rebuilt engine re-derives every summary from its (extended)
   // extraction relation; the incremental engine only ever folded
   // deltas. Their answers must not differ by a bit.
@@ -239,32 +310,34 @@ TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
   }
 }
 
+// (Named for the degree cache this test first covered; it now pins the
+// precomputed lists.)
 TEST_F(IngestTest, DegreeCacheStaysWarmForUntouchedPredicates) {
   eval::DomainArtifacts artifacts = BuildEngine();
   core::OpineDb& db = *artifacts.db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-
-  // Warm one predicate list, then ingest. The refreshed cache must
-  // serve it without recomputation — only touched entity slots are
-  // patched in place.
   const std::string predicate = artifacts.pool[0].text;
-  (void)cache.Degrees(predicate);
-  const auto warm = cache.stats();
+  const std::string sql = "select * from " + db.schema().objective_table +
+                          " where \"" + predicate + "\" limit 10";
+  ASSERT_EQ(db.PrecomputeDegrees({predicate}), 1u);
 
+  // Ingest keeps the list resident: the query after it is still served
+  // from the list, not scored.
   ASSERT_TRUE(db.AppendReviews(MakeBatch(1, 2, static_cast<int32_t>(
                                                    db.corpus().num_entities())))
                   .ok());
-  (void)cache.Degrees(predicate);
-  const auto after = cache.stats();
-  EXPECT_EQ(after.hits, warm.hits + 1)
-      << "ingest must not evict warm degree lists";
-  EXPECT_EQ(after.misses, warm.misses);
+  const std::vector<double>* list = db.precomputed_degrees(predicate);
+  ASSERT_NE(list, nullptr) << "ingest must not drop warm degree lists";
+  const core::QueryResult served = MustExecute(db, sql);
+  EXPECT_EQ(served.stats.cache_hits, 1u);
+  EXPECT_EQ(served.stats.cache_misses, 0u);
 
-  // The patched list itself must be bit-identical to a cold recompute.
-  core::DegreeCache cold(&db);
-  EXPECT_EQ(cache.Degrees(predicate), cold.Degrees(predicate));
-  db.AttachDegreeCache(nullptr);
+  // The maintained list itself is bit-identical to what scoring computes.
+  for (size_t e = 0; e < list->size(); ++e) {
+    auto direct =
+        db.PredicateDegreeOfTruth(predicate, static_cast<text::EntityId>(e));
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ((*list)[e], *direct) << "entity " << e;
+  }
 }
 
 // ------------------------------------------------- Refusal contracts.
@@ -479,6 +552,33 @@ TEST_F(IngestTest, FoldCrashLeavesRecoverableCommittedSnapshot) {
   ASSERT_TRUE(recovered.db->Checkpoint().ok());
   EXPECT_FALSE(fs::exists(dir_ / storage::WalFileName(base)))
       << "the next clean checkpoint sweeps stale segments";
+}
+
+// Catalog liveness for the WAL kind: every fault::SiteKind::kWal entry
+// must be reached by the append-then-checkpoint drill the tests above
+// build on. A stale entry, or a new WAL site no drill reaches, fails
+// here.
+TEST_F(IngestTest, EveryWalSiteIsReachedByADrill) {
+  if (!fault::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out (plain Release build)";
+  }
+  const auto sites = fault::SitesOfKind(fault::SiteKind::kWal);
+  ASSERT_FALSE(sites.empty());
+  for (const char* site : sites) {
+    SCOPED_TRACE(site);
+    fault::DisarmAll();
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+    eval::DomainArtifacts live = BuildEngine();
+    ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+    ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+    fault::Arm(site, 1);
+    (void)live.db->AppendReviews(MakeBatch(60, 2, static_cast<int32_t>(
+        live.db->corpus().num_entities())));
+    (void)live.db->Checkpoint();
+    EXPECT_GT(fault::HitCount(site), 0u)
+        << "WAL catalog entry never reached: " << site;
+  }
 }
 
 // ------------------------------------------------------ Concurrency.

@@ -1,12 +1,12 @@
 // Plan-equivalence property test: for randomized fixture queries, every
-// eligible physical plan (dense scan, filtered scan, TA top-k) must
-// return bit-identical RankedResult lists — same entities, same names,
-// same raw doubles — at 1 and 8 threads, with tracing off and full,
-// and each must equal the row-path oracle's whole answer
-// (tests/oracle/), including for an uninterpretable (text-fallback)
-// predicate. This is the planner's §5b/§5c contract: plans trade work,
-// never results. Run under -DOPINEDB_SANITIZE=thread like
-// concurrency_test.
+// eligible physical plan (dense scan, filtered scan) must return
+// bit-identical RankedResult lists — same entities, same names, same
+// raw doubles — at 1 and 8 threads, with tracing off and full, with and
+// without precomputed degree lists, and each must equal the row-path
+// oracle's whole answer (tests/oracle/), including for an
+// uninterpretable (text-fallback) predicate. This is the planner's
+// §5b/§5c contract: plans trade work, never results. Run under
+// -DOPINEDB_SANITIZE=thread like concurrency_test.
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +15,6 @@
 
 #include "common/deadline.h"
 #include "common/rng.h"
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -96,10 +95,10 @@ class PlanEquivalenceTest : public ::testing::TestWithParam<const char*> {
     for (int i = 0; i < 10; ++i) {
       std::string where;
       switch (i % 5) {
-        case 0:  // Single subjective leaf (TA-eligible once cached).
+        case 0:  // Single subjective leaf.
           where = phrase();
           break;
-        case 1:  // Conjunctive all-subjective (the TA sweet spot).
+        case 1:  // Conjunctive all-subjective.
           where = phrase() + " and " + phrase();
           break;
         case 2:  // Hard objective + subjective (filtered scan).
@@ -151,107 +150,107 @@ void ExpectBitIdentical(const core::QueryResult& reference,
   ExpectBitIdentical(reference.results, actual.results);
 }
 
+/// Every subjective predicate the queries name, for PrecomputeDegrees.
+std::vector<std::string> SubjectivePredicates(
+    const std::vector<std::string>& queries) {
+  std::vector<std::string> predicates;
+  for (const auto& sql : queries) {
+    auto query = core::ParseSubjectiveSql(sql);
+    EXPECT_TRUE(query.ok()) << sql;
+    if (!query.ok()) continue;
+    for (const auto& condition : query->conditions) {
+      if (condition.kind == core::Condition::Kind::kSubjective) {
+        predicates.push_back(condition.subjective);
+      }
+    }
+  }
+  return predicates;
+}
+
 TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
   core::OpineDb& db = *artifacts.db;
   // The nonsense predicate must really take the text-fallback shape.
   ASSERT_EQ(db.interpreter().Interpret(kNonsense).method,
             core::InterpretMethod::kTextFallback);
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  const auto queries = MakeQueries(GetParam());
+  const auto predicates = SubjectivePredicates(queries);
   std::set<core::PlanKind> plans_run;
-  for (const auto& sql : MakeQueries(GetParam())) {
-    // The row-path oracle's whole answer: every plan below must equal it
-    // too, not just the dense scan.
-    auto oracle_answer =
-        oracle::Execute(db, artifacts.domain.objective_table, sql);
-    ASSERT_TRUE(oracle_answer.ok())
-        << sql << ": " << oracle_answer.status().ToString();
-    // Reference: the pre-planner dense path, serial, trace off. Running
-    // it with the cache attached also warms every subjective predicate,
-    // so the TA sweep below runs over resident lists.
-    db.SetNumThreads(1);
-    db.SetTraceLevel(obs::TraceLevel::kOff);
-    db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
-    auto reference = db.Execute(sql);
-    ASSERT_TRUE(reference.ok()) << sql << ": "
-                                << reference.status().ToString();
-    ASSERT_EQ(reference->plan, core::PlanKind::kDenseScan);
-    ExpectBitIdentical(*oracle_answer, reference->results);
-    for (const auto force :
-         {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-          core::PlanForce::kFilteredScan, core::PlanForce::kTaTopK}) {
-      for (const size_t threads : {1, 8}) {
-        for (const auto level :
-             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-          SCOPED_TRACE(sql + " force=" +
-                       std::to_string(static_cast<int>(force)) +
-                       " threads=" + std::to_string(threads) + " trace=" +
-                       std::to_string(static_cast<int>(level)));
-          db.SetNumThreads(threads);
-          db.SetTraceLevel(level);
-          db.mutable_options()->force_plan = force;
-          auto run = db.Execute(sql);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          plans_run.insert(run->plan);
-          ExpectBitIdentical(*reference, *run);
-          ExpectBitIdentical(*oracle_answer, run->results);
+  size_t served = 0;
+  for (const bool lists : {false, true}) {
+    // Second pass: every subjective condition served from its list.
+    db.PrecomputeDegrees(lists ? predicates : std::vector<std::string>{});
+    for (const auto& sql : queries) {
+      // The row-path oracle's whole answer: every plan below must equal
+      // it too, not just the dense scan.
+      auto oracle_answer =
+          oracle::Execute(db, artifacts.domain.objective_table, sql);
+      ASSERT_TRUE(oracle_answer.ok())
+          << sql << ": " << oracle_answer.status().ToString();
+      // Reference: the pre-planner dense path, serial, trace off.
+      db.SetNumThreads(1);
+      db.SetTraceLevel(obs::TraceLevel::kOff);
+      db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
+      auto reference = db.Execute(sql);
+      ASSERT_TRUE(reference.ok()) << sql << ": "
+                                  << reference.status().ToString();
+      ASSERT_EQ(reference->plan, core::PlanKind::kDenseScan);
+      ExpectBitIdentical(*oracle_answer, reference->results);
+      for (const auto force :
+           {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
+            core::PlanForce::kFilteredScan}) {
+        for (const size_t threads : {1, 8}) {
+          for (const auto level :
+               {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+            SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
+                         " force=" +
+                         std::to_string(static_cast<int>(force)) +
+                         " threads=" + std::to_string(threads) +
+                         " trace=" +
+                         std::to_string(static_cast<int>(level)));
+            db.SetNumThreads(threads);
+            db.SetTraceLevel(level);
+            db.mutable_options()->force_plan = force;
+            auto run = db.Execute(sql);
+            ASSERT_TRUE(run.ok()) << run.status().ToString();
+            plans_run.insert(run->plan);
+            served += run->stats.cache_hits;
+            EXPECT_EQ(lists ? run->stats.cache_misses : run->stats.cache_hits,
+                      0u);
+            ExpectBitIdentical(*reference, *run);
+            ExpectBitIdentical(*oracle_answer, run->results);
+          }
         }
       }
     }
   }
-  // The sweep genuinely exercised all three plan shapes (a silent
-  // eligibility regression would funnel everything into dense).
-  EXPECT_EQ(plans_run.size(), 3u);
+  // The sweep genuinely exercised both plan shapes (a silent
+  // eligibility regression would funnel everything into dense) and
+  // really served conditions from the lists.
+  EXPECT_EQ(plans_run.size(), 2u);
+  EXPECT_GT(served, 0u);
 
+  db.PrecomputeDegrees({});
   db.mutable_options()->force_plan = core::PlanForce::kAuto;
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
-  db.AttachDegreeCache(nullptr);
-}
-
-TEST_P(PlanEquivalenceTest, AutoPicksTaOnWarmConjunctiveQueries) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
-  const std::string table =
-      std::string(GetParam()) == "hotel" ? "hotels" : "restaurants";
-  const auto& pool = Fixture(GetParam()).pool;
-  ASSERT_GE(pool.size(), 2u);
-  const std::string sql = "select * from " + table + " where \"" +
-                          pool[0].text + "\" and \"" + pool[1].text +
-                          "\" limit 5";
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
-  db.SetNumThreads(1);
-  // Cold: the conjuncts are not resident yet, so the auto choice stays
-  // dense (and warms the cache).
-  auto cold = db.Execute(sql);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold->plan, core::PlanKind::kDenseScan);
-  EXPECT_EQ(cold->stats.entities_scored, db.corpus().num_entities());
-  // Warm: both lists resident, conjunctive shape, bounded limit → TA,
-  // with identical results and a recorded entities_seen figure.
-  auto warm = db.Execute(sql);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->plan, core::PlanKind::kTaTopK);
-  EXPECT_EQ(warm->stats.cache_hits, 2u);
-  EXPECT_LE(warm->stats.entities_scored, db.corpus().num_entities());
-  EXPECT_GT(warm->stats.entities_scored, 0u);
-  ExpectBitIdentical(*cold, *warm);
-  db.AttachDegreeCache(nullptr);
 }
 
 // §5e extension of the equivalence contract: an armed-but-never-firing
 // QueryDeadline must be invisible. Rerunning the randomized workload
-// under an effectively unlimited budget must stay bit-identical to the
-// unbounded dense reference for every plan × thread count × trace
-// level, with partial never set.
+// under an effectively unlimited budget, over precomputed lists for
+// half the predicates, must stay bit-identical to the unbounded dense
+// reference for every plan × thread count × trace level, with partial
+// never set.
 TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
   core::OpineDb& db = *Fixture(GetParam()).db;
-  core::DegreeCache cache(&db);
-  db.AttachDegreeCache(&cache);
+  const auto queries = MakeQueries(GetParam());
+  std::vector<std::string> half = SubjectivePredicates(queries);
+  half.resize(half.size() / 2);
+  db.PrecomputeDegrees(half);
   core::QueryControl control;
   control.deadline = QueryDeadline::AfterMillis(1e9);
-  for (const auto& sql : MakeQueries(GetParam())) {
+  for (const auto& sql : queries) {
     db.SetNumThreads(1);
     db.SetTraceLevel(obs::TraceLevel::kOff);
     db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
@@ -260,7 +259,7 @@ TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
                                 << reference.status().ToString();
     for (const auto force :
          {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-          core::PlanForce::kFilteredScan, core::PlanForce::kTaTopK}) {
+          core::PlanForce::kFilteredScan}) {
       for (const size_t threads : {1, 8}) {
         for (const auto level :
              {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
@@ -280,10 +279,10 @@ TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
       }
     }
   }
+  db.PrecomputeDegrees({});
   db.mutable_options()->force_plan = core::PlanForce::kAuto;
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
-  db.AttachDegreeCache(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, PlanEquivalenceTest,

@@ -512,6 +512,36 @@ TEST_F(ReplTest, PromoteFaultFailsBeforeTheFlip) {
   EXPECT_FALSE(cluster.follower_db().read_only());
 }
 
+// Catalog liveness for the replication kind: every
+// fault::SiteKind::kRepl entry must be reached by one sync cycle over a
+// fresh batch followed by a promote — the paths the drills above arm. A
+// stale entry, or a new replication site no drill reaches, fails here.
+TEST_F(ReplTest, EveryReplSiteIsReachedByADrill) {
+  if (!fault::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out (plain Release build)";
+  }
+  const auto sites = fault::SitesOfKind(fault::SiteKind::kRepl);
+  ASSERT_FALSE(sites.empty());
+  for (const char* site : sites) {
+    SCOPED_TRACE(site);
+    fault::DisarmAll();
+    std::error_code ec;
+    fs::remove_all(root_, ec);
+    fs::create_directories(root_ / "primary");
+    fs::create_directories(root_ / "follower");
+    Cluster cluster = MakeCluster();
+    const int32_t entities =
+        static_cast<int32_t>(cluster.primary_db().corpus().num_entities());
+    ASSERT_TRUE(
+        cluster.primary_db().AppendReviews(MakeBatch(1, 2, entities)).ok());
+    fault::Arm(site, 1);
+    (void)cluster.client->SyncOnce();
+    (void)cluster.follower_db().Promote();
+    EXPECT_GT(fault::HitCount(site), 0u)
+        << "replication catalog entry never reached: " << site;
+  }
+}
+
 // ------------------------------------------------ Role enforcement.
 
 TEST_F(ReplTest, FollowerRefusesWritesUntilPromoted) {

@@ -1,9 +1,9 @@
 // Robustness regression tests (DESIGN.md §5e):
 //
-//  - Reaggregate must invalidate an attached degree cache. The cached
-//    lists were computed against the old summary tables; before the fix
-//    they survived the rebuild and kept answering queries with stale
-//    degrees (this test fails on the unfixed engine).
+//  - Reaggregate and TrainMembership must drop the precomputed degree
+//    lists. The lists were scored against the old summary tables or
+//    membership model; served after the rebuild they would answer
+//    queries with stale degrees.
 //  - Reconfiguration (Reaggregate / SetNumThreads / SetTraceLevel) is
 //    serialized against in-flight queries — before the fix,
 //    SetNumThreads destroyed the worker pool a running query had
@@ -11,6 +11,8 @@
 //  - Non-finite guards: TrainMembership rejects NaN/Inf features with a
 //    Status, and every degree of truth the engine emits is a finite
 //    value in [0, 1].
+//  - PredicateDegreeOfTruth answers an entity id outside the corpus with
+//    InvalidArgument instead of reading past the summary columns.
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -22,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_config.h"
-#include "core/degree_cache.h"
 #include "core/engine.h"
 #include "core/membership.h"
 #include "datagen/domain_spec.h"
@@ -73,43 +74,41 @@ void ExpectBitIdentical(const core::QueryResult& reference,
   }
 }
 
-// Regression: before the fix, Reaggregate left the attached cache's
-// stale degree lists resident, so cached queries kept ranking against
-// summaries that no longer existed.
+// Regression: lists scored against the old summaries must not survive a
+// Reaggregate, or queries would keep ranking against summaries that no
+// longer exist. (The name is kept from the attached degree cache this
+// test first covered.)
 TEST_F(RobustnessTest, ReaggregateInvalidatesAttachedDegreeCache) {
   const core::AggregationOptions original = db().options().aggregation;
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  // Warm the cache against the current summaries.
-  auto warm = db().Execute(Sql());
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_GT(cache.size(), 0u);
-  const uint64_t epoch_before = cache.epoch();
+  const std::string predicate = artifacts_->pool[0].text;
+  ASSERT_EQ(db().PrecomputeDegrees({predicate}), 1u);
+  const uint64_t epoch_before = db().cache_epoch();
 
   // Rebuild the summaries under a meaningfully different aggregation
   // policy (stricter extraction matching changes marker summaries).
   core::AggregationOptions changed = original;
   changed.match_threshold = original.match_threshold * 2.0;
   changed.fractional = !original.fractional;
-  db().Reaggregate(changed);
+  ASSERT_TRUE(db().Reaggregate(changed).ok());
 
-  // The stale lists must be gone, and borrowers must be able to see it.
-  EXPECT_EQ(cache.size(), 0u)
-      << "Reaggregate left stale degree lists resident in the cache";
-  EXPECT_GT(cache.epoch(), epoch_before);
+  // The stale list must be gone, and the epoch must show it.
+  EXPECT_EQ(db().precomputed_degrees(predicate), nullptr)
+      << "Reaggregate left a stale degree list resident";
+  EXPECT_GT(db().cache_epoch(), epoch_before);
 
-  // End-to-end: the cached query now agrees with a cache-free run over
-  // the new summaries.
-  auto with_cache = db().Execute(Sql());
-  ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
-  db().AttachDegreeCache(nullptr);
-  auto without_cache = db().Execute(Sql());
-  ASSERT_TRUE(without_cache.ok()) << without_cache.status().ToString();
-  ExpectBitIdentical(*without_cache, *with_cache);
+  // End-to-end: a list precomputed over the new summaries serves what
+  // scoring computes from them.
+  auto computed = db().Execute(Sql());
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  ASSERT_EQ(db().PrecomputeDegrees({predicate}), 1u);
+  auto served = db().Execute(Sql());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->stats.cache_hits, 1u);
+  ExpectBitIdentical(*computed, *served);
 
   // Restore the original aggregation for the other tests (the rebuild
   // is deterministic, so this reproduces the fixture state exactly).
-  db().Reaggregate(original);
+  ASSERT_TRUE(db().Reaggregate(original).ok());
 }
 
 // Before the fix, SetNumThreads reset pool_ while a concurrent query
@@ -183,13 +182,34 @@ TEST_F(RobustnessTest, DegreesOfTruthStayInUnitInterval) {
   const size_t n = db().corpus().num_entities();
   for (const auto& predicate : predicates) {
     for (size_t e = 0; e < n; ++e) {
-      const double d =
-          db().PredicateDegreeOfTruth(predicate,
-                                      static_cast<text::EntityId>(e));
+      auto degree = db().PredicateDegreeOfTruth(
+          predicate, static_cast<text::EntityId>(e));
+      ASSERT_TRUE(degree.ok()) << degree.status().ToString();
+      const double d = *degree;
       ASSERT_TRUE(std::isfinite(d)) << predicate << " entity " << e;
       ASSERT_GE(d, 0.0) << predicate << " entity " << e;
       ASSERT_LE(d, 1.0) << predicate << " entity " << e;
     }
+  }
+}
+
+// Regression: an entity id outside the corpus used to index the summary
+// columns unchecked (1 << 28 segfaulted; -1 read before the arrays). It
+// is bad input, so it gets a typed error — on the marker path and on the
+// text fallback alike.
+TEST_F(RobustnessTest, PredicateDegreeOfTruthRejectsOutOfRangeEntities) {
+  const std::string marker = db().schema().Markers().front();
+  ASSERT_FALSE(db().interpreter().Interpret(marker).atoms.empty());
+  const auto n = static_cast<text::EntityId>(db().corpus().num_entities());
+  for (const std::string& predicate :
+       {marker, std::string("zorblatt quuxly vibes")}) {
+    for (const text::EntityId entity : {-1, n, text::EntityId{1} << 28}) {
+      auto degree = db().PredicateDegreeOfTruth(predicate, entity);
+      ASSERT_FALSE(degree.ok()) << predicate << " entity " << entity;
+      EXPECT_EQ(degree.status().code(), StatusCode::kInvalidArgument);
+    }
+    auto last = db().PredicateDegreeOfTruth(predicate, n - 1);
+    EXPECT_TRUE(last.ok()) << last.status().ToString();
   }
 }
 
@@ -211,36 +231,33 @@ TEST_F(RobustnessTest, MembershipDegreeOfTruthClamps) {
   EXPECT_LE(d, 1.0);
 }
 
-// Regression (the ISSUE-6 epoch-audit fix): TrainMembership replaces
-// the membership model — every cached degree list and cached query
-// result was computed through the old model. Before the fix it cleared
-// neither; an attached degree cache kept serving stale degrees exactly
-// like the pre-fix Reaggregate bug above.
+// Regression (the epoch-audit fix): TrainMembership replaces the
+// membership model — every precomputed degree list and cached query
+// result was computed through the old model, so they must go exactly
+// like on Reaggregate above.
 TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  auto warm = db().Execute(Sql());
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_GT(cache.size(), 0u);
-  const uint64_t epoch_before = cache.epoch();
+  const std::string predicate = artifacts_->pool[0].text;
+  ASSERT_EQ(db().PrecomputeDegrees({predicate}), 1u);
+  const uint64_t epoch_before = db().cache_epoch();
 
   const auto tuples = eval::MakeMembershipTuples(
       db(), artifacts_->domain, artifacts_->pool, 200, true, 99);
   ASSERT_TRUE(db().TrainMembership(tuples, 9).ok());
 
-  EXPECT_EQ(cache.size(), 0u)
-      << "TrainMembership left degree lists computed through the old "
-         "membership model resident in the cache";
-  EXPECT_GT(cache.epoch(), epoch_before);
+  EXPECT_EQ(db().precomputed_degrees(predicate), nullptr)
+      << "TrainMembership left a degree list scored through the old "
+         "membership model resident";
+  EXPECT_GT(db().cache_epoch(), epoch_before);
 
-  // End-to-end: cached serving agrees with cache-free serving over the
-  // retrained model.
-  auto with_cache = db().Execute(Sql());
-  ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
-  db().AttachDegreeCache(nullptr);
-  auto without_cache = db().Execute(Sql());
-  ASSERT_TRUE(without_cache.ok()) << without_cache.status().ToString();
-  ExpectBitIdentical(*without_cache, *with_cache);
+  // End-to-end: a list precomputed through the retrained model serves
+  // what scoring computes through it.
+  auto computed = db().Execute(Sql());
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  ASSERT_EQ(db().PrecomputeDegrees({predicate}), 1u);
+  auto served = db().Execute(Sql());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectBitIdentical(*computed, *served);
+  db().PrecomputeDegrees({});
 }
 
 // The epoch audit, pinned: every mutation of served data bumps the
@@ -268,9 +285,8 @@ TEST_F(RobustnessTest, EveryMutationBumpsCacheEpochExactlyOnce) {
   db().SetNumThreads(1);
   db().SetTraceLevel(obs::TraceLevel::kStats);
   db().SetTraceLevel(obs::TraceLevel::kOff);
-  core::DegreeCache cache(&db());
-  db().AttachDegreeCache(&cache);
-  db().AttachDegreeCache(nullptr);
+  db().PrecomputeDegrees({artifacts_->pool[0].text});
+  db().PrecomputeDegrees({});
   db().ConfigureCaches(cache::CacheConfig());
   EXPECT_EQ(db().cache_epoch(), epoch);
 

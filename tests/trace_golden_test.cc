@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/degree_cache.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
@@ -260,39 +259,6 @@ TEST_F(TraceGoldenTest, FilteredScanEmitsObjectiveFilterSpan) {
   EXPECT_LT(result->stats.entities_scored, db->corpus().num_entities());
 }
 
-TEST_F(TraceGoldenTest, TaPlanEmitsTaTopKSpan) {
-  core::OpineDb* db = restaurant_->db.get();
-  core::DegreeCache cache(db);
-  db->AttachDegreeCache(&cache);
-  db->SetTraceLevel(obs::TraceLevel::kFull);
-  const std::string sql =
-      "select * from restaurants where \"delicious food\" and "
-      "\"great service\" limit 5";
-  auto cold = db->Execute(sql);  // Warms both degree lists.
-  ASSERT_TRUE(cold.ok());
-  auto warm = db->Execute(sql);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_NE(warm->trace, nullptr);
-  const auto spans = warm->trace->Snapshot();
-  const auto& root = spans.back();
-  EXPECT_EQ(root.Attribute("plan"), "ta_topk");
-  const obs::SpanRecord* ta = nullptr;
-  const obs::SpanRecord* inner = nullptr;
-  for (const auto& span : spans) {
-    if (span.name == "ta_topk") ta = &span;
-    if (span.name == "fuzzy.ta") inner = &span;
-  }
-  ASSERT_NE(ta, nullptr);
-  EXPECT_EQ(ta->parent_id, root.id);
-  EXPECT_EQ(ta->Attribute("lists"), "2");
-  EXPECT_EQ(ta->Attribute("k"), "5");
-  // The TA core span nests under the operator and reports its work.
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->parent_id, ta->id);
-  EXPECT_FALSE(inner->Attribute("sorted_accesses").empty());
-  db->AttachDegreeCache(nullptr);
-}
-
 // --------------------------------------------------- EXPLAIN goldens.
 // EXPLAIN output is part of the observable surface: pin the full text
 // on both fixtures so format drift is a reviewed change, not an
@@ -333,11 +299,11 @@ TEST_F(TraceGoldenTest, RestaurantExplainMatchesGolden) {
             "  Rank(top 3, partial_sort)\n");
 }
 
+// The score.condition span says where each subjective condition's
+// degrees came from: scored this query, or a precomputed list.
 TEST_F(TraceGoldenTest, CacheHitAndMissAreRecordedInSpans) {
   core::OpineDb* db = hotel_->db.get();
   db->SetTraceLevel(obs::TraceLevel::kFull);
-  core::DegreeCache cache(db);
-  db->AttachDegreeCache(&cache);
   const std::string sql =
       "select * from hotels where \"quiet street\" limit 5";
 
@@ -351,11 +317,12 @@ TEST_F(TraceGoldenTest, CacheHitAndMissAreRecordedInSpans) {
   };
   auto cold = db->Execute(sql);
   ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(source_of(*cold), "cache_miss");
+  EXPECT_EQ(source_of(*cold), "computed");
+  ASSERT_EQ(db->PrecomputeDegrees({"quiet street"}), 1u);
   auto warm = db->Execute(sql);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(source_of(*warm), "cache_hit");
-  db->AttachDegreeCache(nullptr);
+  EXPECT_EQ(source_of(*warm), "precomputed");
+  db->PrecomputeDegrees({});
 }
 
 TEST_F(TraceGoldenTest, NoTraceBelowFullLevel) {

@@ -7,11 +7,13 @@
 //  1. deterministic contracts: naming round-trip, header verification,
 //     append/read round-trips, reopen-after-repair, base-generation
 //     mismatch rejection;
-//  2. a sweep of the two writer-level fault::kWalSites entries
+//  2. a sweep of the two writer-level WAL fault sites
 //     (storage.wal_short_write, storage.wal_fsync) asserting each
 //     leaves the on-disk segment in exactly the state the acknowledged
-//     prefix promises (the third entry, storage.wal_fold, fires inside
-//     the engine checkpoint and is swept by ingest_test.cc);
+//     prefix promises (the third, storage.wal_fold, fires inside the
+//     engine checkpoint and is drilled by ingest_test.cc, whose
+//     liveness loop fails on any fault::SiteKind::kWal entry no drill
+//     reaches);
 //  3. a >= 10k-case seeded corruption fuzzer: bit flips, truncations
 //     and junk extensions of a real segment must never crash ReadWal,
 //     and the surviving records must be a bit-identical prefix of the
