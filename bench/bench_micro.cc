@@ -412,10 +412,8 @@ void RunPlannerSweep() {
   const int repeats = std::max(bench::Repeats(), 5);
   const size_t num_entities = db.corpus().num_entities();
 
-  auto run_forced = [&](core::PlanForce force, const std::string& sql,
-                        core::QueryResult* last) {
-    db.mutable_options()->force_plan = force;
-    const double ms = BestOfMs(repeats, [&] {
+  auto time_query = [&](const std::string& sql, core::QueryResult* last) {
+    return BestOfMs(repeats, [&] {
       auto result = db.Execute(sql);
       if (!result.ok()) {
         fprintf(stderr, "query failed: %s\n",
@@ -424,13 +422,15 @@ void RunPlannerSweep() {
       }
       if (last != nullptr) *last = std::move(*result);
     });
-    db.mutable_options()->force_plan = core::PlanForce::kAuto;
-    return ms;
   };
 
   // Pushdown: one subjective predicate behind a price cut-off of
-  // decreasing selectivity. No lists are precomputed, so subjective
-  // scoring really recomputes per entity — the work the filter skips.
+  // decreasing selectivity (the filtered plan), against the same
+  // predicate without the cut-off (the dense plan over every entity).
+  // No lists are precomputed, so subjective scoring really recomputes
+  // per entity — the work the filter skips.
+  const std::string dense_sql =
+      "select * from hotels where \"friendly staff\" limit 10";
   const std::vector<int> cutoffs = {100, 200, 300, 400, 550};
   std::vector<double> dense_ms;
   std::vector<double> filtered_ms;
@@ -441,13 +441,13 @@ void RunPlannerSweep() {
     const std::string sql = "select * from hotels where price_pn < " +
                             std::to_string(cutoff) +
                             " and \"friendly staff\" limit 10";
+    core::QueryResult dense_result;
     core::QueryResult filtered_result;
-    dense_ms.push_back(
-        run_forced(core::PlanForce::kDenseScan, sql, nullptr));
-    filtered_ms.push_back(
-        run_forced(core::PlanForce::kFilteredScan, sql, &filtered_result));
-    if (filtered_result.plan != core::PlanKind::kFilteredScan) {
-      fprintf(stderr, "expected filtered_scan plan\n");
+    dense_ms.push_back(time_query(dense_sql, &dense_result));
+    filtered_ms.push_back(time_query(sql, &filtered_result));
+    if (dense_result.plan != core::PlanKind::kDenseScan ||
+        filtered_result.plan != core::PlanKind::kFilteredScan) {
+      fprintf(stderr, "expected dense_scan and filtered_scan plans\n");
       std::exit(1);
     }
     pushdown_speedup.push_back(dense_ms.back() / filtered_ms.back());
@@ -468,12 +468,10 @@ void RunPlannerSweep() {
       "limit 10";
   core::QueryResult cold_result;
   core::QueryResult precomputed_result;
-  const double cold_ms =
-      run_forced(core::PlanForce::kAuto, conj_sql, &cold_result);
+  const double cold_ms = time_query(conj_sql, &cold_result);
   const size_t lists =
       db.PrecomputeDegrees({"clean room", "friendly staff"});
-  const double precomputed_ms =
-      run_forced(core::PlanForce::kAuto, conj_sql, &precomputed_result);
+  const double precomputed_ms = time_query(conj_sql, &precomputed_result);
   db.PrecomputeDegrees({});
   if (lists != 2 || precomputed_result.stats.cache_hits != 2) {
     fprintf(stderr, "expected both conjuncts served from lists\n");

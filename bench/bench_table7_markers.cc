@@ -31,12 +31,12 @@ struct ConfigResult {
   std::vector<double> runtime_s;
 };
 
-/// Evaluates one engine configuration (markers on/off) on one query set.
+/// Evaluates one engine configuration (built with markers on or off) on
+/// one query set.
 void Evaluate(eval::DomainArtifacts* artifacts, const QuerySet& set,
-              bool use_markers, int queries, uint64_t seed,
-              ConfigResult* out) {
+              int queries, uint64_t seed, ConfigResult* out) {
   auto& db = *artifacts->db;
-  db.mutable_options()->use_markers = use_markers;
+  const bool use_markers = db.options().use_markers;
 
   // Train the membership model on features from the matching path, with
   // a held-out test split for LR-accuracy (paper: 1000 labeled pairs).
@@ -133,11 +133,18 @@ int main() {
     }
     auto hotels = eval::BuildArtifacts(hotel_spec, hopt);
     auto restaurants = eval::BuildArtifacts(restaurant_spec, ropt);
+    // Markers are a Build-time choice: the no-marker engines hold the
+    // same database (same seeds) and score it from the raw phrases.
+    hopt.engine.use_markers = false;
+    ropt.engine.use_markers = false;
+    auto hotels_no_markers = eval::BuildArtifacts(hotel_spec, hopt);
+    auto restaurants_no_markers = eval::BuildArtifacts(restaurant_spec, ropt);
     for (size_t s = 0; s < sets.size(); ++s) {
-      auto* artifacts = sets[s].hotel ? &hotels : &restaurants;
       const uint64_t seed = 5000 + 17 * r + s;
-      Evaluate(artifacts, sets[s], true, queries, seed, &with_markers[s]);
-      Evaluate(artifacts, sets[s], false, queries, seed, &no_markers[s]);
+      Evaluate(sets[s].hotel ? &hotels : &restaurants, sets[s], queries,
+               seed, &with_markers[s]);
+      Evaluate(sets[s].hotel ? &hotels_no_markers : &restaurants_no_markers,
+               sets[s], queries, seed, &no_markers[s]);
     }
   }
 

@@ -80,7 +80,7 @@ inline constexpr Site kSites[] = {
     // InvertedIndex::TopKWeighted entry.
     {"index.scan", SiteKind::kDegrade},
     // ConditionScorer per (entity, atom); TextFallbackDegree entry; the
-    // degree-list allocation in SubjectiveScoreOp.
+    // degree-list allocation in SubjectiveScore.
     {"score.features", SiteKind::kDegrade},
     {"score.text_fallback", SiteKind::kDegrade},
     {"score.alloc", SiteKind::kDegrade},
@@ -90,12 +90,10 @@ inline constexpr Site kSites[] = {
     {"cache.result_lookup", SiteKind::kDegrade},
     {"cache.result_insert", SiteKind::kDegrade},
     // Snapshot commit: torn tmp write, failed data fsync, crash before
-    // the data rename, crash between data and MANIFEST renames,
-    // post-write bit rot.
+    // the data rename, post-write bit rot.
     {"storage.short_write", SiteKind::kStorage},
     {"storage.fsync", SiteKind::kStorage},
     {"storage.rename_data", SiteKind::kStorage},
-    {"storage.rename_manifest", SiteKind::kStorage},
     {"storage.bitflip", SiteKind::kStorage},
     // WAL: torn record, failed segment fsync, crash between checkpoint
     // commit and segment retirement.

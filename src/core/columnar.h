@@ -264,8 +264,8 @@ class ConditionScorer {
 /// double arrays with a null bitmap, string columns dictionary-encoded
 /// against a sorted distinct list (rank order == storage::Value string
 /// order, so comparing ranks is comparing strings). Built once in
-/// SetObjectiveTable; ObjectiveFilterOp and the 0/1 objective lists in
-/// SubjectiveScoreOp evaluate bound predicates against it as dense
+/// SetObjectiveTable; ObjectiveFilter and the 0/1 objective lists in
+/// SubjectiveScore evaluate bound predicates against it as dense
 /// sweeps with Value::Compare's exact semantics (NULL never matches,
 /// numbers before strings, NaN compares equal).
 class ColumnarTable {
@@ -325,7 +325,7 @@ class ColumnarTable {
   }
 
   /// match[row] &= Eval(predicate, row) over every row — the dense AND
-  /// sweep ObjectiveFilterOp runs per hard predicate.
+  /// sweep ObjectiveFilter runs per hard predicate.
   void FilterInto(const CompiledPredicate& predicate,
                   std::vector<uint8_t>* match) const;
 

@@ -26,6 +26,10 @@ namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+/// Constant c of the text-retrieval fallback: degree of truth =
+/// sigmoid(BM25(D, q) - c).
+constexpr double kTextFallbackC = 4.0;
+
 /// Section names inside a database snapshot container.
 constexpr char kSchemaSection[] = "schema";
 constexpr char kSummariesSection[] = "summaries";
@@ -293,8 +297,7 @@ std::unique_ptr<OpineDb> OpineDb::Build(
       });
 
   // 3. Attribute classifier from schema seeds (with w2v expansion).
-  db.classifier_ = AttributeClassifier::Train(db.schema_, db.embeddings_,
-                                              options.seed_expansions);
+  db.classifier_ = AttributeClassifier::Train(db.schema_, db.embeddings_);
 
   // 4. Extraction (reviews fan out across the pool).
   auto extractions = pipeline.ExtractFromCorpus(db.corpus_, db.pool_.get());
@@ -360,7 +363,7 @@ void OpineDb::RebuildDerivedState() {
   }
   interpreter_ = std::make_unique<Interpreter>(
       &schema_, &tables_, embedder_.get(), &review_index_,
-      &review_sentiment_, options_.interpreter);
+      &review_sentiment_);
   OPINEDB_METRIC_GAUGE_SET("columnar.bytes",
                            static_cast<double>(tables_.summaries.bytes()));
 }
@@ -1144,7 +1147,7 @@ double OpineDb::TextFallbackDegree(
     text::EntityId entity) const {
   OPINEDB_FAULT("score.text_fallback");
   const double bm25 = entity_index_.Score(entity, query);
-  return Sigmoid(bm25 - options_.text_fallback_c);
+  return Sigmoid(bm25 - kTextFallbackC);
 }
 
 OpineDb::PreparedPredicate OpineDb::PreparePredicate(
@@ -1265,8 +1268,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   // parallel-vs-serial bit-identity contract.
   std::optional<obs::TraceScope> trace_scope;
   if (options_.trace_level == obs::TraceLevel::kFull) {
-    output.trace =
-        std::make_shared<obs::TraceBuffer>(options_.trace_capacity);
+    output.trace = std::make_shared<obs::TraceBuffer>();
     trace_scope.emplace(output.trace.get());
   }
   obs::TraceSpan query_span("execute_query");
@@ -1291,14 +1293,11 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
 
   // ----------------------------------------------------- result cache.
   // Consulted before planning: a hit skips the whole pipeline. EXPLAIN
-  // and forced-plan queries bypass the cache entirely (EXPLAIN wants
-  // this execution's plan text; a forced shape wants this execution's
-  // work — serving either from cache would answer a different
-  // question). The epoch is read once up front; mutators bump it under
-  // the exclusive reconfiguration lock, so it cannot move mid-query.
+  // bypasses the cache entirely (it wants this execution's plan text).
+  // The epoch is read once up front; mutators bump it under the
+  // exclusive reconfiguration lock, so it cannot move mid-query.
   const uint64_t cache_epoch = cache_epoch_.load(std::memory_order_relaxed);
-  const bool result_cacheable = result_cache_ != nullptr && !query.explain &&
-                                options_.force_plan == PlanForce::kAuto;
+  const bool result_cacheable = result_cache_ != nullptr && !query.explain;
   bool result_cache_fault = false;
   std::string cache_key;
   if (result_cacheable) {
@@ -1356,7 +1355,6 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   const LogicalPlan logical = AnalyzeQuery(query);
   PlannerContext planner_context;
   planner_context.num_entities = corpus_.num_entities();
-  planner_context.force = options_.force_plan;
   planner_context.variant = options_.variant;
   const PhysicalPlan physical = SelectPlan(query, logical, planner_context);
   output.plan = physical.kind;
@@ -1423,14 +1421,14 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   phase.Reset();
   try {
     if (physical.kind == PlanKind::kFilteredScan) {
-      Status status = ObjectiveFilterOp().Run(&ctx);
+      Status status = ObjectiveFilter(&ctx);
       if (!status.ok()) return status;
     }
-    Status status = SubjectiveScoreOp().Run(&ctx);
+    Status status = SubjectiveScore(&ctx);
     if (!status.ok()) return status;
     output.stats.scoring_ms = phase.ElapsedMillis();
     phase.Reset();
-    status = RankOp().Run(&ctx);
+    status = Rank(&ctx);
     if (!status.ok()) return status;
     output.stats.rank_ms = phase.ElapsedMillis();
   } catch (const std::exception& e) {

@@ -39,26 +39,22 @@ class ResultCache;
 
 namespace opinedb::core {
 
-/// Engine-wide options.
+/// Engine-wide options. They fix how the engine scores when it is
+/// built: after Build they change only through the typed setters that
+/// serialize against queries and invalidate what they must
+/// (SetNumThreads, SetTraceLevel, ConfigureCaches, Reaggregate).
 struct EngineOptions {
   /// Fuzzy-logic variant for combining degrees of truth.
   fuzzy::Variant variant = fuzzy::Variant::kProduct;
   /// When false, membership functions use the no-marker feature path
   /// (scanning the extraction table) — the Table 7 ablation.
   bool use_markers = true;
-  /// Constant c of the text-retrieval fallback: degree of truth =
-  /// sigmoid(BM25(D, q) - c).
-  double text_fallback_c = 4.0;
   /// word2vec training options for the corpus embeddings.
   embedding::Word2VecOptions w2v;
-  /// Interpreter thresholds.
-  InterpreterOptions interpreter;
   /// Aggregation behaviour.
   AggregationOptions aggregation;
   /// Markers per attribute when markers must be induced automatically.
   size_t induced_markers = 4;
-  /// Seed-expansion width for the attribute classifier.
-  size_t seed_expansions = 3;
   /// Worker threads for the parallel execution layer: 0 = hardware
   /// concurrency, 1 = the serial path (no pool). Parallel results are
   /// bit-identical to serial — see DESIGN.md "Concurrency model".
@@ -69,14 +65,6 @@ struct EngineOptions {
   /// into QueryResult::trace. Tracing never perturbs results: parallel
   /// executions stay bit-identical to serial at every level.
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
-  /// Ring-buffer capacity (spans per query) at trace_level == kFull;
-  /// overflow keeps the newest spans.
-  size_t trace_capacity = 256;
-  /// Physical-plan override for ExecuteQuery (kAuto = cost-based
-  /// choice). Forcing a shape the query is not eligible for falls back
-  /// to the automatic choice; every shape is bit-identical, so this
-  /// only trades work — used by plan-equivalence tests and ablations.
-  PlanForce force_plan = PlanForce::kAuto;
   /// Result / interpretation caching (both layers default OFF; see
   /// docs/CACHING.md). Reconfigurable at runtime via ConfigureCaches.
   cache::CacheConfig cache;
@@ -222,7 +210,7 @@ class OpineDb {
   Result<double> PredicateDegreeOfTruth(const std::string& predicate,
                                         text::EntityId entity) const;
 
-  /// Text-retrieval degree of truth: sigmoid(BM25(D_entity, q) - c).
+  /// Text-retrieval degree of truth: sigmoid(BM25(D_entity, q) - 4).
   double TextFallbackDegree(const std::string& predicate,
                             text::EntityId entity) const;
 
@@ -529,9 +517,6 @@ class OpineDb {
       size_t attribute, text::EntityId entity) const {
     return extraction_lists_[attribute][entity];
   }
-
-  /// Mutable options (for ablations like toggling use_markers).
-  EngineOptions* mutable_options() { return &options_; }
 
   /// The worker pool (nullptr on the serial path).
   ThreadPool* pool() const { return pool_.get(); }

@@ -29,7 +29,7 @@ size_t CoveredPrefix(std::vector<std::pair<size_t, size_t>>* ranges) {
 
 namespace opinedb::core {
 
-Status ObjectiveFilterOp::Run(ExecContext* ctx) const {
+Status ObjectiveFilter(ExecContext* ctx) {
   obs::TraceSpan span("objective_filter");
   const SubjectiveQuery& query = *ctx->query;
   // Resolve each column once per predicate, not once per entity.
@@ -60,7 +60,7 @@ Status ObjectiveFilterOp::Run(ExecContext* ctx) const {
   return Status::OK();
 }
 
-Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
+Status SubjectiveScore(ExecContext* ctx) {
   const OpineDb& db = *ctx->db;
   const SubjectiveQuery& query = *ctx->query;
   const size_t num_conditions = query.conditions.size();
@@ -207,7 +207,7 @@ Status SubjectiveScoreOp::Run(ExecContext* ctx) const {
   return Status::OK();
 }
 
-Status RankOp::Run(ExecContext* ctx) const {
+Status Rank(ExecContext* ctx) {
   const OpineDb& db = *ctx->db;
   const SubjectiveQuery& query = *ctx->query;
   const size_t num_entities = ctx->num_entities;

@@ -16,9 +16,9 @@ namespace opinedb::core {
 /// prologue), then each operator reads its inputs and writes its
 /// outputs here:
 ///
-///   ObjectiveFilterOp : entities            -> candidates
-///   SubjectiveScoreOp : candidates          -> degrees (per condition)
-///   RankOp            : degrees, candidates -> output->results
+///   ObjectiveFilter : entities            -> candidates
+///   SubjectiveScore : candidates          -> degrees (per condition)
+///   Rank            : degrees, candidates -> output->results
 struct ExecContext {
   const OpineDb* db = nullptr;
   const SubjectiveQuery* query = nullptr;
@@ -51,7 +51,7 @@ struct ExecContext {
   /// points either there or at precomputed[c].
   std::vector<std::vector<double>> computed;
   std::vector<const std::vector<double>*> degrees;
-  /// Combined WHERE score per entity (RankOp scratch).
+  /// Combined WHERE score per entity (Rank scratch).
   std::vector<double> scores;
 
   /// Deadline / cancellation for this query; nullptr (or an inactive
@@ -61,7 +61,7 @@ struct ExecContext {
   /// then holds a prefix-consistent partial ranking (see watermark).
   bool partial = false;
   /// Candidate positions [0, watermark) have exact degrees in every
-  /// condition list; RankOp only ranks that prefix when partial. Only
+  /// condition list; Rank only ranks that prefix when partial. Only
   /// meaningful while partial is true.
   size_t watermark = 0;
   /// Set (possibly from pool workers, hence atomic) when any stage fell
@@ -70,45 +70,24 @@ struct ExecContext {
   std::atomic<bool> degraded{false};
 };
 
-/// A physical operator: reads/writes the shared ExecContext. Operators
-/// only use OpineDb's public API, so they stay testable in isolation.
-class ExecOp {
- public:
-  virtual ~ExecOp() = default;
-  virtual const char* name() const = 0;
-  virtual Status Run(ExecContext* ctx) const = 0;
-};
-
 /// Evaluates the hard objective predicates (AND-reachable from the
 /// root) first, with each column resolved once per predicate, shrinking
 /// the candidate set before any subjective scoring. A failing hard
 /// predicate forces the WHERE to exactly 0.0 (0 is absorbing for ⊗ in
 /// both variants), so dropped entities can never appear in the output.
-class ObjectiveFilterOp : public ExecOp {
- public:
-  const char* name() const override { return "objective_filter"; }
-  Status Run(ExecContext* ctx) const override;
-};
+Status ObjectiveFilter(ExecContext* ctx);
 
 /// Materializes the per-condition degree lists restricted to the
 /// candidate set: objective conditions as 0/1 vectors (column bound
 /// once), subjective conditions from their precomputed list when one is
 /// resident or by a parallel slot-per-entity computation otherwise.
-class SubjectiveScoreOp : public ExecOp {
- public:
-  const char* name() const override { return "score"; }
-  Status Run(ExecContext* ctx) const override;
-};
+Status SubjectiveScore(ExecContext* ctx);
 
 /// Combines the WHERE tree per candidate (parallel, slot-per-entity),
 /// filters zero scores, and ranks with a partial_sort top-k (the
 /// comparator's score-desc/entity-asc total order makes the prefix
 /// bit-identical to a full sort).
-class RankOp : public ExecOp {
- public:
-  const char* name() const override { return "combine_rank"; }
-  Status Run(ExecContext* ctx) const override;
-};
+Status Rank(ExecContext* ctx);
 
 }  // namespace opinedb::core
 

@@ -12,18 +12,43 @@
 
 namespace opinedb::core {
 
+namespace {
+
+// Constants of the three-stage cascade (Fig. 5).
+
+/// θ1: minimum w2v similarity for a direct interpretation.
+constexpr double kW2vThreshold = 0.5;
+/// Above this w2v confidence the direct interpretation is trusted
+/// outright; between kW2vThreshold and this bound, a strongly supported
+/// co-occurrence interpretation may override it.
+constexpr double kW2vHighConfidence = 0.8;
+/// θ2: minimum per-review support (matched extractions among the top-k
+/// reviews) for a co-occurrence interpretation.
+constexpr double kCooccurThreshold = 3.0;
+/// k: number of top reviews mined by the co-occurrence method.
+constexpr size_t kCooccurTopK = 50;
+/// n: maximum number of attributes in a co-occurrence interpretation.
+constexpr size_t kCooccurTopN = 2;
+/// Fraction of supporting reviews that must mention both top attributes
+/// for the interpretation to become a conjunction.
+constexpr double kConjunctionFraction = 0.6;
+/// Minimum attribute-classification margin for an extracted phrase to
+/// join the linguistic-variation table; filters unclassifiable phrases
+/// whose attribute assignment is essentially the prior.
+constexpr double kVariationMargin = 1.0;
+
+}  // namespace
+
 Interpreter::Interpreter(const SubjectiveSchema* schema,
                          const SubjectiveTables* tables,
                          const embedding::PhraseEmbedder* embedder,
                          const index::InvertedIndex* review_index,
-                         const std::vector<double>* review_sentiment,
-                         InterpreterOptions options)
+                         const std::vector<double>* review_sentiment)
     : schema_(schema),
       tables_(tables),
       embedder_(embedder),
       review_index_(review_index),
-      review_sentiment_(review_sentiment),
-      options_(options) {
+      review_sentiment_(review_sentiment) {
   BuildVariationTable();
 }
 
@@ -54,7 +79,7 @@ void Interpreter::AppendNewExtractions() {
     const int a = tables_->extraction_attribute[i];
     const int m = tables_->extraction_marker[i];
     if (a < 0 || m < 0) continue;
-    if (tables_->extraction_margin[i] < options_.variation_margin) continue;
+    if (tables_->extraction_margin[i] < kVariationMargin) continue;
     const std::string& phrase = tables_->extractions[i].phrase;
     if (!seen_variations_.emplace(a, phrase).second) continue;
     Variation v;
@@ -162,7 +187,7 @@ PredicateInterpretation Interpreter::InterpretCooccurrenceOnly(
   const auto query_tokens = tokenizer_.Tokenize(predicate);
   // Top-k positive reviews by BM25(d, q) * senti(d) (paper Eq. 3).
   const auto top = review_index_->TopKWeighted(
-      query_tokens, options_.cooccur_top_k, *review_sentiment_);
+      query_tokens, kCooccurTopK, *review_sentiment_);
   span.AddAttribute("bm25_candidates", static_cast<uint64_t>(top.size()));
   OPINEDB_METRIC_COUNT("interpreter.bm25_candidates", top.size());
   if (top.empty()) return result;
@@ -224,7 +249,7 @@ PredicateInterpretation Interpreter::InterpretCooccurrenceOnly(
               if (x.first != y.first) return x.first > y.first;
               return x.second < y.second;
             });
-  for (size_t r = 0; r < ranked.size() && r < options_.cooccur_top_n; ++r) {
+  for (size_t r = 0; r < ranked.size() && r < kCooccurTopN; ++r) {
     const int a = ranked[r].second;
     // Best marker of this attribute among the supporting reviews.
     int best_m = -1;
@@ -256,7 +281,7 @@ PredicateInterpretation Interpreter::InterpretCooccurrenceOnly(
     }
     result.conjunctive =
         static_cast<double>(both) / attrs_per_review.size() >=
-        options_.conjunction_fraction;
+        kConjunctionFraction;
   }
   span.AddAttribute("confidence", result.confidence);
   span.AddAttribute("atoms", static_cast<uint64_t>(result.atoms.size()));
@@ -294,12 +319,11 @@ PredicateInterpretation Interpreter::Interpret(
     degraded = true;
     OPINEDB_METRIC_COUNT("engine.fallback.interpret_w2v", 1);
   }
-  const bool w2v_ok =
-      !w2v.atoms.empty() && w2v.confidence >= options_.w2v_threshold;
+  const bool w2v_ok = !w2v.atoms.empty() && w2v.confidence >= kW2vThreshold;
   span.AddAttribute("w2v_confidence", w2v.confidence);
-  span.AddAttribute("w2v_threshold", options_.w2v_threshold);
-  span.AddAttribute("w2v_high_confidence", options_.w2v_high_confidence);
-  if (w2v_ok && w2v.confidence >= options_.w2v_high_confidence) {
+  span.AddAttribute("w2v_threshold", kW2vThreshold);
+  span.AddAttribute("w2v_high_confidence", kW2vHighConfidence);
+  if (w2v_ok && w2v.confidence >= kW2vHighConfidence) {
     result = std::move(w2v);
   } else if (deadline != nullptr && deadline->Expired()) {
     // No budget left for the expensive mining stage; keep the lexical
@@ -322,12 +346,12 @@ PredicateInterpretation Interpreter::Interpret(
     }
     const bool cooc_ok =
         !cooc_failed && !cooc.atoms.empty() &&
-        cooc.confidence >= options_.cooccur_threshold;
+        cooc.confidence >= kCooccurThreshold;
     span.AddAttribute("cooccur_confidence", cooc.confidence);
-    span.AddAttribute("cooccur_threshold", options_.cooccur_threshold);
+    span.AddAttribute("cooccur_threshold", kCooccurThreshold);
     if (w2v_ok) {
       const bool strong_cooccur =
-          cooc_ok && cooc.confidence >= 8.0 * options_.cooccur_threshold;
+          cooc_ok && cooc.confidence >= 8.0 * kCooccurThreshold;
       span.AddAttribute("cooccur_override", strong_cooccur);
       result = strong_cooccur ? std::move(cooc) : std::move(w2v);
     } else if (cooc_ok) {

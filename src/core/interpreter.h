@@ -74,30 +74,6 @@ struct PredicateInterpretation {
   }
 };
 
-/// Thresholds of the three-stage cascade (Fig. 5).
-struct InterpreterOptions {
-  /// θ1: minimum w2v similarity for a direct interpretation.
-  double w2v_threshold = 0.5;
-  /// Above this w2v confidence the direct interpretation is trusted
-  /// outright; between w2v_threshold and this bound, a strongly-supported
-  /// co-occurrence interpretation may override it.
-  double w2v_high_confidence = 0.8;
-  /// θ2: minimum per-review support (matched extractions among the top-k
-  /// reviews) for a co-occurrence interpretation.
-  double cooccur_threshold = 3.0;
-  /// k: number of top reviews mined by the co-occurrence method.
-  size_t cooccur_top_k = 50;
-  /// n: maximum number of attributes in a co-occurrence interpretation.
-  size_t cooccur_top_n = 2;
-  /// Fraction of supporting reviews that must mention both top attributes
-  /// for the interpretation to become a conjunction.
-  double conjunction_fraction = 0.6;
-  /// Minimum attribute-classification margin for an extracted phrase to
-  /// join the linguistic-variation table; filters unclassifiable phrases
-  /// whose attribute assignment is essentially the prior.
-  double variation_margin = 1.0;
-};
-
 /// The subjective query interpreter (Section 3.2): word2vec matching
 /// against the linguistic domains, then co-occurrence mining over the
 /// review corpus, then text-retrieval fallback.
@@ -109,8 +85,7 @@ class Interpreter {
   Interpreter(const SubjectiveSchema* schema, const SubjectiveTables* tables,
               const embedding::PhraseEmbedder* embedder,
               const index::InvertedIndex* review_index,
-              const std::vector<double>* review_sentiment,
-              InterpreterOptions options = InterpreterOptions());
+              const std::vector<double>* review_sentiment);
 
   /// Interprets one NL query predicate. The cascade degrades instead of
   /// failing: a stage that throws (injected fault, broken model state)
@@ -131,8 +106,6 @@ class Interpreter {
   /// Stage 2 only (for the Table 8 ablation).
   PredicateInterpretation InterpretCooccurrenceOnly(
       const std::string& predicate) const;
-
-  const InterpreterOptions& options() const { return options_; }
 
   /// Incremental maintenance for the ingest path: indexes extractions
   /// appended to `tables_` since construction (or the previous call) —
@@ -167,7 +140,6 @@ class Interpreter {
   const embedding::PhraseEmbedder* embedder_;
   const index::InvertedIndex* review_index_;
   const std::vector<double>* review_sentiment_;
-  InterpreterOptions options_;
   text::Tokenizer tokenizer_;
 
   std::vector<Variation> variations_;

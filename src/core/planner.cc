@@ -73,27 +73,10 @@ LogicalPlan AnalyzeQuery(const SubjectiveQuery& query) {
 
 PhysicalPlan SelectPlan(const SubjectiveQuery& /*query*/,
                         const LogicalPlan& logical,
-                        const PlannerContext& context) {
+                        const PlannerContext& /*context*/) {
   PhysicalPlan plan;
-  plan.filtered_eligible = !logical.hard_objective.empty();
-  const PlanKind auto_kind = plan.filtered_eligible ? PlanKind::kFilteredScan
-                                                    : PlanKind::kDenseScan;
-  switch (context.force) {
-    case PlanForce::kAuto:
-      plan.kind = auto_kind;
-      break;
-    case PlanForce::kDenseScan:
-      plan.kind = PlanKind::kDenseScan;  // Always eligible.
-      break;
-    case PlanForce::kFilteredScan:
-      if (plan.filtered_eligible) {
-        plan.kind = PlanKind::kFilteredScan;
-      } else {
-        plan.kind = auto_kind;
-        plan.forced_fallback = true;
-      }
-      break;
-  }
+  plan.kind = logical.hard_objective.empty() ? PlanKind::kDenseScan
+                                             : PlanKind::kFilteredScan;
   return plan;
 }
 
@@ -209,7 +192,6 @@ std::string ExplainPlan(const SubjectiveQuery& query,
                         const PlannerContext& context) {
   std::string out = "plan: ";
   out += PlanKindName(physical.kind);
-  if (physical.forced_fallback) out += " (forced plan ineligible, fell back)";
   out += '\n';
   out += "table: " + query.table +
          "  limit: " + std::to_string(query.limit) + "  variant: " +

@@ -10,25 +10,16 @@
 
 namespace opinedb::core {
 
-/// Physical plan shapes for ExecuteQuery. Every shape is bit-identical
-/// to kDenseScan — the planner only ever trades work, never results
-/// (see docs/QUERY_PLANNER.md for the equivalence arguments).
+/// Physical plan shapes for ExecuteQuery. The shape is a function of the
+/// query, and every shape is bit-identical to kDenseScan — the planner
+/// only ever trades work, never results (see docs/QUERY_PLANNER.md for
+/// the equivalence arguments).
 enum class PlanKind {
   /// The baseline: dense degree lists for every condition over every
   /// entity, full WHERE combine, sort, truncate.
   kDenseScan,
   /// Hard objective predicates evaluated first into a candidate set;
   /// subjective scoring and the WHERE combine restricted to survivors.
-  kFilteredScan,
-};
-
-/// Operator-level override for plan selection (EngineOptions::force_plan).
-/// Forcing a shape the query is not eligible for falls back to the
-/// automatic choice — eligibility is a semantics question, not a cost
-/// knob, so it cannot be overridden.
-enum class PlanForce {
-  kAuto,
-  kDenseScan,
   kFilteredScan,
 };
 
@@ -45,29 +36,23 @@ struct LogicalPlan {
   std::vector<size_t> hard_objective;
 };
 
-/// What SelectPlan needs to know about the execution environment.
+/// The execution environment the planner is told about; ExplainPlan
+/// renders the variant.
 struct PlannerContext {
   size_t num_entities = 0;
-  PlanForce force = PlanForce::kAuto;
   fuzzy::Variant variant = fuzzy::Variant::kProduct;
 };
 
-/// The chosen physical plan plus the eligibility facts behind the
-/// choice (recorded for EXPLAIN and tests).
+/// The chosen physical plan.
 struct PhysicalPlan {
   PlanKind kind = PlanKind::kDenseScan;
-  bool filtered_eligible = false;
-  /// True when a forced shape was ineligible and the automatic choice
-  /// was used instead.
-  bool forced_fallback = false;
 };
 
 /// Lowers the parsed query into its normalized logical view.
 LogicalPlan AnalyzeQuery(const SubjectiveQuery& query);
 
-/// Chooses the physical plan. kFilteredScan is eligible when the query
-/// has at least one hard objective predicate, and the automatic choice
-/// takes it whenever it is eligible; otherwise dense.
+/// Chooses the physical plan: kFilteredScan exactly when the query has
+/// at least one hard objective predicate, otherwise kDenseScan.
 PhysicalPlan SelectPlan(const SubjectiveQuery& query,
                         const LogicalPlan& logical,
                         const PlannerContext& context);
@@ -85,9 +70,9 @@ const char* PlanKindName(PlanKind kind);
 /// fixed epoch; the key deliberately preserves the WHERE tree's exact
 /// structure and child order because the fuzzy fold order is
 /// floating-point-significant (a ⊗ b ⊗ c reassociated changes bits).
-/// EXPLAIN, trace level and force_plan are not part of the key — the
-/// engine bypasses the result cache for EXPLAIN and forced plans, and
-/// rebuilds observability fresh on every hit.
+/// EXPLAIN and trace level are not part of the key — the engine
+/// bypasses the result cache for EXPLAIN and rebuilds observability
+/// fresh on every hit.
 std::string CanonicalQueryKey(const SubjectiveQuery& query);
 
 /// Renders the chosen plan as the multi-line EXPLAIN text (stable

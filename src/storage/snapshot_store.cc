@@ -35,8 +35,6 @@ constexpr uint32_t kFooterSentinel = 0xffffffffu;
 constexpr size_t kMaxSectionName = 1u << 10;
 constexpr size_t kMaxSections = 1u << 16;
 
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kManifestSection[] = "manifest";
 constexpr char kTmpSuffix[] = ".tmp";
 
 void AppendU32(uint32_t v, std::string* out) {
@@ -287,8 +285,7 @@ std::vector<uint64_t> SnapshotStore::ListGenerations() const {
 }
 
 Status SnapshotStore::WriteFileAtomic(const std::string& final_name,
-                                      const std::string& bytes,
-                                      bool is_manifest) {
+                                      const std::string& bytes) {
   const std::string final_path = PathTo(final_name);
   const std::string tmp_path = final_path + kTmpSuffix;
   const int fd =
@@ -299,7 +296,7 @@ Status SnapshotStore::WriteFileAtomic(const std::string& final_name,
   }
   // Torn-write site: persist only a prefix, then stop mid-protocol —
   // exactly the state a power cut during write() leaves behind.
-  if (!is_manifest && OPINEDB_FAULT_HIT("storage.short_write")) {
+  if (OPINEDB_FAULT_HIT("storage.short_write")) {
     WriteAll(fd, bytes.data(), bytes.size() / 2);
     ::close(fd);
     return Status::Internal("injected fault at storage.short_write");
@@ -309,7 +306,7 @@ Status SnapshotStore::WriteFileAtomic(const std::string& final_name,
     ::close(fd);
     return Status::Internal("write failed: " + tmp_path + ": " + err);
   }
-  if (!is_manifest && OPINEDB_FAULT_HIT("storage.fsync")) {
+  if (OPINEDB_FAULT_HIT("storage.fsync")) {
     ::close(fd);
     return Status::Internal("injected fault at storage.fsync");
   }
@@ -321,16 +318,13 @@ Status SnapshotStore::WriteFileAtomic(const std::string& final_name,
   ::close(fd);
   // Media-fault site: the file is durable but one bit rots before the
   // rename. The commit succeeds; only recovery's checksums notice.
-  if (!is_manifest && OPINEDB_FAULT_HIT("storage.bitflip")) {
+  if (OPINEDB_FAULT_HIT("storage.bitflip")) {
     FlipOneBit(tmp_path);
   }
   // Crash sites: stop before the rename that would make the write
   // visible. The tmp file remains; recovery ignores it.
-  if (!is_manifest && OPINEDB_FAULT_HIT("storage.rename_data")) {
+  if (OPINEDB_FAULT_HIT("storage.rename_data")) {
     return Status::Internal("injected fault at storage.rename_data");
-  }
-  if (is_manifest && OPINEDB_FAULT_HIT("storage.rename_manifest")) {
-    return Status::Internal("injected fault at storage.rename_manifest");
   }
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return Status::Internal("rename failed: " + tmp_path + " -> " +
@@ -370,22 +364,10 @@ Result<uint64_t> SnapshotStore::Commit(
   if (!existing.empty()) next = existing.back() + 1;
 
   const std::string bytes = EncodeContainer(sections);
-  Status data = WriteFileAtomic(GenerationFileName(next), bytes, false);
+  Status data = WriteFileAtomic(GenerationFileName(next), bytes);
   if (!data.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.commit_failures", 1);
     return data;
-  }
-
-  std::vector<SnapshotSection> manifest(1);
-  manifest[0].name = kManifestSection;
-  manifest[0].payload = std::to_string(next);
-  Status pointer =
-      WriteFileAtomic(kManifestName, EncodeContainer(manifest), true);
-  if (!pointer.ok()) {
-    // The data generation is durable and self-validating; recovery will
-    // serve it even though the manifest still names the predecessor.
-    OPINEDB_METRIC_COUNT("storage.snapshot.commit_failures", 1);
-    return pointer;
   }
   OPINEDB_METRIC_COUNT("storage.snapshot.commits", 1);
   OPINEDB_METRIC_COUNT("storage.snapshot.bytes_written", bytes.size());
@@ -396,22 +378,6 @@ Result<LoadedSnapshot> SnapshotStore::Recover() const {
   std::vector<uint64_t> generations = ListGenerations();
   if (generations.empty()) {
     return Status::NotFound("no snapshot generations in " + dir_);
-  }
-  // The MANIFEST, when it verifies, is a hint for observability only —
-  // the directory scan below is what decides. A valid generation newer
-  // than the manifest (crash between data and manifest rename) is
-  // served; a manifest pointing at a corrupt generation falls through.
-  uint64_t manifest_generation = 0;
-  {
-    auto bytes = ReadFileBytes(PathTo(kManifestName));
-    if (bytes.ok()) {
-      auto sections = DecodeContainer(*bytes);
-      if (sections.ok() && sections->size() == 1 &&
-          (*sections)[0].name == kManifestSection) {
-        manifest_generation = std::strtoull(
-            (*sections)[0].payload.c_str(), nullptr, 10);
-      }
-    }
   }
   std::string newest_error;
   size_t skipped = 0;
@@ -436,7 +402,6 @@ Result<LoadedSnapshot> SnapshotStore::Recover() const {
     snapshot.generation = *it;
     snapshot.sections = std::move(*sections);
     snapshot.skipped_generations = skipped;
-    snapshot.manifest_generation = manifest_generation;
     if (skipped > 0) {
       OPINEDB_METRIC_COUNT("storage.snapshot.recovered_fallback", 1);
     }
@@ -526,15 +491,9 @@ Status SnapshotStore::AdoptSnapshot(uint64_t generation,
   const bool already_good =
       existing.ok() && DecodeContainer(*existing).ok();
   if (!already_good) {
-    Status data = WriteFileAtomic(name, bytes, false);
+    Status data = WriteFileAtomic(name, bytes);
     if (!data.ok()) return data;
   }
-  std::vector<SnapshotSection> manifest(1);
-  manifest[0].name = kManifestSection;
-  manifest[0].payload = std::to_string(generation);
-  Status pointer =
-      WriteFileAtomic(kManifestName, EncodeContainer(manifest), true);
-  if (!pointer.ok()) return pointer;
   OPINEDB_METRIC_COUNT("storage.snapshot.adoptions", 1);
   return Status::OK();
 }

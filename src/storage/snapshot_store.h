@@ -26,10 +26,6 @@ struct LoadedSnapshot {
   /// Newer generations that existed on disk but failed verification
   /// (torn, truncated, bit-flipped). Zero on a clean open.
   size_t skipped_generations = 0;
-  /// What the MANIFEST pointed at (0 when missing or invalid). Purely
-  /// informational: after a crash between the data and manifest renames
-  /// this lags `generation` by one, which operators can alert on.
-  uint64_t manifest_generation = 0;
 
   /// Payload of the section named `name`, or nullptr if absent.
   const std::string* Find(const std::string& name) const;
@@ -40,8 +36,6 @@ struct LoadedSnapshot {
 /// Layout:
 ///
 ///   <dir>/gen-000000000000N.snap   one immutable snapshot per commit
-///   <dir>/MANIFEST                 checksummed pointer to the intended
-///                                  current generation
 ///   <dir>/*.tmp                    in-flight writes (ignored by
 ///                                  recovery, swept by the next commit)
 ///
@@ -49,13 +43,13 @@ struct LoadedSnapshot {
 /// magic+version header, length-prefixed sections each carrying a
 /// CRC32C, and a footer with a whole-file CRC32C. Commit() is strictly
 /// atomic: write gen-N.tmp, fsync, rename into place, fsync the
-/// directory, then update MANIFEST through the same tmp+rename dance.
-/// A crash at any point leaves either the old current generation or the
-/// new one — never a half-visible state.
+/// directory. A crash at any point leaves either the old current
+/// generation or the new one — never a half-visible state. Any other
+/// file in the directory (a MANIFEST an older release wrote, for
+/// instance) is ignored.
 ///
 /// Recover() trusts nothing: it scans candidate generations newest
-/// first (the MANIFEST, when it verifies, only serves as a starting
-/// hint), verifies every section checksum and the file checksum, and
+/// first, verifies every section checksum and the file checksum, and
 /// returns the newest generation that verifies end to end. Torn writes,
 /// truncations, bit flips and stray tmp files therefore yield a clean
 /// older generation, or a typed error — never UB, a throw, or silently
@@ -93,8 +87,8 @@ class SnapshotStore {
   /// always retained regardless of `keep` — it is what Recover() would
   /// serve, so GarbageCollect(0) tidies droppings without ever causing
   /// data loss. Keeping more than one generation is what makes fallback
-  /// possible; keep >= 2 is recommended. Never touches MANIFEST, tmp
-  /// files, or WAL segments.
+  /// possible; keep >= 2 is recommended. Never touches tmp files or WAL
+  /// segments.
   Status GarbageCollect(size_t keep);
 
   /// Pin-aware garbage collection (the replication-era overload): same
@@ -111,8 +105,7 @@ class SnapshotStore {
   /// must verify as a framed container (DecodeContainer) or the call
   /// refuses with the decode error and writes nothing. If gen-N already
   /// exists and verifies, the call is an idempotent no-op; if it exists
-  /// but is corrupt, the verified copy replaces it. On success the
-  /// MANIFEST is updated to point at `generation` through the same
+  /// but is corrupt, the verified copy replaces it through the same
   /// atomic tmp+rename protocol Commit uses.
   Status AdoptSnapshot(uint64_t generation, const std::string& bytes);
 
@@ -121,7 +114,7 @@ class SnapshotStore {
   static std::string GenerationFileName(uint64_t generation);
 
   /// Parses a generation file name; returns false for anything else
-  /// (tmp files, MANIFEST, stray droppings).
+  /// (tmp files, stray droppings).
   static bool ParseGenerationFileName(const std::string& name,
                                       uint64_t* generation);
 
@@ -139,7 +132,7 @@ class SnapshotStore {
 
  private:
   Status WriteFileAtomic(const std::string& final_name,
-                         const std::string& bytes, bool is_manifest);
+                         const std::string& bytes);
   std::string PathTo(const std::string& name) const;
 
   std::string dir_;

@@ -11,8 +11,8 @@
 //    the LRU byte bound (a distinct-key stream stays within budget, the
 //    most recently used key survives, overwrites charge once, Keys() /
 //    save / oversize loads see only resident entries).
-//  - Engine never-cache rules: EXPLAIN and forced-plan queries bypass
-//    the result cache; partial (deadline) and degraded (fault) results
+//  - Engine never-cache rules: EXPLAIN queries bypass the result
+//    cache; partial (deadline) and degraded (fault) results
 //    are never inserted; hits are bit-identical at every trace level and
 //    render byte-identical JSON (watermark included).
 //  - The engine's bounded interpretation cache: 10k fresh predicates
@@ -442,7 +442,6 @@ class CacheEngineTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    db().mutable_options()->force_plan = core::PlanForce::kAuto;
     db().ConfigureCaches(cache::CacheConfig());
     if (fault::CompiledIn()) fault::DisarmAll();
   }
@@ -521,23 +520,6 @@ TEST_F(CacheEngineTest, ExplainBypassesTheResultCache) {
   // Neither served from the cache nor inserted into it.
   EXPECT_EQ(db().result_cache()->hits(), hits_before);
   EXPECT_EQ(db().result_cache()->size(), 1u);
-}
-
-TEST_F(CacheEngineTest, ForcedPlansBypassTheResultCache) {
-  auto fill = db().Execute(Sql());
-  ASSERT_TRUE(fill.ok()) << fill.status().ToString();
-  ASSERT_EQ(db().result_cache()->size(), 1u);
-  db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
-  const uint64_t hits_before = db().result_cache()->hits();
-  auto forced = db().Execute(Sql());
-  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
-  EXPECT_FALSE(forced->stats.result_cache_hit);
-  EXPECT_EQ(db().result_cache()->hits(), hits_before);
-  EXPECT_EQ(db().result_cache()->size(), 1u);
-  // Forced execution is still bit-identical to the cached fill (plan
-  // equivalence) — the bypass is about honoring the forced work, not
-  // about different answers.
-  ExpectBitIdentical(*fill, *forced);
 }
 
 TEST_F(CacheEngineTest, PartialResultsAreNeverCached) {

@@ -8,19 +8,22 @@
 // randomized fixture queries the engine must return exactly the
 // oracle's RankedResult lists — same entities, same names, same raw
 // doubles — at 1 and 8 threads, with tracing off and full: on the hotel
-// and restaurant fixtures with markers, under the no-marker ablation and
-// for an uninterpretable (text-fallback) predicate, and on a generated
-// scale fixture (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the
-// Release sweep at 100k and the sanitizer sweeps at 20k) as precomputed
-// degree lists plus LIMIT 10 answers with and without an objective
-// filter. Precomputed lists of the markers, pool predicates and a
-// text-fallback predicate equal PredicateDegreeOfTruth and the oracle
-// slot by slot at 1 and 8 threads. Also
+// and restaurant fixtures built with markers, built for the no-marker
+// ablation and built with Gödel connectives, for an uninterpretable
+// (text-fallback) predicate, and on a generated scale fixture
+// (OPINEDB_SCALE_TEST_ENTITIES entities; CI runs the Release sweep at
+// 100k and the sanitizer sweeps at 20k) as precomputed degree lists plus
+// LIMIT 10 answers with and without an objective filter. Precomputed
+// lists of the markers, pool predicates and a text-fallback predicate
+// equal PredicateDegreeOfTruth and the oracle slot by slot at 1 and 8
+// threads on all three builds, and the Gödel build's result-cache hits
+// equal its executed answers. Also
 // covers the ColumnarTable predicate sweep cell-by-cell against
 // BoundColumnPredicate::Matches, the InstallSummaries validation rules,
 // and the cache-shard widths. Built as its own binary labeled `scale`.
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -33,6 +36,7 @@
 #include "common/rng.h"
 #include "core/columnar.h"
 #include "core/engine.h"
+#include "core/result_json.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
 #include "datagen/scale.h"
@@ -159,51 +163,51 @@ void ExpectPredicateMatchesOracle(core::OpineDb& db,
 
 class ColumnarEquivalenceTest : public ::testing::TestWithParam<const char*> {
  protected:
-  static void SetUpTestSuite() {
-    {
+  /// How a fixture's engine scores, fixed when it is built.
+  enum class Scoring {
+    kMarkers,    // Marker summaries, product connectives.
+    kNoMarkers,  // The Table 7 ablation: features from the raw phrases.
+    kGodel,      // Marker summaries, Gödel (min/max) connectives.
+  };
+
+  static void TearDownTestSuite() { fixtures_.clear(); }
+
+  /// The `name` domain ("hotel" or "restaurant") built for `scoring`,
+  /// built on first use. Every scoring of a domain shares every seed,
+  /// so the builds hold the same database and differ only in how it
+  /// scores.
+  static eval::DomainArtifacts& Fixture(const std::string& name,
+                                        Scoring scoring = Scoring::kMarkers) {
+    auto& slot = fixtures_[{name, scoring}];
+    if (slot == nullptr) {
+      const bool hotel = name == "hotel";
       eval::BuildOptions options;
-      options.generator.num_entities = 30;
-      options.generator.min_reviews_per_entity = 10;
-      options.generator.max_reviews_per_entity = 20;
-      options.generator.seed = 31;
-      options.seed = 31;
+      options.generator.num_entities = hotel ? 30 : 25;
+      options.generator.min_reviews_per_entity = hotel ? 10 : 8;
+      options.generator.max_reviews_per_entity = hotel ? 20 : 16;
+      options.generator.seed = hotel ? 31 : 32;
+      options.seed = hotel ? 31 : 32;
       options.extractor_training_sentences = 400;
       options.predicate_pool_size = 60;
       options.membership_training_tuples = 500;
-      hotel_ = new eval::DomainArtifacts(
-          eval::BuildArtifacts(datagen::HotelDomain(), options));
+      options.engine.use_markers = scoring != Scoring::kNoMarkers;
+      if (scoring == Scoring::kGodel) {
+        options.engine.variant = fuzzy::Variant::kGodel;
+      }
+      slot = std::make_unique<eval::DomainArtifacts>(eval::BuildArtifacts(
+          hotel ? datagen::HotelDomain() : datagen::RestaurantDomain(),
+          options));
     }
-    {
-      eval::BuildOptions options;
-      options.generator.num_entities = 25;
-      options.generator.min_reviews_per_entity = 8;
-      options.generator.max_reviews_per_entity = 16;
-      options.generator.seed = 32;
-      options.seed = 32;
-      options.extractor_training_sentences = 400;
-      options.predicate_pool_size = 60;
-      options.membership_training_tuples = 500;
-      restaurant_ = new eval::DomainArtifacts(
-          eval::BuildArtifacts(datagen::RestaurantDomain(), options));
-    }
-  }
-
-  static void TearDownTestSuite() {
-    delete hotel_;
-    hotel_ = nullptr;
-    delete restaurant_;
-    restaurant_ = nullptr;
-  }
-
-  static eval::DomainArtifacts& Fixture(const std::string& name) {
-    return name == "hotel" ? *hotel_ : *restaurant_;
+    return *slot;
   }
 
   /// Deterministic randomized workload mixing subjective leaves,
   /// objective filters (every comparison op), boolean structure and
-  /// limit boundaries.
-  static std::vector<std::string> MakeQueries(const std::string& name) {
-    const eval::DomainArtifacts& artifacts = Fixture(name);
+  /// limit boundaries. Every scoring of a domain yields the same queries
+  /// (the builds share the predicate pool).
+  static std::vector<std::string> MakeQueries(
+      const std::string& name, Scoring scoring = Scoring::kMarkers) {
+    const eval::DomainArtifacts& artifacts = Fixture(name, scoring);
     const std::string table = name == "hotel" ? "hotels" : "restaurants";
     std::vector<std::string> phrases;
     for (const auto& predicate : artifacts.pool) {
@@ -261,12 +265,14 @@ class ColumnarEquivalenceTest : public ::testing::TestWithParam<const char*> {
 
   static constexpr const char* kNonsense = "zorblatt quuxly vibes";
 
-  static eval::DomainArtifacts* hotel_;
-  static eval::DomainArtifacts* restaurant_;
+  static std::map<std::pair<std::string, Scoring>,
+                  std::unique_ptr<eval::DomainArtifacts>>
+      fixtures_;
 };
 
-eval::DomainArtifacts* ColumnarEquivalenceTest::hotel_ = nullptr;
-eval::DomainArtifacts* ColumnarEquivalenceTest::restaurant_ = nullptr;
+std::map<std::pair<std::string, ColumnarEquivalenceTest::Scoring>,
+         std::unique_ptr<eval::DomainArtifacts>>
+    ColumnarEquivalenceTest::fixtures_;
 
 TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
@@ -282,15 +288,14 @@ TEST_P(ColumnarEquivalenceTest, ColumnarBitIdenticalToRow) {
                  MakeQueries(GetParam()));
 }
 
-// The paper's Table 7 ablation: with use_markers off the scorer embeds
-// every extracted phrase per (entity, atom) instead of reading markers.
+// The paper's Table 7 ablation: built with use_markers off, the scorer
+// embeds every extracted phrase per (entity, atom) instead of reading
+// markers.
 TEST_P(ColumnarEquivalenceTest, NoMarkerAblationBitIdenticalToRow) {
-  eval::DomainArtifacts& artifacts = Fixture(GetParam());
-  core::OpineDb& db = *artifacts.db;
-  db.mutable_options()->use_markers = false;
-  const ScopeExit restore([&] { db.mutable_options()->use_markers = true; });
-  RunOracleSweep(db, artifacts.domain.objective_table,
-                 MakeQueries(GetParam()));
+  eval::DomainArtifacts& artifacts =
+      Fixture(GetParam(), Scoring::kNoMarkers);
+  RunOracleSweep(*artifacts.db, artifacts.domain.objective_table,
+                 MakeQueries(GetParam(), Scoring::kNoMarkers));
 }
 
 // Queries served from precomputed lists — every subjective predicate of
@@ -315,18 +320,18 @@ TEST_P(ColumnarEquivalenceTest, WarmDegreeCacheBitIdentical) {
   RunOracleSweep(db, artifacts.domain.objective_table, queries);
 }
 
-// Every slot of every precomputed list — the markers, the pool
-// predicates and a text-fallback predicate — equals both the degree
-// PredicateDegreeOfTruth computes and the oracle's row-path degree, at 1
-// and 8 threads, and the two thread counts build identical lists.
-TEST_P(ColumnarEquivalenceTest, PrecomputedListsMatchScorerAndOracle) {
-  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+/// Every slot of every precomputed list — the markers, the pool
+/// predicates and a text-fallback predicate — equals both the degree
+/// PredicateDegreeOfTruth computes and the oracle's row-path degree, at 1
+/// and 8 threads, and the two thread counts build identical lists.
+void ExpectListsMatchScorerAndOracle(eval::DomainArtifacts& artifacts,
+                                     const std::string& nonsense) {
   core::OpineDb& db = *artifacts.db;
   std::vector<std::string> predicates = db.schema().Markers();
   for (size_t i = 0; i < 12 && i < artifacts.pool.size(); ++i) {
     predicates.push_back(artifacts.pool[i].text);
   }
-  predicates.push_back(kNonsense);
+  predicates.push_back(nonsense);
   const size_t n = db.corpus().num_entities();
   std::vector<std::vector<double>> expected;
   for (const auto& predicate : predicates) {
@@ -362,6 +367,62 @@ TEST_P(ColumnarEquivalenceTest, PrecomputedListsMatchScorerAndOracle) {
       }
     }
   }
+}
+
+// The lists of the marker build and of the no-marker build of the same
+// database (the Table 7 ablation scores lists from the raw phrases).
+TEST_P(ColumnarEquivalenceTest, PrecomputedListsMatchScorerAndOracle) {
+  for (const Scoring scoring : {Scoring::kMarkers, Scoring::kNoMarkers}) {
+    SCOPED_TRACE(scoring == Scoring::kMarkers ? "markers" : "no markers");
+    eval::DomainArtifacts& artifacts = Fixture(GetParam(), scoring);
+    ASSERT_EQ(artifacts.db->options().use_markers,
+              scoring == Scoring::kMarkers);
+    ExpectListsMatchScorerAndOracle(artifacts, kNonsense);
+  }
+}
+
+// A Gödel build scores with min/max on every path: its precomputed lists
+// equal PredicateDegreeOfTruth and the oracle, its executed answers equal
+// the oracle's, and its result-cache hits render the executed answers
+// byte for byte. The answers differ from the product build of the same
+// database, so the variant is really in effect.
+TEST_P(ColumnarEquivalenceTest, GodelBuildListsAndCacheHitsMatchExecution) {
+  eval::DomainArtifacts& artifacts = Fixture(GetParam(), Scoring::kGodel);
+  core::OpineDb& db = *artifacts.db;
+  ASSERT_EQ(db.options().variant, fuzzy::Variant::kGodel);
+  ExpectListsMatchScorerAndOracle(artifacts, kNonsense);
+  const auto queries = MakeQueries(GetParam());
+  RunOracleSweep(db, artifacts.domain.objective_table, queries);
+
+  std::vector<std::string> executed;
+  for (const auto& sql : queries) {
+    auto run = db.Execute(sql);
+    ASSERT_TRUE(run.ok()) << sql << ": " << run.status().ToString();
+    executed.push_back(core::ResultToJson(*run));
+  }
+  cache::CacheConfig results_on;
+  results_on.enable_results = true;
+  db.ConfigureCaches(results_on);
+  const ScopeExit caches_off(
+      [&] { db.ConfigureCaches(cache::CacheConfig()); });
+  for (size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE(queries[q]);
+    auto fill = db.Execute(queries[q]);
+    ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+    auto hit = db.Execute(queries[q]);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_TRUE(hit->stats.result_cache_hit);
+    EXPECT_EQ(core::ResultToJson(*hit), executed[q]);
+  }
+
+  core::OpineDb& product = *Fixture(GetParam()).db;
+  size_t differing = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto run = product.Execute(queries[q]);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    if (core::ResultToJson(*run) != executed[q]) ++differing;
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Domains, ColumnarEquivalenceTest,

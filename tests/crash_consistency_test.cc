@@ -33,6 +33,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/engine.h"
+#include "core/result_json.h"
 #include "core/serialize.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
@@ -125,7 +126,6 @@ class CrashSweepTest : public ::testing::Test {
     auto recovered = store->Recover();
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(recovered->generation, *committed);
-    EXPECT_EQ(recovered->manifest_generation, *committed);
     EXPECT_EQ(recovered->skipped_generations, 0u);
     ExpectSectionsEqual(new_sections_, recovered->sections);
   }
@@ -160,34 +160,10 @@ TEST_F(CrashSweepTest, CrashBeforeDataVisibleServesOldGeneration) {
     auto recovered = store.Recover();
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(recovered->generation, 1u);
-    EXPECT_EQ(recovered->manifest_generation, 1u);
     ExpectSectionsEqual(old_sections_, recovered->sections);
 
     ExpectSelfHeals(&store);
   }
-}
-
-// A crash between the data rename and the manifest rename: the commit
-// reports failure, but the new generation is durable and self-validating,
-// so recovery serves it — with the manifest hint lagging one behind,
-// which is exactly what operators can alert on.
-TEST_F(CrashSweepTest, CrashBetweenDataAndManifestServesNewGeneration) {
-  SnapshotStore store(dir());
-  CommitBaseline(&store);
-
-  fault::Arm("storage.rename_manifest", 1);
-  auto committed = store.Commit(new_sections_);
-  ASSERT_FALSE(committed.ok());
-  EXPECT_GT(fault::HitCount("storage.rename_manifest"), 0u);
-
-  auto recovered = store.Recover();
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->generation, 2u);
-  EXPECT_EQ(recovered->manifest_generation, 1u);  // Lagging hint.
-  EXPECT_EQ(recovered->skipped_generations, 0u);
-  ExpectSectionsEqual(new_sections_, recovered->sections);
-
-  ExpectSelfHeals(&store);
 }
 
 // A post-write media bit flip: the commit itself succeeds (the fault is
@@ -207,7 +183,6 @@ TEST_F(CrashSweepTest, BitRotFallsBackToOldGeneration) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->generation, 1u);
   EXPECT_EQ(recovered->skipped_generations, 1u);
-  EXPECT_EQ(recovered->manifest_generation, 2u);
   ExpectSectionsEqual(old_sections_, recovered->sections);
 
   ExpectSelfHeals(&store);
@@ -445,6 +420,36 @@ TEST_F(EnginePersistenceTest, SaveOpenRoundTripsQueriesBitIdentically) {
   EXPECT_EQ(db().snapshot_generation(), 1u);
   ASSERT_TRUE(db().OpenDatabase(dir()).ok());
   EXPECT_EQ(db().snapshot_generation(), 1u);
+  ExpectBitIdentical(golden, MustExecute(Sql()));
+}
+
+// A directory an earlier release wrote also holds a MANIFEST — a
+// one-section container naming the newest generation — and, after a
+// crash while that pointer was updated, a MANIFEST.tmp. Such a
+// directory opens the same generation with the same answers as the
+// directory without them.
+TEST_F(EnginePersistenceTest, LegacyManifestFilesOpenSameGenerationAndAnswers) {
+  const auto golden = MustExecute(Sql());
+  ASSERT_TRUE(db().SaveDatabase(dir()).ok());
+  const auto answers = [] {
+    std::vector<std::string> json;
+    for (size_t i = 0; i < 6 && i < artifacts_->pool.size(); ++i) {
+      json.push_back(core::ResultToJson(
+          MustExecute("select * from " + db().schema().objective_table +
+                      " where \"" + artifacts_->pool[i].text +
+                      "\" limit 10")));
+    }
+    return json;
+  };
+  ASSERT_TRUE(db().OpenDatabase(dir()).ok());
+  const std::vector<std::string> plain = answers();
+
+  WriteFileBytes(dir_ / "MANIFEST",
+                 SnapshotStore::EncodeContainer({{"manifest", "1"}}));
+  WriteFileBytes(dir_ / "MANIFEST.tmp", "torn pointer update");
+  ASSERT_TRUE(db().OpenDatabase(dir()).ok());
+  EXPECT_EQ(db().snapshot_generation(), 1u);
+  EXPECT_EQ(answers(), plain);
   ExpectBitIdentical(golden, MustExecute(Sql()));
 }
 

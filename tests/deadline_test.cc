@@ -3,12 +3,13 @@
 //  - An expired or tiny budget makes ExecuteQuery return promptly with
 //    partial = true and a prefix-consistent ranking — every emitted
 //    score is the exact full score, never a fabricated one.
-//  - A huge budget is indistinguishable from no deadline: bit-identical
-//    results across 1/8 threads, trace off/full, every forced plan, with
-//    and without precomputed degree lists (the §5b/§5c/§5d contracts
-//    extended to the deadline machinery).
+//  - A huge budget is indistinguishable from no deadline: the row-path
+//    oracle's answer bit for bit across 1/8 threads, trace off/full,
+//    both plan shapes, with and without precomputed degree lists (the
+//    §5b/§5c/§5d contracts extended to the deadline machinery).
 //  - A pre-cancelled CancellationToken behaves like an expired budget.
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
+#include "oracle/row_oracle.h"
 
 namespace opinedb {
 namespace {
@@ -62,14 +64,13 @@ class DeadlineTest : public ::testing::Test {
 
 eval::DomainArtifacts* DeadlineTest::artifacts_ = nullptr;
 
-void ExpectBitIdentical(const core::QueryResult& reference,
-                        const core::QueryResult& actual) {
-  ASSERT_EQ(reference.results.size(), actual.results.size());
-  for (size_t i = 0; i < reference.results.size(); ++i) {
-    EXPECT_EQ(reference.results[i].entity, actual.results[i].entity);
-    EXPECT_EQ(reference.results[i].entity_name,
-              actual.results[i].entity_name);
-    EXPECT_EQ(reference.results[i].score, actual.results[i].score);
+void ExpectBitIdentical(const std::vector<core::RankedResult>& reference,
+                        const std::vector<core::RankedResult>& actual) {
+  ASSERT_EQ(reference.size(), actual.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].entity, actual[i].entity);
+    EXPECT_EQ(reference[i].entity_name, actual[i].entity_name);
+    EXPECT_EQ(reference[i].score, actual[i].score);
   }
 }
 
@@ -107,18 +108,19 @@ TEST_F(DeadlineTest, PreCancelledTokenBehavesLikeExpiredBudget) {
 // the exact score the unbounded query computes for that entity.
 TEST_F(DeadlineTest, PartialResultsCarryExactScores) {
   for (const auto& sql : Queries()) {
-    // References: one with the query's own limit (for the exact-match
-    // case) and one unlimited (a partial prefix's top-k may contain
-    // entities the full ranking cuts off at `limit`, but every one of
-    // them must still carry its exact full score).
-    auto reference = db().Execute(sql);
+    // The oracle's answers: one with the query's own limit (for the
+    // exact-match case) and one unlimited (a partial prefix's top-k may
+    // contain entities the full ranking cuts off at `limit`, but every
+    // one of them must still carry its exact full score).
+    const storage::Table& table = artifacts_->domain.objective_table;
+    auto reference = oracle::Execute(db(), table, sql);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     const std::string unlimited_sql =
         sql.substr(0, sql.rfind(" limit ")) + " limit 1000";
-    auto unlimited = db().Execute(unlimited_sql);
+    auto unlimited = oracle::Execute(db(), table, unlimited_sql);
     ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
     std::map<text::EntityId, double> exact;
-    for (const auto& r : unlimited->results) exact[r.entity] = r.score;
+    for (const auto& r : *unlimited) exact[r.entity] = r.score;
     for (const double budget_ms : {0.0, 0.01, 0.05, 0.2, 1.0, 4.0}) {
       for (const size_t threads : {1, 8}) {
         SCOPED_TRACE(sql + " budget=" + std::to_string(budget_ms) +
@@ -130,10 +132,10 @@ TEST_F(DeadlineTest, PartialResultsCarryExactScores) {
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         if (!run->partial) {
           // Budget happened to suffice: must match exactly.
-          ExpectBitIdentical(*reference, *run);
+          ExpectBitIdentical(*reference, run->results);
           continue;
         }
-        EXPECT_LE(run->results.size(), reference->results.size());
+        EXPECT_LE(run->results.size(), reference->size());
         for (size_t i = 0; i < run->results.size(); ++i) {
           const auto& r = run->results[i];
           auto it = exact.find(r.entity);
@@ -156,52 +158,45 @@ TEST_F(DeadlineTest, PartialResultsCarryExactScores) {
   db().SetNumThreads(1);
 }
 
-// A deadline that never fires must be invisible: bit-identical to the
-// unbounded run across threads x trace x forced plans, with conditions
-// scored and (second pass) mostly served from precomputed lists.
+// A deadline that never fires must be invisible: every run returns the
+// oracle's answer across threads x trace, the query mix covering both
+// plan shapes, with conditions scored and (second pass) mostly served
+// from precomputed lists.
 TEST_F(DeadlineTest, HugeBudgetBitIdenticalToUnbounded) {
   const auto& pool = artifacts_->pool;
+  std::set<core::PlanKind> plans_run;
   for (const bool lists : {false, true}) {
     db().PrecomputeDegrees(lists ? std::vector<std::string>{pool[0].text,
                                                             pool[1].text}
                                  : std::vector<std::string>{});
     for (const auto& sql : Queries()) {
-      db().SetNumThreads(1);
-      db().SetTraceLevel(obs::TraceLevel::kOff);
-      db().mutable_options()->force_plan = core::PlanForce::kDenseScan;
-      auto reference = db().Execute(sql);
+      auto reference =
+          oracle::Execute(db(), artifacts_->domain.objective_table, sql);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      for (const auto force :
-           {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-            core::PlanForce::kFilteredScan}) {
-        for (const size_t threads : {1, 8}) {
-          for (const auto level :
-               {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-            SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
-                         " force=" +
-                         std::to_string(static_cast<int>(force)) +
-                         " threads=" + std::to_string(threads) +
-                         " trace=" +
-                         std::to_string(static_cast<int>(level)));
-            db().SetNumThreads(threads);
-            db().SetTraceLevel(level);
-            db().mutable_options()->force_plan = force;
-            CancellationToken token;  // Armed but never cancelled.
-            core::QueryControl control;
-            control.deadline = QueryDeadline::AfterMillis(1e9);
-            control.deadline.set_token(&token);
-            auto run = db().Execute(sql, control);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            EXPECT_FALSE(run->partial);
-            EXPECT_FALSE(run->degraded);
-            ExpectBitIdentical(*reference, *run);
-          }
+      for (const size_t threads : {1, 8}) {
+        for (const auto level :
+             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+          SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
+                       " threads=" + std::to_string(threads) + " trace=" +
+                       std::to_string(static_cast<int>(level)));
+          db().SetNumThreads(threads);
+          db().SetTraceLevel(level);
+          CancellationToken token;  // Armed but never cancelled.
+          core::QueryControl control;
+          control.deadline = QueryDeadline::AfterMillis(1e9);
+          control.deadline.set_token(&token);
+          auto run = db().Execute(sql, control);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          EXPECT_FALSE(run->partial);
+          EXPECT_FALSE(run->degraded);
+          plans_run.insert(run->plan);
+          ExpectBitIdentical(*reference, run->results);
         }
       }
     }
   }
+  EXPECT_EQ(plans_run.size(), 2u);
   db().PrecomputeDegrees({});
-  db().mutable_options()->force_plan = core::PlanForce::kAuto;
   db().SetTraceLevel(obs::TraceLevel::kOff);
   db().SetNumThreads(1);
 }

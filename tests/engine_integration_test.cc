@@ -15,7 +15,7 @@ namespace {
 /// model end-to-end).
 class EngineIntegrationTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  static eval::BuildOptions Options() {
     eval::BuildOptions options;
     options.generator.num_entities = 40;
     options.generator.min_reviews_per_entity = 12;
@@ -24,8 +24,12 @@ class EngineIntegrationTest : public ::testing::Test {
     options.extractor_training_sentences = 500;
     options.predicate_pool_size = 80;
     options.membership_training_tuples = 600;
+    return options;
+  }
+
+  static void SetUpTestSuite() {
     artifacts_ = new eval::DomainArtifacts(
-        eval::BuildArtifacts(datagen::HotelDomain(), options));
+        eval::BuildArtifacts(datagen::HotelDomain(), Options()));
   }
 
   static void TearDownTestSuite() {
@@ -345,13 +349,15 @@ TEST_F(EngineIntegrationTest, NegatedPredicateInvertsPreference) {
 }
 
 TEST_F(EngineIntegrationTest, GodelVariantStillRanksSanely) {
-  auto* mutable_db = artifacts_->db.get();
-  const auto saved = db().options().variant;
-  mutable_db->mutable_options()->variant = fuzzy::Variant::kGodel;
-  auto result = db().Execute(
+  // The variant is fixed at Build: the same database built with Gödel
+  // connectives.
+  eval::BuildOptions options = Options();
+  options.engine.variant = fuzzy::Variant::kGodel;
+  const eval::DomainArtifacts godel =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
+  auto result = godel.db->Execute(
       "select * from hotels where \"clean room\" and \"friendly staff\" "
       "limit 10");
-  mutable_db->mutable_options()->variant = saved;
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->results.size(), 10u);
   for (size_t i = 1; i < result->results.size(); ++i) {
@@ -370,21 +376,17 @@ TEST_F(EngineIntegrationTest, ResultsCarryInterpretations) {
 }
 
 TEST_F(EngineIntegrationTest, NoMarkerModeAgreesOnTopEntityQuality) {
-  // The Table 7 ablation path: switching to no-marker features still
-  // surfaces high-cleanliness entities for "clean room".
-  auto* mutable_db = artifacts_->db.get();
-  mutable_db->mutable_options()->use_markers = false;
-  auto tuples = eval::MakeMembershipTuples(db(), domain(),
-                                           artifacts_->pool, 500, false, 5);
-  mutable_db->TrainMembership(tuples, 6);
-  auto result = db().Execute(
+  // The Table 7 ablation path: the same database built with no-marker
+  // features still surfaces high-cleanliness entities for "clean room".
+  eval::BuildOptions options = Options();
+  options.engine.use_markers = false;
+  const eval::DomainArtifacts no_markers =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
+  auto tuples = eval::MakeMembershipTuples(*no_markers.db, no_markers.domain,
+                                           no_markers.pool, 500, false, 5);
+  ASSERT_TRUE(no_markers.db->TrainMembership(tuples, 6).ok());
+  auto result = no_markers.db->Execute(
       "select * from hotels where \"clean room\" limit 10");
-  // Restore.
-  mutable_db->mutable_options()->use_markers = true;
-  auto restored = eval::MakeMembershipTuples(db(), domain(),
-                                             artifacts_->pool, 500, true, 5);
-  mutable_db->TrainMembership(restored, 6);
-
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->results.size(), 10u);
   const int attr = db().schema().AttributeIndex("room_cleanliness");

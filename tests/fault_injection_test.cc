@@ -10,7 +10,8 @@
 //    degradation, DESIGN.md §5e);
 //  - a fault that never fires (site armed but off this shape's path, or
 //    the N-th hit is never reached) perturbs nothing: results stay
-//    bit-identical to the unfaulted run;
+//    bit-identical to the row-path oracle's answer (tests/oracle/), the
+//    reference of every unfaulted run;
 //  - after a fault storm the unfaulted path is fully recovered — and in
 //    particular no precomputed degree list is ever built from a
 //    degraded or failed preparation;
@@ -24,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,7 @@
 #include "core/result_json.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
+#include "oracle/row_oracle.h"
 #include "server/http_client.h"
 #include "server/server.h"
 
@@ -76,6 +79,15 @@ class FaultInjectionTest : public ::testing::Test {
 
   static core::OpineDb& db() { return *artifacts_->db; }
 
+  /// The oracle's answer to `sql`: what every unfaulted run returns.
+  static std::vector<core::RankedResult> Reference(const std::string& sql) {
+    auto answer =
+        oracle::Execute(db(), artifacts_->domain.objective_table, sql);
+    EXPECT_TRUE(answer.ok()) << sql << ": " << answer.status().ToString();
+    return answer.ok() ? std::move(*answer)
+                       : std::vector<core::RankedResult>{};
+  }
+
   /// Pool predicates whose interpretation carries A.m atoms, so the
   /// feature-scoring sites are on their execution path.
   static std::vector<std::string> AtomPredicates(size_t want) {
@@ -101,12 +113,12 @@ class FaultInjectionTest : public ::testing::Test {
 
 eval::DomainArtifacts* FaultInjectionTest::artifacts_ = nullptr;
 
-void ExpectBitIdentical(const core::QueryResult& reference,
+void ExpectBitIdentical(const std::vector<core::RankedResult>& reference,
                         const core::QueryResult& actual) {
-  ASSERT_EQ(reference.results.size(), actual.results.size());
-  for (size_t i = 0; i < reference.results.size(); ++i) {
-    EXPECT_EQ(reference.results[i].entity, actual.results[i].entity);
-    EXPECT_EQ(reference.results[i].score, actual.results[i].score);
+  ASSERT_EQ(reference.size(), actual.results.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].entity, actual.results[i].entity);
+    EXPECT_EQ(reference[i].score, actual.results[i].score);
   }
 }
 
@@ -127,10 +139,11 @@ void ExpectSane(const core::QueryResult& run) {
 }
 
 /// One plan shape: `run(site)` rebuilds the shape's starting state from
-/// scratch, arms `site` (empty = none) and executes the measured query,
-/// leaving no caches or lists behind.
+/// scratch, arms `site` (empty = none) and executes the measured query
+/// `sql`, leaving no caches or lists behind.
 struct Shape {
   std::string name;
+  std::string sql;
   std::function<Result<core::QueryResult>(const std::string& site)> run;
 };
 
@@ -151,23 +164,20 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
   };
   auto plain = [&db, arm](std::string sql) {
     return [&db, arm, sql](const std::string& site) {
-      db.mutable_options()->force_plan = core::PlanForce::kAuto;
       arm(site);
       return db.Execute(sql);
     };
   };
   std::vector<Shape> shapes;
-  shapes.push_back({"dense", plain(dense_sql)});
-  shapes.push_back({"text_fallback", plain(textfb_sql)});
-  shapes.push_back({"filtered", plain(filtered_sql)});
-  shapes.push_back({"precomputed", [&db, arm, conj_sql, atom_preds](
-                                       const std::string& site) {
+  shapes.push_back({"dense", dense_sql, plain(dense_sql)});
+  shapes.push_back({"text_fallback", textfb_sql, plain(textfb_sql)});
+  shapes.push_back({"filtered", filtered_sql, plain(filtered_sql)});
+  shapes.push_back({"precomputed", conj_sql, [&db, arm, conj_sql, atom_preds](
+                                                 const std::string& site) {
                       // The armed site may fire while the first conjunct's
                       // list is built (it then gets no list) or in the
                       // query, which serves that conjunct from the list
                       // and scores the second.
-                      db.mutable_options()->force_plan =
-                          core::PlanForce::kAuto;
                       arm(site);
                       db.PrecomputeDegrees({atom_preds[0]});
                       auto run = db.Execute(conj_sql);
@@ -175,7 +185,8 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
                       return run;
                     }});
   shapes.push_back(
-      {"result_cached", [&db, arm, dense_sql](const std::string& site) {
+      {"result_cached", dense_sql,
+       [&db, arm, dense_sql](const std::string& site) {
          // Fresh result + interpretation caches; the first execution
          // walks the fill sites (interp_lookup miss, interp_insert,
          // result_lookup miss, result_insert), the measured second
@@ -186,7 +197,6 @@ std::vector<Shape> MakeShapes(core::OpineDb& db,
          on.enable_interpretation = true;
          on.enable_results = true;
          db.ConfigureCaches(on);
-         db.mutable_options()->force_plan = core::PlanForce::kAuto;
          arm(site);
          auto warm = db.Execute(dense_sql);
          EXPECT_TRUE(warm.ok()) << warm.status().ToString();
@@ -205,10 +215,15 @@ TEST_F(FaultInjectionTest, SweepEverySiteAcrossEveryPlanShape) {
   const auto sites = fault::SitesOfKind(fault::SiteKind::kDegrade);
   std::map<std::string, bool> covered;
   for (const char* site : sites) covered[site] = false;
+  std::set<core::PlanKind> plans_run;
   for (const auto& shape : shapes) {
     fault::DisarmAll();
-    auto reference = shape.run("");
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    const auto reference = Reference(shape.sql);
+    auto unfaulted = shape.run("");
+    ASSERT_TRUE(unfaulted.ok()) << unfaulted.status().ToString();
+    ExpectBitIdentical(reference, *unfaulted);
+    EXPECT_FALSE(unfaulted->degraded);
+    plans_run.insert(unfaulted->plan);
     for (const char* site : sites) {
       SCOPED_TRACE(shape.name + " site=" + site);
       fault::DisarmAll();
@@ -223,7 +238,7 @@ TEST_F(FaultInjectionTest, SweepEverySiteAcrossEveryPlanShape) {
         covered[site] = true;
       } else {
         // Armed but never reached on this shape: zero perturbation.
-        ExpectBitIdentical(*reference, *run);
+        ExpectBitIdentical(reference, *run);
         EXPECT_FALSE(run->degraded);
       }
     }
@@ -231,9 +246,11 @@ TEST_F(FaultInjectionTest, SweepEverySiteAcrossEveryPlanShape) {
     fault::DisarmAll();
     auto after = shape.run("");
     ASSERT_TRUE(after.ok()) << after.status().ToString();
-    ExpectBitIdentical(*reference, *after);
+    ExpectBitIdentical(reference, *after);
     EXPECT_FALSE(after->degraded);
   }
+  // The shapes' queries select both plans.
+  EXPECT_EQ(plans_run.size(), 2u);
   for (const auto& [site, hit] : covered) {
     EXPECT_TRUE(hit) << "catalog entry never reached by any shape: " << site
                      << " (stale catalog entry or dead OPINEDB_FAULT site)";
@@ -245,8 +262,7 @@ TEST_F(FaultInjectionTest, NthHitSemanticsAndUnreachedArming) {
   ASSERT_FALSE(atom_preds.empty());
   const std::string sql =
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
-  auto reference = db().Execute(sql);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto reference = Reference(sql);
   // Fire on the 3rd hit: the first two entities score cleanly, the
   // third degrades, all later ones score cleanly again (one-shot).
   fault::Arm("score.features", 3);
@@ -261,7 +277,7 @@ TEST_F(FaultInjectionTest, NthHitSemanticsAndUnreachedArming) {
   auto unfired = db().Execute(sql);
   ASSERT_TRUE(unfired.ok()) << unfired.status().ToString();
   EXPECT_FALSE(unfired->degraded);
-  ExpectBitIdentical(*reference, *unfired);
+  ExpectBitIdentical(reference, *unfired);
 }
 
 TEST_F(FaultInjectionTest, DegradedFlagReportsEveryFallback) {
@@ -293,8 +309,7 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
   ASSERT_FALSE(atom_preds.empty());
   const std::string sql =
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
-  auto reference = db().Execute(sql);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto reference = Reference(sql);
   for (const char* site :
        {"interpret.embed", "interpret.w2v", "score.features"}) {
     SCOPED_TRACE(site);
@@ -307,14 +322,14 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheDegreeCache) {
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     EXPECT_EQ(run->stats.cache_misses, 1u);
     EXPECT_FALSE(run->degraded);
-    ExpectBitIdentical(*reference, *run);
+    ExpectBitIdentical(reference, *run);
   }
   ASSERT_EQ(db().PrecomputeDegrees({atom_preds[0]}), 1u);
   auto served = db().Execute(sql);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served->stats.cache_hits, 1u);
   EXPECT_FALSE(served->degraded);
-  ExpectBitIdentical(*reference, *served);
+  ExpectBitIdentical(reference, *served);
   db().PrecomputeDegrees({});
 }
 
@@ -328,8 +343,7 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheResultCache) {
   ASSERT_FALSE(atom_preds.empty());
   const std::string sql =
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
-  auto reference = db().Execute(sql);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto reference = Reference(sql);
   cache::CacheConfig on;
   on.enable_results = true;
   db().ConfigureCaches(on);
@@ -337,19 +351,19 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheResultCache) {
   auto run = db().Execute(sql);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_GT(fault::HitCount("cache.result_insert"), 0u);
-  ExpectBitIdentical(*reference, *run);
+  ExpectBitIdentical(reference, *run);
   EXPECT_EQ(db().result_cache()->size(), 0u);
   EXPECT_EQ(db().result_cache()->bytes(), 0u);
   fault::DisarmAll();
   auto repaired = db().Execute(sql);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_FALSE(repaired->degraded);
-  ExpectBitIdentical(*reference, *repaired);
+  ExpectBitIdentical(reference, *repaired);
   EXPECT_EQ(db().result_cache()->size(), 1u);
   auto hit = db().Execute(sql);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_TRUE(hit->stats.result_cache_hit);
-  ExpectBitIdentical(*reference, *hit);
+  ExpectBitIdentical(reference, *hit);
   db().ConfigureCaches(cache::CacheConfig());
 }
 
@@ -361,8 +375,7 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheInterpretationCache) {
   ASSERT_FALSE(atom_preds.empty());
   const std::string sql =
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
-  auto reference = db().Execute(sql);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto reference = Reference(sql);
   cache::CacheConfig on;
   on.enable_interpretation = true;
   db().ConfigureCaches(on);
@@ -371,12 +384,12 @@ TEST_F(FaultInjectionTest, FaultsNeverPoisonTheInterpretationCache) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_GT(fault::HitCount("cache.interp_insert"), 0u);
   EXPECT_FALSE(run->degraded);  // The fill failure is invisible.
-  ExpectBitIdentical(*reference, *run);
+  ExpectBitIdentical(reference, *run);
   EXPECT_EQ(db().interpretation_cache()->size(), 0u);
   fault::DisarmAll();
   auto repaired = db().Execute(sql);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  ExpectBitIdentical(*reference, *repaired);
+  ExpectBitIdentical(reference, *repaired);
   EXPECT_EQ(db().interpretation_cache()->size(), 1u);
   db().ConfigureCaches(cache::CacheConfig());
 }
@@ -389,8 +402,7 @@ TEST_F(FaultInjectionTest, ResultCacheLookupFaultFallsBackToExecution) {
   ASSERT_FALSE(atom_preds.empty());
   const std::string sql =
       "select * from hotels where \"" + atom_preds[0] + "\" limit 5";
-  auto reference = db().Execute(sql);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const auto reference = Reference(sql);
   cache::CacheConfig on;
   on.enable_results = true;
   db().ConfigureCaches(on);
@@ -400,7 +412,7 @@ TEST_F(FaultInjectionTest, ResultCacheLookupFaultFallsBackToExecution) {
   EXPECT_GT(fault::HitCount("cache.result_lookup"), 0u);
   EXPECT_TRUE(run->degraded);
   EXPECT_FALSE(run->stats.result_cache_hit);
-  ExpectBitIdentical(*reference, *run);
+  ExpectBitIdentical(reference, *run);
   EXPECT_EQ(db().result_cache()->size(), 0u);
   fault::DisarmAll();
   db().ConfigureCaches(cache::CacheConfig());

@@ -1,12 +1,13 @@
-// Plan-equivalence property test: for randomized fixture queries, every
-// eligible physical plan (dense scan, filtered scan) must return
-// bit-identical RankedResult lists — same entities, same names, same
-// raw doubles — at 1 and 8 threads, with tracing off and full, with and
-// without precomputed degree lists, and each must equal the row-path
-// oracle's whole answer (tests/oracle/), including for an
-// uninterpretable (text-fallback) predicate. This is the planner's
-// §5b/§5c contract: plans trade work, never results. Run under
-// -DOPINEDB_SANITIZE=thread like concurrency_test.
+// Plan-equivalence property test: the plan is a function of the query
+// (filtered scan exactly when a hard objective predicate exists), and for
+// randomized fixture queries whose mix selects both plan shapes, every
+// run must return the row-path oracle's whole answer (tests/oracle/) bit
+// for bit — same entities, same names, same raw doubles — at 1 and 8
+// threads, with tracing off and full, with and without precomputed
+// degree lists, including for an uninterpretable (text-fallback)
+// predicate. This is the planner's §5b/§5c contract: plans trade work,
+// never results. Run under -DOPINEDB_SANITIZE=thread like
+// concurrency_test.
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "common/deadline.h"
 #include "common/rng.h"
+#include "core/planner.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -67,7 +69,7 @@ class PlanEquivalenceTest : public ::testing::TestWithParam<const char*> {
 
   /// Randomized query workload over the fixture's predicate pool and
   /// its objective columns. Deterministic (fixed Rng seed) so failures
-  /// reproduce; shapes cover every plan's eligibility conditions plus
+  /// reproduce; shapes cover the conditions of both plan shapes plus
   /// limit boundaries (0, < entities, > entities).
   static std::vector<std::string> MakeQueries(const std::string& name) {
     const eval::DomainArtifacts& artifacts = Fixture(name);
@@ -145,11 +147,6 @@ void ExpectBitIdentical(const std::vector<core::RankedResult>& reference,
   }
 }
 
-void ExpectBitIdentical(const core::QueryResult& reference,
-                        const core::QueryResult& actual) {
-  ExpectBitIdentical(reference.results, actual.results);
-}
-
 /// Every subjective predicate the queries name, for PrecomputeDegrees.
 std::vector<std::string> SubjectivePredicates(
     const std::vector<std::string>& queries) {
@@ -167,6 +164,17 @@ std::vector<std::string> SubjectivePredicates(
   return predicates;
 }
 
+/// The plan shape the query's WHERE tree implies: filtered exactly when
+/// some objective leaf is reachable from the root through AND nodes.
+core::PlanKind ExpectedPlan(const std::string& sql) {
+  auto query = core::ParseSubjectiveSql(sql);
+  EXPECT_TRUE(query.ok()) << sql;
+  if (!query.ok()) return core::PlanKind::kDenseScan;
+  return core::AnalyzeQuery(*query).hard_objective.empty()
+             ? core::PlanKind::kDenseScan
+             : core::PlanKind::kFilteredScan;
+}
+
 TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
   eval::DomainArtifacts& artifacts = Fixture(GetParam());
   core::OpineDb& db = *artifacts.db;
@@ -181,57 +189,39 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
     // Second pass: every subjective condition served from its list.
     db.PrecomputeDegrees(lists ? predicates : std::vector<std::string>{});
     for (const auto& sql : queries) {
-      // The row-path oracle's whole answer: every plan below must equal
-      // it too, not just the dense scan.
+      // The row-path oracle's whole answer is the reference of every run.
       auto oracle_answer =
           oracle::Execute(db, artifacts.domain.objective_table, sql);
       ASSERT_TRUE(oracle_answer.ok())
           << sql << ": " << oracle_answer.status().ToString();
-      // Reference: the pre-planner dense path, serial, trace off.
-      db.SetNumThreads(1);
-      db.SetTraceLevel(obs::TraceLevel::kOff);
-      db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
-      auto reference = db.Execute(sql);
-      ASSERT_TRUE(reference.ok()) << sql << ": "
-                                  << reference.status().ToString();
-      ASSERT_EQ(reference->plan, core::PlanKind::kDenseScan);
-      ExpectBitIdentical(*oracle_answer, reference->results);
-      for (const auto force :
-           {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-            core::PlanForce::kFilteredScan}) {
-        for (const size_t threads : {1, 8}) {
-          for (const auto level :
-               {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-            SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
-                         " force=" +
-                         std::to_string(static_cast<int>(force)) +
-                         " threads=" + std::to_string(threads) +
-                         " trace=" +
-                         std::to_string(static_cast<int>(level)));
-            db.SetNumThreads(threads);
-            db.SetTraceLevel(level);
-            db.mutable_options()->force_plan = force;
-            auto run = db.Execute(sql);
-            ASSERT_TRUE(run.ok()) << run.status().ToString();
-            plans_run.insert(run->plan);
-            served += run->stats.cache_hits;
-            EXPECT_EQ(lists ? run->stats.cache_misses : run->stats.cache_hits,
-                      0u);
-            ExpectBitIdentical(*reference, *run);
-            ExpectBitIdentical(*oracle_answer, run->results);
-          }
+      const core::PlanKind expected_plan = ExpectedPlan(sql);
+      for (const size_t threads : {1, 8}) {
+        for (const auto level :
+             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+          SCOPED_TRACE(sql + " lists=" + std::to_string(lists) +
+                       " threads=" + std::to_string(threads) + " trace=" +
+                       std::to_string(static_cast<int>(level)));
+          db.SetNumThreads(threads);
+          db.SetTraceLevel(level);
+          auto run = db.Execute(sql);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          EXPECT_EQ(run->plan, expected_plan);
+          plans_run.insert(run->plan);
+          served += run->stats.cache_hits;
+          EXPECT_EQ(lists ? run->stats.cache_misses : run->stats.cache_hits,
+                    0u);
+          ExpectBitIdentical(*oracle_answer, run->results);
         }
       }
     }
   }
-  // The sweep genuinely exercised both plan shapes (a silent
-  // eligibility regression would funnel everything into dense) and
+  // The query mix genuinely exercised both plan shapes (a silent
+  // selection regression would funnel everything into dense) and
   // really served conditions from the lists.
   EXPECT_EQ(plans_run.size(), 2u);
   EXPECT_GT(served, 0u);
 
   db.PrecomputeDegrees({});
-  db.mutable_options()->force_plan = core::PlanForce::kAuto;
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
 }
@@ -239,48 +229,41 @@ TEST_P(PlanEquivalenceTest, EveryEligiblePlanBitIdenticalToDense) {
 // §5e extension of the equivalence contract: an armed-but-never-firing
 // QueryDeadline must be invisible. Rerunning the randomized workload
 // under an effectively unlimited budget, over precomputed lists for
-// half the predicates, must stay bit-identical to the unbounded dense
-// reference for every plan × thread count × trace level, with partial
-// never set.
+// half the predicates, must still return the oracle's answer for both
+// plan shapes × thread count × trace level, with partial never set.
 TEST_P(PlanEquivalenceTest, HugeDeadlineBudgetIsInvisible) {
-  core::OpineDb& db = *Fixture(GetParam()).db;
+  eval::DomainArtifacts& artifacts = Fixture(GetParam());
+  core::OpineDb& db = *artifacts.db;
   const auto queries = MakeQueries(GetParam());
   std::vector<std::string> half = SubjectivePredicates(queries);
   half.resize(half.size() / 2);
   db.PrecomputeDegrees(half);
   core::QueryControl control;
   control.deadline = QueryDeadline::AfterMillis(1e9);
+  std::set<core::PlanKind> plans_run;
   for (const auto& sql : queries) {
-    db.SetNumThreads(1);
-    db.SetTraceLevel(obs::TraceLevel::kOff);
-    db.mutable_options()->force_plan = core::PlanForce::kDenseScan;
-    auto reference = db.Execute(sql);
-    ASSERT_TRUE(reference.ok()) << sql << ": "
-                                << reference.status().ToString();
-    for (const auto force :
-         {core::PlanForce::kAuto, core::PlanForce::kDenseScan,
-          core::PlanForce::kFilteredScan}) {
-      for (const size_t threads : {1, 8}) {
-        for (const auto level :
-             {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
-          SCOPED_TRACE(sql + " force=" +
-                       std::to_string(static_cast<int>(force)) +
-                       " threads=" + std::to_string(threads) + " trace=" +
-                       std::to_string(static_cast<int>(level)));
-          db.SetNumThreads(threads);
-          db.SetTraceLevel(level);
-          db.mutable_options()->force_plan = force;
-          auto run = db.Execute(sql, control);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          EXPECT_FALSE(run->partial);
-          EXPECT_FALSE(run->degraded);
-          ExpectBitIdentical(*reference, *run);
-        }
+    auto oracle_answer =
+        oracle::Execute(db, artifacts.domain.objective_table, sql);
+    ASSERT_TRUE(oracle_answer.ok())
+        << sql << ": " << oracle_answer.status().ToString();
+    for (const size_t threads : {1, 8}) {
+      for (const auto level :
+           {obs::TraceLevel::kOff, obs::TraceLevel::kFull}) {
+        SCOPED_TRACE(sql + " threads=" + std::to_string(threads) +
+                     " trace=" + std::to_string(static_cast<int>(level)));
+        db.SetNumThreads(threads);
+        db.SetTraceLevel(level);
+        auto run = db.Execute(sql, control);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        EXPECT_FALSE(run->partial);
+        EXPECT_FALSE(run->degraded);
+        plans_run.insert(run->plan);
+        ExpectBitIdentical(*oracle_answer, run->results);
       }
     }
   }
+  EXPECT_EQ(plans_run.size(), 2u);
   db.PrecomputeDegrees({});
-  db.mutable_options()->force_plan = core::PlanForce::kAuto;
   db.SetTraceLevel(obs::TraceLevel::kOff);
   db.SetNumThreads(1);
 }

@@ -21,11 +21,9 @@ SubjectiveQuery Parse(const std::string& sql) {
   return query.ok() ? *query : SubjectiveQuery{};
 }
 
-PlannerContext Context(size_t num_entities = 100,
-                       PlanForce force = PlanForce::kAuto) {
+PlannerContext Context(size_t num_entities = 100) {
   PlannerContext context;
   context.num_entities = num_entities;
-  context.force = force;
   return context;
 }
 
@@ -99,7 +97,6 @@ TEST(SelectPlanTest, DenseWhenNothingToPushDown) {
   const auto logical = AnalyzeQuery(query);
   const auto physical = SelectPlan(query, logical, Context());
   EXPECT_EQ(physical.kind, PlanKind::kDenseScan);
-  EXPECT_FALSE(physical.filtered_eligible);
 }
 
 TEST(SelectPlanTest, FilteredWhenHardObjectivePresent) {
@@ -108,28 +105,6 @@ TEST(SelectPlanTest, FilteredWhenHardObjectivePresent) {
   const auto logical = AnalyzeQuery(query);
   const auto physical = SelectPlan(query, logical, Context());
   EXPECT_EQ(physical.kind, PlanKind::kFilteredScan);
-  EXPECT_TRUE(physical.filtered_eligible);
-}
-
-TEST(SelectPlanTest, ForceDenseAlwaysWins) {
-  const auto query = Parse(
-      "select * from hotels where price_pn < 100 and \"a\" limit 5");
-  const auto logical = AnalyzeQuery(query);
-  const auto physical =
-      SelectPlan(query, logical, Context(100, PlanForce::kDenseScan));
-  EXPECT_EQ(physical.kind, PlanKind::kDenseScan);
-  EXPECT_FALSE(physical.forced_fallback);
-}
-
-TEST(SelectPlanTest, IneligibleForcedPlanFallsBack) {
-  // Filtered forced on a query without hard predicates: fall back to
-  // the automatic choice, which is dense.
-  const auto soft = Parse("select * from hotels where \"a\" or \"b\"");
-  const auto soft_logical = AnalyzeQuery(soft);
-  const auto soft_physical =
-      SelectPlan(soft, soft_logical, Context(100, PlanForce::kFilteredScan));
-  EXPECT_EQ(soft_physical.kind, PlanKind::kDenseScan);
-  EXPECT_TRUE(soft_physical.forced_fallback);
 }
 
 // ----------------------------------------------------------- EXPLAIN.

@@ -216,7 +216,6 @@ TEST_F(SnapshotStoreTest, CommitThenRecoverRoundTrips) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->generation, 1u);
   EXPECT_EQ(recovered->skipped_generations, 0u);
-  EXPECT_EQ(recovered->manifest_generation, 1u);
   ExpectSectionsEqual(sections, recovered->sections);
   ASSERT_NE(recovered->Find("schema"), nullptr);
   EXPECT_EQ(*recovered->Find("schema"), sections[0].payload);
@@ -235,7 +234,6 @@ TEST_F(SnapshotStoreTest, NewestGenerationWins) {
   auto recovered = store.Recover();
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->generation, 2u);
-  EXPECT_EQ(recovered->manifest_generation, 2u);
   ExpectSectionsEqual(second, recovered->sections);
 }
 
@@ -255,34 +253,62 @@ TEST_F(SnapshotStoreTest, TruncatedNewestFallsBackToOlder) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->generation, 1u);
   EXPECT_EQ(recovered->skipped_generations, 1u);
-  // The manifest still (correctly) names gen 2; recovery overrules it.
-  EXPECT_EQ(recovered->manifest_generation, 2u);
   ExpectSectionsEqual(first, recovered->sections);
 }
 
+// A commit writes the generation file and nothing else — no MANIFEST —
+// and the directory recovers from the generation files alone.
 TEST_F(SnapshotStoreTest, MissingManifestStillRecovers) {
   SnapshotStore store(dir());
   const auto sections = SampleSections();
   ASSERT_TRUE(store.Commit(sections).ok());
-  std::error_code ec;
-  fs::remove(dir_ / "MANIFEST", ec);
-  ASSERT_FALSE(ec);
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::vector<std::string>{"gen-0000000000001.snap"}));
 
   auto recovered = store.Recover();
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->generation, 1u);
-  EXPECT_EQ(recovered->manifest_generation, 0u);
   ExpectSectionsEqual(sections, recovered->sections);
 }
 
-TEST_F(SnapshotStoreTest, CorruptManifestIsOnlyAHint) {
+// Earlier releases also wrote a MANIFEST naming the newest generation
+// (through MANIFEST.tmp). Such a directory recovers exactly as without
+// them: the scan decides, whatever the MANIFEST names or holds, and
+// the store never reads or writes the MANIFEST.
+TEST_F(SnapshotStoreTest, LegacyManifestFilesAreIgnored) {
   SnapshotStore store(dir());
-  ASSERT_TRUE(store.Commit(SampleSections()).ok());
-  WriteFile(dir_ / "MANIFEST", "not a container at all");
-  auto recovered = store.Recover();
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->generation, 1u);
-  EXPECT_EQ(recovered->manifest_generation, 0u);
+  const auto first = SampleSections();
+  ASSERT_TRUE(store.Commit(first).ok());
+  auto second = SampleSections();
+  second[0].payload = "newer schema";
+  ASSERT_TRUE(store.Commit(second).ok());
+  // The MANIFEST those releases wrote: one "manifest" section holding
+  // a generation number.
+  const auto manifest_naming = [](const char* generation) {
+    return SnapshotStore::EncodeContainer({{"manifest", generation}});
+  };
+  for (const std::string& bytes :
+       {manifest_naming("1"), manifest_naming("9"),
+        std::string("not a container at all")}) {
+    WriteFile(dir_ / "MANIFEST", bytes);
+    WriteFile(dir_ / "MANIFEST.tmp", "half-written pointer");
+    auto recovered = store.Recover();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->generation, 2u);
+    EXPECT_EQ(recovered->skipped_generations, 0u);
+    ExpectSectionsEqual(second, recovered->sections);
+  }
+  // A commit sweeps the tmp dropping like any other and leaves the
+  // MANIFEST as it found it.
+  const std::string stale = ReadFile(dir_ / "MANIFEST");
+  auto committed = store.Commit(first);
+  ASSERT_TRUE(committed.ok());
+  EXPECT_EQ(*committed, 3u);
+  EXPECT_FALSE(fs::exists(dir_ / "MANIFEST.tmp"));
+  EXPECT_EQ(ReadFile(dir_ / "MANIFEST"), stale);
 }
 
 TEST_F(SnapshotStoreTest, AllGenerationsCorruptIsDataLoss) {
@@ -342,7 +368,6 @@ TEST_F(SnapshotStoreTest, GarbageCollectKeepsNewest) {
   }
   ASSERT_TRUE(store.GarbageCollect(2).ok());
   EXPECT_EQ(store.ListGenerations(), (std::vector<uint64_t>{4, 5}));
-  EXPECT_TRUE(fs::exists(dir_ / "MANIFEST"));
   auto recovered = store.Recover();
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->generation, 5u);
@@ -453,8 +478,6 @@ TEST_F(SnapshotStoreTest, AdoptSnapshotVerifiesBeforeWritingAndIsIdempotent) {
   auto recovered = store.Recover();
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->generation, 7u);
-  EXPECT_EQ(recovered->manifest_generation, 7u)
-      << "adoption must move the MANIFEST like a commit does";
   EXPECT_EQ(ReadFile(GenPath(7)), bytes) << "adopted bytes are verbatim";
 
   // Idempotent: re-adopting the same generation is a no-op, and a
