@@ -36,16 +36,13 @@ struct ConfigResult {
 void Evaluate(eval::DomainArtifacts* artifacts, const QuerySet& set,
               int queries, uint64_t seed, ConfigResult* out) {
   auto& db = *artifacts->db;
-  const bool use_markers = db.options().use_markers;
 
   // Train the membership model on features from the matching path, with
   // a held-out test split for LR-accuracy (paper: 1000 labeled pairs).
   auto train = eval::MakeMembershipTuples(db, artifacts->domain,
-                                          artifacts->pool, 1000, use_markers,
-                                          seed);
+                                          artifacts->pool, 1000, seed);
   auto test = eval::MakeMembershipTuples(db, artifacts->domain,
-                                         artifacts->pool, 400, use_markers,
-                                         seed + 1);
+                                         artifacts->pool, 400, seed + 1);
   db.TrainMembership(train, seed + 2);
   out->lr_accuracy.push_back(db.membership_model().Accuracy(test));
 

@@ -99,24 +99,16 @@ size_t InterpretationCache::Insert(const std::string& key, Entry entry) {
 
 void InterpretationCache::Clear() { lru_.Clear(); }
 
-std::vector<std::string> InterpretationCache::Keys() const {
-  std::vector<std::string> keys;
-  lru_.ForEach([&keys](const std::string& key, const Entry&) {
-    keys.push_back(key);
-  });
-  return keys;
-}
-
 Status SaveInterpretationCache(const InterpretationCache& cache,
-                               std::ostream* out) {
-  // Snapshot the entries under shard locks, then write sorted by key:
-  // recency order is not stable across instances, and the persistence
-  // suite pins save → open → save byte-identity.
+                               uint64_t epoch, std::ostream* out) {
+  // Snapshot the current entries under shard locks, then write sorted by
+  // key: recency order is not stable across instances, and the
+  // persistence suite pins save → open → save byte-identity.
   std::vector<std::pair<std::string, InterpretationCache::Entry>> entries;
   cache.lru_.ForEach(
-      [&entries](const std::string& key,
-                 const InterpretationCache::Entry& entry) {
-        entries.emplace_back(key, entry);
+      [&entries, epoch](const std::string& key,
+                        const InterpretationCache::Entry& entry) {
+        if (entry.epoch == epoch) entries.emplace_back(key, entry);
       });
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });

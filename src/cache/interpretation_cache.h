@@ -31,10 +31,12 @@ inline constexpr size_t kInterpretationCacheBytes = 1u << 20;  // 1 MiB.
 /// with the same normalization are indistinguishable to all of them.
 ///
 /// Entries are tagged with the engine's cache epoch; a lookup whose
-/// epoch does not match is a miss (and drops the stale entry), and the
-/// engine clears the cache wholesale on every epoch bump (Reaggregate /
-/// OpenDatabase / TrainMembership). Degraded interpretations are never
-/// inserted.
+/// epoch does not match is a miss and drops the stale entry. That is how
+/// entries expire after AppendReviews, which bumps the epoch without
+/// clearing: the next query of a predicate refills its entry. The
+/// wholesale mutations (Reaggregate, OpenDatabase, InstallSummaries,
+/// TrainMembership) clear the cache as well. Degraded interpretations
+/// are never inserted.
 ///
 /// Bounded: a ShardedLru (the same one ResultCache uses) evicts least
 /// recently used entries once the resident entries' ApproxBytes charges
@@ -59,9 +61,7 @@ class InterpretationCache {
 
   /// Copies the entry for `key` into `*out` and returns true when
   /// present with a matching epoch; a hit makes the entry its shard's
-  /// most recently used. A present-but-stale entry is a miss (the
-  /// engine clears on every bump, so staleness here means a racing
-  /// reader loaded before the clear — the epoch tag is the backstop).
+  /// most recently used. A present-but-stale entry is a miss.
   bool Lookup(const std::string& key, uint64_t epoch, Entry* out);
 
   /// Inserts (or overwrites) the entry for `key` at `entry.epoch`, then
@@ -73,13 +73,6 @@ class InterpretationCache {
 
   /// Drops every entry.
   void Clear();
-
-  /// Snapshot of all resident keys, shard by shard, each shard least
-  /// recently used first — so re-inserting them in this order keeps
-  /// every shard's recency order. The ingest path uses it to re-derive
-  /// entries at the new epoch instead of dropping the warm set
-  /// wholesale.
-  std::vector<std::string> Keys() const;
 
   /// Resident entries across all shards.
   size_t size() const { return lru_.size(); }
@@ -100,18 +93,20 @@ class InterpretationCache {
 
  private:
   friend Status SaveInterpretationCache(const InterpretationCache& cache,
-                                        std::ostream* out);
+                                        uint64_t epoch, std::ostream* out);
 
   ShardedLru<Entry> lru_;
 };
 
-/// Serializes the resident entries in a deterministic (key-sorted)
-/// line-oriented text format — the "interp_cache" snapshot section
-/// payload. Deterministic so save → open → save produces byte-identical
+/// Serializes the resident entries tagged with `epoch` (the engine's
+/// current epoch; older entries are stale and would be served as
+/// current once loaded) in a deterministic (key-sorted) line-oriented
+/// text format — the "interp_cache" snapshot section payload.
+/// Deterministic so save → open → save produces byte-identical
 /// sections. Doubles are written with max_digits10, so a reloaded entry
 /// is bit-exact.
 Status SaveInterpretationCache(const InterpretationCache& cache,
-                               std::ostream* out);
+                               uint64_t epoch, std::ostream* out);
 
 /// Reads a payload written by SaveInterpretationCache into `cache`,
 /// tagging every entry with `epoch` (the engine's post-open epoch). When

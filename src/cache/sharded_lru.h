@@ -108,9 +108,8 @@ class ShardedLru {
     }
   }
 
-  /// Calls fn(key, value) for every resident entry, shard by shard, each
-  /// shard least recently used first, under that shard's lock. Touches
-  /// no recency.
+  /// Calls fn(key, value) for every resident entry, shard by shard,
+  /// under that shard's lock. Touches no recency.
   template <typename Fn>
   void ForEach(Fn fn) const {
     for (const Shard& shard : shards_) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace opinedb::core {
 
@@ -90,19 +91,42 @@ bool PassesFilter(const text::Review& review,
 
 }  // namespace
 
+void SubjectiveTables::ClearRelation() {
+  extractions.clear();
+  extraction_attribute.clear();
+  extraction_marker.clear();
+  extraction_margin.clear();
+  for (auto& entities : extraction_lists) {
+    for (auto& list : entities) list.clear();
+  }
+}
+
 SubjectiveTables Aggregator::Build(
     const text::ReviewCorpus& corpus,
     std::vector<extract::ExtractedOpinion> extractions,
-    const AggregationOptions& options, ThreadPool* pool) const {
+    const AggregationOptions& options, ThreadPool* pool,
+    bool extraction_lists) const {
   SubjectiveTables tables;
-  const size_t num_attrs = schema_->num_attributes();
   tables.summaries = ColumnarSummaryStore(*schema_, corpus.num_entities(),
                                           embedder_->dim());
   tables.extractions = std::move(extractions);
-  const size_t num_extractions = tables.extractions.size();
-  tables.extraction_attribute.assign(num_extractions, -1);
-  tables.extraction_marker.assign(num_extractions, -1);
-  tables.extraction_margin.assign(num_extractions, 0.0);
+  if (extraction_lists) {
+    tables.extraction_lists.assign(
+        schema_->num_attributes(),
+        std::vector<std::vector<size_t>>(corpus.num_entities()));
+  }
+  Append(corpus, options, 0, &tables, pool);
+  return tables;
+}
+
+void Aggregator::Append(const text::ReviewCorpus& corpus,
+                        const AggregationOptions& options, size_t first,
+                        SubjectiveTables* tables, ThreadPool* pool) const {
+  const size_t num_attrs = schema_->num_attributes();
+  const size_t end = tables->extractions.size();
+  tables->extraction_attribute.resize(end, -1);
+  tables->extraction_marker.resize(end, -1);
+  tables->extraction_margin.resize(end, 0.0);
 
   // Phase 1 (parallel): everything per-extraction and read-only — the
   // review filter, attribute classification, marker matching and the
@@ -114,18 +138,18 @@ SubjectiveTables Aggregator::Build(
     std::vector<double> weights;
     embedding::Vec phrase_vec;
   };
-  std::vector<Prepared> prepared(num_extractions);
-  auto prepare_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const auto& opinion = tables.extractions[i];
+  std::vector<Prepared> prepared(end - first);
+  auto prepare_range = [&](size_t begin, size_t stop) {
+    for (size_t i = begin; i < stop; ++i) {
+      const auto& opinion = tables->extractions[i];
       const auto& review = corpus.review(opinion.review);
       if (!PassesFilter(review, corpus, options)) continue;
       const auto [a, margin] =
           classifier_->ClassifyWithMargin(opinion.aspect, opinion.opinion);
-      tables.extraction_attribute[i] = a;
-      tables.extraction_margin[i] = margin;
+      tables->extraction_attribute[i] = a;
+      tables->extraction_margin[i] = margin;
       if (a < 0 || static_cast<size_t>(a) >= num_attrs) continue;
-      Prepared& prep = prepared[i];
+      Prepared& prep = prepared[i - first];
       prep.weights = MarkerWeights(a, opinion.phrase, options);
       int best_marker = -1;
       double best_weight = 0.0;
@@ -145,70 +169,50 @@ SubjectiveTables Aggregator::Build(
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(0, num_extractions, prepare_range, /*min_grain=*/16);
+    pool->ParallelFor(first, end, prepare_range, /*min_grain=*/16);
   } else {
-    prepare_range(0, num_extractions);
+    prepare_range(first, end);
   }
 
   // Phase 2 (serial): fold onto the summaries in extraction order — the
-  // same mutation sequence as the serial build, hence bit-identical.
-  for (size_t i = 0; i < num_extractions; ++i) {
-    const Prepared& prep = prepared[i];
-    const auto& opinion = tables.extractions[i];
-    const int a = tables.extraction_attribute[i];
+  // same mutation sequence whatever the range boundaries or the pool,
+  // hence bit-identical.
+  const bool lists = !tables->extraction_lists.empty();
+  std::vector<std::pair<size_t, size_t>> touched;
+  for (size_t i = first; i < end; ++i) {
+    const Prepared& prep = prepared[i - first];
+    const auto& opinion = tables->extractions[i];
+    const int a = tables->extraction_attribute[i];
+    if (lists && a >= 0) {
+      tables->extraction_lists[a][opinion.entity].push_back(i);
+    }
     if (prep.unmatched_in_domain) {
-      tables.summaries.AddUnmatched(a, opinion.entity);
+      tables->summaries.AddUnmatched(a, opinion.entity);
       continue;
     }
     if (!prep.matched) continue;
-    tables.extraction_marker[i] = prep.best_marker;
-    tables.summaries.AddPhrase(a, opinion.entity, prep.weights,
-                               opinion.sentiment, prep.phrase_vec,
-                               opinion.review);
+    tables->extraction_marker[i] = prep.best_marker;
+    tables->summaries.AddPhrase(a, opinion.entity, prep.weights,
+                                opinion.sentiment, prep.phrase_vec,
+                                opinion.review);
+    touched.emplace_back(static_cast<size_t>(a),
+                         static_cast<size_t>(opinion.entity));
   }
-  tables.summaries.Refresh(pool);
-  return tables;
-}
 
-void Aggregator::AddOpinion(const extract::ExtractedOpinion& opinion,
-                            const text::ReviewCorpus& corpus,
-                            const AggregationOptions& options,
-                            SubjectiveTables* tables) const {
-  const auto& review = corpus.review(opinion.review);
-  tables->extractions.push_back(opinion);
-  if (!PassesFilter(review, corpus, options)) {
-    tables->extraction_attribute.push_back(-1);
-    tables->extraction_marker.push_back(-1);
-    tables->extraction_margin.push_back(0.0);
-    return;
-  }
-  const auto [a, margin] =
-      classifier_->ClassifyWithMargin(opinion.aspect, opinion.opinion);
-  tables->extraction_attribute.push_back(a);
-  tables->extraction_margin.push_back(margin);
-  if (a < 0 || static_cast<size_t>(a) >= schema_->num_attributes()) {
-    tables->extraction_marker.push_back(-1);
-    return;
-  }
-  const auto weights = MarkerWeights(a, opinion.phrase, options);
-  int best_marker = -1;
-  double best_weight = 0.0;
-  for (size_t m = 0; m < weights.size(); ++m) {
-    if (weights[m] > best_weight) {
-      best_weight = weights[m];
-      best_marker = static_cast<int>(m);
+  // Refresh each touched (attribute, entity) once; every other cell's
+  // derived values are still those of its unchanged folded state.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  auto refresh_range = [&](size_t begin, size_t stop) {
+    for (size_t t = begin; t < stop; ++t) {
+      tables->summaries.RefreshEntity(touched[t].first, touched[t].second);
     }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(0, touched.size(), refresh_range, /*min_grain=*/64);
+  } else {
+    refresh_range(0, touched.size());
   }
-  if (best_marker < 0) {
-    tables->summaries.AddUnmatched(a, opinion.entity);
-    tables->extraction_marker.push_back(-1);
-    return;
-  }
-  tables->extraction_marker.push_back(best_marker);
-  tables->summaries.AddPhrase(a, opinion.entity, weights, opinion.sentiment,
-                              embedder_->Represent(opinion.phrase),
-                              opinion.review);
-  tables->summaries.RefreshEntity(a, opinion.entity);
 }
 
 }  // namespace opinedb::core

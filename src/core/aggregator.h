@@ -48,6 +48,15 @@ struct SubjectiveTables {
   /// Attribute-classification confidence margin per extraction; phrases
   /// with tiny margins are excluded from the linguistic-variation table.
   std::vector<double> extraction_margin;
+  /// extraction_lists[a][e]: indices into `extractions` of the phrases
+  /// classified to attribute a of entity e, in relation order — what the
+  /// no-marker scan path (Table 7 ablation) reads at query time. Empty
+  /// unless the tables were built with lists.
+  std::vector<std::vector<std::vector<size_t>>> extraction_lists;
+
+  /// Drops the extraction relation and empties the no-marker lists; the
+  /// summaries stay.
+  void ClearRelation();
 };
 
 /// Aggregates extracted opinions onto marker summaries (the
@@ -59,25 +68,26 @@ class Aggregator {
              const embedding::PhraseEmbedder* embedder,
              const sentiment::Analyzer* analyzer);
 
-  /// Builds summaries for all entities of `corpus` from `extractions`.
-  /// With a pool, the per-extraction classification, marker matching and
-  /// phrase embedding fan out across workers, and so does the final
-  /// ColumnarSummaryStore::Refresh; the summary fold stays serial in
-  /// extraction order, so the result is bit-identical to the serial
-  /// build.
+  /// Builds summaries for all entities of `corpus` from `extractions`:
+  /// Append onto all-zero summaries from extraction 0. With
+  /// `extraction_lists` the tables also keep the no-marker lists.
   SubjectiveTables Build(const text::ReviewCorpus& corpus,
                          std::vector<extract::ExtractedOpinion> extractions,
                          const AggregationOptions& options,
-                         ThreadPool* pool = nullptr) const;
+                         ThreadPool* pool = nullptr,
+                         bool extraction_lists = false) const;
 
-  /// Incrementally folds one opinion into existing summaries
-  /// (Section 4.2.2: "the marker summaries can be incrementally
-  /// computed") and refreshes the (attribute, entity) it touched.
-  /// `opinion.entity` must be one of the store's entities.
-  void AddOpinion(const extract::ExtractedOpinion& opinion,
-                  const text::ReviewCorpus& corpus,
-                  const AggregationOptions& options,
-                  SubjectiveTables* tables) const;
+  /// The one fold (Section 4.2.2: "the marker summaries can be
+  /// incrementally computed"): classifies, matches and embeds
+  /// extractions [first, end) of `tables->extractions` — across `pool`
+  /// when there is one — then folds them onto the summaries serially in
+  /// extraction order, extends the no-marker lists when the tables keep
+  /// them, and refreshes every (attribute, entity) it touched. Folding
+  /// [0, n) then [n, m) is therefore bit-identical to folding [0, m).
+  /// Every extraction's entity must be one of the store's entities.
+  void Append(const text::ReviewCorpus& corpus,
+              const AggregationOptions& options, size_t first,
+              SubjectiveTables* tables, ThreadPool* pool = nullptr) const;
 
   /// Marker weight vector for a phrase against attribute `a`'s markers:
   /// one-hot (or fractional) by embedding similarity; empty if below the

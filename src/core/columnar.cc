@@ -185,6 +185,7 @@ double ConditionScorer::PhraseDegree(const BoundAtom& atom,
                                      size_t entity) const {
   OPINEDB_FAULT("score.features");
   const std::vector<double> f = MembershipFeaturesNoMarkers(
+      db_->tables().extractions,
       db_->PhrasesOf(atom.attribute, static_cast<text::EntityId>(entity)),
       db_->phrase_embedder(), *query_rep_, query_sentiment_);
   return Membership(f.data(), f.size());

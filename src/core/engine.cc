@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <mutex>
 #include <sstream>
-#include <unordered_set>
 
 #include "cache/interpretation_cache.h"
 #include "cache/result_cache.h"
@@ -338,7 +337,8 @@ std::unique_ptr<OpineDb> OpineDb::Build(
   db.aggregator_ = std::make_unique<Aggregator>(
       &db.schema_, &db.classifier_, db.embedder_.get(), &db.analyzer_);
   db.tables_ = db.aggregator_->Build(db.corpus_, std::move(extractions),
-                                     options.aggregation, db.pool_.get());
+                                     options.aggregation, db.pool_.get(),
+                                     /*extraction_lists=*/!options.use_markers);
   // Retain the trained pipeline so AppendReviews can extract from new
   // reviews identically, and record that the relation just built IS the
   // source of the summaries (the Reaggregate precondition).
@@ -350,17 +350,6 @@ std::unique_ptr<OpineDb> OpineDb::Build(
 }
 
 void OpineDb::RebuildDerivedState() {
-  // Per-(attribute, entity) extraction lists (the no-marker scan path).
-  extraction_lists_.assign(
-      schema_.num_attributes(),
-      std::vector<std::vector<const extract::ExtractedOpinion*>>(
-          corpus_.num_entities()));
-  for (size_t i = 0; i < tables_.extractions.size(); ++i) {
-    const int a = tables_.extraction_attribute[i];
-    if (a < 0) continue;
-    const auto& opinion = tables_.extractions[i];
-    extraction_lists_[a][opinion.entity].push_back(&opinion);
-  }
   interpreter_ = std::make_unique<Interpreter>(
       &schema_, &tables_, embedder_.get(), &review_index_,
       &review_sentiment_);
@@ -404,10 +393,7 @@ Status OpineDb::InstallSummaries(ColumnarSummaryStore summaries) {
   tables_.summaries = std::move(summaries);
   // The extraction relation described the replaced summaries' sources;
   // same post-state as OpenDatabase (summaries only, re-derivable rest).
-  tables_.extractions.clear();
-  tables_.extraction_attribute.clear();
-  tables_.extraction_marker.clear();
-  tables_.extraction_margin.clear();
+  tables_.ClearRelation();
   extractions_authoritative_ = false;
   RebuildDerivedState();
   InvalidateCachesLocked();
@@ -440,18 +426,7 @@ void OpineDb::InvalidateCachesLocked() {
   if (result_cache_ != nullptr) result_cache_->Clear();
   if (interp_cache_ != nullptr) interp_cache_->Clear();
   precomputed_.clear();
-  // Wholesale mutation: every entity's served data changed.
-  entity_data_epoch_.assign(corpus_.num_entities(), epoch);
   OPINEDB_METRIC_GAUGE_SET("engine.cache.epoch", static_cast<double>(epoch));
-}
-
-uint64_t OpineDb::entity_data_epoch(text::EntityId entity) const {
-  std::shared_lock<std::shared_mutex> lock(reconfig_mu_);
-  if (entity < 0 ||
-      static_cast<size_t>(entity) >= entity_data_epoch_.size()) {
-    return 0;
-  }
-  return entity_data_epoch_[static_cast<size_t>(entity)];
 }
 
 void OpineDb::ConfigureCaches(const cache::CacheConfig& config) {
@@ -493,7 +468,8 @@ Status OpineDb::Reaggregate(const AggregationOptions& aggregation) {
   options_.aggregation = aggregation;
   auto extractions = std::move(tables_.extractions);
   tables_ = aggregator_->Build(corpus_, std::move(extractions), aggregation,
-                               pool_.get());
+                               pool_.get(),
+                               /*extraction_lists=*/!options_.use_markers);
   RebuildDerivedState();
   // Every cached artifact (results, interpretations, precomputed degree
   // lists) was computed against the old summaries; serving any of them
@@ -590,12 +566,16 @@ Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
   sections[1].name = kSummariesSection;
   sections[1].payload = EncodeSummaries(tables_.summaries);
   // A warm interpretation cache rides along so a reopened database
-  // serves warm (docs/CACHING.md). Derived data: older snapshots
-  // without the section (and engines without the layer) stay valid,
-  // and OpenDatabase treats a corrupt section as a cold open.
+  // serves warm (docs/CACHING.md): only the entries of the current
+  // epoch, since the open tags every loaded entry as current. Derived
+  // data: older snapshots without the section (and engines without the
+  // layer) stay valid, and OpenDatabase treats a corrupt section as a
+  // cold open.
   if (interp_cache_ != nullptr && interp_cache_->size() > 0) {
     std::ostringstream interp_bytes;
-    status = cache::SaveInterpretationCache(*interp_cache_, &interp_bytes);
+    status = cache::SaveInterpretationCache(
+        *interp_cache_, cache_epoch_.load(std::memory_order_relaxed),
+        &interp_bytes);
     if (!status.ok()) return status;
     storage::SnapshotSection interp_section;
     interp_section.name = kInterpCacheSection;
@@ -661,10 +641,7 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
   // Summaries are the queryable state; the extraction relation was not
   // persisted and anything left from the pre-open build describes the
   // old schema/tables.
-  tables_.extractions.clear();
-  tables_.extraction_attribute.clear();
-  tables_.extraction_marker.clear();
-  tables_.extraction_margin.clear();
+  tables_.ClearRelation();
   extractions_authoritative_ = false;
   // The journal (if any) belonged to the replaced state; EnableWal
   // again to pair with the opened generation and replay its tail.
@@ -765,16 +742,14 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
                               wal_timer.ElapsedMillis());
   }
 
-  // Fold the delta. AddOpinion replays Build's per-extraction loop body
-  // against the live store and refreshes the cell it touched, so
+  // Fold the delta: the new reviews' extractions go through the same
+  // range fold as Build, starting at the old relation size, so
   // appending in order is bit-identical to a full rebuild over the
   // extended corpus (the models it consults — classifier, embedder,
   // analyzer, review-index idf — are frozen).
-  const extract::ExtractedOpinion* old_data = tables_.extractions.data();
-  const size_t old_size = tables_.extractions.size();
+  const size_t first = tables_.extractions.size();
   std::vector<text::EntityId> touched;
   touched.reserve(reviews.size());
-  size_t num_opinions = 0;
   for (const auto& review : reviews) {
     const text::ReviewId id = corpus_.AddReview(
         review.entity, review.reviewer, review.date, review.body);
@@ -784,97 +759,42 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
     // by review id.
     review_sentiment_.push_back(
         std::max(0.0, analyzer_.ScoreDocument(stored.body)) + 0.05);
-    for (const auto& opinion : pipeline_->ExtractFromReview(stored)) {
-      aggregator_->AddOpinion(opinion, corpus_, options_.aggregation,
-                              &tables_);
-      ++num_opinions;
+    for (auto& opinion : pipeline_->ExtractFromReview(stored)) {
+      tables_.extractions.push_back(std::move(opinion));
     }
     touched.push_back(review.entity);
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()),
                 touched.end());
-
-  // Patch the derived state in place (a full RebuildDerivedState here
-  // would defeat the point of the delta path).
-  if (tables_.extractions.data() == old_data) {
-    // The vector did not reallocate: every stored pointer is intact,
-    // only the new rows need list entries.
-    for (size_t i = old_size; i < tables_.extractions.size(); ++i) {
-      const int a = tables_.extraction_attribute[i];
-      if (a < 0) continue;
-      const auto& opinion = tables_.extractions[i];
-      extraction_lists_[a][opinion.entity].push_back(&opinion);
-    }
-  } else {
-    // Reallocation moved the rows; every pointer in every list dangles.
-    extraction_lists_.assign(
-        schema_.num_attributes(),
-        std::vector<std::vector<const extract::ExtractedOpinion*>>(
-            corpus_.num_entities()));
-    for (size_t i = 0; i < tables_.extractions.size(); ++i) {
-      const int a = tables_.extraction_attribute[i];
-      if (a < 0) continue;
-      const auto& opinion = tables_.extractions[i];
-      extraction_lists_[a][opinion.entity].push_back(&opinion);
-    }
-  }
+  const size_t num_opinions = tables_.extractions.size() - first;
+  aggregator_->Append(corpus_, options_.aggregation, first, &tables_,
+                      pool_.get());
   interpreter_->AppendNewExtractions();
   OPINEDB_METRIC_GAUGE_SET("columnar.bytes",
                            static_cast<double>(tables_.summaries.bytes()));
 
-  // Surgical cache maintenance — the whole reason ingest is not a
-  // Reaggregate. One epoch bump expires result-cache entries lazily (a
-  // ranking may depend on every entity, so per-entity invalidation is
-  // unsound there); everything else keeps its warm set.
+  // One epoch bump expires every result-cache and interpretation-cache
+  // entry lazily: the next query that needs one refills it under the
+  // shared lock (a ranking may depend on every entity, and the grown
+  // variation table and attribute idf may change an interpretation).
+  // The precomputed degree lists are engine state, so they are kept
+  // current here: each list's predicate is prepared once against the
+  // post-ingest interpreter.
   const uint64_t epoch =
       cache_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (entity_data_epoch_.size() < corpus_.num_entities()) {
-    entity_data_epoch_.resize(corpus_.num_entities(), 0);
-  }
-  for (const text::EntityId entity : touched) {
-    entity_data_epoch_[static_cast<size_t>(entity)] = epoch;
-  }
-  // One maintenance pass over every predicate the engine keeps warm:
-  // each distinct key of the interpretation cache and of the
-  // precomputed lists is prepared once against the post-ingest
-  // interpreter (the variation table and per-attribute idf grow under
-  // ingest, so an interpretation can change). Keys() order — least
-  // recent first per shard — keeps each shard's recency order through
-  // the re-inserts; a preparation that degrades leaves the old
-  // interpretation entry behind as an inert stale-epoch miss.
-  std::vector<std::string> keys;
-  if (interp_cache_ != nullptr) keys = interp_cache_->Keys();
-  const size_t interp_keys = keys.size();
-  if (!precomputed_.empty()) {
-    const std::unordered_set<std::string> cached(keys.begin(), keys.end());
-    for (const auto& entry : precomputed_) {
-      if (cached.count(entry.first) == 0) keys.push_back(entry.first);
-    }
-  }
   size_t patched = 0, rescored = 0, dropped = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const std::string& key = keys[i];
-    PreparedPredicate prepared =
-        PreparePredicate(key, /*key=*/nullptr, epoch, /*deadline=*/nullptr);
-    const bool degraded = prepared.interpretation.degraded;
-    if (i < interp_keys && !degraded) {
-      cache::InterpretationCache::Entry entry;
-      entry.interpretation = prepared.interpretation;
-      entry.rep = prepared.rep;
-      entry.sentiment = prepared.sentiment;
-      entry.epoch = epoch;
-      InsertInterpretation(interp_cache_.get(), key, std::move(entry));
-    }
-    auto it = precomputed_.find(key);
-    if (it == precomputed_.end()) continue;
+  for (auto it = precomputed_.begin(); it != precomputed_.end();) {
+    PreparedPredicate prepared = PreparePredicate(
+        it->first, /*key=*/nullptr, epoch, /*deadline=*/nullptr);
     PrecomputedList& list = it->second;
     // A list must never keep slots from a degraded or failed pass.
-    bool keep = !degraded;
+    bool keep = !prepared.interpretation.degraded;
     if (keep) {
       try {
-        const ConditionScorer scorer(*this, key, prepared.interpretation,
-                                     prepared.rep, prepared.sentiment);
+        const ConditionScorer scorer(*this, it->first,
+                                     prepared.interpretation, prepared.rep,
+                                     prepared.sentiment);
         if (prepared.interpretation == list.interpretation) {
           // Additive ingest under an unchanged interpretation leaves
           // every untouched entity's degree bit-exact: rescore only the
@@ -894,8 +814,10 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
         keep = false;
       }
     }
-    if (!keep) {
-      precomputed_.erase(it);
+    if (keep) {
+      ++it;
+    } else {
+      it = precomputed_.erase(it);
       ++dropped;
     }
   }

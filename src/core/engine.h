@@ -242,27 +242,24 @@ class OpineDb {
 
   /// Incremental ingest (Section 4.2.2: "the marker summaries can be
   /// incrementally computed"): appends `reviews` to the corpus, runs the
-  /// extraction pipeline on just the new reviews, and folds each new
-  /// opinion into the existing marker summaries with
-  /// Aggregator::AddOpinion — bit-identical to rebuilding from the full
-  /// extended extraction relation, because the per-opinion fold is
-  /// exactly Build's loop body and the models it consults (classifier,
-  /// embedder, analyzer, the idf from the frozen review index) are not
-  /// retrained by ingest. Review `id` fields are ignored; ids are
-  /// assigned by the corpus in append order.
+  /// extraction pipeline on just the new reviews, and folds the new
+  /// extractions with Aggregator::Append from the old relation size —
+  /// the range fold Build runs from 0 — and extends the interpreter's
+  /// statistics with Interpreter::AppendNewExtractions. Both are
+  /// bit-identical to rebuilding from the full extended extraction
+  /// relation, because the models they consult (classifier, embedder,
+  /// analyzer, the idf from the frozen review index) are not retrained
+  /// by ingest, and both cost O(batch). Review `id` fields are ignored;
+  /// ids are assigned by the corpus in append order.
   ///
-  /// Cache maintenance is surgical rather than wholesale: the cache
-  /// epoch is bumped once (result-cache entries lazily expire — a
-  /// ranking may depend on every entity, so per-entity invalidation is
-  /// unsound there), and every predicate the engine keeps warm — each
-  /// distinct key of the interpretation cache and of the precomputed
-  /// degree lists — is prepared once more against the post-ingest
-  /// interpreter. Interpretation entries are re-tagged at the new epoch;
-  /// a list whose interpretation is unchanged has only the touched
-  /// entities' slots rescored in place, a list whose interpretation
-  /// changed is rescored for every entity, and a list whose preparation
-  /// degrades is dropped. Per-entity data epochs (entity_data_epoch)
-  /// advance only for entities with new reviews.
+  /// The cache epoch is bumped once, so result-cache and
+  /// interpretation-cache entries expire lazily: the next query that
+  /// needs one misses and refills it. The precomputed degree lists are
+  /// patched: each list's predicate is prepared once against the
+  /// post-ingest interpreter; a list whose interpretation is unchanged
+  /// has only the touched entities' slots rescored in place, a list
+  /// whose interpretation changed is rescored for every entity, and a
+  /// list whose preparation degrades is dropped.
   ///
   /// When a WAL is enabled (EnableWal) the batch is journaled —
   /// append + fsync — before any state changes; an error from the
@@ -431,15 +428,6 @@ class OpineDb {
     return cache_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Data epoch of one entity: the cache_epoch() value of the last
-  /// mutation that changed its served data. Wholesale mutations
-  /// (Reaggregate, OpenDatabase, InstallSummaries, TrainMembership)
-  /// advance every entity; AppendReviews advances only the entities the
-  /// batch touched — the observable contract behind surgical cache
-  /// maintenance, asserted by the ingest suite. Entities never mutated
-  /// since construction report 0.
-  uint64_t entity_data_epoch(text::EntityId entity) const;
-
   /// The cache layers, or nullptr when disabled (for tests / metrics
   /// scrapers; the engine consults them internally).
   cache::InterpretationCache* interpretation_cache() const {
@@ -512,10 +500,12 @@ class OpineDb {
   /// The trained membership model (requires has_membership_model()).
   const MembershipModel& membership_model() const { return *membership_; }
 
-  /// Extracted phrases of (attribute, entity) — the no-marker scan path.
-  const std::vector<const extract::ExtractedOpinion*>& PhrasesOf(
-      size_t attribute, text::EntityId entity) const {
-    return extraction_lists_[attribute][entity];
+  /// Indices into tables().extractions of the extracted phrases of
+  /// (attribute, entity) — the no-marker scan path. Only an engine
+  /// built with use_markers false keeps these lists.
+  const std::vector<size_t>& PhrasesOf(size_t attribute,
+                                       text::EntityId entity) const {
+    return tables_.extraction_lists[attribute][entity];
   }
 
   /// The worker pool (nullptr on the serial path).
@@ -575,12 +565,11 @@ class OpineDb {
                                      const QueryDeadline* deadline) const;
 
   void RebuildDerivedState();
-  /// The single wholesale epoch-bump point: advances cache_epoch_ once,
-  /// clears every cache layer (result, interpretation, precomputed
-  /// degree lists) and advances every entity's data epoch. Requires
-  /// reconfig_mu_ held exclusively. AppendReviews deliberately does NOT
-  /// route through here — it bumps the epoch but keeps caches warm (see
-  /// its doc).
+  /// The single wholesale epoch-bump point: advances cache_epoch_ once
+  /// and clears every cache layer (result, interpretation, precomputed
+  /// degree lists). Requires reconfig_mu_ held exclusively.
+  /// AppendReviews deliberately does NOT route through here — it bumps
+  /// the epoch but patches the lists (see its doc).
   void InvalidateCachesLocked();
   /// SaveDatabase body without the lock acquisition; Checkpoint calls it
   /// inside its own exclusive critical section.
@@ -593,7 +582,7 @@ class OpineDb {
   /// live ingest (journal = the open WAL writer) and EnableWal replay
   /// (journal = nothing — the records are already durable). Requires
   /// reconfig_mu_ held exclusively. Validates, optionally journals, then
-  /// extracts / folds / patches derived state and refreshes caches.
+  /// extracts, folds, extends the interpreter and patches the lists.
   Status ApplyReviewsLocked(const std::vector<text::Review>& reviews,
                             bool journal);
 
@@ -649,9 +638,6 @@ class OpineDb {
   /// precondition Reaggregate and the ingest differential oracle rely
   /// on. Set by Build; cleared by InstallSummaries and OpenDatabase.
   bool extractions_authoritative_ = false;
-  /// Per-entity data epochs; see entity_data_epoch(). Guarded by
-  /// reconfig_mu_ (written under exclusive, read under shared).
-  std::vector<uint64_t> entity_data_epoch_;
   /// Write-ahead journal state (EnableWal/Checkpoint); wal_ is engaged
   /// exactly while journaling is active. Guarded by reconfig_mu_.
   std::string wal_dir_;
@@ -671,9 +657,6 @@ class OpineDb {
   /// keeps precomputed_ from changing under a query that reads it, and
   /// (c) prevents queries from reading tables_/interpreter_ mid-rebuild.
   mutable std::shared_mutex reconfig_mu_;
-  /// extraction_lists_[a][e]: pointers into tables_.extractions.
-  std::vector<std::vector<std::vector<const extract::ExtractedOpinion*>>>
-      extraction_lists_;
 };
 
 }  // namespace opinedb::core

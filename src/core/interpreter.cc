@@ -49,12 +49,9 @@ Interpreter::Interpreter(const SubjectiveSchema* schema,
       embedder_(embedder),
       review_index_(review_index),
       review_sentiment_(review_sentiment) {
-  BuildVariationTable();
-}
-
-void Interpreter::BuildVariationTable() {
-  // Each extraction whose phrase landed on a marker is a linguistic
-  // variation of that attribute; markers themselves are variations too.
+  // Markers are variations of their own attribute; the extraction-driven
+  // rest is an append from extraction 0, so incremental growth stays
+  // bit-identical to reconstruction by definition.
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
     const auto& markers = schema_->attributes[a].summary_type.markers;
     for (size_t m = 0; m < markers.size(); ++m) {
@@ -67,16 +64,33 @@ void Interpreter::BuildVariationTable() {
       seen_variations_.emplace(static_cast<int>(a), markers[m]);
     }
   }
-  // The extraction-driven half is shared with the ingest path: a fresh
-  // build is just an append starting from extraction 0, so incremental
-  // growth stays bit-identical to reconstruction by definition.
   AppendNewExtractions();
 }
 
 void Interpreter::AppendNewExtractions() {
-  for (size_t i = indexed_extractions_; i < tables_->extractions.size();
-       ++i) {
+  const size_t end = tables_->extractions.size();
+  size_t num_reviews =
+      std::max(review_extractions_.size(), review_index_->num_documents());
+  for (size_t i = indexed_extractions_; i < end; ++i) {
+    num_reviews = std::max(
+        num_reviews, static_cast<size_t>(tables_->extractions[i].review) + 1);
+  }
+  review_extractions_.resize(num_reviews);
+  attr_review_count_.resize(schema_->num_attributes(), 0);
+  for (size_t i = indexed_extractions_; i < end; ++i) {
     const int a = tables_->extraction_attribute[i];
+    auto& in_review = review_extractions_[tables_->extractions[i].review];
+    // A review counts once per attribute, at its first extraction of it.
+    if (a >= 0 && std::none_of(in_review.begin(), in_review.end(),
+                               [&](size_t j) {
+                                 return tables_->extraction_attribute[j] == a;
+                               })) {
+      ++attr_review_count_[a];
+    }
+    in_review.push_back(i);
+
+    // Each extraction whose phrase landed on a marker with a confident
+    // attribute is a linguistic variation of that attribute.
     const int m = tables_->extraction_marker[i];
     if (a < 0 || m < 0) continue;
     if (tables_->extraction_margin[i] < kVariationMargin) continue;
@@ -89,37 +103,12 @@ void Interpreter::AppendNewExtractions() {
     v.norm = embedding::Norm(v.rep);
     variations_.push_back(std::move(v));
   }
-  indexed_extractions_ = tables_->extractions.size();
-  RebuildReviewStatistics();
-}
+  indexed_extractions_ = end;
 
-void Interpreter::RebuildReviewStatistics() {
-  // Per-review extraction lists + attribute idf. Integer-only work over
-  // the full relation — cheap enough to redo from scratch on every
-  // ingest batch, which keeps it trivially identical to a fresh build.
-  size_t num_reviews = 0;
-  for (const auto& opinion : tables_->extractions) {
-    num_reviews = std::max(num_reviews,
-                           static_cast<size_t>(opinion.review) + 1);
-  }
-  num_reviews = std::max(num_reviews, review_index_->num_documents());
-  review_extractions_.assign(num_reviews, {});
-  std::vector<std::set<int>> review_attrs(num_reviews);
-  for (size_t i = 0; i < tables_->extractions.size(); ++i) {
-    const auto review = tables_->extractions[i].review;
-    review_extractions_[review].push_back(i);
-    if (tables_->extraction_attribute[i] >= 0) {
-      review_attrs[review].insert(tables_->extraction_attribute[i]);
-    }
-  }
-  std::vector<int> attr_review_count(schema_->num_attributes(), 0);
-  for (const auto& attrs : review_attrs) {
-    for (int a : attrs) ++attr_review_count[a];
-  }
   attribute_idf_.resize(schema_->num_attributes());
   const double n = static_cast<double>(std::max<size_t>(1, num_reviews));
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
-    attribute_idf_[a] = std::log(n / (1.0 + attr_review_count[a]));
+    attribute_idf_[a] = std::log(n / (1.0 + attr_review_count_[a]));
     // Attributes mentioned everywhere still deserve some weight.
     attribute_idf_[a] = std::max(attribute_idf_[a], 0.1);
   }

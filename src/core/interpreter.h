@@ -107,19 +107,15 @@ class Interpreter {
   PredicateInterpretation InterpretCooccurrenceOnly(
       const std::string& predicate) const;
 
-  /// Incremental maintenance for the ingest path: indexes extractions
-  /// appended to `tables_` since construction (or the previous call) —
-  /// new qualifying phrases join the variation table in append order
-  /// with the same dedup/margin gates the constructor applies, and the
-  /// per-review extraction lists + attribute idf are recomputed over
-  /// the full (cheap, integer-only) relation. The resulting state is
-  /// bit-identical to constructing a fresh Interpreter over the grown
-  /// tables. Callers must hold the engine's exclusive lock.
+  /// Indexes the extractions appended to `tables_` since construction
+  /// (or the previous call); the constructor runs it from extraction 0.
+  /// New qualifying phrases join the variation table in append order
+  /// under the same dedup and margin gates, the new extractions extend
+  /// the per-review extraction lists and per-attribute review counts,
+  /// and the attribute idf is recomputed from those counts. The state is
+  /// therefore bit-identical to constructing a fresh Interpreter over
+  /// the grown tables. Callers must hold the engine's exclusive lock.
   void AppendNewExtractions();
-
-  /// Number of tables_->extractions entries indexed so far (== size()
-  /// right after construction or AppendNewExtractions).
-  size_t indexed_extractions() const { return indexed_extractions_; }
 
  private:
   struct Variation {
@@ -129,11 +125,6 @@ class Interpreter {
     /// embedding::Norm(rep), stored when the variation joins the table.
     double norm = 0.0;
   };
-
-  void BuildVariationTable();
-  /// The integer-only half of the table build: per-review extraction
-  /// lists and attribute idf, recomputed from scratch.
-  void RebuildReviewStatistics();
 
   const SubjectiveSchema* schema_;
   const SubjectiveTables* tables_;
@@ -146,12 +137,16 @@ class Interpreter {
   /// (attribute, phrase) pairs already in the variation table; persists
   /// so AppendNewExtractions dedups exactly like a fresh build.
   std::set<std::pair<int, std::string>> seen_variations_;
-  /// How many tables_->extractions entries have been considered for the
-  /// variation table (the incremental high-water mark).
+  /// How many tables_->extractions entries have been indexed (the
+  /// incremental high-water mark).
   size_t indexed_extractions_ = 0;
-  /// Per-review extraction indices (into tables_->extractions).
+  /// Per-review extraction indices (into tables_->extractions), sized
+  /// to N: the larger of (largest extraction review id + 1) and the
+  /// review index's document count.
   std::vector<std::vector<size_t>> review_extractions_;
-  /// idf(A): log(N / (1 + #reviews with an extraction of attribute A)).
+  /// Per attribute A: the number of reviews with an extraction of A.
+  std::vector<int> attr_review_count_;
+  /// idf(A): log(N / (1 + attr_review_count_[A])), at least 0.1.
   std::vector<double> attribute_idf_;
 };
 

@@ -8,7 +8,8 @@
 namespace opinedb::core {
 
 std::vector<double> MembershipFeaturesNoMarkers(
-    const std::vector<const extract::ExtractedOpinion*>& phrases,
+    const std::vector<extract::ExtractedOpinion>& relation,
+    const std::vector<size_t>& phrases,
     const embedding::PhraseEmbedder& embedder,
     const embedding::Vec& query_rep, double query_sentiment) {
   OPINEDB_METRIC_COUNT("membership.scan_featurizations", 1);
@@ -25,16 +26,17 @@ std::vector<double> MembershipFeaturesNoMarkers(
   double max_similarity = -1.0;
   double similar_count = 0.0;
   double positive_count = 0.0;
-  for (const auto* phrase : phrases) {
+  for (const size_t i : phrases) {
+    const extract::ExtractedOpinion& phrase = relation[i];
     // The expensive part the markers avoid: re-embedding every extracted
     // phrase at query time.
-    const embedding::Vec rep = embedder.Represent(phrase->phrase);
+    const embedding::Vec rep = embedder.Represent(phrase.phrase);
     const double sim = embedding::Cosine(query_rep, rep);
     mean_similarity += sim;
     max_similarity = std::max(max_similarity, sim);
     if (sim > 0.5) similar_count += 1.0;
-    mean_sentiment += phrase->sentiment;
-    if (phrase->sentiment > 0.0) positive_count += 1.0;
+    mean_sentiment += phrase.sentiment;
+    if (phrase.sentiment > 0.0) positive_count += 1.0;
   }
   mean_sentiment /= total;
   mean_similarity /= total;

@@ -16,10 +16,12 @@ namespace opinedb::core {
 inline constexpr size_t kMembershipFeatureDim = 10;
 
 /// The "no markers" ablation of Table 7: equivalent engineered features
-/// computed directly from the extracted phrases of (attribute, entity) —
-/// requires scanning the extraction table at query time.
+/// computed directly from the extracted phrases of (attribute, entity),
+/// `phrases` indexing into `relation` — requires scanning the extraction
+/// table at query time.
 std::vector<double> MembershipFeaturesNoMarkers(
-    const std::vector<const extract::ExtractedOpinion*>& phrases,
+    const std::vector<extract::ExtractedOpinion>& relation,
+    const std::vector<size_t>& phrases,
     const embedding::PhraseEmbedder& embedder,
     const embedding::Vec& query_rep, double query_sentiment);
 

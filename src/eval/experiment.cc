@@ -16,7 +16,7 @@ extract::OpinionTagger TrainExtractor(const datagen::DomainSpec& spec,
 std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
     const core::OpineDb& db, const datagen::SyntheticDomain& domain,
     const std::vector<datagen::QueryPredicate>& pool, size_t count,
-    bool use_markers, uint64_t seed) {
+    uint64_t seed) {
   Rng rng(seed);
   std::vector<core::MembershipModel::LabeledTuple> tuples;
   tuples.reserve(count);
@@ -34,7 +34,7 @@ std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
     const embedding::Vec rep = embedder.Represent(predicate.text);
     const double senti = db.analyzer().ScorePhrase(predicate.text);
     core::MembershipModel::LabeledTuple tuple;
-    if (use_markers) {
+    if (db.options().use_markers) {
       tuple.features.resize(core::kMembershipFeatureDim);
       core::MarkerFeatures(
           db.columnar_store()->attribute(static_cast<size_t>(atom.attribute)),
@@ -42,7 +42,8 @@ std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
           rep.data(), embedding::Norm(rep), senti, tuple.features.data());
     } else {
       tuple.features = core::MembershipFeaturesNoMarkers(
-          db.PhrasesOf(atom.attribute, entity), embedder, rep, senti);
+          db.tables().extractions, db.PhrasesOf(atom.attribute, entity),
+          embedder, rep, senti);
     }
     tuple.label =
         datagen::SatisfiesGroundTruth(domain.entities[entity], predicate)
@@ -75,8 +76,7 @@ DomainArtifacts BuildArtifacts(const datagen::DomainSpec& spec,
 
   auto tuples = MakeMembershipTuples(
       *artifacts.db, artifacts.domain, artifacts.pool,
-      options.membership_training_tuples, options.engine.use_markers,
-      options.seed + 2);
+      options.membership_training_tuples, options.seed + 2);
   artifacts.db->TrainMembership(tuples, options.seed + 3);
 
   artifacts.gz12 = std::make_unique<baselines::Gz12Ranker>(

@@ -42,11 +42,12 @@ DomainArtifacts BuildArtifacts(const datagen::DomainSpec& spec,
 
 /// Labeled membership tuples sampled from the predicate pool and the
 /// latent ground truth, computed through the same feature path the engine
-/// will use at query time (markers or no-markers, per `use_markers`).
+/// uses at query time (markers or no-markers, per the engine's
+/// use_markers).
 std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
     const core::OpineDb& db, const datagen::SyntheticDomain& domain,
     const std::vector<datagen::QueryPredicate>& pool, size_t count,
-    bool use_markers, uint64_t seed);
+    uint64_t seed);
 
 /// Trains an opinion tagger for a spec.
 extract::OpinionTagger TrainExtractor(const datagen::DomainSpec& spec,

@@ -241,9 +241,9 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
     } else if (roll < 80) {
       // Incremental ingest, applied to both engines in lockstep: one
       // batch built once, appended to each, exactly one epoch bump.
-      // The cached engine's warm layers (re-derived interpretations,
-      // patched degree lists, lazily expired results) must keep every
-      // later answer bit-identical to the bare engine.
+      // The cached engine's warm layers (lazily expired
+      // interpretations and results, patched degree lists) must keep
+      // every later answer bit-identical to the bare engine.
       std::vector<text::Review> batch;
       const size_t batch_size = 1 + rng() % 3;
       for (size_t i = 0; i < batch_size; ++i) {
@@ -295,8 +295,7 @@ TEST_F(CacheEquivalenceTest, RandomizedStreamIsBitIdenticalUnderMutations) {
       // the cached engine, but both engines are bit-identical here so
       // the choice of source engine is immaterial.
       const auto tuples = eval::MakeMembershipTuples(
-          cached(), cached_->domain, cached_->pool, 120, true,
-          1000 + step);
+          cached(), cached_->domain, cached_->pool, 120, 1000 + step);
       ASSERT_TRUE(cached().TrainMembership(tuples, 7).ok());
       ASSERT_TRUE(bare().TrainMembership(tuples, 7).ok());
       ++expected_epoch;

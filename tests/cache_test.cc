@@ -7,23 +7,23 @@
 //    invariance, LIMIT and literal-value sensitivity, AND-order
 //    sensitivity (floating-point fold order is part of the result).
 //  - InterpretationCache: epoch-keyed lookups, the deterministic
-//    serialized form (bit-exact round trip, byte-identical re-save) and
-//    the LRU byte bound (a distinct-key stream stays within budget, the
-//    most recently used key survives, overwrites charge once, Keys() /
-//    save / oversize loads see only resident entries).
+//    serialized form (bit-exact round trip, byte-identical re-save), the
+//    current-epoch save rule, and the LRU byte bound (a distinct-key
+//    stream stays within budget, the most recently used key survives,
+//    overwrites charge once, save / oversize loads see only resident
+//    entries).
 //  - Engine never-cache rules: EXPLAIN queries bypass the result
 //    cache; partial (deadline) and degraded (fault) results
 //    are never inserted; hits are bit-identical at every trace level and
 //    render byte-identical JSON (watermark included).
 //  - The engine's bounded interpretation cache: 10k fresh predicates
 //    stay within kInterpretationCacheBytes and count
-//    engine.cache.interp_evict; ingest re-derives at most the resident
-//    keys.
+//    engine.cache.interp_evict; ingest runs no cascade for a full cache
+//    and its entries refill on their next query.
 //  - One interpretation per predicate, pinned by interpreter.calls: a
 //    query miss, PrecomputeDegrees, a query served from a precomputed
 //    list and an ingest refresh each run the cascade exactly as often
-//    as they have distinct keys to prepare.
-#include <set>
+//    as they have distinct keys to prepare (for ingest: the lists').
 #include <sstream>
 #include <string>
 #include <vector>
@@ -263,7 +263,7 @@ TEST(InterpretationCacheTest, SerializedFormRoundTripsBitExactly) {
   cache.Insert("quiet at night", second);
 
   std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, &bytes).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 3, &bytes).ok());
   InterpretationCache loaded;
   std::istringstream in(bytes.str());
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 9, &loaded).ok());
@@ -298,13 +298,13 @@ TEST(InterpretationCacheTest, ReserializingIsByteIdentical) {
   a.Insert("aa first", MakeEntry(1));
   a.Insert("mm mid", MakeEntry(1));
   std::ostringstream bytes_a;
-  ASSERT_TRUE(cache::SaveInterpretationCache(a, &bytes_a).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(a, 1, &bytes_a).ok());
 
   InterpretationCache b;
   std::istringstream in(bytes_a.str());
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 5, &b).ok());
   std::ostringstream bytes_b;
-  ASSERT_TRUE(cache::SaveInterpretationCache(b, &bytes_b).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(b, 5, &bytes_b).ok());
   EXPECT_EQ(bytes_a.str(), bytes_b.str());
 }
 
@@ -368,19 +368,18 @@ TEST(InterpretationCacheLruTest, OverwriteDoesNotChargeTwice) {
   EXPECT_TRUE(cache.Lookup("clean rooms", 2, &out));
 }
 
-TEST(InterpretationCacheLruTest, KeysAndSaveSeeOnlyResidentEntries) {
+TEST(InterpretationCacheLruTest, SaveSeesOnlyResidentEntries) {
   const size_t per_entry =
       InterpretationCache::ApproxBytes(PredicateKey(0), MakeWideEntry(1));
   InterpretationCache cache(1, 4 * per_entry);
   for (size_t i = 0; i < 10; ++i) cache.Insert(PredicateKey(i), MakeWideEntry(1));
   ASSERT_EQ(cache.size(), 4u);
-  // Least recently used first: the four newest keys, oldest to newest.
+  // The four newest keys are resident.
   const std::vector<std::string> want = {PredicateKey(6), PredicateKey(7),
                                          PredicateKey(8), PredicateKey(9)};
-  EXPECT_EQ(cache.Keys(), want);
 
   std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, &bytes).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 1, &bytes).ok());
   InterpretationCache loaded(1, 1 << 20);
   std::istringstream in(bytes.str());
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 1, &loaded).ok());
@@ -395,7 +394,7 @@ TEST(InterpretationCacheLruTest, OversizeSectionLoadsWithinBudget) {
   for (size_t i = 0; i < 500; ++i) big.Insert(PredicateKey(i), MakeWideEntry(1));
   ASSERT_EQ(big.size(), 500u);
   std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(big, &bytes).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(big, 1, &bytes).ok());
 
   const size_t budget = 8 * 1024;
   InterpretationCache small(4, budget);
@@ -405,9 +404,33 @@ TEST(InterpretationCacheLruTest, OversizeSectionLoadsWithinBudget) {
   EXPECT_GT(small.size(), 0u);
   EXPECT_LT(small.size(), 500u);
   EXPECT_GT(small.evictions(), 0u);
+  // Every resident entry carries the load epoch.
   InterpretationCache::Entry out;
-  for (const auto& key : small.Keys()) {
-    EXPECT_TRUE(small.Lookup(key, 7, &out)) << key;
+  size_t hits = 0;
+  for (size_t i = 0; i < 500; ++i) {
+    if (small.Lookup(PredicateKey(i), 7, &out)) ++hits;
+  }
+  EXPECT_EQ(hits, small.size());
+}
+
+TEST(InterpretationCacheLruTest, SaveWritesOnlyCurrentEpochEntries) {
+  // Entries left at an older epoch (not queried since the last append)
+  // are stale: a load tags whatever it reads with the open epoch, so
+  // saving them would serve a pre-append interpretation as current.
+  InterpretationCache cache;
+  for (size_t i = 0; i < 6; ++i) {
+    cache.Insert(PredicateKey(i), MakeWideEntry(i % 2 == 0 ? 2 : 1));
+  }
+  std::ostringstream bytes;
+  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 2, &bytes).ok());
+  InterpretationCache loaded;
+  std::istringstream in(bytes.str());
+  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 5, &loaded).ok());
+  EXPECT_EQ(loaded.size(), 3u);
+  InterpretationCache::Entry out;
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(loaded.Lookup(PredicateKey(i), 5, &out), i % 2 == 0)
+        << PredicateKey(i);
   }
 }
 
@@ -645,27 +668,40 @@ TEST_F(InterpretationCacheBoundTest, DistinctPredicateStreamStaysWithinBudget) {
   EXPECT_GT(Counter("engine.cache.interp_evict"), evictions_before);
 }
 
-TEST_F(InterpretationCacheBoundTest, IngestRederivesAtMostResidentKeys) {
+TEST_F(InterpretationCacheBoundTest, IngestExpiresEntriesLazily) {
   cache::InterpretationCache* cache = db().interpretation_cache();
   ASSERT_NE(cache, nullptr);
+  ASSERT_EQ(db().PrecomputeDegrees({}), 0u);
   // Fill past the budget so the cache is full and has evicted.
   const uint64_t evictions_before = cache->evictions();
+  std::string last;
   for (size_t i = 0; cache->evictions() == evictions_before; ++i) {
     ASSERT_LT(i, 20000u) << "the cache never filled";
-    auto result = db().Execute(FreshSql(100000 + i));
+    last = FreshSql(100000 + i);
+    auto result = db().Execute(last);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
   const size_t resident = cache->size();
-  const uint64_t calls_before = Counter("interpreter.calls");
+  // With no precomputed lists an append runs no cascade: the epoch bump
+  // alone expires every entry.
+  uint64_t before = Counter("interpreter.calls");
   text::Review review;
   review.entity = 1;
   review.reviewer = 905;
   review.date = 20260901;
   review.body = "the room was very clean and the staff was friendly";
   ASSERT_TRUE(db().AppendReviews({review}).ok());
-  const uint64_t calls = Counter("interpreter.calls") - calls_before;
-  EXPECT_GT(calls, 0u);
-  EXPECT_LE(calls, resident);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 0u);
+  EXPECT_EQ(cache->size(), resident);
+  // The next query of a cached predicate misses and refills its entry
+  // with one cascade; later queries hit.
+  before = Counter("interpreter.calls");
+  ASSERT_TRUE(db().Execute(last).ok());
+  EXPECT_EQ(Counter("interpreter.calls") - before, 1u);
+  before = Counter("interpreter.calls");
+  ASSERT_TRUE(db().Execute(last).ok());
+  ASSERT_TRUE(db().Execute(last).ok());
+  EXPECT_EQ(Counter("interpreter.calls") - before, 0u);
   EXPECT_LE(cache->bytes(), cache->byte_budget());
 }
 
@@ -673,6 +709,7 @@ TEST_F(InterpretationCacheBoundTest, OneInterpretationPerPredicate) {
   const auto& pool = artifacts_->pool;
   const std::string queried = pool[0].text + " calls";
   const std::string listed = pool[1].text + " calls";
+  const std::string cached_only = pool[2].text + " calls";
   auto sql = [](const std::string& predicate) {
     return "select * from " + db().schema().objective_table + " where \"" +
            predicate + "\" limit 5";
@@ -681,17 +718,6 @@ TEST_F(InterpretationCacheBoundTest, OneInterpretationPerPredicate) {
     auto result = db().Execute(sql(predicate));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? std::move(*result) : core::QueryResult{};
-  };
-  // The distinct keys an ingest refresh must prepare.
-  auto distinct_keys = [&](const std::vector<std::string>& lists) {
-    std::set<std::string> keys;
-    for (const auto& key : db().interpretation_cache()->Keys()) {
-      keys.insert(key);
-    }
-    for (const auto& predicate : lists) {
-      keys.insert(NormalizePredicate(predicate));
-    }
-    return keys.size();
   };
   auto append = [&](int32_t reviewer) {
     text::Review review;
@@ -718,25 +744,20 @@ TEST_F(InterpretationCacheBoundTest, OneInterpretationPerPredicate) {
   before = Counter("interpreter.calls");
   EXPECT_EQ(run(queried).stats.cache_hits, 1u);
   EXPECT_EQ(Counter("interpreter.calls") - before, 0u);
-  // One append prepares each distinct key of the interpretation cache
-  // and the lists once: here the list keys are also cache keys ...
-  size_t expected = distinct_keys({queried, listed});
+  // One append prepares each list's predicate once, and no
+  // interpretation-cache entry: those expire lazily ...
+  run(cached_only);
   before = Counter("interpreter.calls");
   append(906);
-  EXPECT_EQ(Counter("interpreter.calls") - before, expected);
-  // ... and here they are not: a fresh interpretation cache holds one
-  // other predicate, so the refresh prepares three keys.
-  cache::CacheConfig config = db().options().cache;
-  config.enable_interpretation = false;
-  db().ConfigureCaches(config);
-  config.enable_interpretation = true;
-  db().ConfigureCaches(config);
-  run(pool[2].text + " calls");
-  expected = distinct_keys({queried, listed});
-  EXPECT_EQ(expected, 3u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 2u);
+  // ... and the next query of a cached predicate without a list
+  // prepares it once.
+  before = Counter("interpreter.calls");
+  EXPECT_EQ(run(cached_only).stats.cache_misses, 1u);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 1u);
   before = Counter("interpreter.calls");
   append(907);
-  EXPECT_EQ(Counter("interpreter.calls") - before, expected);
+  EXPECT_EQ(Counter("interpreter.calls") - before, 2u);
   EXPECT_NE(db().precomputed_degrees(listed), nullptr);
   db().PrecomputeDegrees({});
 }

@@ -11,6 +11,7 @@
 #include "core/membership.h"
 #include "embedding/phrase_rep.h"
 #include "embedding/word2vec.h"
+#include "oracle/row_oracle.h"
 
 namespace opinedb::core {
 namespace {
@@ -116,29 +117,48 @@ TEST_F(AggregatorTest, RoutesOpinionsToAttributesAndMarkers) {
 }
 
 TEST_F(AggregatorTest, IncrementalAddMatchesBatch) {
+  // Folding [first, n) onto a build of [0, first) equals a build of
+  // [0, n) — at a review boundary and mid-review, with one-hot and with
+  // fractional weights — down to every column, the provenance log and
+  // the no-marker lists.
   text::ReviewCorpus corpus;
   auto hotel = corpus.AddEntity("h");
-  auto review = corpus.AddReview(hotel, 0, 0, "x");
-  std::vector<extract::ExtractedOpinion> opinions = {
-      Opinion(hotel, review, "room", "clean", 0.7),
-      Opinion(hotel, review, "staff", "rude", -0.8),
+  auto other = corpus.AddEntity("g");
+  auto r0 = corpus.AddReview(hotel, 0, 0, "x");
+  auto r1 = corpus.AddReview(other, 1, 0, "x");
+  auto r2 = corpus.AddReview(hotel, 2, 0, "x");
+  const std::vector<extract::ExtractedOpinion> opinions = {
+      Opinion(hotel, r0, "room", "clean", 0.7),
+      Opinion(hotel, r0, "staff", "rude", -0.8),
+      Opinion(other, r1, "room", "spotless", 1.0),
+      Opinion(hotel, r2, "room", "dirty", -0.7),
+      Opinion(hotel, r2, "staff", "friendly", 0.6),
   };
-  auto batch = aggregator_.Build(corpus, opinions, AggregationOptions());
-  auto incremental =
-      aggregator_.Build(corpus, {opinions[0]}, AggregationOptions());
-  aggregator_.AddOpinion(opinions[1], corpus, AggregationOptions(),
-                         &incremental);
-  for (size_t a = 0; a < 2; ++a) {
-    for (size_t m = 0; m < 2; ++m) {
-      EXPECT_DOUBLE_EQ(batch.summaries.count(a, hotel, m),
-                       incremental.summaries.count(a, hotel, m))
-          << a << "," << m;
+  for (const bool fractional : {false, true}) {
+    AggregationOptions options;
+    options.fractional = fractional;
+    const auto batch = aggregator_.Build(corpus, opinions, options,
+                                         /*pool=*/nullptr,
+                                         /*extraction_lists=*/true);
+    // 2 and 3 are review boundaries; 1 and 4 split a review.
+    for (const size_t first : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE("fractional " + std::to_string(fractional) + ", first " +
+                   std::to_string(first));
+      auto incremental = aggregator_.Build(
+          corpus, {opinions.begin(), opinions.begin() + first}, options,
+          /*pool=*/nullptr, /*extraction_lists=*/true);
+      incremental.extractions.insert(incremental.extractions.end(),
+                                     opinions.begin() + first,
+                                     opinions.end());
+      aggregator_.Append(corpus, options, first, &incremental);
+      EXPECT_TRUE(oracle::StoreImage(batch.summaries) ==
+                  oracle::StoreImage(incremental.summaries));
+      EXPECT_EQ(batch.extraction_attribute, incremental.extraction_attribute);
+      EXPECT_EQ(batch.extraction_marker, incremental.extraction_marker);
+      EXPECT_EQ(batch.extraction_margin, incremental.extraction_margin);
+      EXPECT_EQ(batch.extraction_lists, incremental.extraction_lists);
     }
-    EXPECT_EQ(batch.summaries.total(a, hotel),
-              incremental.summaries.total(a, hotel));
   }
-  EXPECT_EQ(batch.extraction_attribute, incremental.extraction_attribute);
-  EXPECT_EQ(batch.extraction_marker, incremental.extraction_marker);
 }
 
 TEST_F(AggregatorTest, DateFilterExcludesOldReviews) {
@@ -256,8 +276,7 @@ TEST(MembershipFeaturesTest, NoMarkerVariantSeesPhrases) {
   extract::ExtractedOpinion b;
   b.phrase = "dirty room";
   b.sentiment = -0.7;
-  std::vector<const extract::ExtractedOpinion*> phrases = {&a, &b};
-  auto f = MembershipFeaturesNoMarkers(phrases, embedder,
+  auto f = MembershipFeaturesNoMarkers({a, b}, {0, 1}, embedder,
                                        embedder.Represent("clean room"),
                                        0.7);
   ASSERT_EQ(f.size(), kMembershipFeatureDim);

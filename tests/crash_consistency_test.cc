@@ -776,7 +776,9 @@ TEST_F(EnginePersistenceTest, InterpSectionWithUnbindableEntryOpensCold) {
     forged_cache.Insert(key, forged);
     std::ostringstream forged_bytes;
     ASSERT_TRUE(
-        cache::SaveInterpretationCache(forged_cache, &forged_bytes).ok());
+        cache::SaveInterpretationCache(forged_cache, forged.epoch,
+                                       &forged_bytes)
+            .ok());
 
     ASSERT_TRUE(db().SaveDatabase(dir()).ok());
     SnapshotStore store(dir());

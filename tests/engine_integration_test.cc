@@ -383,7 +383,7 @@ TEST_F(EngineIntegrationTest, NoMarkerModeAgreesOnTopEntityQuality) {
   const eval::DomainArtifacts no_markers =
       eval::BuildArtifacts(datagen::HotelDomain(), options);
   auto tuples = eval::MakeMembershipTuples(*no_markers.db, no_markers.domain,
-                                           no_markers.pool, 500, false, 5);
+                                           no_markers.pool, 500, 5);
   ASSERT_TRUE(no_markers.db->TrainMembership(tuples, 6).ok());
   auto result = no_markers.db->Execute(
       "select * from hotels where \"clean room\" limit 10");

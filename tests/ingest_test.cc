@@ -7,12 +7,14 @@
 //     answer — the additive fold is exact, not approximate — and after
 //     every append round the answers equal the row-path oracle's
 //     (tests/oracle/), text-fallback predicate included;
-//  2. surgical cache maintenance: per-entity data epochs move only for
-//     touched entities, precomputed degree lists stay resident and equal
+//  2. derived state after an append: the interpreter equals a fresh
+//     one over the extended relation (120-entity hotel domain, every
+//     pool predicate), precomputed degree lists stay resident and equal
 //     a fresh PrecomputeDegrees after every append (a list whose
-//     interpretation is unchanged is patched, not rescored), and refused
-//     mutations leave the epoch alone (min_reviewer_reviews, unknown
-//     entities);
+//     interpretation is unchanged is patched, not rescored), a
+//     checkpoint saves only the interpretations queried since the last
+//     append, and refused mutations leave the epoch alone
+//     (min_reviewer_reviews, unknown entities);
 //  3. durability: EnableWal → append → reopen-from-snapshot → EnableWal
 //     replays the tail bit-identically; Checkpoint folds the log into
 //     the next snapshot generation and retires the segment; the
@@ -21,9 +23,9 @@
 //     acknowledged batch, and every WAL entry of the fault catalog is
 //     reached by a drill;
 //  4. concurrency: appends and checkpoints under a live query hammer at
-//     8 threads keep answers bit-identical to a single-threaded
-//     reference engine fed the same batches (the tsan gate for the
-//     ingest path's locking);
+//     8 threads, with both caches on, keep answers bit-identical to a
+//     single-threaded reference engine without caches fed the same
+//     batches (the tsan gate for the ingest path's locking);
 //  5. the HTTP front door: POST /reviews admission control and
 //     POST /admin/checkpoint surface the same contracts over JSON.
 //
@@ -38,6 +40,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_config.h"
+#include "cache/interpretation_cache.h"
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "core/engine.h"
@@ -279,35 +283,86 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
       << "appended store differs from the rebuilt one";
 }
 
-TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
-  eval::DomainArtifacts artifacts = BuildEngine();
+TEST_F(IngestTest, AppendedInterpreterEqualsAFreshOne) {
+  // The 120-entity hotel seed domain: its predicate pool reaches all
+  // three cascade stages, so the attribute idf is exercised.
+  eval::BuildOptions options;
+  options.generator.num_entities = 120;
+  options.generator.min_reviews_per_entity = 25;
+  options.generator.max_reviews_per_entity = 60;
+  options.generator.seed = 42;
+  options.predicate_pool_size = 190;
+  options.seed = 42;
+  options.engine.num_threads = 1;
+  eval::DomainArtifacts artifacts =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
   core::OpineDb& db = *artifacts.db;
   const int32_t entities = static_cast<int32_t>(db.corpus().num_entities());
-  ASSERT_GE(entities, 3);
 
-  std::vector<uint64_t> before;
-  for (int32_t e = 0; e < entities; ++e) {
-    before.push_back(db.entity_data_epoch(e));
-  }
-  const uint64_t epoch_before = db.cache_epoch();
-
-  text::Review review;
-  review.entity = 1;
-  review.reviewer = 901;
-  review.date = 20260807;
-  review.body = "the staff was friendly and the room was clean";
-  ASSERT_TRUE(db.AppendReviews({review}).ok());
-
-  EXPECT_EQ(db.cache_epoch(), epoch_before + 1)
-      << "one batch bumps the global epoch exactly once";
-  for (int32_t e = 0; e < entities; ++e) {
-    if (e == 1) {
-      EXPECT_EQ(db.entity_data_epoch(e), epoch_before + 1);
-    } else {
-      EXPECT_EQ(db.entity_data_epoch(e), before[e])
-          << "entity " << e << " was not touched";
+  size_t cooccurrence = 0;
+  for (uint64_t round = 0; round < 3; ++round) {
+    std::vector<text::Review> batch = MakeBatch(200 + round, 4, entities);
+    if (round == 1) {
+      // A last review without extractions: the relation's largest review
+      // id + 1 then falls short of the corpus size, and N must still be
+      // the one a fresh build derives.
+      text::Review silent;
+      silent.entity = 3;
+      silent.reviewer = 950;
+      silent.date = 20260810;
+      silent.body = "we arrived on a tuesday";
+      batch.push_back(silent);
+    }
+    ASSERT_TRUE(db.AppendReviews(batch).ok());
+    if (round == 1) {
+      ASSERT_LT(static_cast<size_t>(db.tables().extractions.back().review) + 1,
+                db.corpus().num_reviews());
+    }
+    const core::Interpreter fresh(&db.schema(), &db.tables(),
+                                  &db.phrase_embedder(), &db.review_index(),
+                                  &db.review_sentiment());
+    for (const auto& predicate : artifacts.pool) {
+      const core::PredicateInterpretation got =
+          db.interpreter().Interpret(predicate.text);
+      EXPECT_TRUE(got == fresh.Interpret(predicate.text))
+          << "round " << round << ": " << predicate.text;
+      if (got.method == core::InterpretMethod::kCooccurrence) ++cooccurrence;
     }
   }
+  EXPECT_GT(cooccurrence, 0u) << "no predicate reached the co-occurrence stage";
+}
+
+TEST_F(IngestTest, CheckpointSavesOnlyInterpretationsQueriedSinceAppend) {
+  cache::CacheConfig caches;
+  caches.enable_interpretation = true;
+  eval::DomainArtifacts live = BuildEngine();
+  live.db->ConfigureCaches(caches);
+  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+  const auto queries = PoolQueries(live, 5);
+  for (const std::string& sql : queries) MustExecute(*live.db, sql);
+  ASSERT_GE(live.db->interpretation_cache()->size(), 2u);
+
+  // The append expires every entry; querying one predicate again
+  // refills only its entry at the new epoch.
+  ASSERT_TRUE(live.db
+                  ->AppendReviews(MakeBatch(
+                      30, 2,
+                      static_cast<int32_t>(live.db->corpus().num_entities())))
+                  .ok());
+  MustExecute(*live.db, queries[0]);
+  ASSERT_TRUE(live.db->Checkpoint().ok());
+
+  // A reopened engine serves only that entry; the others would be
+  // pre-append interpretations passed off as current.
+  eval::DomainArtifacts reopened = BuildEngine();
+  reopened.db->ConfigureCaches(caches);
+  ASSERT_TRUE(reopened.db->OpenDatabase(dir()).ok());
+  EXPECT_EQ(reopened.db->interpretation_cache()->size(), 1u);
+  cache::InterpretationCache::Entry entry;
+  EXPECT_TRUE(reopened.db->interpretation_cache()->Lookup(
+      NormalizePredicate(live.pool[0].text), reopened.db->cache_epoch(),
+      &entry));
 }
 
 // (Named for the degree cache this test first covered; it now pins the
@@ -587,6 +642,13 @@ TEST_F(IngestTest, AppendsUnderQueryHammerStayBitIdentical) {
   eval::DomainArtifacts hammered = BuildEngine();
   eval::DomainArtifacts reference = BuildEngine();
   const auto queries = PoolQueries(hammered, 6);
+  // Readers fill and hit both caches between appends, and the checkpoint
+  // saves the interpretation cache; the reference stays bare, so the
+  // final check is a cached-vs-uncached differential.
+  cache::CacheConfig caches;
+  caches.enable_interpretation = true;
+  caches.enable_results = true;
+  hammered.db->ConfigureCaches(caches);
   hammered.db->SetNumThreads(8);
   ASSERT_TRUE(hammered.db->SaveDatabase(dir()).ok());
   ASSERT_TRUE(hammered.db->EnableWal(dir()).ok());

@@ -231,8 +231,8 @@ double RowPredicate::AtomDegree(const core::AtomInterpretation& atom,
           ? MembershipFeatures(rows_->Get(attribute, entity), atom.marker,
                                rep_, sentiment_)
           : core::MembershipFeaturesNoMarkers(
-                db_->PhrasesOf(attribute, entity), db_->phrase_embedder(),
-                rep_, sentiment_);
+                db_->tables().extractions, db_->PhrasesOf(attribute, entity),
+                db_->phrase_embedder(), rep_, sentiment_);
   const double d =
       db_->has_membership_model()
           ? db_->membership_model().DegreeOfTruth(features)

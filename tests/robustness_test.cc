@@ -241,7 +241,7 @@ TEST_F(RobustnessTest, TrainMembershipInvalidatesAttachedDegreeCache) {
   const uint64_t epoch_before = db().cache_epoch();
 
   const auto tuples = eval::MakeMembershipTuples(
-      db(), artifacts_->domain, artifacts_->pool, 200, true, 99);
+      db(), artifacts_->domain, artifacts_->pool, 200, 99);
   ASSERT_TRUE(db().TrainMembership(tuples, 9).ok());
 
   EXPECT_EQ(db().precomputed_degrees(predicate), nullptr)
@@ -275,7 +275,7 @@ TEST_F(RobustnessTest, EveryMutationBumpsCacheEpochExactlyOnce) {
 
   // TrainMembership: +1.
   const auto tuples = eval::MakeMembershipTuples(
-      db(), artifacts_->domain, artifacts_->pool, 200, true, 42);
+      db(), artifacts_->domain, artifacts_->pool, 200, 42);
   ASSERT_TRUE(db().TrainMembership(tuples, 6).ok());
   EXPECT_EQ(db().cache_epoch(), ++epoch);
 
@@ -294,6 +294,15 @@ TEST_F(RobustnessTest, EveryMutationBumpsCacheEpochExactlyOnce) {
   auto run = db().Execute(Sql());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(db().cache_epoch(), epoch);
+
+  // AppendReviews: +1 per batch, however many entities it touches.
+  text::Review review;
+  review.entity = 1;
+  review.reviewer = 901;
+  review.date = 20260807;
+  review.body = "the staff was friendly and the room was clean";
+  ASSERT_TRUE(db().AppendReviews({review}).ok());
+  EXPECT_EQ(db().cache_epoch(), ++epoch);
 
   // SaveDatabase alone: +0 (a consistent read). OpenDatabase: +1 — the
   // served tables were replaced wholesale.

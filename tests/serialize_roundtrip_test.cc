@@ -509,7 +509,7 @@ std::string InterpGoldenBytes() {
   fallback.rep.clear();
   golden.Insert("something obscure", fallback);
   std::ostringstream out;
-  EXPECT_TRUE(cache::SaveInterpretationCache(golden, &out).ok());
+  EXPECT_TRUE(cache::SaveInterpretationCache(golden, 0, &out).ok());
   return out.str();
 }
 
@@ -550,7 +550,7 @@ TEST(SerializeRoundtripTest, InterpCacheSecondCycleIsByteIdentical) {
   std::istringstream in(first);
   ASSERT_TRUE(cache::LoadInterpretationCache(&in, 1, &loaded).ok());
   std::ostringstream second;
-  ASSERT_TRUE(cache::SaveInterpretationCache(loaded, &second).ok());
+  ASSERT_TRUE(cache::SaveInterpretationCache(loaded, 1, &second).ok());
   EXPECT_EQ(first, second.str());
 }
 
@@ -630,7 +630,7 @@ TEST(SerializeRoundtripTest, InterpCacheSurvivesRandomBitFlips) {
   };
   const auto save = [](const cache::InterpretationCache& cache) {
     std::ostringstream out;
-    EXPECT_TRUE(cache::SaveInterpretationCache(cache, &out).ok());
+    EXPECT_TRUE(cache::SaveInterpretationCache(cache, 1, &out).ok());
     return out.str();
   };
   constexpr int kTrials = 2000;
