@@ -7,7 +7,8 @@
 //     answer — the additive fold is exact, not approximate — and after
 //     every append round the answers equal the row-path oracle's
 //     (tests/oracle/), text-fallback predicate included;
-//  2. derived state after an append: the interpreter equals a fresh
+//  2. derived state after an append: one batch bumps the epoch once and
+//     changes only its entities' summary rows, the interpreter equals a fresh
 //     one over the extended relation (120-entity hotel domain, every
 //     pool predicate), precomputed degree lists stay resident and equal
 //     a fresh PrecomputeDegrees after every append (a list whose
@@ -281,6 +282,72 @@ TEST_F(IngestTest, AppendIsBitIdenticalToRebuildOfExtendedRelation) {
   EXPECT_TRUE(oracle::StoreImage(*incremental.db->columnar_store()) ==
               oracle::StoreImage(*rebuilt.db->columnar_store()))
       << "appended store differs from the rebuilt one";
+}
+
+/// Raw bytes of one (attribute, entity) row of `store`: every cell's
+/// count, mean sentiment, centroid and provenance, then the unmatched
+/// count.
+std::string RowImage(const core::ColumnarSummaryStore& store,
+                     size_t attribute, size_t entity) {
+  const oracle::MarkerSummary row =
+      oracle::RowFromStore(store, attribute, entity);
+  std::string image;
+  auto put = [&image](const void* data, size_t bytes) {
+    image.append(static_cast<const char*>(data), bytes);
+  };
+  for (size_t m = 0; m < row.num_markers(); ++m) {
+    const oracle::MarkerCell& cell = row.cell(m);
+    put(&cell.count, sizeof(cell.count));
+    put(&cell.mean_sentiment, sizeof(cell.mean_sentiment));
+    put(cell.centroid.data(), cell.centroid.size() * sizeof(float));
+    put(cell.provenance.data(),
+        cell.provenance.size() * sizeof(text::ReviewId));
+  }
+  const double unmatched = row.unmatched_count();
+  put(&unmatched, sizeof(unmatched));
+  return image;
+}
+
+// (Named for the per-entity data epochs this test first covered; they
+// are gone, and it now pins what one append touches: the global epoch
+// once, and the summary rows of the batch's entities only.)
+TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
+  eval::DomainArtifacts artifacts = BuildEngine();
+  core::OpineDb& db = *artifacts.db;
+  const size_t entities = db.corpus().num_entities();
+  ASSERT_GE(entities, 3u);
+  const size_t attributes = db.columnar_store()->num_attributes();
+
+  std::vector<std::vector<std::string>> before(attributes);
+  for (size_t a = 0; a < attributes; ++a) {
+    for (size_t e = 0; e < entities; ++e) {
+      before[a].push_back(RowImage(*db.columnar_store(), a, e));
+    }
+  }
+  const uint64_t epoch_before = db.cache_epoch();
+
+  text::Review review;
+  review.entity = 1;
+  review.reviewer = 901;
+  review.date = 20260807;
+  review.body = "the staff was friendly and the room was clean";
+  ASSERT_TRUE(db.AppendReviews({review}).ok());
+
+  EXPECT_EQ(db.cache_epoch(), epoch_before + 1)
+      << "one batch bumps the global epoch exactly once";
+  size_t touched_rows = 0;
+  for (size_t a = 0; a < attributes; ++a) {
+    for (size_t e = 0; e < entities; ++e) {
+      const bool same = RowImage(*db.columnar_store(), a, e) == before[a][e];
+      if (e == 1) {
+        if (!same) ++touched_rows;
+      } else {
+        EXPECT_TRUE(same) << "attribute " << a << ", entity " << e
+                          << " was not touched";
+      }
+    }
+  }
+  EXPECT_GT(touched_rows, 0u) << "the appended review changed no row";
 }
 
 TEST_F(IngestTest, AppendedInterpreterEqualsAFreshOne) {
