@@ -29,104 +29,20 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 /// sigmoid(BM25(D, q) - c).
 constexpr double kTextFallbackC = 4.0;
 
+/// A review's weight in the text-retrieval fallback: its document
+/// sentiment shifted into (0, 1]-ish, so BM25*senti keeps mild negatives
+/// ranked below mild positives without zeroing everything. Build and
+/// AppendReviews both call it, so an appended review weighs exactly what
+/// a rebuild would give it.
+double ReviewSentimentWeight(const sentiment::Analyzer& analyzer,
+                             std::string_view body) {
+  return std::max(0.0, analyzer.ScoreDocument(body)) + 0.05;
+}
+
 /// Section names inside a database snapshot container.
 constexpr char kSchemaSection[] = "schema";
 constexpr char kSummariesSection[] = "summaries";
 constexpr char kInterpCacheSection[] = "interp_cache";
-
-// ------------------------------------------------ WAL batch payloads.
-// The engine's encoding of one AppendReviews batch into one opaque WAL
-// record: u32 review count, then per review u32 entity | u32 reviewer |
-// u32 date | u64 body length | body bytes. Little-endian, byte-encoded
-// (same no-punning doctrine as storage/wal.cc). Review ids are NOT
-// encoded — replay re-assigns them by append order, which reproduces
-// the live assignment exactly.
-
-void AppendU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* out) {
-  if (in.size() - *pos < 4) return false;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(in[*pos + i]))
-         << (8 * i);
-  }
-  *pos += 4;
-  *out = v;
-  return true;
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* out) {
-  if (in.size() - *pos < 8) return false;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(in[*pos + i]))
-         << (8 * i);
-  }
-  *pos += 8;
-  *out = v;
-  return true;
-}
-
-std::string EncodeReviewBatch(const std::vector<text::Review>& reviews) {
-  std::string out;
-  AppendU32(static_cast<uint32_t>(reviews.size()), &out);
-  for (const auto& review : reviews) {
-    AppendU32(static_cast<uint32_t>(review.entity), &out);
-    AppendU32(static_cast<uint32_t>(review.reviewer), &out);
-    AppendU32(static_cast<uint32_t>(review.date), &out);
-    AppendU64(review.body.size(), &out);
-    out.append(review.body);
-  }
-  return out;
-}
-
-Result<std::vector<text::Review>> DecodeReviewBatch(
-    const std::string& payload) {
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!ReadU32(payload, &pos, &count)) {
-    return Status::ParseError("WAL batch: truncated count");
-  }
-  // The record passed its CRC, so a decode failure here means an
-  // encoder/decoder skew, not disk corruption — still an error, never
-  // a partial apply.
-  std::vector<text::Review> reviews;
-  reviews.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t entity = 0, reviewer = 0, date = 0;
-    uint64_t body_len = 0;
-    if (!ReadU32(payload, &pos, &entity) ||
-        !ReadU32(payload, &pos, &reviewer) ||
-        !ReadU32(payload, &pos, &date) ||
-        !ReadU64(payload, &pos, &body_len) ||
-        payload.size() - pos < body_len) {
-      return Status::ParseError("WAL batch: truncated review " +
-                                std::to_string(i));
-    }
-    text::Review review;
-    review.entity = static_cast<text::EntityId>(entity);
-    review.reviewer = static_cast<text::ReviewerId>(reviewer);
-    review.date = static_cast<int32_t>(date);
-    review.body = payload.substr(pos, body_len);
-    pos += body_len;
-    reviews.push_back(std::move(review));
-  }
-  if (pos != payload.size()) {
-    return Status::ParseError("WAL batch: trailing bytes");
-  }
-  return reviews;
-}
 
 /// The shape ConditionScorer binds against: one AttributeColumns per
 /// schema attribute, each covering `num_entities` entities with the
@@ -276,10 +192,8 @@ std::unique_ptr<OpineDb> OpineDb::Build(
     auto& doc = entity_docs[review.entity];
     doc.insert(doc.end(), tokens.begin(), tokens.end());
     db.review_index_.AddDocument(tokens);
-    // Shift sentiment into (0, 1]-ish so BM25*senti keeps mild negatives
-    // ranked below mild positives without zeroing everything.
     db.review_sentiment_.push_back(
-        std::max(0.0, db.analyzer_.ScoreDocument(review.body)) + 0.05);
+        ReviewSentimentWeight(db.analyzer_, review.body));
   }
   for (auto& doc : entity_docs) {
     db.entity_index_.AddDocument(doc);
@@ -368,7 +282,6 @@ Status OpineDb::SetObjectiveTable(storage::Table table) {
   const std::string name = table.name();
   Status status = catalog_.AddTable(std::move(table));
   if (!status.ok()) return status;
-  objective_table_ = name;
   // Mirror the objective rows into columns once; predicates sweep the
   // mirror from then on. The catalog never changes a registered table.
   objective_columns_[name] =
@@ -700,8 +613,8 @@ Status OpineDb::AppendReviews(const std::vector<text::Review>& reviews) {
   return ApplyReviewsLocked(reviews, /*journal=*/true);
 }
 
-Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
-                                   bool journal) {
+Status OpineDb::CheckReviewsLocked(
+    const std::vector<text::Review>& reviews) const {
   if (reviews.empty()) return Status::OK();
   if (!pipeline_.has_value()) {
     return Status::FailedPrecondition(
@@ -727,6 +640,13 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
           std::to_string(corpus_.num_entities()));
     }
   }
+  return Status::OK();
+}
+
+Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
+                                   bool journal) {
+  Status valid = CheckReviewsLocked(reviews);
+  if (!valid.ok() || reviews.empty()) return valid;
 
   obs::TraceSpan span("ingest.append");
   Timer timer;
@@ -755,10 +675,8 @@ Status OpineDb::ApplyReviewsLocked(const std::vector<text::Review>& reviews,
         review.entity, review.reviewer, review.date, review.body);
     const text::Review& stored =
         corpus_.reviews()[static_cast<size_t>(id)];
-    // Same shift as Build step 1 — the scoring paths index this vector
-    // by review id.
-    review_sentiment_.push_back(
-        std::max(0.0, analyzer_.ScoreDocument(stored.body)) + 0.05);
+    // The scoring paths index this vector by review id.
+    review_sentiment_.push_back(ReviewSentimentWeight(analyzer_, stored.body));
     for (auto& opinion : pipeline_->ExtractFromReview(stored)) {
       tables_.extractions.push_back(std::move(opinion));
     }
@@ -936,9 +854,12 @@ Status OpineDb::EnableWal(const std::string& dir) {
 
   // Recovery half: replay the tail a crash may have left behind. The
   // segment paired with the served generation is read, everything past
-  // the first corrupt record is physically truncated away, and each
-  // surviving batch re-enters through the exact live-ingest path
-  // (minus journaling — these records are already durable).
+  // the first corrupt record is physically truncated away, and the
+  // surviving batches re-enter through the exact live-ingest path
+  // (minus journaling — these records are already durable). Every
+  // record is decoded and vetted before the first is applied, so a
+  // replay that fails leaves the engine untouched and a retry applies
+  // nothing twice.
   size_t replayed = 0;
   auto tail = storage::ReadWal(path);
   if (tail.ok()) {
@@ -952,10 +873,17 @@ Status OpineDb::EnableWal(const std::string& dir) {
       Status truncated = storage::TruncateWal(path, tail->valid_bytes);
       if (!truncated.ok()) return truncated;
     }
+    std::vector<std::vector<text::Review>> batches;
+    batches.reserve(tail->records.size());
     for (const auto& record : tail->records) {
       auto batch = DecodeReviewBatch(record);
       if (!batch.ok()) return batch.status();
-      Status applied = ApplyReviewsLocked(*batch, /*journal=*/false);
+      Status valid = CheckReviewsLocked(*batch);
+      if (!valid.ok()) return valid;
+      batches.push_back(std::move(*batch));
+    }
+    for (const auto& batch : batches) {
+      Status applied = ApplyReviewsLocked(batch, /*journal=*/false);
       if (!applied.ok()) return applied;
       ++replayed;
     }

@@ -275,9 +275,11 @@ class OpineDb {
   /// (created if needed), pairing with the snapshot store in the same
   /// directory. First replays any tail left by a crash: the segment
   /// named after the current snapshot generation is read, records past
-  /// the first corrupt one are truncated away, and each surviving batch
-  /// is re-applied through the exact live-ingest path (minus
-  /// journaling). Recovery is therefore OpenDatabase(dir) — newest
+  /// the first corrupt one are truncated away, and the surviving batches
+  /// are decoded and vetted, then re-applied through the exact
+  /// live-ingest path (minus journaling). A record that fails to decode
+  /// (ParseError) or would be refused leaves the engine untouched and
+  /// no WAL attached. Recovery is therefore OpenDatabase(dir) — newest
   /// verified generation — followed by EnableWal(dir) — tail replay.
   /// While a WAL is active, SaveDatabase is rejected in favour of
   /// Checkpoint(), which keeps segment and generation in lockstep.
@@ -578,6 +580,11 @@ class OpineDb {
   /// by Checkpoint (primary) and ReplicaCheckpoint (follower). Requires
   /// reconfig_mu_ held exclusively and wal_ engaged.
   Status CheckpointLocked();
+  /// The refusals ApplyReviewsLocked checks before it changes anything:
+  /// no retained pipeline, a retroactive reviewer filter, an unknown
+  /// entity. EnableWal vets a whole tail with it before applying any
+  /// batch. Requires reconfig_mu_ held.
+  Status CheckReviewsLocked(const std::vector<text::Review>& reviews) const;
   /// The single apply path for new review batches, shared verbatim by
   /// live ingest (journal = the open WAL writer) and EnableWal replay
   /// (journal = nothing — the records are already durable). Requires
@@ -605,7 +612,6 @@ class OpineDb {
   std::unique_ptr<Interpreter> interpreter_;
   std::optional<MembershipModel> membership_;
   storage::Catalog catalog_;
-  std::string objective_table_;
   /// Columnar mirrors of the objective tables (docs/SCALING.md), one
   /// per catalog table keyed by table name: built by SetObjectiveTable
   /// under the exclusive reconfiguration lock, read by queries under the

@@ -7,6 +7,8 @@
 #include <string>
 #include <unordered_set>
 
+#include "storage/coding.h"
+
 namespace opinedb::core {
 
 namespace {
@@ -23,39 +25,20 @@ constexpr int kSummariesVersion = 3;
 /// allocation.
 constexpr size_t kMaxStringLength = 1u << 20;  // 1 MiB per string.
 
-/// Netstring-style string encoding: "<length>:<bytes>" — robust to
-/// spaces inside markers and phrases.
-void WriteString(const std::string& s, std::ostream* out) {
-  *out << s.size() << ':' << s;
-}
-
-Result<std::string> ReadString(std::istream* in) {
-  size_t length = 0;
-  char colon = 0;
-  if (!(*in >> length) || !in->get(colon) || colon != ':') {
-    return Status::ParseError("bad string header");
-  }
-  if (length > kMaxStringLength) {
-    return Status::ParseError("implausible string length " +
-                              std::to_string(length));
-  }
-  std::string s(length, '\0');
-  if (!in->read(s.data(), static_cast<std::streamsize>(length))) {
-    return Status::ParseError("truncated string");
-  }
-  return s;
-}
+/// The fixed bytes of one encoded review: u32 entity, reviewer and date,
+/// then the u64 body length.
+constexpr size_t kReviewFixedBytes = 4 + 4 + 4 + 8;
 
 }  // namespace
 
 Status SaveSchema(const SubjectiveSchema& schema, std::ostream* out) {
   *out << kSchemaMagic << ' ' << kSchemaVersion << '\n';
-  WriteString(schema.objective_table, out);
+  storage::WriteNetstring(schema.objective_table, out);
   *out << ' ';
-  WriteString(schema.key_column, out);
+  storage::WriteNetstring(schema.key_column, out);
   *out << '\n' << schema.attributes.size() << '\n';
   for (const auto& attribute : schema.attributes) {
-    WriteString(attribute.name, out);
+    storage::WriteNetstring(attribute.name, out);
     *out << ' '
          << (attribute.summary_type.kind == SummaryKind::kLinearlyOrdered
                  ? 'L'
@@ -65,19 +48,19 @@ Status SaveSchema(const SubjectiveSchema& schema, std::ostream* out) {
          << attribute.seeds.aspect_terms.size() << ' '
          << attribute.seeds.opinion_terms.size() << '\n';
     for (const auto& marker : attribute.summary_type.markers) {
-      WriteString(marker, out);
+      storage::WriteNetstring(marker, out);
       *out << '\n';
     }
     for (const auto& phrase : attribute.linguistic_domain) {
-      WriteString(phrase, out);
+      storage::WriteNetstring(phrase, out);
       *out << '\n';
     }
     for (const auto& seed : attribute.seeds.aspect_terms) {
-      WriteString(seed, out);
+      storage::WriteNetstring(seed, out);
       *out << '\n';
     }
     for (const auto& seed : attribute.seeds.opinion_terms) {
-      WriteString(seed, out);
+      storage::WriteNetstring(seed, out);
       *out << '\n';
     }
   }
@@ -96,11 +79,11 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
                                 std::to_string(version));
   }
   SubjectiveSchema schema;
-  auto table = ReadString(in);
+  auto table = storage::ReadNetstring(in, kMaxStringLength);
   if (!table.ok()) return table.status();
   schema.objective_table = *table;
   in->get();  // Separator.
-  auto key = ReadString(in);
+  auto key = storage::ReadNetstring(in, kMaxStringLength);
   if (!key.ok()) return key.status();
   schema.key_column = *key;
   size_t num_attributes = 0;
@@ -110,7 +93,7 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
   std::unordered_set<std::string> seen_names;
   for (size_t a = 0; a < num_attributes; ++a) {
     SubjectiveAttribute attribute;
-    auto name = ReadString(in);
+    auto name = storage::ReadNetstring(in, kMaxStringLength);
     if (!name.ok()) return name.status();
     // Attribute names are the schema's keys (AttributeIndex resolves by
     // name); a duplicate would make every later lookup silently bind to
@@ -132,7 +115,7 @@ Result<SubjectiveSchema> LoadSchema(std::istream* in) {
     auto read_many = [in](size_t n,
                           std::vector<std::string>* out) -> Status {
       for (size_t i = 0; i < n; ++i) {
-        auto s = ReadString(in);
+        auto s = storage::ReadNetstring(in, kMaxStringLength);
         if (!s.ok()) return s.status();
         out->push_back(*s);
       }
@@ -171,14 +154,6 @@ void ReadArray(const std::string& in, size_t* pos, T* data, size_t n) {
   *pos += n * sizeof(T);
 }
 
-void AppendU64(uint64_t v, std::string* out) { AppendArray(&v, 1, out); }
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (in.size() - *pos < sizeof(uint64_t)) return false;
-  ReadArray(in, pos, v, 1);
-  return true;
-}
-
 /// One provenance log entry on disk: u32 entity, u32 marker, i32 review.
 constexpr uint64_t kProvenanceEntryBytes = 12;
 
@@ -201,13 +176,13 @@ bool AllFinite(const T* data, size_t n) {
 std::string EncodeSummaries(const ColumnarSummaryStore& store) {
   std::string out = kSummariesMagic;
   out += ' ' + std::to_string(kSummariesVersion) + '\n';
-  AppendU64(store.num_attributes(), &out);
-  AppendU64(store.num_entities(), &out);
+  storage::AppendU64(store.num_attributes(), &out);
+  storage::AppendU64(store.num_entities(), &out);
   for (size_t a = 0; a < store.num_attributes(); ++a) {
     const AttributeColumns& cols = store.attribute(a);
-    AppendU64(cols.num_markers, &out);
-    AppendU64(cols.dim, &out);
-    AppendU64(cols.provenance.size(), &out);
+    storage::AppendU64(cols.num_markers, &out);
+    storage::AppendU64(cols.dim, &out);
+    storage::AppendU64(cols.provenance.size(), &out);
   }
   for (size_t a = 0; a < store.num_attributes(); ++a) {
     const AttributeColumns& cols = store.attribute(a);
@@ -232,19 +207,15 @@ Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
   if (payload.compare(0, magic.size(), magic) != 0) {
     return Status::ParseError("not an opinedb summaries payload");
   }
-  size_t pos = magic.size();
+  const size_t eol = payload.find('\n', magic.size());
   uint64_t version = 0;
-  size_t digits = 0;
-  while (pos < payload.size() && digits < 9 && payload[pos] >= '0' &&
-         payload[pos] <= '9') {
-    version = version * 10 + static_cast<uint64_t>(payload[pos] - '0');
-    ++pos;
-    ++digits;
-  }
-  if (digits == 0 || pos >= payload.size() || payload[pos] != '\n') {
+  if (eol == std::string::npos ||
+      !storage::ParseDecimalU64(
+          std::string_view(payload).substr(magic.size(), eol - magic.size()),
+          &version)) {
     return Status::ParseError("bad summaries version line");
   }
-  ++pos;
+  size_t pos = eol + 1;
   if (version != static_cast<uint64_t>(kSummariesVersion)) {
     return Status::NotSupported("summaries version " +
                                 std::to_string(version));
@@ -252,8 +223,8 @@ Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
 
   uint64_t num_attributes = 0;
   uint64_t num_entities = 0;
-  if (!ReadU64(payload, &pos, &num_attributes) ||
-      !ReadU64(payload, &pos, &num_entities)) {
+  if (!storage::ReadU64(payload, &pos, &num_attributes) ||
+      !storage::ReadU64(payload, &pos, &num_entities)) {
     return Status::ParseError("truncated summaries header");
   }
   if (num_attributes != schema.num_attributes()) {
@@ -268,9 +239,9 @@ Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
   };
   std::vector<Shape> shapes(num_attributes);
   for (Shape& shape : shapes) {
-    if (!ReadU64(payload, &pos, &shape.markers) ||
-        !ReadU64(payload, &pos, &shape.dim) ||
-        !ReadU64(payload, &pos, &shape.provenance)) {
+    if (!storage::ReadU64(payload, &pos, &shape.markers) ||
+        !storage::ReadU64(payload, &pos, &shape.dim) ||
+        !storage::ReadU64(payload, &pos, &shape.provenance)) {
       return Status::ParseError("truncated summaries header");
     }
   }
@@ -342,6 +313,60 @@ Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
   }
   store.Refresh(nullptr);
   return store;
+}
+
+std::string EncodeReviewBatch(const std::vector<text::Review>& reviews) {
+  std::string out;
+  storage::AppendU32(static_cast<uint32_t>(reviews.size()), &out);
+  for (const auto& review : reviews) {
+    storage::AppendU32(static_cast<uint32_t>(review.entity), &out);
+    storage::AppendU32(static_cast<uint32_t>(review.reviewer), &out);
+    storage::AppendU32(static_cast<uint32_t>(review.date), &out);
+    storage::AppendU64(review.body.size(), &out);
+    out.append(review.body);
+  }
+  return out;
+}
+
+Result<std::vector<text::Review>> DecodeReviewBatch(
+    std::string_view payload) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  if (!storage::ReadU32(payload, &pos, &count)) {
+    return Status::ParseError("review batch: truncated count");
+  }
+  // The count is untrusted: bound it by the bytes present before it
+  // sizes an allocation.
+  if (count > (payload.size() - pos) / kReviewFixedBytes) {
+    return Status::ParseError("review batch: count " +
+                              std::to_string(count) + " exceeds its " +
+                              std::to_string(payload.size()) + " bytes");
+  }
+  std::vector<text::Review> reviews;
+  reviews.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t entity = 0, reviewer = 0, date = 0;
+    uint64_t body_len = 0;
+    if (!storage::ReadU32(payload, &pos, &entity) ||
+        !storage::ReadU32(payload, &pos, &reviewer) ||
+        !storage::ReadU32(payload, &pos, &date) ||
+        !storage::ReadU64(payload, &pos, &body_len) ||
+        payload.size() - pos < body_len) {
+      return Status::ParseError("review batch: truncated review " +
+                                std::to_string(i));
+    }
+    text::Review review;
+    review.entity = static_cast<text::EntityId>(entity);
+    review.reviewer = static_cast<text::ReviewerId>(reviewer);
+    review.date = static_cast<int32_t>(date);
+    review.body = payload.substr(pos, body_len);
+    pos += body_len;
+    reviews.push_back(std::move(review));
+  }
+  if (pos != payload.size()) {
+    return Status::ParseError("review batch: trailing bytes");
+  }
+  return reviews;
 }
 
 }  // namespace opinedb::core

@@ -4,10 +4,13 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "core/columnar.h"
 #include "core/schema.h"
+#include "text/corpus.h"
 
 namespace opinedb::core {
 
@@ -38,6 +41,18 @@ std::string EncodeSummaries(const ColumnarSummaryStore& store);
 /// ParseError. Review ids are not range-checked.
 Result<ColumnarSummaryStore> DecodeSummaries(const SubjectiveSchema& schema,
                                              const std::string& payload);
+
+/// Encodes one AppendReviews batch as the payload of one WAL record,
+/// which is also what replication ships: u32 review count, then per
+/// review u32 entity | u32 reviewer | u32 date | u64 body length | body
+/// bytes. Review ids are not encoded; replay re-assigns them by append
+/// order, which reproduces the live assignment exactly.
+std::string EncodeReviewBatch(const std::vector<text::Review>& reviews);
+
+/// Inverse of EncodeReviewBatch, with EncodeReviewBatch(decoded) equal to
+/// `payload`. A count above (size - 4) / 20 (checked before allocating),
+/// a truncated review or trailing bytes is a ParseError.
+Result<std::vector<text::Review>> DecodeReviewBatch(std::string_view payload);
 
 }  // namespace opinedb::core
 

@@ -6,6 +6,7 @@
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "repl/protocol.h"
+#include "storage/coding.h"
 #include "storage/snapshot_store.h"
 #include "storage/wal.h"
 
@@ -13,21 +14,7 @@ namespace opinedb::repl {
 
 namespace {
 
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > UINT64_MAX / 10 ||
-        (value == UINT64_MAX / 10 && digit > UINT64_MAX % 10)) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
+using storage::ParseDecimalU64;
 
 double MillisSince(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
@@ -136,7 +123,7 @@ Result<bool> ReplicationClient::SyncCycle() {
   if (!response.ok()) return response.status();
   if (response->status == 409) {
     uint64_t target = 0;
-    if (!ParseU64(response->Header(kHeaderPrimaryGeneration), &target)) {
+    if (!ParseDecimalU64(response->Header(kHeaderPrimaryGeneration), &target)) {
       return Status::Internal(
           "409 without a parsable x-repl-primary-generation");
     }
@@ -154,9 +141,9 @@ Result<bool> ReplicationClient::SyncCycle() {
   }
 
   uint64_t served_next = 0, acked_end = 0, served_fp = 0;
-  if (!ParseU64(response->Header(kHeaderNextOffset), &served_next) ||
-      !ParseU64(response->Header(kHeaderAckedEnd), &acked_end) ||
-      !ParseU64(response->Header(kHeaderFingerprint), &served_fp)) {
+  if (!ParseDecimalU64(response->Header(kHeaderNextOffset), &served_next) ||
+      !ParseDecimalU64(response->Header(kHeaderAckedEnd), &acked_end) ||
+      !ParseDecimalU64(response->Header(kHeaderFingerprint), &served_fp)) {
     return Status::Internal("/repl/wal response missing x-repl headers");
   }
   const bool segment_complete =

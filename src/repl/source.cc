@@ -1,12 +1,11 @@
 #include "repl/source.h"
 
-#include <fstream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "repl/protocol.h"
+#include "storage/coding.h"
 #include "storage/snapshot_store.h"
 #include "storage/wal.h"
 
@@ -16,32 +15,7 @@ namespace {
 
 using server::HttpRequest;
 using server::HttpResponse;
-
-bool ParseU64(std::string_view text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > UINT64_MAX / 10 ||
-        (value == UINT64_MAX / 10 && digit > UINT64_MAX % 10)) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return false;
-  *out = std::move(buffer).str();
-  return true;
-}
+using storage::ParseDecimalU64;
 
 void AddU64Header(HttpResponse* response, const char* name,
                   uint64_t value) {
@@ -88,12 +62,12 @@ void ReplicationSource::ExpirePinsLocked(
 server::HttpResponse ReplicationSource::HandleWalFetch(
     const server::HttpRequest& request) {
   uint64_t base = 0;
-  if (!ParseU64(request.QueryParam("base"), &base)) {
+  if (!ParseDecimalU64(request.QueryParam("base"), &base)) {
     return HttpResponse::Error(400, "missing or malformed ?base=");
   }
   uint64_t offset = 0;
   const std::string_view offset_param = request.QueryParam("offset");
-  if (!offset_param.empty() && !ParseU64(offset_param, &offset)) {
+  if (!offset_param.empty() && !ParseDecimalU64(offset_param, &offset)) {
     return HttpResponse::Error(400, "malformed ?offset=");
   }
   const std::string dir = db_->wal_dir();
@@ -114,9 +88,8 @@ server::HttpResponse ReplicationSource::HandleWalFetch(
 
   const bool live = base == current;
   const std::string path = dir + "/" + storage::WalFileName(base);
-  std::string bytes;
-  if (!ReadFileBytes(path, &bytes) ||
-      bytes.size() < storage::kWalHeaderSize) {
+  auto file = storage::ReadFileBytes(path);
+  if (!file.ok() || file->size() < storage::kWalHeaderSize) {
     if (live) {
       return HttpResponse::Error(503,
                                  "active WAL segment unreadable; retry");
@@ -130,6 +103,7 @@ server::HttpResponse ReplicationSource::HandleWalFetch(
     return conflict;
   }
   TouchPin(base);
+  const std::string& bytes = *file;
 
   // The servable region: for the live segment, clamp to the engine's
   // acknowledged durable size (unacknowledged page-cache bytes must
@@ -196,7 +170,7 @@ server::HttpResponse ReplicationSource::HandleSnapshotFetch(
     return HttpResponse::Error(400, "expected /repl/snapshot/<gen>");
   }
   uint64_t generation = 0;
-  if (!ParseU64(request.path.substr(prefix.size()), &generation)) {
+  if (!ParseDecimalU64(request.path.substr(prefix.size()), &generation)) {
     return HttpResponse::Error(400, "malformed snapshot generation");
   }
   const std::string dir = db_->wal_dir();
@@ -205,15 +179,15 @@ server::HttpResponse ReplicationSource::HandleSnapshotFetch(
   }
   const std::string path =
       dir + "/" + storage::SnapshotStore::GenerationFileName(generation);
-  std::string bytes;
-  if (!ReadFileBytes(path, &bytes)) {
+  auto bytes = storage::ReadFileBytes(path);
+  if (!bytes.ok()) {
     return HttpResponse::Error(
         404, "snapshot generation " + std::to_string(generation) +
                  " not on disk");
   }
   // Never ship a container that does not verify — the follower would
   // refuse it anyway; failing here names the true culprit.
-  if (!storage::SnapshotStore::DecodeContainer(bytes).ok()) {
+  if (!storage::SnapshotStore::DecodeContainer(*bytes).ok()) {
     return HttpResponse::Error(
         404, "snapshot generation " + std::to_string(generation) +
                  " failed verification on the primary");
@@ -222,7 +196,7 @@ server::HttpResponse ReplicationSource::HandleSnapshotFetch(
   HttpResponse response;
   response.status = 200;
   response.content_type = "application/octet-stream";
-  response.body = std::move(bytes);
+  response.body = std::move(*bytes);
   AddU64Header(&response, kHeaderPrimaryGeneration,
                db_->snapshot_generation());
   OPINEDB_METRIC_COUNT("repl.source.snapshot_fetches", 1);

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "storage/coding.h"
 
 namespace opinedb::server {
 
@@ -199,14 +200,15 @@ Result<HttpClient::Response> HttpClient::ReadResponse() {
           Close();
           return Status::ParseError("bad status line");
         }
-        response.status = 0;
-        for (size_t i = sp + 1; i < line.size() && line[i] != ' '; ++i) {
-          if (line[i] < '0' || line[i] > '9') {
-            Close();
-            return Status::ParseError("bad status code");
-          }
-          response.status = response.status * 10 + (line[i] - '0');
+        const size_t code_end = line.find(' ', sp + 1);
+        uint64_t code = 0;
+        if (!storage::ParseDecimalU64(line.substr(sp + 1, code_end - sp - 1),
+                                      &code) ||
+            code > 999) {
+          Close();
+          return Status::ParseError("bad status code");
         }
+        response.status = static_cast<int>(code);
         continue;
       }
       if (line.empty()) break;
@@ -215,14 +217,12 @@ Result<HttpClient::Response> HttpClient::ReadResponse() {
       const std::string name = ToLower(line.substr(0, colon));
       const std::string value(Trim(line.substr(colon + 1)));
       if (name == "content-length") {
-        content_length = 0;
-        for (const char c : value) {
-          if (c < '0' || c > '9') {
-            Close();
-            return Status::ParseError("bad content-length");
-          }
-          content_length = content_length * 10 + static_cast<size_t>(c - '0');
+        uint64_t parsed = 0;
+        if (!storage::ParseDecimalU64(value, &parsed)) {
+          Close();
+          return Status::ParseError("bad content-length");
         }
+        content_length = static_cast<size_t>(parsed);
       }
       response.headers.emplace_back(name, value);
     }

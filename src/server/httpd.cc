@@ -16,6 +16,7 @@
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "storage/coding.h"
 
 namespace opinedb::server {
 
@@ -307,17 +308,10 @@ bool HttpParser::ParseHeaderBlock(std::string_view block) {
       }
     }
     if (name == "content-length") {
-      if (value.empty() || value.size() > 19) {
+      uint64_t parsed = 0;
+      if (value.size() > 19 || !storage::ParseDecimalU64(value, &parsed)) {
         FailWith(400, "bad content-length");
         return false;
-      }
-      uint64_t parsed = 0;
-      for (const char c : value) {
-        if (c < '0' || c > '9') {
-          FailWith(400, "bad content-length");
-          return false;
-        }
-        parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
       }
       if (have_content_length && parsed != content_length) {
         FailWith(400, "conflicting content-length");

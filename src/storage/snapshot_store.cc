@@ -7,15 +7,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "storage/checksum.h"
+#include "storage/coding.h"
 #include "storage/wal.h"
 
 namespace opinedb::storage {
@@ -25,8 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Container framing constants. The magic doubles as an endianness and
-/// file-type check; all integers are little-endian and encoded byte by
-/// byte (no pointer-punning loads — frame decoding runs under ubsan).
+/// file-type check; integers go through the storage/coding.h codec.
 constexpr char kMagic[8] = {'O', 'P', 'D', 'B', 'S', 'N', 'P', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr uint32_t kFooterSentinel = 0xffffffffu;
@@ -37,72 +34,8 @@ constexpr size_t kMaxSections = 1u << 16;
 
 constexpr char kTmpSuffix[] = ".tmp";
 
-void AppendU32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  AppendU32(static_cast<uint32_t>(v & 0xffffffffu), out);
-  AppendU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-/// Bounds-checked little-endian reads over the in-memory file image.
-bool ReadU32(std::string_view bytes, size_t* pos, uint32_t* out) {
-  if (bytes.size() - *pos < 4) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + *pos);
-  *out = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(std::string_view bytes, size_t* pos, uint64_t* out) {
-  uint32_t lo = 0, hi = 0;
-  if (!ReadU32(bytes, pos, &lo) || !ReadU32(bytes, pos, &hi)) return false;
-  *out = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
-
 Status Corrupt(const std::string& what) {
   return Status::ParseError("corrupt snapshot container: " + what);
-}
-
-/// Full file contents, or an error. Reads via ifstream (no exceptions
-/// enabled) so a vanished or unreadable file is a clean status.
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::Internal("read failed: " + path);
-  return std::move(buffer).str();
-}
-
-/// POSIX full write (loops over short writes / EINTR).
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    const ssize_t written = ::write(fd, data, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += written;
-    n -= static_cast<size_t>(written);
-  }
-  return true;
-}
-
-/// fsync of a directory, so a rename inside it is durable. Best effort
-/// on filesystems that reject directory fds.
-void SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
 }
 
 /// Simulated media fault for the "storage.bitflip" site: flips one bit
@@ -141,32 +74,12 @@ std::string SnapshotStore::PathTo(const std::string& name) const {
 }
 
 std::string SnapshotStore::GenerationFileName(uint64_t generation) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "gen-%013llu.snap",
-                static_cast<unsigned long long>(generation));
-  return buffer;
+  return NumberedFileName("gen-", generation, ".snap");
 }
 
 bool SnapshotStore::ParseGenerationFileName(const std::string& name,
                                             uint64_t* generation) {
-  constexpr std::string_view kPrefix = "gen-";
-  constexpr std::string_view kSuffix = ".snap";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  uint64_t value = 0;
-  const size_t digits_end = name.size() - kSuffix.size();
-  if (digits_end == kPrefix.size()) return false;
-  for (size_t i = kPrefix.size(); i < digits_end; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    if (value > (UINT64_MAX - 9) / 10) return false;  // Overflow.
-    value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  *generation = value;
-  return true;
+  return ParseNumberedFileName(name, "gen-", ".snap", generation);
 }
 
 std::string SnapshotStore::EncodeContainer(
@@ -297,11 +210,11 @@ Status SnapshotStore::WriteFileAtomic(const std::string& final_name,
   // Torn-write site: persist only a prefix, then stop mid-protocol —
   // exactly the state a power cut during write() leaves behind.
   if (OPINEDB_FAULT_HIT("storage.short_write")) {
-    WriteAll(fd, bytes.data(), bytes.size() / 2);
+    WriteAll(fd, std::string_view(bytes).substr(0, bytes.size() / 2));
     ::close(fd);
     return Status::Internal("injected fault at storage.short_write");
   }
-  if (!WriteAll(fd, bytes.data(), bytes.size())) {
+  if (!WriteAll(fd, bytes)) {
     const std::string err = std::strerror(errno);
     ::close(fd);
     return Status::Internal("write failed: " + tmp_path + ": " + err);

@@ -6,16 +6,14 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "storage/checksum.h"
+#include "storage/coding.h"
 
 namespace opinedb::storage {
 
@@ -27,35 +25,6 @@ constexpr size_t kRecordHeader = kWalRecordHeaderSize;
 /// Plausibility cap on untrusted record lengths, checked before
 /// allocation on top of the remaining-bytes bound.
 constexpr uint32_t kMaxRecordLen = 1u << 30;
-
-void AppendU32(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  AppendU32(static_cast<uint32_t>(v & 0xffffffffu), out);
-  AppendU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-bool ReadU32(std::string_view bytes, size_t* pos, uint32_t* out) {
-  if (bytes.size() - *pos < 4) return false;
-  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + *pos);
-  *out = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(std::string_view bytes, size_t* pos, uint64_t* out) {
-  uint32_t lo = 0, hi = 0;
-  if (!ReadU32(bytes, pos, &lo) || !ReadU32(bytes, pos, &hi)) return false;
-  *out = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
 
 std::string EncodeHeader(uint64_t base_generation) {
   std::string out;
@@ -83,69 +52,14 @@ bool DecodeHeader(std::string_view bytes, uint64_t* base_generation) {
   return true;
 }
 
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    const ssize_t written = ::write(fd, data, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += written;
-    n -= static_cast<size_t>(written);
-  }
-  return true;
-}
-
-void SyncDirOf(const std::string& path) {
-  const std::string dir = std::filesystem::path(path).parent_path().string();
-  const int fd =
-      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::Internal("read failed: " + path);
-  return std::move(buffer).str();
-}
-
 }  // namespace
 
 std::string WalFileName(uint64_t base_generation) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "wal-%013llu.log",
-                static_cast<unsigned long long>(base_generation));
-  return buffer;
+  return NumberedFileName("wal-", base_generation, ".log");
 }
 
 bool ParseWalFileName(const std::string& name, uint64_t* base_generation) {
-  constexpr std::string_view kPrefix = "wal-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  uint64_t value = 0;
-  const size_t digits_end = name.size() - kSuffix.size();
-  if (digits_end == kPrefix.size()) return false;
-  for (size_t i = kPrefix.size(); i < digits_end; ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(name[i] - '0');
-    if (value > UINT64_MAX / 10 ||
-        (value == UINT64_MAX / 10 && digit > UINT64_MAX % 10)) {
-      return false;  // Overflow.
-    }
-    value = value * 10 + digit;
-  }
-  *base_generation = value;
-  return true;
+  return ParseNumberedFileName(name, "wal-", ".log", base_generation);
 }
 
 Result<WalContents> ReadWal(const std::string& path) {
@@ -262,12 +176,12 @@ Result<WalWriter> WalWriter::Open(const std::string& path,
   writer.path_ = path;
   if (st.st_size == 0) {
     const std::string header = EncodeHeader(base_generation);
-    if (!WriteAll(fd, header.data(), header.size()) || ::fsync(fd) != 0) {
+    if (!WriteAll(fd, header) || ::fsync(fd) != 0) {
       const std::string err = std::strerror(errno);
       writer.Close();
       return Status::Internal("cannot initialize " + path + ": " + err);
     }
-    SyncDirOf(path);
+    SyncDir(std::filesystem::path(path).parent_path().string());
     writer.size_ = header.size();
   } else {
     // Callers truncate to the verified prefix before opening; trust but
@@ -304,12 +218,12 @@ Status WalWriter::Append(std::string_view payload) {
   // Torn-record site: persist half the frame, then stop — the state a
   // power cut mid-append leaves. The writer is broken from here on.
   if (OPINEDB_FAULT_HIT("storage.wal_short_write")) {
-    WriteAll(fd_, frame.data(), frame.size() / 2);
+    WriteAll(fd_, std::string_view(frame).substr(0, frame.size() / 2));
     ::fsync(fd_);
     MarkBroken();
     return Status::Internal("injected fault at storage.wal_short_write");
   }
-  if (!WriteAll(fd_, frame.data(), frame.size())) {
+  if (!WriteAll(fd_, frame)) {
     const std::string err = std::strerror(errno);
     MarkBroken();
     return Status::Internal("wal write failed: " + path_ + ": " + err);

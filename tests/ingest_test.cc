@@ -130,6 +130,20 @@ class IngestTest : public ::testing::Test {
 
   std::string dir() const { return dir_.string(); }
 
+  /// Journals `payloads` into the segment EnableWal(dir()) replays for
+  /// `db`, framed and checksummed exactly as a live append would be.
+  void WriteSegment(const core::OpineDb& db,
+                    const std::vector<std::string>& payloads) {
+    fs::create_directories(dir_);
+    const uint64_t base = db.snapshot_generation();
+    auto writer = storage::WalWriter::Open(
+        (dir_ / storage::WalFileName(base)).string(), base);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::string& payload : payloads) {
+      ASSERT_TRUE(writer->Append(payload).ok());
+    }
+  }
+
   static std::vector<std::string> PoolQueries(
       const eval::DomainArtifacts& artifacts, size_t count) {
     std::vector<std::string> queries;
@@ -521,6 +535,99 @@ TEST_F(IngestTest, WalReplayRecoversAppendsBitIdentically) {
   EXPECT_EQ(recovered.db->corpus().num_reviews(),
             live.db->corpus().num_reviews());
   ExpectEnginesAgree(*live.db, *recovered.db, queries, "wal replay");
+}
+
+// The journal's bytes for a fixed batch: u32 count, then per review u32
+// entity | u32 reviewer | u32 date | u64 body length | body. Every other
+// WAL test round-trips through the same codec and would miss a
+// symmetric format change.
+TEST_F(IngestTest, JournaledBatchBytesArePinned) {
+  eval::DomainArtifacts artifacts = BuildEngine();
+  core::OpineDb& db = *artifacts.db;
+  ASSERT_TRUE(db.EnableWal(dir()).ok());
+  std::vector<text::Review> batch(2);
+  batch[0].entity = 1;
+  batch[0].reviewer = 700;
+  batch[0].date = 20260801;
+  batch[0].body = "the room was very clean";
+  batch[1].entity = 3;
+  batch[1].reviewer = 701;
+  batch[1].date = 20260802;
+  batch[1].body = "rude reception";
+  ASSERT_TRUE(db.AppendReviews(batch).ok());
+
+  auto wal = storage::ReadWal(
+      (dir_ / storage::WalFileName(db.snapshot_generation())).string());
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  ASSERT_EQ(wal->records.size(), 1u);
+  std::string hex;
+  for (const char c : wal->records[0]) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  EXPECT_EQ(hex,
+            "02000000"  // u32 review count
+            "01000000" "bc020000" "c1273501" "1700000000000000"
+            "74686520726f6f6d20776173207665727920636c65616e"
+            "03000000" "bd020000" "c2273501" "0e00000000000000"
+            "7275646520726563657074696f6e");
+}
+
+// A record whose CRC verifies but whose count claims more reviews than
+// its bytes can hold is a ParseError before any allocation, on replay
+// and on a follower alike.
+TEST_F(IngestTest, BatchCountBeyondItsBytesIsAParseError) {
+  eval::DomainArtifacts artifacts = BuildEngine();
+  core::OpineDb& db = *artifacts.db;
+  const std::string claims_max(4, '\xff');  // 2^32 - 1 reviews, no bytes.
+  WriteSegment(db, {claims_max});
+  const size_t reviews = db.corpus().num_reviews();
+  const uint64_t epoch = db.cache_epoch();
+
+  const Status replay = db.EnableWal(dir());
+  EXPECT_EQ(replay.code(), StatusCode::kParseError) << replay.ToString();
+  EXPECT_FALSE(db.wal_enabled());
+  EXPECT_EQ(db.corpus().num_reviews(), reviews);
+  EXPECT_EQ(db.cache_epoch(), epoch);
+
+  db.SetReadOnly(true);
+  ASSERT_TRUE(db.EnableWal(dir() + "/follower").ok());
+  auto shipped = db.ApplyReplicatedRecord(claims_max);
+  ASSERT_FALSE(shipped.ok());
+  EXPECT_EQ(shipped.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(db.corpus().num_reviews(), reviews);
+  EXPECT_EQ(db.cache_epoch(), epoch);
+}
+
+// Replay decodes every record before applying the first: a bad record
+// after a good one leaves the engine untouched, so retrying the replay
+// cannot apply the good batch twice.
+TEST_F(IngestTest, FailedReplayAppliesNothingAndRetriesIdempotently) {
+  eval::DomainArtifacts artifacts = BuildEngine();
+  core::OpineDb& db = *artifacts.db;
+  // Entity 0, reviewer 1, date 2, body "clean room"; then a record whose
+  // count claims one review and holds none.
+  const std::string one_review(
+      "\x01\x00\x00\x00"
+      "\x00\x00\x00\x00"
+      "\x01\x00\x00\x00"
+      "\x02\x00\x00\x00"
+      "\x0a\x00\x00\x00\x00\x00\x00\x00"
+      "clean room",
+      34);
+  WriteSegment(db, {one_review, std::string("\x01\x00\x00\x00", 4)});
+  const size_t reviews = db.corpus().num_reviews();
+  const uint64_t epoch = db.cache_epoch();
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status status = db.EnableWal(dir());
+    EXPECT_EQ(status.code(), StatusCode::kParseError)
+        << "attempt " << attempt << ": " << status.ToString();
+    EXPECT_FALSE(db.wal_enabled()) << "attempt " << attempt;
+    EXPECT_EQ(db.corpus().num_reviews(), reviews) << "attempt " << attempt;
+    EXPECT_EQ(db.cache_epoch(), epoch) << "attempt " << attempt;
+  }
 }
 
 TEST_F(IngestTest, CheckpointFoldsWalAndRetiresSegment) {

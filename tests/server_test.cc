@@ -9,6 +9,11 @@
 // bounded queue fills, concurrent clients never interleave responses
 // (the TSan gate for the worker pool), and the /healthz + /metrics
 // surfaces keep their pinned schemas.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -586,6 +591,50 @@ TEST(HttpClientTimeoutTest, StalledServerSurfacesAsUnavailable) {
   }
   cv.notify_all();
   httpd.Stop();
+}
+
+// A status code that does not fit an int is a typed ParseError. The
+// client used to accumulate it digit by digit into the int and hand
+// back a wrapped status (signed overflow).
+TEST(HttpClientStatusLineTest, OverlongStatusCodeIsAParseError) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char request[4096];
+    ::recv(fd, request, sizeof(request), 0);
+    const std::string reply =
+        "HTTP/1.1 99999999999 OK\r\nContent-Length: 0\r\n\r\n";
+    ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  server::HttpClient client;
+  const Status connected = client.Connect("127.0.0.1", ntohs(addr.sin_port));
+  StatusCode code = StatusCode::kOk;
+  int status = 0;
+  if (connected.ok()) {
+    auto response = client.Get("/status");
+    if (response.ok()) {
+      status = response->status;
+    } else {
+      code = response.status().code();
+    }
+  }
+  ::shutdown(listener, SHUT_RDWR);  // Ends a pending accept.
+  peer.join();
+  ::close(listener);
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  EXPECT_EQ(code, StatusCode::kParseError) << "parsed status " << status;
 }
 
 // --------------------------------------------------- Graceful drain.

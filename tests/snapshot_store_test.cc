@@ -177,7 +177,8 @@ TEST_F(SnapshotStoreTest, GenerationFileNamesSortAndParse) {
   EXPECT_TRUE(SnapshotStore::ParseGenerationFileName("gen-0000000000042.snap",
                                                      &generation));
   EXPECT_EQ(generation, 42u);
-  for (uint64_t g : {uint64_t{1}, uint64_t{999}, uint64_t{1} << 40}) {
+  for (uint64_t g : {uint64_t{1}, uint64_t{999}, uint64_t{1} << 40,
+                     UINT64_MAX}) {
     ASSERT_TRUE(SnapshotStore::ParseGenerationFileName(
         SnapshotStore::GenerationFileName(g), &generation));
     EXPECT_EQ(generation, g);
