@@ -78,7 +78,7 @@ int main() {
                        storage::Value(int64_t{70})});
   (void)hotels.Append({storage::Value(std::string("boutique_belle")),
                        storage::Value(int64_t{150})});
-  Status status = db->SetObjectiveTable(std::move(hotels));
+  Status status = db->SetObjectiveTable(hotels);
   if (!status.ok()) {
     printf("error: %s\n", status.ToString().c_str());
     return 1;

@@ -216,6 +216,7 @@ ColumnarTable::ColumnarTable(const storage::Table& table)
   columns_.resize(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
     Column& col = columns_[c];
+    col.name = table.columns()[c].name;
     col.type = table.columns()[c].type;
     col.is_null.Reset(num_rows_);
     switch (col.type) {
@@ -275,15 +276,24 @@ size_t ColumnarTable::bytes() const {
   return total;
 }
 
-ColumnarTable::CompiledPredicate ColumnarTable::Compile(
-    const storage::BoundColumnPredicate& predicate) const {
-  const Column& col = columns_[predicate.column()];
-  const storage::Value& literal = predicate.literal();
+Result<ColumnarTable::CompiledPredicate> ColumnarTable::Compile(
+    const storage::ColumnPredicate& predicate) const {
+  // A repeated name resolves to its last column, as
+  // storage::Table::ColumnIndex does.
+  const auto it =
+      std::find_if(columns_.rbegin(), columns_.rend(), [&](const Column& c) {
+        return c.name == predicate.column;
+      });
+  if (it == columns_.rend()) {
+    return Status::NotFound("column " + predicate.column);
+  }
+  const Column& col = *it;
+  const storage::Value& literal = predicate.literal;
   CompiledPredicate compiled;
   compiled.is_null = col.is_null.data();
   // Operator → accepted signs of cell.Compare(literal), exactly as
   // BoundColumnPredicate::Matches maps them.
-  switch (predicate.op()) {
+  switch (predicate.op) {
     case storage::CompareOp::kEq:
       compiled.accept[1] = true;
       break;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/membership.h"
 #include "core/schema.h"
@@ -260,13 +261,14 @@ class ConditionScorer {
   index::InvertedIndex::BoundQuery text_query_;
 };
 
-/// Columnar mirror of an objective table: numeric columns as contiguous
-/// double arrays with a null bitmap, string columns dictionary-encoded
-/// against a sorted distinct list (rank order == storage::Value string
-/// order, so comparing ranks is comparing strings). Built once in
-/// SetObjectiveTable; ObjectiveFilter and the 0/1 objective lists in
-/// SubjectiveScore evaluate bound predicates against it as dense
-/// sweeps with Value::Compare's exact semantics (NULL never matches,
+/// The engine's objective table, held only as columns: numeric columns
+/// as contiguous double arrays with a null bitmap, string columns
+/// dictionary-encoded against a sorted distinct list (rank order ==
+/// storage::Value string order, so comparing ranks is comparing
+/// strings). SetObjectiveTable builds it once from the input rows and
+/// keeps no rows; ObjectiveFilter and the 0/1 objective lists in
+/// SubjectiveScore compile each predicate by column name and sweep the
+/// arrays with Value::Compare's exact semantics (NULL never matches,
 /// numbers before strings, NaN compares equal).
 class ColumnarTable {
  public:
@@ -275,9 +277,9 @@ class ColumnarTable {
   size_t num_rows() const { return num_rows_; }
   size_t bytes() const;
 
-  /// A bound predicate lowered onto the column arrays. `cmp_kind`
-  /// selects how the three-way comparison against the literal is
-  /// produced per row; `accept` maps cmp (-1/0/1) through the operator.
+  /// A predicate lowered onto the column arrays. `cmp_kind` selects how
+  /// the three-way comparison against the literal is produced per row;
+  /// `accept` maps cmp (-1/0/1) through the operator.
   struct CompiledPredicate {
     enum class CmpKind { kNumeric, kStringRank, kConstant };
     CmpKind cmp_kind = CmpKind::kConstant;
@@ -291,12 +293,13 @@ class ColumnarTable {
     bool accept[3] = {false, false, false};  // accept[cmp + 1].
   };
 
-  /// Lowers a predicate bound against the mirrored table.
-  CompiledPredicate Compile(
-      const storage::BoundColumnPredicate& predicate) const;
+  /// Resolves the predicate's column by name and lowers it onto that
+  /// column's arrays; NotFound for a column the table does not have.
+  Result<CompiledPredicate> Compile(
+      const storage::ColumnPredicate& predicate) const;
 
   /// Row-level evaluation, bit-identical to
-  /// BoundColumnPredicate::Matches on the mirrored table.
+  /// BoundColumnPredicate::Matches on the source rows.
   static bool Eval(const CompiledPredicate& predicate, size_t row) {
     if (predicate.is_null[row] != 0) return false;
     int cmp;
@@ -331,6 +334,7 @@ class ColumnarTable {
 
  private:
   struct Column {
+    std::string name;
     storage::ValueType type = storage::ValueType::kNull;
     common::AlignedArray<uint8_t> is_null;
     common::AlignedArray<double> num;     // kInt / kDouble columns.

@@ -244,6 +244,9 @@ std::unique_ptr<OpineDb> OpineDb::Build(
               options.induced_markers, *db.embedder_);
         }
       }
+      // A snapshot's schema section names each summary type after its
+      // attribute, so the engine's own snapshots equal its schema.
+      attribute.summary_type.name = attribute.name;
     }
   }
 
@@ -271,7 +274,12 @@ void OpineDb::RebuildDerivedState() {
                            static_cast<double>(tables_.summaries.bytes()));
 }
 
-Status OpineDb::SetObjectiveTable(storage::Table table) {
+Status OpineDb::SetObjectiveTable(const storage::Table& table) {
+  if (table.name() != schema_.objective_table) {
+    return Status::InvalidArgument("objective table is " +
+                                   schema_.objective_table + ", not " +
+                                   table.name());
+  }
   if (table.num_rows() != corpus_.num_entities()) {
     return Status::InvalidArgument(
         "objective table must have one row per entity (" +
@@ -279,19 +287,12 @@ Status OpineDb::SetObjectiveTable(storage::Table table) {
         std::to_string(table.num_rows()) + ")");
   }
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  const std::string name = table.name();
-  Status status = catalog_.AddTable(std::move(table));
-  if (!status.ok()) return status;
-  // Mirror the objective rows into columns once; predicates sweep the
-  // mirror from then on. The catalog never changes a registered table.
-  objective_columns_[name] =
-      std::make_unique<ColumnarTable>(**catalog_.GetTable(name));
+  if (objective_.has_value()) {
+    return Status::AlreadyExists("table " + table.name());
+  }
+  // The columns are the only copy; predicates compile against them.
+  objective_.emplace(table);
   return Status::OK();
-}
-
-const ColumnarTable& OpineDb::objective_columns(
-    const storage::Table& table) const {
-  return *objective_columns_.at(table.name());
 }
 
 Status OpineDb::InstallSummaries(ColumnarSummaryStore summaries) {
@@ -528,19 +529,30 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
   }
 
   // Parse and vet the whole snapshot before touching any engine state:
-  // a payload that fails to decode leaves the engine exactly as it was.
+  // a payload that fails to decode, or does not fit this engine, leaves
+  // the engine exactly as it was. The classifier, the aggregator and
+  // the interpreter were trained on the Build schema, so the snapshot
+  // must carry that schema; its summaries are then decoded and checked
+  // against it. schema_ is written only by Build, so it is read here
+  // without the lock.
   std::istringstream schema_stream(*schema_payload);
   auto schema = LoadSchema(&schema_stream);
   if (!schema.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
     return schema.status();
   }
-  auto summaries = DecodeSummaries(*schema, *summaries_payload);
+  if (*schema != schema_) {
+    OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
+    return Status::InvalidArgument(
+        "snapshot does not fit this engine: its schema differs from the "
+        "one the engine was built with");
+  }
+  auto summaries = DecodeSummaries(schema_, *summaries_payload);
   if (!summaries.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
     return summaries.status();
   }
-  Status shape = CheckSummaryShape(*schema, *summaries,
+  Status shape = CheckSummaryShape(schema_, *summaries,
                                    corpus_.num_entities(), embedder_->dim());
   if (!shape.ok()) {
     OPINEDB_METRIC_COUNT("storage.snapshot.load_failures", 1);
@@ -549,11 +561,10 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
   }
 
   std::unique_lock<std::shared_mutex> lock(reconfig_mu_);
-  schema_ = std::move(*schema);
   tables_.summaries = std::move(*summaries);
   // Summaries are the queryable state; the extraction relation was not
   // persisted and anything left from the pre-open build describes the
-  // old schema/tables.
+  // replaced summaries.
   tables_.ClearRelation();
   extractions_authoritative_ = false;
   // The journal (if any) belonged to the replaced state; EnableWal
@@ -1082,19 +1093,11 @@ Result<double> OpineDb::PredicateDegreeOfTruth(const std::string& predicate,
   }
 }
 
-Result<QueryResult> OpineDb::Execute(const std::string& sql) const {
-  return Execute(sql, QueryControl());
-}
-
 Result<QueryResult> OpineDb::Execute(const std::string& sql,
                                      const QueryControl& control) const {
   auto query = ParseSubjectiveSql(sql);
   if (!query.ok()) return query.status();
   return ExecuteQuery(*query, control);
-}
-
-Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query) const {
-  return ExecuteQuery(query, QueryControl());
 }
 
 Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
@@ -1137,9 +1140,9 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   if (snapshot_generation > 0) {
     query_span.AddAttribute("snapshot_generation", snapshot_generation);
   }
-  auto table_result = catalog_.GetTable(query.table);
-  if (!table_result.ok()) return table_result.status();
-  const storage::Table* table = *table_result;
+  if (!objective_.has_value() || query.table != schema_.objective_table) {
+    return Status::NotFound("table " + query.table);
+  }
 
   // ----------------------------------------------------- result cache.
   // Consulted before planning: a hit skips the whole pipeline. EXPLAIN
@@ -1261,7 +1264,7 @@ Result<QueryResult> OpineDb::ExecuteQuery(const SubjectiveQuery& query,
   ctx.db = this;
   ctx.query = &query;
   ctx.logical = &logical;
-  ctx.table = table;
+  ctx.objective = &*objective_;
   ctx.output = &output;
   ctx.reps = &reps;
   ctx.sentis = &sentis;

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/aggregator.h"
 #include "core/attribute_classifier.h"
+#include "core/columnar.h"
 #include "core/interpreter.h"
 #include "core/membership.h"
 #include "core/planner.h"
@@ -101,7 +102,7 @@ struct ExecutionStats {
 };
 
 /// Per-call serving controls. Default-constructed = no limits, which is
-/// also the behaviour of the control-less Execute overloads.
+/// what Execute and ExecuteQuery use when given none.
 struct QueryControl {
   /// Wall-clock budget and/or cancellation token polled at operator
   /// checkpoints (per condition, per chunk). When it
@@ -155,8 +156,6 @@ struct QueryResult {
   size_t watermark = 0;
 };
 
-class ColumnarTable;
-
 /// OpineDB: the subjective database engine (Fig. 4).
 ///
 /// Owns the corpus, the extraction results, the derived marker summaries
@@ -176,8 +175,12 @@ class OpineDb {
       const extract::ExtractionPipeline& pipeline,
       EngineOptions options = EngineOptions());
 
-  /// Registers the objective table. Row i must describe entity i.
-  Status SetObjectiveTable(storage::Table table);
+  /// Registers the objective table: the one `schema().objective_table`
+  /// names, with row i describing entity i. Builds its ColumnarTable,
+  /// the engine's only copy; the rows are not kept. InvalidArgument for
+  /// another name or row count, AlreadyExists when a table is already
+  /// registered; either refusal leaves the engine untouched.
+  Status SetObjectiveTable(const storage::Table& table);
 
   /// Trains the membership model from labeled (features, y) tuples.
   /// Rejects tuples containing non-finite features (a NaN weight would
@@ -186,21 +189,20 @@ class OpineDb {
       const std::vector<MembershipModel::LabeledTuple>& tuples,
       uint64_t seed = 42);
 
-  /// Parses and executes a subjective SQL string.
-  Result<QueryResult> Execute(const std::string& sql) const;
-
-  /// Executes a parsed query.
-  Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query) const;
-
-  /// Deadline/cancellation-aware variants: `control` carries a wall-
-  /// clock budget and/or a cancellation token that the engine polls at
+  /// Parses and executes a subjective SQL string; ExecuteQuery runs a
+  /// parsed query. The query's table must be the registered objective
+  /// table (NotFound otherwise), and every objective column it names one
+  /// of that table's (NotFound otherwise). `control` carries a wall-clock
+  /// budget and/or a cancellation token that the engine polls at
   /// operator checkpoints. An over-budget query returns early with
   /// QueryResult::partial = true and whatever prefix-consistent top-k
   /// survived, never an error. `control` must outlive the call.
-  Result<QueryResult> Execute(const std::string& sql,
-                              const QueryControl& control) const;
-  Result<QueryResult> ExecuteQuery(const SubjectiveQuery& query,
-                                   const QueryControl& control) const;
+  Result<QueryResult> Execute(
+      const std::string& sql,
+      const QueryControl& control = QueryControl()) const;
+  Result<QueryResult> ExecuteQuery(
+      const SubjectiveQuery& query,
+      const QueryControl& control = QueryControl()) const;
 
   /// Degree of truth of a subjective predicate for one entity, prepared
   /// and scored exactly as a query would (used by experiments that
@@ -450,25 +452,26 @@ class OpineDb {
   /// docs/PERSISTENCE.md.
   Status SaveDatabase(const std::string& dir) const;
 
-  /// Replaces this engine's schema and summaries with the newest fully
-  /// valid snapshot generation in `dir`, verifying every checksum on the
-  /// way in (corrupt newer generations are skipped; if nothing valid
+  /// Replaces this engine's summaries with the newest fully valid
+  /// snapshot generation in `dir`, verifying every checksum on the way
+  /// in (corrupt newer generations are skipped; if nothing valid
   /// remains this returns the store's typed NotFound/DataLoss error).
   /// The snapshot is parsed and vetted completely before any engine
-  /// state changes — on any error the engine is untouched. The loaded
-  /// summaries must have the shape InstallSummaries demands — exactly
-  /// this engine's corpus entities, the snapshot schema's marker counts,
-  /// centroids of this engine's embedding width — or the open returns
-  /// InvalidArgument. The optional interpretation-cache section is
-  /// dropped (a cold open) when any entry names an atom outside the
-  /// opened schema or carries an embedding of another width. After a
-  /// successful open the extraction relation is empty, so a later
-  /// Reaggregate would rebuild summaries from nothing — it returns
-  /// FailedPrecondition; re-extract from the corpus instead. Precomputed
-  /// degree lists are dropped (they described the old summaries).
-  /// Any active WAL is detached (the journal belonged to the replaced
-  /// state); call EnableWal again to replay the tail for the newly
-  /// opened generation.
+  /// state changes — on any error the engine is untouched. Its schema
+  /// must equal schema(), the one the engine's models were trained on,
+  /// and its summaries must have the shape InstallSummaries demands —
+  /// exactly this engine's corpus entities, the schema's marker counts,
+  /// centroids of this engine's embedding width; anything else returns
+  /// InvalidArgument. The schema is never replaced. The optional
+  /// interpretation-cache section is dropped (a cold open) when any
+  /// entry names an atom outside the schema or carries an embedding of
+  /// another width. After a successful open the extraction relation is
+  /// empty, so a later Reaggregate would rebuild summaries from nothing
+  /// — it returns FailedPrecondition; re-extract from the corpus
+  /// instead. Precomputed degree lists are dropped (they described the
+  /// old summaries). Any active WAL is detached (the journal belonged to
+  /// the replaced state); call EnableWal again to replay the tail for
+  /// the newly opened generation.
   Status OpenDatabase(const std::string& dir);
 
   /// Generation committed by the last SaveDatabase or served by the
@@ -481,6 +484,9 @@ class OpineDb {
 
   // ----------------------------------------------------------- access.
   const text::ReviewCorpus& corpus() const { return corpus_; }
+  /// The schema Build was given, completed with the linguistic domains
+  /// and the markers it derived. Only Build writes it, so it never
+  /// changes under a reader.
   const SubjectiveSchema& schema() const { return schema_; }
   const SubjectiveTables& tables() const { return tables_; }
   const embedding::WordEmbeddings& embeddings() const { return embeddings_; }
@@ -519,10 +525,6 @@ class OpineDb {
   const ColumnarSummaryStore* columnar_store() const {
     return &tables_.summaries;
   }
-
-  /// The columnar mirror of `table`, a table registered with
-  /// SetObjectiveTable (every registered table has one).
-  const ColumnarTable& objective_columns(const storage::Table& table) const;
 
   // OpineDb holds internal cross-references (the aggregator, interpreter
   // and phrase embedder point at sibling members), so it is pinned in
@@ -611,13 +613,10 @@ class OpineDb {
   SubjectiveTables tables_;
   std::unique_ptr<Interpreter> interpreter_;
   std::optional<MembershipModel> membership_;
-  storage::Catalog catalog_;
-  /// Columnar mirrors of the objective tables (docs/SCALING.md), one
-  /// per catalog table keyed by table name: built by SetObjectiveTable
-  /// under the exclusive reconfiguration lock, read by queries under the
-  /// shared lock.
-  std::unordered_map<std::string, std::unique_ptr<ColumnarTable>>
-      objective_columns_;
+  /// The objective table, only as columns (docs/SCALING.md): built by
+  /// SetObjectiveTable under the exclusive reconfiguration lock, read by
+  /// queries under the shared lock; empty until then.
+  std::optional<ColumnarTable> objective_;
   /// Fixed worker pool for the parallel execution layer; nullptr when
   /// options_.num_threads resolves to 1 (the serial path).
   std::unique_ptr<ThreadPool> pool_;

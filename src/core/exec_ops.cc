@@ -32,22 +32,21 @@ namespace opinedb::core {
 Status ObjectiveFilter(ExecContext* ctx) {
   obs::TraceSpan span("objective_filter");
   const SubjectiveQuery& query = *ctx->query;
-  // Resolve each column once per predicate, not once per entity.
-  std::vector<storage::BoundColumnPredicate> bound;
-  bound.reserve(ctx->logical->hard_objective.size());
+  // Compile each predicate onto its column once, not once per entity,
+  // and all of them before the first sweep.
+  std::vector<ColumnarTable::CompiledPredicate> compiled;
+  compiled.reserve(ctx->logical->hard_objective.size());
   for (const size_t c : ctx->logical->hard_objective) {
-    auto b = query.conditions[c].objective.Bind(*ctx->table);
-    if (!b.ok()) return b.status();
-    bound.push_back(*b);
+    auto predicate = ctx->objective->Compile(query.conditions[c].objective);
+    if (!predicate.ok()) return predicate.status();
+    compiled.push_back(*predicate);
   }
-  span.AddAttribute("predicates", static_cast<uint64_t>(bound.size()));
-  // Lower every predicate onto the table's column mirror and run dense
-  // AND sweeps over contiguous columns, then gather survivors in
+  span.AddAttribute("predicates", static_cast<uint64_t>(compiled.size()));
+  // Dense AND sweeps over contiguous columns, then gather survivors in
   // ascending order.
-  const ColumnarTable& columns = ctx->db->objective_columns(*ctx->table);
   std::vector<uint8_t> match(ctx->num_entities, 1);
-  for (const auto& predicate : bound) {
-    columns.FilterInto(columns.Compile(predicate), &match);
+  for (const auto& predicate : compiled) {
+    ctx->objective->FilterInto(predicate, &match);
   }
   ctx->candidates.clear();
   for (size_t e = 0; e < ctx->num_entities; ++e) {
@@ -82,22 +81,20 @@ Status SubjectiveScore(ExecContext* ctx) {
     condition_span.AddAttribute("index", static_cast<uint64_t>(c));
     if (condition.kind == Condition::Kind::kObjective) {
       condition_span.AddAttribute("source", "objective");
-      // Objective predicates are 0/1 lists: the predicate is bound and
-      // lowered onto the column mirror once, then each candidate is one
-      // compiled comparison.
-      auto bound = condition.objective.Bind(*ctx->table);
-      if (!bound.ok()) return bound.status();
-      const ColumnarTable::CompiledPredicate compiled =
-          db.objective_columns(*ctx->table).Compile(*bound);
+      // Objective predicates are 0/1 lists: the predicate is compiled
+      // onto its column once, then each candidate is one comparison.
+      auto compiled = ctx->objective->Compile(condition.objective);
+      if (!compiled.ok()) return compiled.status();
+      const ColumnarTable::CompiledPredicate predicate = *compiled;
       auto& list = ctx->computed[c];
       list.assign(num_entities, 0.0);
       if (ctx->candidates_are_all) {
         for (size_t e = 0; e < num_entities; ++e) {
-          list[e] = ColumnarTable::Eval(compiled, e) ? 1.0 : 0.0;
+          list[e] = ColumnarTable::Eval(predicate, e) ? 1.0 : 0.0;
         }
       } else {
         for (const size_t e : ctx->candidates) {
-          list[e] = ColumnarTable::Eval(compiled, e) ? 1.0 : 0.0;
+          list[e] = ColumnarTable::Eval(predicate, e) ? 1.0 : 0.0;
         }
       }
       ctx->degrees[c] = &list;

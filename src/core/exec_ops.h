@@ -6,6 +6,7 @@
 
 #include "common/deadline.h"
 #include "common/status.h"
+#include "core/columnar.h"
 #include "core/engine.h"
 #include "core/planner.h"
 
@@ -23,7 +24,8 @@ struct ExecContext {
   const OpineDb* db = nullptr;
   const SubjectiveQuery* query = nullptr;
   const LogicalPlan* logical = nullptr;
-  const storage::Table* table = nullptr;
+  /// The objective table the query names (OpineDb::SetObjectiveTable).
+  const ColumnarTable* objective = nullptr;
   /// Destination: interpretations (already filled), stats, results.
   QueryResult* output = nullptr;
   /// Per-condition query representations from the interpret prologue
@@ -71,16 +73,17 @@ struct ExecContext {
 };
 
 /// Evaluates the hard objective predicates (AND-reachable from the
-/// root) first, with each column resolved once per predicate, shrinking
-/// the candidate set before any subjective scoring. A failing hard
+/// root) first, each compiled once onto its column, shrinking the
+/// candidate set before any subjective scoring. A failing hard
 /// predicate forces the WHERE to exactly 0.0 (0 is absorbing for ⊗ in
 /// both variants), so dropped entities can never appear in the output.
 Status ObjectiveFilter(ExecContext* ctx);
 
 /// Materializes the per-condition degree lists restricted to the
-/// candidate set: objective conditions as 0/1 vectors (column bound
-/// once), subjective conditions from their precomputed list when one is
-/// resident or by a parallel slot-per-entity computation otherwise.
+/// candidate set: objective conditions as 0/1 vectors (each compiled
+/// once onto its column), subjective conditions from their precomputed
+/// list when one is resident or by a parallel slot-per-entity
+/// computation otherwise.
 Status SubjectiveScore(ExecContext* ctx);
 
 /// Combines the WHERE tree per candidate (parallel, slot-per-entity),

@@ -24,6 +24,8 @@ struct MarkerSummaryType {
 
   size_t num_markers() const { return markers.size(); }
   int MarkerIndex(const std::string& marker) const;
+
+  bool operator==(const MarkerSummaryType&) const = default;
 };
 
 /// Seed phrases the schema designer provides for one subjective attribute
@@ -31,6 +33,8 @@ struct MarkerSummaryType {
 struct AttributeSeeds {
   std::vector<std::string> aspect_terms;
   std::vector<std::string> opinion_terms;
+
+  bool operator==(const AttributeSeeds&) const = default;
 };
 
 /// A subjective attribute: its marker-summary type, its linguistic domain
@@ -42,13 +46,15 @@ struct SubjectiveAttribute {
   /// the aggregation pipeline; not enumerated in advance (Section 2).
   std::vector<std::string> linguistic_domain;
   AttributeSeeds seeds;
+
+  bool operator==(const SubjectiveAttribute&) const = default;
 };
 
 /// The user-visible schema of a subjective database (Section 2): a main
 /// objective relation plus one subjective attribute per auxiliary
 /// relation, all keyed by the entity.
 struct SubjectiveSchema {
-  /// Name of the main objective table in the storage catalog.
+  /// Name of the main objective table (OpineDb::SetObjectiveTable).
   std::string objective_table;
   /// Key column of the objective table (entity name).
   std::string key_column;
@@ -60,6 +66,10 @@ struct SubjectiveSchema {
   /// (the "variations in the linguistic domain" whose degrees Section
   /// 3.3 precomputes).
   std::vector<std::string> Markers() const;
+
+  /// Field by field. OpineDb::OpenDatabase refuses a snapshot whose
+  /// schema is not equal to the one the engine was built with.
+  bool operator==(const SubjectiveSchema&) const = default;
 };
 
 }  // namespace opinedb::core

@@ -326,10 +326,6 @@ Result<LoadedSnapshot> SnapshotStore::Recover() const {
       " failed verification; newest failure: " + newest_error);
 }
 
-Status SnapshotStore::GarbageCollect(size_t keep) {
-  return GarbageCollect(keep, nullptr);
-}
-
 Status SnapshotStore::GarbageCollect(size_t keep,
                                      const GenerationPins* pins) {
   std::vector<uint64_t> generations = ListGenerations();

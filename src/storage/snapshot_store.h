@@ -88,17 +88,13 @@ class SnapshotStore {
   /// serve, so GarbageCollect(0) tidies droppings without ever causing
   /// data loss. Keeping more than one generation is what makes fallback
   /// possible; keep >= 2 is recommended. Never touches tmp files or WAL
-  /// segments.
-  Status GarbageCollect(size_t keep);
-
-  /// Pin-aware garbage collection (the replication-era overload): same
-  /// contract as GarbageCollect(keep), with two extra retention rules —
-  /// a generation is never deleted while (a) `pins` marks it pinned (a
-  /// follower was promised that snapshot for catch-up) or (b) a WAL
-  /// segment in this directory names it as base (wal-N.log means gen-N
-  /// plus that segment is a recoverable state; deleting gen-N would
-  /// orphan the segment). `pins` may be nullptr (rule (b) still holds).
-  Status GarbageCollect(size_t keep, const GenerationPins* pins);
+  /// segments. Two more retention rules: a generation is never deleted
+  /// while (a) `pins` marks it pinned (a follower was promised that
+  /// snapshot for catch-up) or (b) a WAL segment in this directory names
+  /// it as base (wal-N.log means gen-N plus that segment is a
+  /// recoverable state; deleting gen-N would orphan the segment).
+  /// `pins` may be nullptr (rule (b) still holds).
+  Status GarbageCollect(size_t keep, const GenerationPins* pins = nullptr);
 
   /// Installs bytes fetched from a replication primary as generation
   /// `generation` — the follower side of snapshot catch-up. The bytes

@@ -31,34 +31,6 @@ Status Table::Append(Row row) {
   return Status::OK();
 }
 
-Status Catalog::AddTable(Table table) {
-  const std::string name = table.name();
-  if (tables_.count(name) > 0) {
-    return Status::AlreadyExists("table " + name);
-  }
-  tables_.emplace(name, std::move(table));
-  return Status::OK();
-}
-
-Result<const Table*> Catalog::GetTable(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
-  return &it->second;
-}
-
-Result<Table*> Catalog::GetMutableTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
-  return &it->second;
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 bool BoundColumnPredicate::Matches(const Table& table, size_t row) const {
   const Value& cell = table.at(row, column_);
   if (cell.is_null()) return false;  // SQL semantics: NULL never matches.

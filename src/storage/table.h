@@ -20,11 +20,11 @@ struct Column {
   ValueType type = ValueType::kNull;
 };
 
-/// An in-memory relational table with named, typed columns.
-///
-/// This substrate plays the role PostgreSQL plays in the paper's
-/// implementation: objective attributes live here and objective
-/// predicates are evaluated against it.
+/// An in-memory relational table with named, typed columns: the input
+/// format of the objective relation (the role PostgreSQL plays in the
+/// paper's implementation). OpineDb::SetObjectiveTable turns it into
+/// the core::ColumnarTable it serves from; BoundColumnPredicate::Matches
+/// over these rows is the reference the columns are checked against.
 class Table {
  public:
   Table() = default;
@@ -51,24 +51,6 @@ class Table {
   std::vector<Row> rows_;
 };
 
-/// A named collection of tables.
-class Catalog {
- public:
-  /// Registers a table; fails if the name already exists.
-  Status AddTable(Table table);
-
-  /// Looks up a table by name.
-  Result<const Table*> GetTable(const std::string& name) const;
-
-  /// Mutable lookup (for appends).
-  Result<Table*> GetMutableTable(const std::string& name);
-
-  std::vector<std::string> TableNames() const;
-
- private:
-  std::unordered_map<std::string, Table> tables_;
-};
-
 /// Comparison operators usable in objective predicates.
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -85,8 +67,6 @@ class BoundColumnPredicate {
   bool Matches(const Table& table, size_t row) const;
 
   size_t column() const { return column_; }
-  CompareOp op() const { return op_; }
-  const Value& literal() const { return literal_; }
 
  private:
   size_t column_;

@@ -550,22 +550,28 @@ TEST(ColumnarTableTest, EvalMatchesRowPredicateEverywhere) {
         storage::ColumnPredicate predicate{column.name, op, literal};
         auto bound = predicate.Bind(table);
         ASSERT_TRUE(bound.ok());
-        const auto compiled = columns.Compile(*bound);
+        const auto compiled = columns.Compile(predicate);
+        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
         ++compiled_predicates;
         std::vector<uint8_t> match(table.num_rows(), 1);
-        columns.FilterInto(compiled, &match);
+        columns.FilterInto(*compiled, &match);
         for (size_t row = 0; row < table.num_rows(); ++row) {
           const bool expected = bound->Matches(table, row);
           SCOPED_TRACE(column.name + " " +
                        storage::CompareOpSymbol(op) + " " +
                        literal.ToString() + " row " + std::to_string(row));
-          EXPECT_EQ(core::ColumnarTable::Eval(compiled, row), expected);
+          EXPECT_EQ(core::ColumnarTable::Eval(*compiled, row), expected);
           EXPECT_EQ(match[row] != 0, expected);
         }
       }
     }
   }
   EXPECT_EQ(compiled_predicates, 3u * literals.size() * 6u);
+  // An unknown column is NotFound, as ColumnPredicate::Bind reports it.
+  const storage::ColumnPredicate unknown{"wombats", storage::CompareOp::kGt,
+                                         storage::Value(int64_t{3})};
+  EXPECT_EQ(unknown.Bind(table).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(columns.Compile(unknown).status().code(), StatusCode::kNotFound);
 }
 
 // --------------------------------------- InstallSummaries validation.

@@ -13,14 +13,16 @@
 //     typed DataLoss) — never a crash, hang, or wrong data;
 //  3. engine-level golden tests over a small built domain: save /
 //     corrupt / reopen must serve the older generation with queries
-//     bit-identical to its goldens, and save -> open -> save must
-//     reproduce byte-identical snapshot payloads.
+//     bit-identical to its goldens, save -> open -> save must
+//     reproduce byte-identical snapshot payloads, and a snapshot of
+//     another schema must be refused before it changes anything.
 //
 // The fault-site sweep self-skips in builds where OPINEDB_FAULT_INJECTION
 // is off; the fuzzer and engine tests run everywhere.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -666,6 +668,159 @@ TEST_F(EnginePersistenceTest, SnapshotOfAnotherEmbeddingWidthIsRejected) {
   EXPECT_EQ(db().snapshot_generation(), generation);
   EXPECT_EQ(db().cache_epoch(), epoch);
   ExpectBitIdentical(golden, MustExecute(sql));
+}
+
+/// The 12-entity hotel engine of the ingest and replication suites;
+/// every call yields bit-identical models, corpora and summaries.
+eval::DomainArtifacts BuildSmallHotelEngine() {
+  eval::BuildOptions options;
+  options.generator.num_entities = 12;
+  options.generator.min_reviews_per_entity = 5;
+  options.generator.max_reviews_per_entity = 8;
+  options.generator.seed = 83;
+  options.seed = 83;
+  options.extractor_training_sentences = 250;
+  options.predicate_pool_size = 12;
+  options.membership_training_tuples = 250;
+  return eval::BuildArtifacts(datagen::HotelDomain(), options);
+}
+
+/// Deterministic review batches in the hotel domain's vocabulary.
+std::vector<text::Review> HotelBatch(uint64_t seed, int size,
+                                     int32_t num_entities) {
+  static const std::vector<std::string> kBodies = {
+      "the room was very clean and the staff was friendly",
+      "terrible noisy location but the bed was comfortable",
+      "excellent breakfast and a spotless bathroom",
+      "rude reception and the wifi never worked",
+  };
+  std::mt19937_64 rng(seed);
+  std::vector<text::Review> batch;
+  for (int i = 0; i < size; ++i) {
+    text::Review review;
+    review.entity = static_cast<int32_t>(rng() % num_entities);
+    review.reviewer = 700 + static_cast<int32_t>(rng() % 9);
+    review.date = 20260800 + static_cast<int32_t>(seed % 30);
+    review.body = kBodies[rng() % kBodies.size()];
+    batch.push_back(std::move(review));
+  }
+  return batch;
+}
+
+/// ResultToJson of every pool query, in pool order.
+std::vector<std::string> PoolAnswers(const eval::DomainArtifacts& artifacts) {
+  std::vector<std::string> answers;
+  for (const auto& predicate : artifacts.pool) {
+    auto result = artifacts.db->Execute(
+        "select * from " + artifacts.db->schema().objective_table +
+        " where \"" + predicate.text + "\" limit 10");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    answers.push_back(result.ok() ? core::ResultToJson(*result) : "");
+  }
+  return answers;
+}
+
+/// Pool answers compared one query at a time, so a failure names it.
+void ExpectSameAnswers(const std::vector<std::string>& want,
+                       const std::vector<std::string>& got,
+                       const std::string& context) {
+  ASSERT_EQ(want.size(), got.size()) << context;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i], got[i]) << context << ": pool query " << i;
+  }
+}
+
+/// The eight 8-review batches the refused engines and the reference
+/// all take after the open.
+void AppendEightBatches(core::OpineDb& db) {
+  const int32_t entities = static_cast<int32_t>(db.corpus().num_entities());
+  for (uint64_t round = 0; round < 8; ++round) {
+    ASSERT_TRUE(db.AppendReviews(HotelBatch(round, 8, entities)).ok());
+  }
+}
+
+// Regression: OpenDatabase used to install whatever schema a snapshot
+// carried while the classifier, aggregator and interpreter stayed
+// trained on the Build schema. A snapshot with one attribute fewer
+// opened, and the next append classified a phrase into the dropped
+// attribute (an ASan heap-buffer-overflow in
+// Interpreter::AppendNewExtractions); one with a marker fewer per
+// attribute opened too, and marker queries read the next entity's
+// cells. Both must be refused with InvalidArgument before anything
+// changes, and the engine must go on to answer exactly like one that
+// never saw them.
+TEST_F(EnginePersistenceTest, SnapshotOfAnotherSchemaIsRefused) {
+  eval::DomainArtifacts reference = BuildSmallHotelEngine();
+  const std::vector<std::string> built_answers = PoolAnswers(reference);
+  ASSERT_FALSE(built_answers.empty());
+  AppendEightBatches(*reference.db);
+  const std::vector<std::string> appended_answers = PoolAnswers(reference);
+
+  const core::SubjectiveSchema& built = reference.db->schema();
+  core::SubjectiveSchema fewer_attributes = built;
+  fewer_attributes.attributes.pop_back();
+  core::SubjectiveSchema fewer_markers = built;
+  for (auto& attribute : fewer_markers.attributes) {
+    ASSERT_GE(attribute.summary_type.markers.size(), 2u);
+    attribute.summary_type.markers.pop_back();
+  }
+  const std::vector<std::pair<std::string, core::SubjectiveSchema>> cases = {
+      {"attribute_dropped", fewer_attributes},
+      {"marker_dropped", fewer_markers}};
+  for (const auto& [name, schema] : cases) {
+    SCOPED_TRACE(name);
+    eval::DomainArtifacts live = BuildSmallHotelEngine();
+    core::OpineDb& db = *live.db;
+    ASSERT_TRUE(db.schema() == built);
+    // A verified snapshot of `schema` whose zeroed summaries fit it
+    // exactly, so only the schema check can refuse it.
+    std::ostringstream schema_bytes;
+    ASSERT_TRUE(core::SaveSchema(schema, &schema_bytes).ok());
+    std::vector<SnapshotSection> sections(2);
+    sections[0] = {"schema", std::move(schema_bytes).str()};
+    sections[1] = {"summaries",
+                   core::EncodeSummaries(core::ColumnarSummaryStore(
+                       schema, db.corpus().num_entities(),
+                       db.phrase_embedder().dim()))};
+    const std::string snapshot_dir = (dir_ / name).string();
+    ASSERT_TRUE(SnapshotStore(snapshot_dir).Commit(sections).ok());
+
+    const uint64_t generation = db.snapshot_generation();
+    const uint64_t epoch = db.cache_epoch();
+    const Status status = db.OpenDatabase(snapshot_dir);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_EQ(db.snapshot_generation(), generation);
+    EXPECT_EQ(db.cache_epoch(), epoch);
+    EXPECT_TRUE(db.schema() == built);
+    ExpectSameAnswers(built_answers, PoolAnswers(live), "after the open");
+
+    AppendEightBatches(db);
+    ExpectSameAnswers(appended_answers, PoolAnswers(live),
+                      "after the appends");
+  }
+}
+
+// The snapshot's schema section names each summary type after its
+// attribute, so Build does too: an engine whose designer named a type
+// otherwise still equals, and reopens, its own snapshot.
+TEST_F(EnginePersistenceTest, SummaryTypeNamedApartFromItsAttributeReopens) {
+  datagen::GeneratorOptions generator;
+  generator.num_entities = 6;
+  generator.min_reviews_per_entity = 4;
+  generator.max_reviews_per_entity = 6;
+  generator.seed = 5;
+  datagen::SyntheticDomain domain =
+      datagen::GenerateDomain(datagen::HotelDomain(), generator);
+  domain.schema.attributes[0].summary_type.name = "renamed";
+  const extract::ExtractionPipeline pipeline(
+      eval::TrainExtractor(datagen::HotelDomain(), 200, 5));
+  auto engine = core::OpineDb::Build(domain.corpus, domain.schema, pipeline);
+  EXPECT_EQ(engine->schema().attributes[0].summary_type.name,
+            engine->schema().attributes[0].name);
+  ASSERT_TRUE(engine->SaveDatabase(dir()).ok());
+  const Status opened = engine->OpenDatabase(dir());
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
 }
 
 // ----------------------- interpretation-cache snapshot section (§5g).

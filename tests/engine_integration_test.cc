@@ -1,9 +1,13 @@
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/columnar.h"
+#include "core/result_json.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 
@@ -177,8 +181,50 @@ TEST_F(EngineIntegrationTest, ExecuteRejectsUnknownTable) {
 }
 
 TEST_F(EngineIntegrationTest, ExecuteRejectsUnknownColumn) {
-  auto result = db().Execute("select * from hotels where wombats > 3");
-  EXPECT_FALSE(result.ok());
+  // A hard predicate fails in ObjectiveFilter on the filtered plan; an
+  // OR-ed one fails in SubjectiveScore's 0/1 list on the dense plan.
+  const std::vector<std::pair<std::string, core::PlanKind>> cases = {
+      {"where wombats > 3", core::PlanKind::kFilteredScan},
+      {"where \"clean\" or wombats > 3", core::PlanKind::kDenseScan}};
+  for (const auto& [where, plan] : cases) {
+    SCOPED_TRACE(where);
+    const std::string sql = "select * from hotels " + where;
+    auto explained = db().Execute("explain " + sql);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    EXPECT_EQ(explained->plan, plan);
+    auto result = db().Execute(sql);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  }
+}
+
+TEST_F(EngineIntegrationTest, SetObjectiveTableRefusalsLeaveAnswersAlone) {
+  const std::string sql =
+      "select * from hotels where price_pn < 200 and \"clean rooms\" "
+      "limit 10";
+  auto before = db().Execute(sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  core::OpineDb& engine = *artifacts_->db;
+  ASSERT_EQ(domain().objective_table.name(), db().schema().objective_table);
+
+  // The schema's table again: one objective table per engine.
+  EXPECT_EQ(engine.SetObjectiveTable(domain().objective_table).code(),
+            StatusCode::kAlreadyExists);
+  // The same rows under another name: not the table the schema names.
+  storage::Table renamed("motels", domain().objective_table.columns());
+  for (size_t r = 0; r < domain().objective_table.num_rows(); ++r) {
+    ASSERT_TRUE(renamed.Append(domain().objective_table.row(r)).ok());
+  }
+  EXPECT_EQ(engine.SetObjectiveTable(renamed).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db().Execute("select * from motels where \"clean rooms\"")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+
+  auto after = db().Execute(sql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(core::ResultToJson(*before), core::ResultToJson(*after));
 }
 
 TEST_F(EngineIntegrationTest, PredicateDegreeCorrelatesWithQuality) {

@@ -6,7 +6,8 @@
 // snapshot generations. On top of that:
 //
 //  1. the wire protocol: verified-prefix framing, record-boundary
-//     offsets, 409 retired-base → snapshot catch-up, 416 bad offset;
+//     offsets, 409 retired-base → snapshot catch-up (refused, engine
+//     untouched, when the primary has another schema), 416 bad offset;
 //  2. checkpoint lockstep: the follower rotates generations exactly
 //     when the primary does (ReplicaCheckpoint), so segment names and
 //     fingerprint seeds never drift;
@@ -62,16 +63,16 @@ std::string JsonString(std::string_view s) {
   return out;
 }
 
-/// One small, fully deterministic hotel-domain engine; every call
-/// yields bit-identical models, corpora and summaries — which is what
-/// lets a primary/follower pair start from identical state without an
-/// initial snapshot transfer.
-eval::DomainArtifacts BuildEngine() {
+/// One small, fully deterministic hotel-domain engine; every call with
+/// the same generator seed yields bit-identical models, corpora and
+/// summaries — which is what lets a primary/follower pair start from
+/// identical state without an initial snapshot transfer.
+eval::DomainArtifacts BuildEngine(uint64_t generator_seed = 83) {
   eval::BuildOptions options;
   options.generator.num_entities = 12;
   options.generator.min_reviews_per_entity = 5;
   options.generator.max_reviews_per_entity = 8;
-  options.generator.seed = 83;
+  options.generator.seed = generator_seed;
   options.seed = 83;
   options.extractor_training_sentences = 250;
   options.predicate_pool_size = 12;
@@ -147,9 +148,13 @@ class ReplTest : public ::testing::Test {
     core::OpineDb& follower_db() { return *follower.db; }
   };
 
+  /// `primary_seed` other than the follower's 83 builds the primary on
+  /// another base.
   Cluster MakeCluster(repl::ReplicationSourceOptions source_options = {},
-                      bool initialize_client = true) {
-    Cluster cluster{BuildEngine(), BuildEngine(), nullptr, nullptr, nullptr};
+                      bool initialize_client = true,
+                      uint64_t primary_seed = 83) {
+    Cluster cluster{BuildEngine(primary_seed), BuildEngine(), nullptr,
+                    nullptr, nullptr};
     EXPECT_TRUE(cluster.primary_db().EnableWal(primary_dir()).ok());
     cluster.source = std::make_unique<repl::ReplicationSource>(
         cluster.primary.db.get(), source_options);
@@ -352,6 +357,48 @@ TEST_F(ReplTest, SnapshotCatchUpAfterRetiredSegment) {
   // answer bit-identical to the primary's.
   ExpectEnginesAgree(cluster.primary_db(), cluster.follower_db(), queries,
                      "post-catch-up");
+}
+
+// Regression: a follower catching up from the snapshot of a primary
+// built on another schema used to open the foreign summaries under its
+// own models. The open must be refused and the follower keep serving
+// exactly what it served before. (AdoptSnapshot has already written the
+// verified container into the follower's directory, so the engine, not
+// the directory, is what must be unchanged.)
+TEST_F(ReplTest, SnapshotCatchUpRefusesAnotherSchema) {
+  Cluster cluster = MakeCluster({}, true, /*primary_seed=*/84);
+  ASSERT_FALSE(cluster.primary_db().schema() ==
+               cluster.follower_db().schema());
+  core::OpineDb& follower = cluster.follower_db();
+  auto answers = [&] {
+    std::vector<std::string> json;
+    for (const std::string& sql : PoolQueries(cluster.follower, 6)) {
+      auto result = follower.Execute(sql);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      json.push_back(result.ok() ? core::ResultToJson(*result) : "");
+    }
+    return json;
+  };
+  const std::vector<std::string> before = answers();
+  const uint64_t generation = follower.snapshot_generation();
+  const uint64_t epoch = follower.cache_epoch();
+
+  // The follower never fetches before the checkpoint, so generation 0's
+  // segment is retired and its first fetch is a snapshot catch-up.
+  const int32_t entities =
+      static_cast<int32_t>(cluster.primary_db().corpus().num_entities());
+  ASSERT_TRUE(
+      cluster.primary_db().AppendReviews(MakeBatch(1, 4, entities)).ok());
+  ASSERT_TRUE(cluster.primary_db().Checkpoint().ok());
+
+  auto synced = cluster.client->SyncOnce();
+  ASSERT_FALSE(synced.ok());
+  EXPECT_EQ(synced.status().code(), StatusCode::kInvalidArgument)
+      << synced.status().ToString();
+  EXPECT_EQ(cluster.client->catchup_count(), 0u);
+  EXPECT_EQ(follower.snapshot_generation(), generation);
+  EXPECT_EQ(follower.cache_epoch(), epoch);
+  EXPECT_EQ(answers(), before);
 }
 
 TEST_F(ReplTest, RestartedFollowerResumesAndConverges) {

@@ -182,31 +182,5 @@ TEST(ParseCompareOpTest, AllSpellings) {
   EXPECT_FALSE(ParseCompareOp("~").ok());
 }
 
-TEST(CatalogTest, AddAndGet) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Table("a", {})).ok());
-  ASSERT_TRUE(catalog.AddTable(Table("b", {})).ok());
-  EXPECT_TRUE(catalog.GetTable("a").ok());
-  EXPECT_FALSE(catalog.GetTable("c").ok());
-  EXPECT_EQ(catalog.TableNames().size(), 2u);
-}
-
-TEST(CatalogTest, DuplicateNameRejected) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddTable(Table("a", {})).ok());
-  EXPECT_EQ(catalog.AddTable(Table("a", {})).code(),
-            StatusCode::kAlreadyExists);
-}
-
-TEST(CatalogTest, MutableAccess) {
-  Catalog catalog;
-  ASSERT_TRUE(
-      catalog.AddTable(Table("a", {{"x", ValueType::kInt}})).ok());
-  auto table = catalog.GetMutableTable("a");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->Append({Value(int64_t{1})}).ok());
-  EXPECT_EQ((*catalog.GetTable("a"))->num_rows(), 1u);
-}
-
 }  // namespace
 }  // namespace opinedb::storage
