@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core kernels: BM25 top-k,
 // fuzzy evaluation (both t-norm variants — the DESIGN.md ablation),
 // k-d tree search, logistic-regression inference, tokenization,
-// marker-summary aggregation and the observability primitives. After
+// marker-summary aggregation, the marker scoring kernel
+// (BM_MarkerScore/<K>) and the observability primitives. After
 // the google-benchmark run, a threads={1,2,4,8} sweep of
 // PrecomputeDegrees over the schema's markers and of ExecuteQuery on the
 // seed hotel dataset writes BENCH_parallel.json (skip with
@@ -156,6 +157,68 @@ void BM_MarkerSummaryAddPhrase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MarkerSummaryAddPhrase);
+
+// The per-(entity, atom) scoring kernel over a synthetic 20k-entity
+// store of one K-marker attribute with 16-wide centroids, as
+// ConditionScorer runs it for one atom: MarkerFeatures<4> for K = 4, the
+// run-time-K MarkerFeatures<0> for K = 9, then a trained membership
+// model. Items are entity-atoms; bytes are scan_bytes_per_entity per
+// entity, the columns one atom streams.
+void BM_MarkerScore(benchmark::State& state) {
+  constexpr size_t kEntities = 20000;
+  constexpr size_t kDim = 16;
+  const auto k = static_cast<size_t>(state.range(0));
+  core::SubjectiveSchema schema;
+  core::SubjectiveAttribute attribute;
+  attribute.name = "attribute";
+  for (size_t m = 0; m < k; ++m) {
+    attribute.summary_type.markers.push_back("m" + std::to_string(m));
+  }
+  schema.attributes.push_back(attribute);
+  core::ColumnarSummaryStore store(schema, kEntities, kDim);
+  core::AttributeColumns& cols = store.mutable_attribute(0);
+  Rng rng(9);
+  for (size_t cell = 0; cell < kEntities * k; ++cell) {
+    cols.count[cell] = rng.Uniform(0.0, 20.0);
+    cols.mean_sentiment[cell] = rng.Uniform(-1.0, 1.0);
+    for (size_t d = 0; d < kDim; ++d) {
+      cols.centroid[cell * kDim + d] =
+          static_cast<float>(rng.Gaussian(0.0, 1.0));
+    }
+  }
+  for (size_t e = 0; e < kEntities; ++e) {
+    cols.unmatched[e] = rng.Uniform(0.0, 5.0);
+  }
+  store.Refresh(nullptr);
+  embedding::Vec rep(kDim);
+  for (float& x : rep) x = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  const std::vector<double> query(rep.begin(), rep.end());
+  const double norm = embedding::Norm(rep);
+  const auto features =
+      k == 4 ? &core::MarkerFeatures<4> : &core::MarkerFeatures<0>;
+  std::vector<core::MembershipModel::LabeledTuple> tuples(200);
+  for (auto& tuple : tuples) {
+    tuple.features.resize(core::kMembershipFeatureDim);
+    features(cols, rng.Below(kEntities), rng.Below(k), query.data(), norm,
+             0.3, tuple.features.data());
+    tuple.label = tuple.features[1] >= 0.3 ? 1 : 0;
+  }
+  const core::MembershipModel model = core::MembershipModel::Train(tuples);
+  const size_t marker = k / 2;
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (size_t e = 0; e < kEntities; ++e) {
+      double f[core::kMembershipFeatureDim];
+      features(cols, e, marker, query.data(), norm, 0.3, f);
+      sum += model.DegreeOfTruth(f, core::kMembershipFeatureDim);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kEntities);
+  state.SetBytesProcessed(state.iterations() * kEntities *
+                          cols.scan_bytes_per_entity());
+}
+BENCHMARK(BM_MarkerScore)->Arg(4)->Arg(9);
 
 // --------------------------------------- Observability primitives.
 

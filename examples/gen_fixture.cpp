@@ -44,7 +44,8 @@ uint64_t Fnv1a(const T* data, size_t n, uint64_t hash) {
 }
 
 /// Checksum of every column (count, mean_sentiment, centroid,
-/// centroid_norm, total, unmatched) and provenance log of the store.
+/// centroid_norm, total, log1p_total, unmatched) and provenance log of
+/// the store.
 uint64_t ColumnChecksum(const ColumnarSummaryStore& store) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (size_t a = 0; a < store.num_attributes(); ++a) {
@@ -55,6 +56,7 @@ uint64_t ColumnChecksum(const ColumnarSummaryStore& store) {
     hash = Fnv1a(cols.centroid.data(), cells * cols.dim, hash);
     hash = Fnv1a(cols.centroid_norm.data(), cells, hash);
     hash = Fnv1a(cols.total.data(), cols.num_entities, hash);
+    hash = Fnv1a(cols.log1p_total.data(), cols.num_entities, hash);
     hash = Fnv1a(cols.unmatched.data(), cols.num_entities, hash);
     hash = Fnv1a(cols.provenance.data(), cols.provenance.size(), hash);
   }

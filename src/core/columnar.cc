@@ -14,16 +14,18 @@ namespace opinedb::core {
 size_t AttributeColumns::bytes() const {
   return count.allocated_bytes() + mean_sentiment.allocated_bytes() +
          centroid_norm.allocated_bytes() + centroid.allocated_bytes() +
-         total.allocated_bytes() + unmatched.allocated_bytes() +
+         total.allocated_bytes() + log1p_total.allocated_bytes() +
+         unmatched.allocated_bytes() +
          provenance.capacity() * sizeof(ProvenanceEntry);
 }
 
 size_t AttributeColumns::scan_bytes_per_entity() const {
   // One atom reads, per entity: K counts, K sentiments, K norms, K
-  // centroids and the two per-entity scalars.
+  // centroids and the three per-entity scalars (total, log1p_total,
+  // unmatched).
   return num_markers * (2 * sizeof(double) + sizeof(double) +
                         dim * sizeof(float)) +
-         2 * sizeof(double);
+         3 * sizeof(double);
 }
 
 ColumnarSummaryStore::ColumnarSummaryStore(const SubjectiveSchema& schema,
@@ -41,6 +43,7 @@ ColumnarSummaryStore::ColumnarSummaryStore(const SubjectiveSchema& schema,
     cols.centroid_norm.Reset(cells);
     cols.centroid.Reset(cells * dim);
     cols.total.Reset(num_entities);
+    cols.log1p_total.Reset(num_entities);
     cols.unmatched.Reset(num_entities);
   }
 }
@@ -82,6 +85,7 @@ void ColumnarSummaryStore::RefreshEntity(size_t attribute, size_t entity) {
         cols.centroid.data() + (base + m) * cols.dim, cols.dim);
   }
   cols.total[entity] = total;
+  cols.log1p_total[entity] = std::log1p(total);
 }
 
 void ColumnarSummaryStore::Refresh(ThreadPool* pool) {
@@ -138,17 +142,34 @@ ConditionScorer::ConditionScorer(const OpineDb& db,
     : db_(&db),
       query_rep_(&query_rep),
       query_sentiment_(query_sentiment),
-      use_markers_(db.options().use_markers),
       conjunctive_(interpretation.conjunctive),
       variant_(db.options().variant),
       model_(db.has_membership_model() ? &db.membership_model() : nullptr) {
+  const bool use_markers = db.options().use_markers;
   if (interpretation.method != InterpretMethod::kTextFallback) {
     const ColumnarSummaryStore& store = *db.columnar_store();
     atoms_.reserve(interpretation.atoms.size());
     for (const auto& atom : interpretation.atoms) {
       const auto a = static_cast<size_t>(atom.attribute);
-      atoms_.push_back(BoundAtom{a, static_cast<size_t>(atom.marker),
-                                 &store.attribute(a)});
+      const AttributeColumns& cols = store.attribute(a);
+      DegreeFn degree = &ConditionScorer::PhraseDegree;
+      if (use_markers) {
+        // A compile-time K lets the K dot products advance together;
+        // wider attributes take the serial kernel.
+        switch (cols.num_markers) {
+          case 1: degree = &ConditionScorer::MarkerDegree<1>; break;
+          case 2: degree = &ConditionScorer::MarkerDegree<2>; break;
+          case 3: degree = &ConditionScorer::MarkerDegree<3>; break;
+          case 4: degree = &ConditionScorer::MarkerDegree<4>; break;
+          case 5: degree = &ConditionScorer::MarkerDegree<5>; break;
+          case 6: degree = &ConditionScorer::MarkerDegree<6>; break;
+          case 7: degree = &ConditionScorer::MarkerDegree<7>; break;
+          case 8: degree = &ConditionScorer::MarkerDegree<8>; break;
+          default: degree = &ConditionScorer::MarkerDegree<0>; break;
+        }
+      }
+      atoms_.push_back(BoundAtom{a, static_cast<size_t>(atom.marker), &cols,
+                                 degree});
     }
   }
   if (atoms_.empty()) {
@@ -157,8 +178,11 @@ ConditionScorer::ConditionScorer(const OpineDb& db,
     text_query_ = db.BindTextFallback(predicate);
     return;
   }
-  // Same value Cosine recomputes per call: Norm(query_rep).
-  if (use_markers_) query_norm_ = embedding::Norm(query_rep);
+  if (use_markers) {
+    // Same value Cosine recomputes per call: Norm(query_rep).
+    query_norm_ = embedding::Norm(query_rep);
+    query_.assign(query_rep.begin(), query_rep.end());
+  }
 }
 
 double ConditionScorer::Membership(const double* features, size_t n) const {
@@ -172,12 +196,13 @@ double ConditionScorer::Membership(const double* features, size_t n) const {
   return std::clamp(d, 0.0, 1.0);
 }
 
+template <size_t kK>
 double ConditionScorer::MarkerDegree(const BoundAtom& atom,
                                      size_t entity) const {
   OPINEDB_FAULT("score.features");
   double f[kMembershipFeatureDim];
-  MarkerFeatures(*atom.columns, entity, atom.marker, query_rep_->data(),
-                 query_norm_, query_sentiment_, f);
+  MarkerFeatures<kK>(*atom.columns, entity, atom.marker, query_.data(),
+                     query_norm_, query_sentiment_, f);
   return Membership(f, kMembershipFeatureDim);
 }
 
@@ -198,8 +223,8 @@ double ConditionScorer::Score(size_t entity) const {
   }
   double acc = 0.0;
   for (size_t i = 0; i < atoms_.size(); ++i) {
-    const double d = use_markers_ ? MarkerDegree(atoms_[i], entity)
-                                  : PhraseDegree(atoms_[i], entity);
+    const BoundAtom& atom = atoms_[i];
+    const double d = (this->*atom.degree)(atom, entity);
     if (i == 0) {
       acc = d;
     } else if (conjunctive_) {

@@ -38,13 +38,20 @@ struct ProvenanceEntry {
 ///
 ///   count[e*K + k], mean_sentiment[e*K + k], centroid_norm[e*K + k]
 ///   centroid[(e*K + k) * dim .. +dim)          (float, flattened)
-///   total[e], unmatched[e]                     (per entity)
+///   total[e], log1p_total[e], unmatched[e]     (per entity)
 ///
-/// count, mean_sentiment, centroid and unmatched are the folded state.
-/// total (the in-order sum of the entity's K counts) and centroid_norm
-/// (embedding::Norm of the cell centroid) are derived from it by
+/// count, mean_sentiment, centroid and unmatched are the folded state;
+/// only they are persisted. The derived columns are computed from it by
 /// ColumnarSummaryStore::RefreshEntity, so the features never recompute
-/// them per query. The shape fields are set by the store's constructor.
+/// them per query:
+///
+///   total          the in-order sum of the entity's K counts
+///   log1p_total    std::log1p(total)
+///   centroid_norm  embedding::Norm of each cell centroid
+///
+/// No derived column reads unmatched, which is why AddUnmatched refreshes
+/// nothing; a derived column over unmatched would have to be refreshed
+/// there too. The shape fields are set by the store's constructor.
 struct AttributeColumns {
   size_t num_entities = 0;
   size_t num_markers = 0;
@@ -54,6 +61,7 @@ struct AttributeColumns {
   common::AlignedArray<double> centroid_norm;
   common::AlignedArray<float> centroid;
   common::AlignedArray<double> total;
+  common::AlignedArray<double> log1p_total;
   common::AlignedArray<double> unmatched;
   /// Append-only, in fold order: one entry per marker a phrase gave
   /// positive weight. A cell's reviews are the entries naming it, in log
@@ -63,7 +71,7 @@ struct AttributeColumns {
   /// Total allocation footprint of this attribute's columns and log.
   size_t bytes() const;
   /// Bytes one atom evaluation streams per entity (all cell columns for
-  /// K markers plus the two per-entity scalars) — the numerator of the
+  /// K markers plus the three per-entity scalars) — the numerator of the
   /// bench's achieved-GB/s figure.
   size_t scan_bytes_per_entity() const;
 };
@@ -93,14 +101,15 @@ class ColumnarSummaryStore {
                  const std::vector<double>& weights, double sentiment,
                  const embedding::Vec& vec, text::ReviewId review);
 
-  /// Records a phrase of (attribute, entity) that matched no marker.
+  /// Records a phrase of (attribute, entity) that matched no marker. No
+  /// derived column reads unmatched, so nothing needs a refresh.
   void AddUnmatched(size_t attribute, size_t entity) {
     columns_[attribute].unmatched[entity] += 1.0;
   }
 
   /// Recomputes the derived values of (attribute, entity) from its
-  /// cells: total (the in-order sum of the K counts) and every cell's
-  /// centroid_norm. Writes only that entity's slots.
+  /// cells: total (the in-order sum of the K counts), log1p_total and
+  /// every cell's centroid_norm. Writes only that entity's slots.
   void RefreshEntity(size_t attribute, size_t entity);
 
   /// RefreshEntity over every (attribute, entity); entities fan out
@@ -146,12 +155,20 @@ class ColumnarSummaryStore {
 /// `entity`, written to f[0, kMembershipFeatureDim): marker mass,
 /// average sentiments and phrase-centroid similarities, all read from
 /// the columns, so no scan of the extraction relation is needed.
-/// `query_norm` is embedding::Norm of the `cols.dim`-wide `query_rep`.
-/// The one featurization formula: ConditionScorer calls it per (entity,
-/// atom) and membership training per labeled tuple; each call counts
-/// one membership.marker_featurizations.
+/// `query` is the `cols.dim`-wide query embedding widened to double
+/// (exact for floats) and `query_norm` its embedding::Norm. The one
+/// featurization formula: ConditionScorer calls it per (entity, atom)
+/// and membership training per labeled tuple; each call counts one
+/// membership.marker_featurizations.
+///
+/// kK > 0 requires cols.num_markers == kK and runs the K cell dot
+/// products side by side; kK = 0 runs them one cell after another, for
+/// any K. Either way each dot product is summed in dimension order and
+/// divided exactly as embedding::CosineWithNorms does, so every
+/// instantiation writes the same doubles.
+template <size_t kK>
 inline void MarkerFeatures(const AttributeColumns& cols, size_t entity,
-                           size_t marker, const float* query_rep,
+                           size_t marker, const double* query,
                            double query_norm, double query_sentiment,
                            double* f) {
   // Per-entity hot path (runs inside ParallelFor): counters only, no
@@ -159,33 +176,56 @@ inline void MarkerFeatures(const AttributeColumns& cols, size_t entity,
   OPINEDB_METRIC_COUNT("membership.marker_featurizations", 1);
   for (size_t i = 0; i < kMembershipFeatureDim; ++i) f[i] = 0.0;
   const double total = cols.total[entity];
-  f[0] = std::log1p(total);
+  f[0] = cols.log1p_total[entity];
   if (total <= 0.0) {
     f[9] = 1.0;  // Empty-summary indicator.
     return;
   }
-  const size_t k = cols.num_markers;
+  const size_t k = kK > 0 ? kK : cols.num_markers;
+  const size_t dim = cols.dim;
   const size_t base = entity * k;
   const size_t m = marker;
-  f[1] = cols.count[base + m] / total;  // Mass at the interpreted marker.
-  const float* centroids = cols.centroid.data() + base * cols.dim;
+  const double* count = cols.count.data() + base;
+  const double* mean_sentiment = cols.mean_sentiment.data() + base;
+  const double* centroid_norm = cols.centroid_norm.data() + base;
+  const float* centroids = cols.centroid.data() + base * dim;
+  f[1] = count[m] / total;  // Mass at the interpreted marker.
+  // Unnormalized query-centroid dot products: for kK > 0 the K
+  // independent add chains advance together, one dimension at a time.
+  double dots[kK > 0 ? kK : 1] = {};
+  if constexpr (kK > 0) {
+    for (size_t d = 0; d < dim; ++d) {
+      const double q = query[d];
+      for (size_t j = 0; j < kK; ++j) {
+        dots[j] += q * double(centroids[j * dim + d]);
+      }
+    }
+  }
   double weighted_sentiment = 0.0;
   double weighted_similarity = 0.0;
   double mass_at_or_above = 0.0;  // Markers no further down the scale.
   double target_cosine = 0.0;
   for (size_t j = 0; j < k; ++j) {
-    const double frac = cols.count[base + j] / total;
-    weighted_sentiment += frac * cols.mean_sentiment[base + j];
-    const double cosine = embedding::CosineWithNorms(
-        query_rep, query_norm, centroids + j * cols.dim,
-        cols.centroid_norm[base + j], cols.dim);
+    const double frac = count[j] / total;
+    weighted_sentiment += frac * mean_sentiment[j];
+    double cosine = 0.0;  // CosineWithNorms' zero-vector guard.
+    if (query_norm != 0.0 && centroid_norm[j] != 0.0) {
+      double dot = 0.0;
+      if constexpr (kK > 0) {
+        dot = dots[j];
+      } else {
+        const float* centroid = centroids + j * dim;
+        for (size_t d = 0; d < dim; ++d) dot += query[d] * double(centroid[d]);
+      }
+      cosine = dot / (query_norm * centroid_norm[j]);
+    }
     weighted_similarity += frac * cosine;
     if (j <= m) mass_at_or_above += frac;
     if (j == m) target_cosine = cosine;
   }
   f[2] = mass_at_or_above;
   f[3] = weighted_sentiment;
-  f[4] = cols.mean_sentiment[base + m];
+  f[4] = mean_sentiment[m];
   f[5] = target_cosine;
   f[6] = weighted_similarity;
   f[7] = cols.unmatched[entity] / (total + cols.unmatched[entity]);
@@ -210,11 +250,14 @@ class OpineDb;
 ///   markers        MarkerFeatures over the ColumnarSummaryStore
 ///                  arrays.
 ///
-/// Per-atom degrees go through the membership model (or the heuristic
-/// when none is trained), are clamped to [0, 1], and fold in atom order
-/// with the interpretation's connective. The score.features fault site
-/// and the membership.*_featurizations counters fire per (entity, atom)
-/// in that order.
+/// Binding also fixes each marker atom's kernel: MarkerFeatures<K> for
+/// an attribute of K = 1..8 markers, MarkerFeatures<0> otherwise, fed
+/// the query widened to double once per scorer. Per-atom degrees go
+/// through the membership model (or the heuristic when none is
+/// trained), are clamped to [0, 1], and fold in atom order with the
+/// interpretation's connective. The score.features fault site and the
+/// membership.*_featurizations counters fire per (entity, atom) in that
+/// order.
 ///
 /// Every atom must lie inside the engine's schema (attribute in range,
 /// marker in [0, K)) and the query embedding must have the phrase
@@ -234,13 +277,21 @@ class ConditionScorer {
   double Score(size_t entity) const;
 
  private:
+  struct BoundAtom;
+  /// One atom's membership degree for one entity.
+  using DegreeFn = double (ConditionScorer::*)(const BoundAtom&,
+                                               size_t) const;
   struct BoundAtom {
     size_t attribute = 0;
     size_t marker = 0;
     const AttributeColumns* columns = nullptr;
+    /// MarkerDegree<kK> for the attribute's marker count, or PhraseDegree.
+    DegreeFn degree = nullptr;
   };
 
-  /// Membership degree of one atom from the marker columns.
+  /// Membership degree of one atom from the marker columns, through
+  /// MarkerFeatures<kK>.
+  template <size_t kK>
   double MarkerDegree(const BoundAtom& atom, size_t entity) const;
   /// Membership degree of one atom from the extracted phrases.
   double PhraseDegree(const BoundAtom& atom, size_t entity) const;
@@ -249,10 +300,11 @@ class ConditionScorer {
 
   const OpineDb* db_;
   const embedding::Vec* query_rep_;
+  /// *query_rep_ widened to double (exact), for the marker kernels.
+  std::vector<double> query_;
   double query_sentiment_;
   /// Empty for the text-fallback shape.
   std::vector<BoundAtom> atoms_;
-  bool use_markers_ = true;
   bool conjunctive_ = true;
   fuzzy::Variant variant_ = fuzzy::Variant::kProduct;
   const MembershipModel* model_ = nullptr;

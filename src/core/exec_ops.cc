@@ -207,14 +207,7 @@ Status SubjectiveScore(ExecContext* ctx) {
 Status Rank(ExecContext* ctx) {
   const OpineDb& db = *ctx->db;
   const SubjectiveQuery& query = *ctx->query;
-  const size_t num_entities = ctx->num_entities;
   obs::TraceSpan rank_span("combine_rank");
-  // Combine the WHERE tree per candidate (parallel, slot-per-entity).
-  // Non-candidates keep score 0.0 — exactly the value the dense combine
-  // would give them, since they failed a hard conjunct and 0 is
-  // absorbing for ⊗.
-  ctx->scores.assign(num_entities, ctx->candidates_are_all ? 1.0 : 0.0);
-  auto& scores = ctx->scores;
   // When the deadline cut scoring short, only the watermark prefix of
   // candidate positions has exact degrees in every list; combining or
   // ranking beyond it would emit fabricated scores.
@@ -224,14 +217,20 @@ Status Rank(ExecContext* ctx) {
   auto entity_at = [&](size_t i) {
     return ctx->candidates_are_all ? i : ctx->candidates[i];
   };
+  // Combine the WHERE tree per candidate position (parallel, one slot
+  // each). Without a WHERE every entity is a candidate and scores 1.0.
+  ctx->scores.assign(positions, ctx->candidates_are_all ? 1.0 : 0.0);
+  double* scores = ctx->scores.data();
   if (query.where != nullptr) {
-    auto combine_entity = [&](size_t e) {
-      scores[e] = query.where->Evaluate(
-          db.options().variant,
-          [&](size_t c) { return (*ctx->degrees[c])[e]; });
-    };
+    const fuzzy::Expr& where = *query.where;
+    const fuzzy::Variant variant = db.options().variant;
+    const std::vector<const std::vector<double>*>& degrees = ctx->degrees;
     auto combine_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) combine_entity(entity_at(i));
+      for (size_t i = begin; i < end; ++i) {
+        const size_t e = entity_at(i);
+        scores[i] = where.Evaluate(
+            variant, [&](size_t c) { return (*degrees[c])[e]; });
+      }
     };
     if (ThreadPool* pool = db.pool()) {
       pool->ParallelFor(0, positions, combine_range, /*min_grain=*/64);
@@ -239,29 +238,37 @@ Status Rank(ExecContext* ctx) {
       combine_range(0, positions);
     }
   }
-  // Filter, rank and truncate serially over (score, entity) pairs; only
-  // the k survivors are named. Candidates are ascending, so the
-  // pre-sort order matches the dense scan's entity-order walk.
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(positions);
-  for (size_t i = 0; i < positions; ++i) {
-    const size_t e = entity_at(i);
-    if (scores[e] <= 0.0) continue;  // Failed hard objective predicates.
-    scored.emplace_back(scores[e], e);
+  // One serial pass keeps the best k (score, entity) pairs in a heap
+  // whose front is the worst kept pair. `better` is a total order
+  // (score descending, ties by entity id ascending), so the kept set and
+  // its sorted order equal a full sort truncated to k. Zero scores
+  // failed a hard objective predicate and are never ranked.
+  const auto better = [](const std::pair<double, size_t>& a,
+                         const std::pair<double, size_t>& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  };
+  const size_t limit = std::min(query.limit, positions);
+  std::vector<std::pair<double, size_t>> top;
+  top.reserve(limit);
+  for (size_t i = 0; i < positions && limit > 0; ++i) {
+    if (scores[i] <= 0.0) continue;
+    const std::pair<double, size_t> candidate(scores[i], entity_at(i));
+    if (top.size() < limit) {
+      top.push_back(candidate);
+      std::push_heap(top.begin(), top.end(), better);
+    } else if (better(candidate, top.front())) {
+      std::pop_heap(top.begin(), top.end(), better);
+      top.back() = candidate;
+      std::push_heap(top.begin(), top.end(), better);
+    }
   }
-  // The comparator is a total order (ties broken by entity id), so the
-  // partial_sort prefix is bit-identical to a full sort + truncate.
-  const size_t k = std::min(query.limit, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-  std::vector<RankedResult> ranked(k);
-  for (size_t i = 0; i < k; ++i) {
-    ranked[i].entity = static_cast<text::EntityId>(scored[i].second);
+  std::sort_heap(top.begin(), top.end(), better);
+  std::vector<RankedResult> ranked(top.size());
+  for (size_t i = 0; i < top.size(); ++i) {
+    ranked[i].entity = static_cast<text::EntityId>(top[i].second);
     ranked[i].entity_name = db.corpus().entity_name(ranked[i].entity);
-    ranked[i].score = scored[i].first;
+    ranked[i].score = top[i].first;
   }
   rank_span.AddAttribute("results", static_cast<uint64_t>(ranked.size()));
   if (ctx->partial) {

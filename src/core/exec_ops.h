@@ -53,7 +53,7 @@ struct ExecContext {
   /// points either there or at precomputed[c].
   std::vector<std::vector<double>> computed;
   std::vector<const std::vector<double>*> degrees;
-  /// Combined WHERE score per entity (Rank scratch).
+  /// Combined WHERE score per candidate position (Rank scratch).
   std::vector<double> scores;
 
   /// Deadline / cancellation for this query; nullptr (or an inactive
@@ -86,10 +86,11 @@ Status ObjectiveFilter(ExecContext* ctx);
 /// computation otherwise.
 Status SubjectiveScore(ExecContext* ctx);
 
-/// Combines the WHERE tree per candidate (parallel, slot-per-entity),
-/// filters zero scores, and ranks with a partial_sort top-k (the
-/// comparator's score-desc/entity-asc total order makes the prefix
-/// bit-identical to a full sort).
+/// Combines the WHERE tree per candidate (parallel, one slot per
+/// candidate position), filters zero scores, and keeps the top k in one
+/// pass through a k-entry heap (the score-desc/entity-asc total order
+/// makes its sorted contents bit-identical to a full sort truncated to
+/// k).
 Status Rank(ExecContext* ctx);
 
 }  // namespace opinedb::core

@@ -107,16 +107,6 @@ double MembershipModel::DegreeOfTruth(
   return DegreeOfTruth(features.data(), features.size());
 }
 
-double MembershipModel::DegreeOfTruth(const double* features,
-                                      size_t n) const {
-  const double p = model_.Predict(features, n);
-  // Degrees of truth live in [0, 1] by contract; a corrupt feature
-  // vector (NaN sneaking past training-time validation) must not leak a
-  // non-finite value into the fuzzy combines and ranking comparators.
-  if (!std::isfinite(p)) return 0.0;
-  return std::clamp(p, 0.0, 1.0);
-}
-
 double MembershipModel::Accuracy(
     const std::vector<LabeledTuple>& tuples) const {
   if (tuples.empty()) return 0.0;

@@ -1,6 +1,8 @@
 #ifndef OPINEDB_CORE_MEMBERSHIP_H_
 #define OPINEDB_CORE_MEMBERSHIP_H_
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -55,9 +57,18 @@ class MembershipModel {
   /// Degree of truth in [0, 1] for a feature vector.
   double DegreeOfTruth(const std::vector<double>& features) const;
 
-  /// Allocation-free variant for the columnar scoring sweep;
-  /// bit-identical to the vector overload.
-  double DegreeOfTruth(const double* features, size_t n) const;
+  /// Allocation-free variant for the columnar scoring sweep, inline so
+  /// it compiles into each scoring kernel; the vector overload forwards
+  /// here.
+  double DegreeOfTruth(const double* features, size_t n) const {
+    const double p = model_.Predict(features, n);
+    // Degrees of truth live in [0, 1] by contract; a corrupt feature
+    // vector (NaN sneaking past training-time validation) must not leak
+    // a non-finite value into the fuzzy combines and ranking
+    // comparators.
+    if (!std::isfinite(p)) return 0.0;
+    return std::clamp(p, 0.0, 1.0);
+  }
 
   /// Test accuracy on held-out tuples (the LR-accuracy of Table 7).
   double Accuracy(const std::vector<LabeledTuple>& tuples) const;

@@ -208,9 +208,10 @@ ScaledFixture BuildScaledFixture(const ScaleSpec& spec) {
       const double senti = db.analyzer().ScorePhrase(markers[m]);
       core::MembershipModel::LabeledTuple tuple;
       tuple.features.resize(core::kMembershipFeatureDim);
-      core::MarkerFeatures(db.columnar_store()->attribute(a), e, m,
-                           rep.data(), embedding::Norm(rep), senti,
-                           tuple.features.data());
+      const std::vector<double> query(rep.begin(), rep.end());
+      core::MarkerFeatures<0>(db.columnar_store()->attribute(a), e, m,
+                              query.data(), embedding::Norm(rep), senti,
+                              tuple.features.data());
       const double expected =
           (1.0 - fixture.quality[e]) * static_cast<double>(markers.size() - 1);
       tuple.label =

@@ -36,10 +36,11 @@ std::vector<core::MembershipModel::LabeledTuple> MakeMembershipTuples(
     core::MembershipModel::LabeledTuple tuple;
     if (db.options().use_markers) {
       tuple.features.resize(core::kMembershipFeatureDim);
-      core::MarkerFeatures(
+      const std::vector<double> query(rep.begin(), rep.end());
+      core::MarkerFeatures<0>(
           db.columnar_store()->attribute(static_cast<size_t>(atom.attribute)),
           static_cast<size_t>(entity), static_cast<size_t>(atom.marker),
-          rep.data(), embedding::Norm(rep), senti, tuple.features.data());
+          query.data(), embedding::Norm(rep), senti, tuple.features.data());
     } else {
       tuple.features = core::MembershipFeaturesNoMarkers(
           db.tables().extractions, db.PhrasesOf(atom.attribute, entity),

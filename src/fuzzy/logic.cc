@@ -5,28 +5,6 @@
 
 namespace opinedb::fuzzy {
 
-double And(Variant variant, double x, double y) {
-  switch (variant) {
-    case Variant::kGodel:
-      return std::min(x, y);
-    case Variant::kProduct:
-      return x * y;
-  }
-  return 0.0;
-}
-
-double Or(Variant variant, double x, double y) {
-  switch (variant) {
-    case Variant::kGodel:
-      return std::max(x, y);
-    case Variant::kProduct:
-      return 1.0 - (1.0 - x) * (1.0 - y);
-  }
-  return 0.0;
-}
-
-double Not(double x) { return 1.0 - x; }
-
 Expr::Ptr Expr::Leaf(size_t index) {
   return Ptr(new Expr(Kind::kLeaf, index, {}));
 }
@@ -46,31 +24,6 @@ Expr::Ptr Expr::MakeOr(std::vector<Ptr> children) {
 Expr::Ptr Expr::MakeNot(Ptr child) {
   assert(child != nullptr);
   return Ptr(new Expr(Kind::kNot, 0, {std::move(child)}));
-}
-
-double Expr::Evaluate(Variant variant,
-                      const std::function<double(size_t)>& leaf) const {
-  switch (kind_) {
-    case Kind::kLeaf:
-      return leaf(leaf_index_);
-    case Kind::kAnd: {
-      double acc = children_[0]->Evaluate(variant, leaf);
-      for (size_t i = 1; i < children_.size(); ++i) {
-        acc = And(variant, acc, children_[i]->Evaluate(variant, leaf));
-      }
-      return acc;
-    }
-    case Kind::kOr: {
-      double acc = children_[0]->Evaluate(variant, leaf);
-      for (size_t i = 1; i < children_.size(); ++i) {
-        acc = Or(variant, acc, children_[i]->Evaluate(variant, leaf));
-      }
-      return acc;
-    }
-    case Kind::kNot:
-      return Not(children_[0]->Evaluate(variant, leaf));
-  }
-  return 0.0;
 }
 
 size_t Expr::NumLeaves() const {

@@ -1,8 +1,8 @@
 #ifndef OPINEDB_FUZZY_LOGIC_H_
 #define OPINEDB_FUZZY_LOGIC_H_
 
+#include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,17 +19,35 @@ enum class Variant {
 };
 
 /// x ⊗ y under `variant`.
-double And(Variant variant, double x, double y);
+inline double And(Variant variant, double x, double y) {
+  switch (variant) {
+    case Variant::kGodel:
+      return std::min(x, y);
+    case Variant::kProduct:
+      return x * y;
+  }
+  return 0.0;
+}
+
 /// x ⊕ y under `variant`.
-double Or(Variant variant, double x, double y);
+inline double Or(Variant variant, double x, double y) {
+  switch (variant) {
+    case Variant::kGodel:
+      return std::max(x, y);
+    case Variant::kProduct:
+      return 1.0 - (1.0 - x) * (1.0 - y);
+  }
+  return 0.0;
+}
+
 /// ¬x = 1 - x (both variants).
-double Not(double x);
+inline double Not(double x) { return 1.0 - x; }
 
 /// A fuzzy boolean expression tree over leaf truth values.
 ///
 /// Leaves are identified by an index; evaluation pulls the leaf degrees of
-/// truth from a callback so the same compiled expression can be evaluated
-/// for every entity.
+/// truth from a caller's lookup so the same compiled expression can be
+/// evaluated for every entity.
 class Expr {
  public:
   enum class Kind { kLeaf, kAnd, kOr, kNot };
@@ -49,10 +67,33 @@ class Expr {
   size_t leaf_index() const { return leaf_index_; }
   const std::vector<Ptr>& children() const { return children_; }
 
-  /// Evaluates the expression; `leaf` maps a leaf index to its degree of
-  /// truth in [0, 1].
-  double Evaluate(Variant variant,
-                  const std::function<double(size_t)>& leaf) const;
+  /// Evaluates the expression; `leaf(i)` maps leaf index i to its degree
+  /// of truth in [0, 1]. Children fold left to right. `leaf` is a
+  /// template parameter, so a per-entity evaluation calls it directly.
+  template <typename LeafFn>
+  double Evaluate(Variant variant, const LeafFn& leaf) const {
+    switch (kind_) {
+      case Kind::kLeaf:
+        return leaf(leaf_index_);
+      case Kind::kAnd: {
+        double acc = children_[0]->Evaluate(variant, leaf);
+        for (size_t i = 1; i < children_.size(); ++i) {
+          acc = And(variant, acc, children_[i]->Evaluate(variant, leaf));
+        }
+        return acc;
+      }
+      case Kind::kOr: {
+        double acc = children_[0]->Evaluate(variant, leaf);
+        for (size_t i = 1; i < children_.size(); ++i) {
+          acc = Or(variant, acc, children_[i]->Evaluate(variant, leaf));
+        }
+        return acc;
+      }
+      case Kind::kNot:
+        return Not(children_[0]->Evaluate(variant, leaf));
+    }
+    return 0.0;
+  }
 
   /// Number of leaves (max leaf index + 1) in the expression.
   size_t NumLeaves() const;

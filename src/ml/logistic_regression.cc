@@ -5,16 +5,6 @@
 
 namespace opinedb::ml {
 
-namespace {
-
-double Sigmoid(double x) {
-  if (x > 30.0) return 1.0;
-  if (x < -30.0) return 0.0;
-  return 1.0 / (1.0 + std::exp(-x));
-}
-
-}  // namespace
-
 LogisticRegression LogisticRegression::Train(
     const std::vector<Example>& examples, const LogRegOptions& options) {
   LogisticRegression model;
@@ -76,17 +66,6 @@ LogisticRegression LogisticRegression::Train(
 double LogisticRegression::Predict(
     const std::vector<double>& features) const {
   return Predict(features.data(), features.size());
-}
-
-double LogisticRegression::Predict(const double* features, size_t n) const {
-  if (weights_.empty()) return 0.5;
-  assert(n == weights_.size());
-  (void)n;
-  double z = bias_;
-  for (size_t j = 0; j < weights_.size(); ++j) {
-    z += weights_[j] * (features[j] - mean_[j]) * inv_std_[j];
-  }
-  return Sigmoid(z);
 }
 
 double LogisticRegression::Accuracy(

@@ -1,6 +1,8 @@
 #ifndef OPINEDB_ML_LOGISTIC_REGRESSION_H_
 #define OPINEDB_ML_LOGISTIC_REGRESSION_H_
 
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -13,6 +15,13 @@ struct Example {
   std::vector<double> features;
   int label = 0;  // 0 or 1.
 };
+
+/// 1 / (1 + e^-x), saturated to exactly 0 or 1 beyond |x| > 30.
+inline double Sigmoid(double x) {
+  if (x > 30.0) return 1.0;
+  if (x < -30.0) return 0.0;
+  return 1.0 / (1.0 + std::exp(-x));
+}
 
 /// Logistic-regression training options.
 struct LogRegOptions {
@@ -38,11 +47,20 @@ class LogisticRegression {
   /// P(y = 1 | features) in [0, 1].
   double Predict(const std::vector<double>& features) const;
 
-  /// Allocation-free variant over a raw feature buffer, bit-identical to
-  /// the vector overload (same accumulation order). The columnar scoring
-  /// sweep calls this once per (entity, atom), so it must not touch the
-  /// heap.
-  double Predict(const double* features, size_t n) const;
+  /// Allocation-free variant over a raw feature buffer; the vector
+  /// overload forwards here. The columnar scoring sweep calls this once
+  /// per (entity, atom), so it must not touch the heap, and it is inline
+  /// so it compiles into each scoring kernel.
+  double Predict(const double* features, size_t n) const {
+    if (weights_.empty()) return 0.5;
+    assert(n == weights_.size());
+    (void)n;
+    double z = bias_;
+    for (size_t j = 0; j < weights_.size(); ++j) {
+      z += weights_[j] * (features[j] - mean_[j]) * inv_std_[j];
+    }
+    return Sigmoid(z);
+  }
 
   /// Hard decision at 0.5.
   int Classify(const std::vector<double>& features) const {

@@ -1,5 +1,6 @@
 #include "repl/client.h"
 
+#include <cstdio>
 #include <string_view>
 #include <vector>
 
@@ -241,10 +242,28 @@ Status ReplicationClient::CatchUpFromSnapshot(uint64_t target_generation) {
   // OpenDatabase re-verifies on the way into the engine. A corrupt
   // shipped snapshot therefore never touches served state.
   storage::SnapshotStore store(dir_);
-  Status adopted = store.AdoptSnapshot(target_generation, response->body);
+  bool written = false;
+  Status adopted =
+      store.AdoptSnapshot(target_generation, response->body, &written);
   if (!adopted.ok()) return adopted;
   Status opened = db_->OpenDatabase(dir_);
-  if (!opened.ok()) return opened;
+  if (!opened.ok()) {
+    // The engine refused the container (another schema, say). Left in
+    // place it would be the directory's newest generation, and a
+    // restart's OpenDatabase would pick it and be refused too, so the
+    // file this call wrote goes; one that was already there stays.
+    if (written) {
+      const std::string path =
+          dir_ + "/" +
+          storage::SnapshotStore::GenerationFileName(target_generation);
+      if (std::remove(path.c_str()) != 0) {
+        return Status::Internal("cannot remove refused snapshot " + path +
+                                " (" + opened.ToString() + ")");
+      }
+      storage::SyncDir(dir_);
+    }
+    return opened;
+  }
   Status wal = db_->EnableWal(dir_);
   if (!wal.ok()) return wal;
   Status position = ResetStreamPosition();

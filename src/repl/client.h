@@ -55,7 +55,10 @@ struct ReplicationClientOptions {
 ///     applied and acknowledged, the rest are re-fetched from the
 ///     advanced offset — never a loss, never a double apply;
 ///   - retired base (409): snapshot catch-up — fetch /repl/snapshot,
-///     AdoptSnapshot + OpenDatabase + EnableWal, resume at offset 0.
+///     AdoptSnapshot + OpenDatabase + EnableWal, resume at offset 0. If
+///     OpenDatabase refuses the snapshot, the generation file the adopt
+///     wrote is removed again, so the directory still recovers the
+///     follower's own state.
 ///
 /// Thread safety: SyncOnce and Start/Stop must come from one thread;
 /// lag_ms()/caught_up()/offset() are safe from any thread.

@@ -379,7 +379,9 @@ Status SnapshotStore::GarbageCollect(size_t keep,
 }
 
 Status SnapshotStore::AdoptSnapshot(uint64_t generation,
-                                    const std::string& bytes) {
+                                    const std::string& bytes,
+                                    bool* written) {
+  if (written != nullptr) *written = false;
   // Verify BEFORE writing: a partitioned or buggy primary must not be
   // able to plant an unverifiable file that recovery then has to skip.
   auto sections = DecodeContainer(bytes);
@@ -402,6 +404,7 @@ Status SnapshotStore::AdoptSnapshot(uint64_t generation,
   if (!already_good) {
     Status data = WriteFileAtomic(name, bytes);
     if (!data.ok()) return data;
+    if (written != nullptr) *written = true;
   }
   OPINEDB_METRIC_COUNT("storage.snapshot.adoptions", 1);
   return Status::OK();

@@ -102,8 +102,10 @@ class SnapshotStore {
   /// refuses with the decode error and writes nothing. If gen-N already
   /// exists and verifies, the call is an idempotent no-op; if it exists
   /// but is corrupt, the verified copy replaces it through the same
-  /// atomic tmp+rename protocol Commit uses.
-  Status AdoptSnapshot(uint64_t generation, const std::string& bytes);
+  /// atomic tmp+rename protocol Commit uses. `written`, when given, is
+  /// set to whether this call wrote gen-N.
+  Status AdoptSnapshot(uint64_t generation, const std::string& bytes,
+                       bool* written = nullptr);
 
   /// "gen-%013llu.snap" — zero-padded so lexicographic order equals
   /// numeric order in directory listings.

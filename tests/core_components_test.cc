@@ -236,8 +236,9 @@ ColumnarSummaryStore GoodBadStore() {
 std::vector<double> Features(const ColumnarSummaryStore& store, size_t marker,
                              const embedding::Vec& query, double sentiment) {
   std::vector<double> f(kMembershipFeatureDim, -1.0);
-  MarkerFeatures(store.attribute(0), 0, marker, query.data(),
-                 embedding::Norm(query), sentiment, f.data());
+  const std::vector<double> q(query.begin(), query.end());
+  MarkerFeatures<0>(store.attribute(0), 0, marker, q.data(),
+                    embedding::Norm(query), sentiment, f.data());
   return f;
 }
 

@@ -8,7 +8,9 @@
 //     every append round the answers equal the row-path oracle's
 //     (tests/oracle/), text-fallback predicate included;
 //  2. derived state after an append: one batch bumps the epoch once and
-//     changes only its entities' summary rows, the interpreter equals a fresh
+//     changes only its entities' summary rows, the derived summary
+//     columns equal a full refresh after eight batches, the interpreter
+//     equals a fresh
 //     one over the extended relation (120-entity hotel domain, every
 //     pool predicate), precomputed degree lists stay resident and equal
 //     a fresh PrecomputeDegrees after every append (a list whose
@@ -32,6 +34,7 @@
 //
 // Crash-site tests self-skip when OPINEDB_FAULT_INJECTION is off.
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <set>
@@ -46,6 +49,7 @@
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "core/engine.h"
+#include "core/serialize.h"
 #include "datagen/domain_spec.h"
 #include "eval/experiment.h"
 #include "obs/trace.h"
@@ -362,6 +366,42 @@ TEST_F(IngestTest, AppendUpdatesOnlyTouchedEntityEpochs) {
     }
   }
   EXPECT_GT(touched_rows, 0u) << "the appended review changed no row";
+}
+
+// The append fold refreshes the derived columns (total, log1p_total,
+// centroid_norm) of the entities it touches, and AddUnmatched refreshes
+// nothing. After eight appended batches those columns must still equal,
+// byte for byte, a full refresh of the same folded state:
+// DecodeSummaries(EncodeSummaries(store)) persists only the folded
+// columns and recomputes the derived ones.
+TEST_F(IngestTest, DerivedColumnsStayFreshUnderAppends) {
+  eval::DomainArtifacts artifacts = BuildEngine();
+  core::OpineDb& db = *artifacts.db;
+  const auto entities = static_cast<int32_t>(db.corpus().num_entities());
+  for (uint64_t batch = 0; batch < 8; ++batch) {
+    ASSERT_TRUE(db.AppendReviews(MakeBatch(40 + batch, 8, entities)).ok());
+  }
+  const core::ColumnarSummaryStore& store = *db.columnar_store();
+  auto refreshed =
+      core::DecodeSummaries(db.schema(), core::EncodeSummaries(store));
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  auto same = [](const double* a, const double* b, size_t n) {
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
+  };
+  for (size_t a = 0; a < store.num_attributes(); ++a) {
+    const core::AttributeColumns& live = store.attribute(a);
+    const core::AttributeColumns& want = refreshed->attribute(a);
+    for (size_t e = 0; e < live.num_entities; ++e) {
+      const std::string at =
+          "attribute " + std::to_string(a) + " entity " + std::to_string(e);
+      EXPECT_TRUE(same(&live.total[e], &want.total[e], 1)) << at;
+      EXPECT_TRUE(same(&live.log1p_total[e], &want.log1p_total[e], 1)) << at;
+      const size_t k = live.num_markers;
+      EXPECT_TRUE(same(live.centroid_norm.data() + e * k,
+                       want.centroid_norm.data() + e * k, k))
+          << at;
+    }
+  }
 }
 
 TEST_F(IngestTest, AppendedInterpreterEqualsAFreshOne) {

@@ -82,6 +82,76 @@ std::vector<double> MembershipFeatures(const MarkerSummary& summary,
   return f;
 }
 
+void ReferenceMarkerFeatures(const core::AttributeColumns& cols,
+                             size_t entity, size_t marker,
+                             const float* query_rep, double query_norm,
+                             double query_sentiment, double* f) {
+  for (size_t i = 0; i < core::kMembershipFeatureDim; ++i) f[i] = 0.0;
+  const double total = cols.total[entity];
+  f[0] = std::log1p(total);
+  if (total <= 0.0) {
+    f[9] = 1.0;  // Empty-summary indicator.
+    return;
+  }
+  const size_t k = cols.num_markers;
+  const size_t base = entity * k;
+  const size_t m = marker;
+  f[1] = cols.count[base + m] / total;
+  const float* centroids = cols.centroid.data() + base * cols.dim;
+  double weighted_sentiment = 0.0;
+  double weighted_similarity = 0.0;
+  double mass_at_or_above = 0.0;
+  double target_cosine = 0.0;
+  for (size_t j = 0; j < k; ++j) {
+    const double frac = cols.count[base + j] / total;
+    weighted_sentiment += frac * cols.mean_sentiment[base + j];
+    const double cosine = embedding::CosineWithNorms(
+        query_rep, query_norm, centroids + j * cols.dim,
+        cols.centroid_norm[base + j], cols.dim);
+    weighted_similarity += frac * cosine;
+    if (j <= m) mass_at_or_above += frac;
+    if (j == m) target_cosine = cosine;
+  }
+  f[2] = mass_at_or_above;
+  f[3] = weighted_sentiment;
+  f[4] = cols.mean_sentiment[base + m];
+  f[5] = target_cosine;
+  f[6] = weighted_similarity;
+  f[7] = cols.unmatched[entity] / (total + cols.unmatched[entity]);
+  f[8] = 1.0 - std::abs(query_sentiment - weighted_sentiment) / 2.0;
+  f[9] = 0.0;
+}
+
+double ReferenceMarkerScore(const core::OpineDb& db,
+                            const core::PredicateInterpretation& interpretation,
+                            const embedding::Vec& query_rep,
+                            double query_sentiment, size_t entity) {
+  const core::ColumnarSummaryStore& store = *db.columnar_store();
+  const double query_norm = embedding::Norm(query_rep);
+  double acc = 0.0;
+  for (size_t i = 0; i < interpretation.atoms.size(); ++i) {
+    const core::AtomInterpretation& atom = interpretation.atoms[i];
+    const auto attribute = static_cast<size_t>(atom.attribute);
+    std::vector<double> f(core::kMembershipFeatureDim);
+    ReferenceMarkerFeatures(store.attribute(attribute), entity,
+                            static_cast<size_t>(atom.marker),
+                            query_rep.data(), query_norm, query_sentiment,
+                            f.data());
+    double d = db.has_membership_model()
+                   ? db.membership_model().DegreeOfTruth(f)
+                   : core::HeuristicMembershipDegree(f.data(), f.size());
+    d = std::isfinite(d) ? std::clamp(d, 0.0, 1.0) : 0.0;
+    if (i == 0) {
+      acc = d;
+    } else if (interpretation.conjunctive) {
+      acc = fuzzy::And(db.options().variant, acc, d);
+    } else {
+      acc = fuzzy::Or(db.options().variant, acc, d);
+    }
+  }
+  return acc;
+}
+
 MarkerSummary RowFromStore(const core::ColumnarSummaryStore& store,
                            size_t attribute, size_t entity) {
   const core::AttributeColumns& cols = store.attribute(attribute);
@@ -158,6 +228,9 @@ std::string CompareStoreToRows(const core::OpineDb& db) {
         return where + ": marker count";
       }
       if (cols.total[e] != row.total_count()) return where + ": total";
+      if (cols.log1p_total[e] != std::log1p(row.total_count())) {
+        return where + ": log1p_total";
+      }
       if (cols.unmatched[e] != row.unmatched_count()) {
         return where + ": unmatched";
       }
@@ -203,6 +276,7 @@ std::string StoreImage(const core::ColumnarSummaryStore& store) {
     append(cols.centroid.data(), cells * cols.dim);
     append(cols.centroid_norm.data(), cells);
     append(cols.total.data(), cols.num_entities);
+    append(cols.log1p_total.data(), cols.num_entities);
     append(cols.unmatched.data(), cols.num_entities);
     for (const core::ProvenanceEntry& entry : cols.provenance) {
       append(&entry.entity, 1);

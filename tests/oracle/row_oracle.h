@@ -9,6 +9,9 @@
 // MembershipFeatures formula (or the extracted phrases), and evaluates
 // objective leaves with BoundColumnPredicate::Matches on the source
 // table. The `scale` suite requires raw-double equality between the two.
+// It also keeps the serial column featurization the K-specialized
+// kernels replaced (ReferenceMarkerFeatures), which every instantiation
+// of core::MarkerFeatures must match bit for bit.
 #ifndef OPINEDB_TESTS_ORACLE_ROW_ORACLE_H_
 #define OPINEDB_TESTS_ORACLE_ROW_ORACLE_H_
 
@@ -74,6 +77,25 @@ std::vector<double> MembershipFeatures(const MarkerSummary& summary,
                                        const embedding::Vec& query_rep,
                                        double query_sentiment);
 
+/// The column featurization before the K-specialized kernels: the cells
+/// one after another, each cosine through embedding::CosineWithNorms
+/// over the float query, and f[0] = std::log1p(total) computed inline.
+/// core::MarkerFeatures<kK> must write the same doubles for every kK.
+void ReferenceMarkerFeatures(const core::AttributeColumns& cols,
+                             size_t entity, size_t marker,
+                             const float* query_rep, double query_norm,
+                             double query_sentiment, double* f);
+
+/// ConditionScorer::Score of a marker interpretation (not the text
+/// fallback, at least one atom) through ReferenceMarkerFeatures: each
+/// atom's features go through the engine's membership model (the vector
+/// overload) or HeuristicMembershipDegree, are clamped to [0, 1], and
+/// fold in atom order with the interpretation's connective.
+double ReferenceMarkerScore(const core::OpineDb& db,
+                            const core::PredicateInterpretation& interpretation,
+                            const embedding::Vec& query_rep,
+                            double query_sentiment, size_t entity);
+
 /// Row (attribute, entity) of `store`, provenance included.
 MarkerSummary RowFromStore(const core::ColumnarSummaryStore& store,
                            size_t attribute, size_t entity);
@@ -102,13 +124,15 @@ class RowSummaries {
 /// Compares the engine's store with RowSummaries(db) cell by cell: count,
 /// mean sentiment and centroid bits, centroid_norm against
 /// embedding::Norm of the row centroid, total against total_count(),
-/// unmatched, and each cell's provenance. Returns the first mismatch, or
-/// an empty string when every value is bit-identical.
+/// log1p_total against std::log1p of it, unmatched, and each cell's
+/// provenance. Returns the first mismatch, or an empty string when every
+/// value is bit-identical.
 std::string CompareStoreToRows(const core::OpineDb& db);
 
 /// Every scan column of `store` (count, mean_sentiment, centroid,
-/// centroid_norm, total, unmatched) and every provenance log, as raw
-/// bytes: two stores are byte-identical exactly when their images are.
+/// centroid_norm, total, log1p_total, unmatched) and every provenance
+/// log, as raw bytes: two stores are byte-identical exactly when their
+/// images are.
 std::string StoreImage(const core::ColumnarSummaryStore& store);
 
 /// One subjective predicate, interpreted and embedded the way the

@@ -50,6 +50,7 @@
 #include "server/http_client.h"
 #include "server/json.h"
 #include "server/server.h"
+#include "storage/snapshot_store.h"
 #include "storage/wal.h"
 
 namespace opinedb {
@@ -362,14 +363,21 @@ TEST_F(ReplTest, SnapshotCatchUpAfterRetiredSegment) {
 // Regression: a follower catching up from the snapshot of a primary
 // built on another schema used to open the foreign summaries under its
 // own models. The open must be refused and the follower keep serving
-// exactly what it served before. (AdoptSnapshot has already written the
-// verified container into the follower's directory, so the engine, not
-// the directory, is what must be unchanged.)
+// exactly what it served before. The container AdoptSnapshot wrote must
+// not outlive the refusal either: left as the directory's newest
+// generation, it made the restart path (OpenDatabase on the follower's
+// directory) refuse too.
 TEST_F(ReplTest, SnapshotCatchUpRefusesAnotherSchema) {
-  Cluster cluster = MakeCluster({}, true, /*primary_seed=*/84);
+  Cluster cluster = MakeCluster({}, /*initialize_client=*/false,
+                                /*primary_seed=*/84);
   ASSERT_FALSE(cluster.primary_db().schema() ==
                cluster.follower_db().schema());
   core::OpineDb& follower = cluster.follower_db();
+  // The follower serves its own generation 1, opened from its directory
+  // the way a restart opens it.
+  ASSERT_TRUE(follower.SaveDatabase(follower_dir()).ok());
+  ASSERT_TRUE(follower.OpenDatabase(follower_dir()).ok());
+  ASSERT_TRUE(cluster.client->Initialize().ok());
   auto answers = [&] {
     std::vector<std::string> json;
     for (const std::string& sql : PoolQueries(cluster.follower, 6)) {
@@ -381,15 +389,22 @@ TEST_F(ReplTest, SnapshotCatchUpRefusesAnotherSchema) {
   };
   const std::vector<std::string> before = answers();
   const uint64_t generation = follower.snapshot_generation();
+  ASSERT_EQ(generation, 1u);
   const uint64_t epoch = follower.cache_epoch();
+  const std::vector<uint64_t> generations_before =
+      storage::SnapshotStore(follower_dir()).ListGenerations();
 
-  // The follower never fetches before the checkpoint, so generation 0's
-  // segment is retired and its first fetch is a snapshot catch-up.
+  // Two checkpoints retire the primary's generation-1 segment, so the
+  // follower's first fetch is a snapshot catch-up to generation 2.
   const int32_t entities =
       static_cast<int32_t>(cluster.primary_db().corpus().num_entities());
-  ASSERT_TRUE(
-      cluster.primary_db().AppendReviews(MakeBatch(1, 4, entities)).ok());
-  ASSERT_TRUE(cluster.primary_db().Checkpoint().ok());
+  for (uint64_t batch = 1; batch <= 2; ++batch) {
+    ASSERT_TRUE(cluster.primary_db()
+                    .AppendReviews(MakeBatch(batch, 4, entities))
+                    .ok());
+    ASSERT_TRUE(cluster.primary_db().Checkpoint().ok());
+  }
+  ASSERT_EQ(cluster.primary_db().snapshot_generation(), 2u);
 
   auto synced = cluster.client->SyncOnce();
   ASSERT_FALSE(synced.ok());
@@ -398,6 +413,15 @@ TEST_F(ReplTest, SnapshotCatchUpRefusesAnotherSchema) {
   EXPECT_EQ(cluster.client->catchup_count(), 0u);
   EXPECT_EQ(follower.snapshot_generation(), generation);
   EXPECT_EQ(follower.cache_epoch(), epoch);
+  EXPECT_EQ(answers(), before);
+
+  // The directory holds no generation newer than before the refusal...
+  EXPECT_EQ(storage::SnapshotStore(follower_dir()).ListGenerations(),
+            generations_before);
+  // ...so the restart path reopens the follower's own state.
+  const Status reopened = follower.OpenDatabase(follower_dir());
+  ASSERT_TRUE(reopened.ok()) << reopened.ToString();
+  EXPECT_EQ(follower.snapshot_generation(), generation);
   EXPECT_EQ(answers(), before);
 }
 
