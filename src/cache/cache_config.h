@@ -12,8 +12,8 @@ namespace opinedb::cache {
 struct CacheConfig {
   /// Memoize the Fig. 5 interpretation cascade per (normalized predicate
   /// text, epoch), in an LRU bounded by the fixed
-  /// kInterpretationCacheBytes budget. Also persisted as the
-  /// "interp_cache" snapshot section so a reopened database serves warm.
+  /// kInterpretationCacheBytes budget. Lives in process memory only; a
+  /// snapshot never carries it.
   bool enable_interpretation = false;
   /// Memoize full query results per (canonical query key, epoch) in a
   /// sharded, byte-budgeted LRU.

@@ -3,14 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <istream>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "cache/sharded_lru.h"
-#include "common/result.h"
 #include "core/interpreter.h"
 #include "embedding/phrase_rep.h"
 
@@ -92,33 +87,8 @@ class InterpretationCache {
   static size_t ApproxBytes(const std::string& key, const Entry& entry);
 
  private:
-  friend Status SaveInterpretationCache(const InterpretationCache& cache,
-                                        uint64_t epoch, std::ostream* out);
-
   ShardedLru<Entry> lru_;
 };
-
-/// Serializes the resident entries tagged with `epoch` (the engine's
-/// current epoch; older entries are stale and would be served as
-/// current once loaded) in a deterministic (key-sorted) line-oriented
-/// text format — the "interp_cache" snapshot section payload.
-/// Deterministic so save → open → save produces byte-identical
-/// sections. Doubles are written with max_digits10, so a reloaded entry
-/// is bit-exact.
-Status SaveInterpretationCache(const InterpretationCache& cache,
-                               uint64_t epoch, std::ostream* out);
-
-/// Reads a payload written by SaveInterpretationCache into `cache`,
-/// tagging every entry with `epoch` (the engine's post-open epoch). When
-/// `accept` is set, every decoded entry must pass it. On any parse error
-/// or rejected entry the cache is cleared and the error returned — a
-/// half-loaded cache never serves. A section larger than the cache's
-/// budget loads like any other stream of inserts: the LRU bound evicts
-/// as it goes, and the later (key-sorted) entries stay resident.
-Status LoadInterpretationCache(
-    std::istream* in, uint64_t epoch, InterpretationCache* cache,
-    const std::function<bool(const InterpretationCache::Entry&)>& accept =
-        nullptr);
 
 }  // namespace opinedb::cache
 

@@ -108,18 +108,6 @@ class ShardedLru {
     }
   }
 
-  /// Calls fn(key, value) for every resident entry, shard by shard,
-  /// under that shard's lock. Touches no recency.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-        fn(*it, shard.map.find(*it)->second.value);
-      }
-    }
-  }
-
   size_t size() const {
     size_t total = 0;
     for (const Shard& shard : shards_) {

@@ -262,7 +262,7 @@ class OpineDb;
 /// Every atom must lie inside the engine's schema (attribute in range,
 /// marker in [0, K)) and the query embedding must have the phrase
 /// embedder's width; the engine rejects anything else where it enters
-/// (OpenDatabase, InstallSummaries, the interpretation-cache warm load).
+/// (OpenDatabase, InstallSummaries).
 /// tests/oracle/ keeps the per-object row arithmetic this is checked
 /// against.
 class ConditionScorer {

@@ -42,7 +42,6 @@ double ReviewSentimentWeight(const sentiment::Analyzer& analyzer,
 /// Section names inside a database snapshot container.
 constexpr char kSchemaSection[] = "schema";
 constexpr char kSummariesSection[] = "summaries";
-constexpr char kInterpCacheSection[] = "interp_cache";
 
 /// The shape ConditionScorer binds against: one AttributeColumns per
 /// schema attribute, each covering `num_entities` entities with the
@@ -88,28 +87,6 @@ Status CheckSummaryShape(const SubjectiveSchema& schema,
     }
   }
   return Status::OK();
-}
-
-/// Whether ConditionScorer can bind a cached interpretation: every atom
-/// inside `schema` (attribute in range, marker in [0, K)) and the query
-/// embedding `dim` wide. The interpretation-cache warm load drops a
-/// snapshot section holding any entry that fails this.
-bool Bindable(const SubjectiveSchema& schema, size_t dim,
-              const cache::InterpretationCache::Entry& entry) {
-  if (entry.rep.size() != dim) return false;
-  for (const auto& atom : entry.interpretation.atoms) {
-    if (atom.attribute < 0 ||
-        static_cast<size_t>(atom.attribute) >= schema.num_attributes()) {
-      return false;
-    }
-    const size_t markers =
-        schema.attributes[static_cast<size_t>(atom.attribute)]
-            .summary_type.num_markers();
-    if (atom.marker < 0 || static_cast<size_t>(atom.marker) >= markers) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Scores every entity into `degrees` (resized to the entity count),
@@ -479,23 +456,6 @@ Status OpineDb::SaveDatabaseLocked(const std::string& dir) const {
   sections[0].payload = std::move(schema_bytes).str();
   sections[1].name = kSummariesSection;
   sections[1].payload = EncodeSummaries(tables_.summaries);
-  // A warm interpretation cache rides along so a reopened database
-  // serves warm (docs/CACHING.md): only the entries of the current
-  // epoch, since the open tags every loaded entry as current. Derived
-  // data: older snapshots without the section (and engines without the
-  // layer) stay valid, and OpenDatabase treats a corrupt section as a
-  // cold open.
-  if (interp_cache_ != nullptr && interp_cache_->size() > 0) {
-    std::ostringstream interp_bytes;
-    status = cache::SaveInterpretationCache(
-        *interp_cache_, cache_epoch_.load(std::memory_order_relaxed),
-        &interp_bytes);
-    if (!status.ok()) return status;
-    storage::SnapshotSection interp_section;
-    interp_section.name = kInterpCacheSection;
-    interp_section.payload = std::move(interp_bytes).str();
-    sections.push_back(std::move(interp_section));
-  }
   storage::SnapshotStore store(dir);
   auto generation = store.Commit(sections);
   if (!generation.ok()) {
@@ -575,36 +535,6 @@ Status OpineDb::OpenDatabase(const std::string& dir) {
   // Every cache layer described the replaced summaries; the epoch bump
   // invalidates them wholesale.
   InvalidateCachesLocked();
-  // Warm-start the interpretation cache from the snapshot's optional
-  // section, tagged with the fresh epoch. Strictly an optimization:
-  // an old-format snapshot (no section) or a corrupt payload opens
-  // cold, never fails the open — unlike schema/summaries, this data is
-  // re-derivable by simply executing queries.
-  if (interp_cache_ != nullptr) {
-    const std::string* interp_payload = snapshot->Find(kInterpCacheSection);
-    if (interp_payload != nullptr) {
-      std::istringstream interp_stream(*interp_payload);
-      const uint64_t evictions_before = interp_cache_->evictions();
-      const Status warm = cache::LoadInterpretationCache(
-          &interp_stream, cache_epoch_.load(std::memory_order_relaxed),
-          interp_cache_.get(),
-          [this](const cache::InterpretationCache::Entry& entry) {
-            return Bindable(schema_, embedder_->dim(), entry);
-          });
-      // A section saved under a larger budget loads through the same
-      // LRU bound as live fills.
-      const uint64_t evicted = interp_cache_->evictions() - evictions_before;
-      if (evicted > 0) {
-        OPINEDB_METRIC_COUNT("engine.cache.interp_evict", evicted);
-      }
-      if (warm.ok()) {
-        OPINEDB_METRIC_COUNT("engine.cache.warm_entries",
-                             interp_cache_->size());
-      } else {
-        OPINEDB_METRIC_COUNT("engine.cache.warm_load_failures", 1);
-      }
-    }
-  }
   snapshot_generation_.store(snapshot->generation,
                              std::memory_order_relaxed);
   OPINEDB_METRIC_COUNT("storage.snapshot.loads", 1);
@@ -987,6 +917,13 @@ Status OpineDb::CheckpointLocked() {
     return writer.status();
   }
   wal_ = std::move(*writer);
+  // Bound the directory: the newest two generations stay, and so does
+  // every pinned one and every one a segment names. The fold above is
+  // committed either way, so a failed removal is counted and left to
+  // the next checkpoint.
+  if (!storage::SnapshotStore(wal_dir_).GarbageCollect(2, &pins_).ok()) {
+    OPINEDB_METRIC_COUNT("storage.snapshot.gc_failures", 1);
+  }
   OPINEDB_METRIC_COUNT("storage.wal.checkpoints", 1);
   OPINEDB_METRIC_LATENCY_MS("storage.wal.checkpoint_ms",
                             timer.ElapsedMillis());

@@ -292,7 +292,11 @@ class OpineDb {
   /// directory, retires the folded segments, and starts a fresh empty
   /// segment named after the new generation. Holds one exclusive lock
   /// across the whole fold, so no append can slip between the save and
-  /// the rotation. Requires EnableWal. See docs/PERSISTENCE.md.
+  /// the rotation. Then deletes every older generation except the newest
+  /// two, the pinned ones (generation_pins()) and those a segment names;
+  /// a failed deletion is counted in storage.snapshot.gc_failures and
+  /// retried by the next checkpoint. Requires EnableWal. See
+  /// docs/PERSISTENCE.md.
   Status Checkpoint();
 
   /// True when EnableWal succeeded and the journal is accepting appends.
@@ -356,8 +360,8 @@ class OpineDb {
   /// the primary-side equivalent is Checkpoint().
   Status ReplicaCheckpoint();
 
-  /// Pin registry consulted by Checkpoint (pinned WAL segments are not
-  /// retired) and meant for SnapshotStore::GarbageCollect. The
+  /// Pin registry consulted by Checkpoint: pinned WAL segments are not
+  /// retired and pinned generations are not deleted. The
   /// replication source pins the base generation of every segment a
   /// follower is actively pulling.
   storage::GenerationPins* generation_pins() { return &pins_; }
@@ -462,10 +466,11 @@ class OpineDb {
   /// and its summaries must have the shape InstallSummaries demands —
   /// exactly this engine's corpus entities, the schema's marker counts,
   /// centroids of this engine's embedding width; anything else returns
-  /// InvalidArgument. The schema is never replaced. The optional
-  /// interpretation-cache section is dropped (a cold open) when any
-  /// entry names an atom outside the schema or carries an embedding of
-  /// another width. After a successful open the extraction relation is
+  /// InvalidArgument. The schema is never replaced. Only the schema and
+  /// summaries sections are read; any other section (an earlier build's
+  /// interp_cache) is ignored, and every cache layer starts empty — an
+  /// answer after the open comes from the interpreter the open rebuilt.
+  /// After a successful open the extraction relation is
   /// empty, so a later Reaggregate would rebuild summaries from nothing
   /// — it returns FailedPrecondition; re-extract from the corpus
   /// instead. Precomputed degree lists are dropped (they described the

@@ -226,7 +226,7 @@ std::string ExplainPlan(const SubjectiveQuery& query,
              std::to_string(query.conditions.size()) +
              " condition lists over all entities)\n";
       out += "  Rank(top " + std::to_string(query.limit) +
-             ", partial_sort)\n";
+             ", heap)\n";
       break;
     case PlanKind::kFilteredScan:
       out += "  ObjectiveFilter(" +
@@ -236,7 +236,7 @@ std::string ExplainPlan(const SubjectiveQuery& query,
              std::to_string(query.conditions.size()) +
              " condition lists over survivors)\n";
       out += "  Rank(top " + std::to_string(query.limit) +
-             ", partial_sort)\n";
+             ", heap)\n";
       break;
   }
   return out;

@@ -17,6 +17,9 @@ namespace {
 
 using storage::ParseDecimalU64;
 
+constexpr int kConnectTimeoutMs = 2000;
+constexpr int kReadTimeoutMs = 5000;
+
 double MillisSince(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
@@ -29,8 +32,7 @@ ReplicationClient::ReplicationClient(core::OpineDb* db, std::string dir,
                                      ReplicationClientOptions options)
     : db_(db),
       dir_(std::move(dir)),
-      options_(options),
-      backoff_(options.backoff, options.backoff_seed) {}
+      options_(options) {}
 
 ReplicationClient::~ReplicationClient() { Stop(); }
 
@@ -80,8 +82,7 @@ Status ReplicationClient::ResetStreamPosition() {
 Status ReplicationClient::EnsureConnected() {
   if (http_.connected()) return Status::OK();
   return http_.Connect(options_.primary_host, options_.primary_port,
-                       options_.connect_timeout_ms,
-                       options_.read_timeout_ms);
+                       kConnectTimeoutMs, kReadTimeoutMs);
 }
 
 Result<bool> ReplicationClient::SyncOnce() {

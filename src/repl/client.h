@@ -18,16 +18,8 @@ namespace opinedb::repl {
 struct ReplicationClientOptions {
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
-  /// TCP handshake budget per (re)connect.
-  int connect_timeout_ms = 2000;
-  /// Per-read budget against a stalled primary.
-  int read_timeout_ms = 5000;
   /// Sleep between polls while caught up (the steady-state lag floor).
   double poll_interval_ms = 20.0;
-  /// Retry schedule after a failed sync cycle. Deterministic under
-  /// backoff_seed (common/backoff.h).
-  BackoffOptions backoff;
-  uint64_t backoff_seed = 42;
 };
 
 /// The follower side of WAL-shipped replication: pulls frames from a
@@ -44,9 +36,13 @@ struct ReplicationClientOptions {
 /// Start()/Stop() for the background pull loop or repeated SyncOnce()
 /// calls for deterministic single-stepping (what the tests do).
 ///
+/// Transport budgets are fixed: 2 s per (re)connect, 5 s per read
+/// against a stalled primary.
+///
 /// Failure handling, one cycle at a time:
 ///   - transport errors / a partitioned primary: Unavailable, the loop
-///     retries under exponential backoff with jitter;
+///     retries under exponential backoff with jitter (BackoffOptions'
+///     defaults, seed 42, so the retry schedule is deterministic);
 ///   - fingerprint mismatch: typed DataLoss, NOTHING from the batch is
 ///     applied, repl.divergence counts it, the loop keeps retrying (a
 ///     transient corruption source heals, a real divergence needs an

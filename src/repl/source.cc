@@ -17,6 +17,9 @@ using server::HttpRequest;
 using server::HttpResponse;
 using storage::ParseDecimalU64;
 
+constexpr size_t kMaxBatchBytes = 1 << 20;
+constexpr int kPinTtlMs = 10000;
+
 void AddU64Header(HttpResponse* response, const char* name,
                   uint64_t value) {
   response->headers.emplace_back(name, std::to_string(value));
@@ -24,9 +27,7 @@ void AddU64Header(HttpResponse* response, const char* name,
 
 }  // namespace
 
-ReplicationSource::ReplicationSource(core::OpineDb* db,
-                                     ReplicationSourceOptions options)
-    : db_(db), options_(options) {}
+ReplicationSource::ReplicationSource(core::OpineDb* db) : db_(db) {}
 
 ReplicationSource::~ReplicationSource() {
   // Release every pin this source holds so a destroyed source never
@@ -44,7 +45,7 @@ void ReplicationSource::TouchPin(uint64_t generation) {
   ExpirePinsLocked(now);
   auto [it, inserted] = pin_expiry_.try_emplace(generation);
   if (inserted) db_->generation_pins()->Pin(generation);
-  it->second = now + std::chrono::milliseconds(options_.pin_ttl_ms);
+  it->second = now + std::chrono::milliseconds(kPinTtlMs);
 }
 
 void ReplicationSource::ExpirePinsLocked(
@@ -144,7 +145,7 @@ server::HttpResponse ReplicationSource::HandleWalFetch(
   response.content_type = "application/octet-stream";
   size_t shipped_records = 0;
   while (next_record < records.size() &&
-         response.body.size() < options_.max_batch_bytes) {
+         response.body.size() < kMaxBatchBytes) {
     storage::AppendWalRecordFrame(records[next_record], &response.body);
     fingerprint = ChainFingerprint(fingerprint, records[next_record]);
     ++next_record;

@@ -12,20 +12,6 @@
 
 namespace opinedb::repl {
 
-/// Tuning of the primary-side shipping endpoints.
-struct ReplicationSourceOptions {
-  /// Upper bound on frame bytes shipped per /repl/wal response. A
-  /// catch-up follower takes several round trips instead of one
-  /// unbounded allocation.
-  size_t max_batch_bytes = 1 << 20;
-  /// How long a fetch keeps the fetched segment's base generation
-  /// pinned (Checkpoint skips retiring pinned segments; GarbageCollect
-  /// retains their snapshots). Refreshed by every fetch, swept lazily —
-  /// a dead follower's pin costs one TTL, then the next checkpoint
-  /// retires the segment normally.
-  int pin_ttl_ms = 10000;
-};
-
 /// The primary side of WAL-shipped replication: serves the routes in
 /// repl/protocol.h off the engine's live WAL directory. Stateless
 /// between requests except for the pin table; safe to call from any
@@ -38,10 +24,16 @@ struct ReplicationSourceOptions {
 /// are byte-identical to the durable prefix on disk. Bytes past the
 /// acknowledged durable size (an append whose fsync failed may be
 /// visible in the page cache) are never shipped.
+///
+/// One /repl/wal response ships at most 1 MiB of frames, so a catch-up
+/// follower takes several round trips instead of one unbounded
+/// allocation. A fetch pins the fetched generation for 10 s (Checkpoint
+/// neither retires a pinned segment nor deletes a pinned snapshot);
+/// every fetch refreshes the pin and stale pins are swept lazily, so a
+/// dead follower's pin costs one interval.
 class ReplicationSource {
  public:
-  ReplicationSource(core::OpineDb* db,
-                    ReplicationSourceOptions options = {});
+  explicit ReplicationSource(core::OpineDb* db);
   ~ReplicationSource();
 
   /// GET /repl/wal?base=<gen>&offset=<n> — see protocol.h for the
@@ -60,7 +52,6 @@ class ReplicationSource {
   void ExpirePinsLocked(std::chrono::steady_clock::time_point now);
 
   core::OpineDb* db_;
-  ReplicationSourceOptions options_;
   std::mutex pin_mu_;
   /// generation -> pin expiry. Each entry holds exactly one reference
   /// in the engine's GenerationPins registry.

@@ -22,6 +22,16 @@ namespace opinedb::server {
 
 namespace {
 
+/// Per-recv timeout: an idle keep-alive connection is closed after one
+/// quiet interval, so parked clients cannot starve the workers.
+constexpr int kReadTimeoutMs = 5000;
+/// Requests served per connection before the server forces a close
+/// (bounds how long one client can monopolize a worker).
+constexpr size_t kMaxRequestsPerConnection = 1024;
+/// Stop() drain budget: in-flight requests get this long to finish and
+/// flush their response; connections still busy then are severed.
+constexpr int kDrainGraceMs = 5000;
+
 /// RFC 7230 token characters (header field names, methods).
 bool IsTokenChar(unsigned char c) {
   if (std::isalnum(c)) return true;
@@ -141,8 +151,6 @@ bool PercentDecode(std::string_view in, bool plus_is_space,
 
 // ---------------------------------------------------------- HttpParser.
 
-HttpParser::HttpParser(ParserLimits limits) : limits_(limits) {}
-
 HttpParser::State HttpParser::Feed(std::string_view data) {
   if (state_ == State::kError) return state_;
   buffer_.append(data.data(), data.size());
@@ -162,17 +170,15 @@ HttpParser::State HttpParser::Advance() {
   if (!headers_done_) {
     const size_t end = FindHeaderEnd(buffer_);
     if (end == std::string_view::npos) {
-      if (buffer_.size() > limits_.max_header_bytes) {
+      if (buffer_.size() > kMaxHeaderBytes) {
         return FailWith(431, "header block exceeds " +
-                                 std::to_string(limits_.max_header_bytes) +
-                                 " bytes");
+                                 std::to_string(kMaxHeaderBytes) + " bytes");
       }
       return state_;
     }
-    if (end > limits_.max_header_bytes) {
+    if (end > kMaxHeaderBytes) {
       return FailWith(431, "header block exceeds " +
-                               std::to_string(limits_.max_header_bytes) +
-                               " bytes");
+                               std::to_string(kMaxHeaderBytes) + " bytes");
     }
     if (!ParseHeaderBlock(std::string_view(buffer_).substr(0, end))) {
       return state_;  // FailWith already ran.
@@ -326,10 +332,9 @@ bool HttpParser::ParseHeaderBlock(std::string_view block) {
     request_.headers.emplace_back(name, std::move(value));
   }
 
-  if (content_length > limits_.max_body_bytes) {
+  if (content_length > kMaxBodyBytes) {
     FailWith(413, "body of " + std::to_string(content_length) +
-                      " bytes exceeds " +
-                      std::to_string(limits_.max_body_bytes));
+                      " bytes exceeds " + std::to_string(kMaxBodyBytes));
     return false;
   }
   body_length_ = content_length;
@@ -427,7 +432,7 @@ void Httpd::Stop() {
   }
   // Wake workers parked in recv() on idle keep-alive connections:
   // SHUT_RD makes their pending read return 0 immediately, so Stop()
-  // never rides out read_timeout_ms — but the write side stays open,
+  // never rides out kReadTimeoutMs — but the write side stays open,
   // so a response in flight (a slow /query that started before the
   // stop) still reaches the client. stopping_ flips keep_alive off,
   // closing each drained connection after its current response.
@@ -439,7 +444,7 @@ void Httpd::Stop() {
   // Drain grace: bounded wait for in-flight connections to finish.
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(std::max(0, options_.drain_grace_ms));
+      std::chrono::milliseconds(kDrainGraceMs);
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(active_mu_);
@@ -557,13 +562,13 @@ void Httpd::ServeConnection(int fd) {
     active_fds_.push_back(fd);
   }
   timeval timeout{};
-  timeout.tv_sec = options_.read_timeout_ms / 1000;
-  timeout.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
+  timeout.tv_sec = kReadTimeoutMs / 1000;
+  timeout.tv_usec = (kReadTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-  HttpParser parser(options_.limits);
+  HttpParser parser;
   size_t served_on_connection = 0;
   char buffer[8192];
   for (;;) {
@@ -598,7 +603,7 @@ void Httpd::ServeConnection(int fd) {
       // until EOF or timeout so the error frame is deliverable.
       ::shutdown(fd, SHUT_WR);
       size_t drained = 0;
-      while (drained < options_.limits.max_body_bytes + sizeof(buffer)) {
+      while (drained < kMaxBodyBytes + sizeof(buffer)) {
         const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
         if (n <= 0) break;  // EOF or timeout; a flood stops at the cap.
         drained += static_cast<size_t>(n);
@@ -631,7 +636,7 @@ void Httpd::ServeConnection(int fd) {
 
     const bool keep_alive =
         request.keep_alive &&
-        served_on_connection < options_.max_requests_per_connection &&
+        served_on_connection < kMaxRequestsPerConnection &&
         !stopping_.load(std::memory_order_acquire);
     const bool head_request = request.method == "HEAD";
     // A fault at the write site degrades this response to a 500 but

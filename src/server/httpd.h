@@ -59,10 +59,8 @@ const char* StatusReason(int status);
 /// Hard input limits of the request parser. Exceeding a limit is a
 /// protocol answer, never an allocation: oversized headers are 431,
 /// oversized bodies 413, everything malformed 400.
-struct ParserLimits {
-  size_t max_header_bytes = 16 * 1024;
-  size_t max_body_bytes = 1 << 20;
-};
+inline constexpr size_t kMaxHeaderBytes = 16 * 1024;
+inline constexpr size_t kMaxBodyBytes = 1 << 20;
 
 /// Incremental HTTP/1.1 request parser. Feed it bytes as they arrive
 /// from the socket (at any split points — the fuzz suite feeds single
@@ -80,8 +78,6 @@ struct ParserLimits {
 class HttpParser {
  public:
   enum class State { kNeedMore, kComplete, kError };
-
-  explicit HttpParser(ParserLimits limits = ParserLimits());
 
   /// Appends bytes and advances the state machine.
   State Feed(std::string_view data);
@@ -106,7 +102,6 @@ class HttpParser {
   State FailWith(int status, std::string detail);
   bool ParseHeaderBlock(std::string_view block);
 
-  ParserLimits limits_;
   std::string buffer_;
   size_t body_begin_ = 0;   // Offset of the body within buffer_.
   size_t body_length_ = 0;  // Declared Content-Length.
@@ -133,19 +128,6 @@ struct HttpdOptions {
   /// the queue is full the acceptor sheds the connection with an
   /// immediate 429 instead of letting latency collapse.
   size_t queue_capacity = 64;
-  ParserLimits limits;
-  /// Per-recv timeout; an idle keep-alive connection is closed after
-  /// one quiet interval so parked clients cannot starve the workers.
-  int read_timeout_ms = 5000;
-  /// Requests served per connection before the server forces a close
-  /// (bounds how long one client can monopolize a worker).
-  size_t max_requests_per_connection = 1024;
-  /// Stop() drain budget: in-flight requests get this long to finish
-  /// and flush their response (new connections are refused immediately,
-  /// idle keep-alive connections are woken and closed). Connections
-  /// still busy at the deadline are severed mid-response. 0 = sever
-  /// everything immediately (the pre-drain behaviour).
-  int drain_grace_ms = 5000;
 };
 
 /// A dependency-free threaded HTTP/1.1 server: one acceptor thread, a
@@ -168,8 +150,8 @@ class Httpd {
   Status Start();
   /// Graceful stop: closes the listening socket first (new connection
   /// attempts are refused at once), wakes idle keep-alive connections,
-  /// then gives in-flight requests up to drain_grace_ms to finish and
-  /// flush — a slow /query started before Stop() completes normally.
+  /// then gives in-flight requests up to 5 s to finish and flush — a
+  /// slow /query started before Stop() completes normally.
   /// Connections still busy at the deadline are severed. Queued-but-
   /// unserved connections are closed. Joins every thread. Idempotent.
   void Stop();
@@ -213,7 +195,7 @@ class Httpd {
   std::deque<int> queue_;
   // Connections currently inside ServeConnection. Stop() shuts these
   // down so a worker parked in recv() on an idle keep-alive socket
-  // wakes immediately instead of riding out read_timeout_ms.
+  // wakes immediately instead of riding out its read timeout.
   std::mutex active_mu_;
   std::vector<int> active_fds_;
   std::atomic<uint64_t> accepted_{0};

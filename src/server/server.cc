@@ -123,13 +123,10 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   }
 
   // Map the request budget onto QueryControl. An absent field means
-  // the operator default; an explicit 0 is a zero budget (the query
-  // expires at its first checkpoint and returns a partial result); a
-  // request above the operator's ceiling gets the ceiling.
+  // no budget; an explicit 0 is a zero budget (the query expires at its
+  // first checkpoint and returns a partial result); a request without
+  // a budget or above the operator's ceiling gets the ceiling.
   std::optional<double> budget;
-  if (options_.default_deadline_ms > 0.0) {
-    budget = options_.default_deadline_ms;
-  }
   if (const std::optional<double> requested = body->GetNumber("deadline_ms")) {
     if (!(*requested >= 0.0)) {  // Also rejects NaN.
       return HttpResponse::Error(400, "deadline_ms must be >= 0");
@@ -267,9 +264,18 @@ HttpResponse QueryServer::HandleSnapshot(const HttpRequest& request,
   }
   const Status status = save ? db_->SaveDatabase(dir) : db_->OpenDatabase(dir);
   if (!status.ok()) {
-    // Surface storage-layer failures as 500 (the request was well
-    // formed; the store was not).
-    return HttpResponse::Error(500, status.message());
+    // A refused request (a WAL is attached, the engine is a follower,
+    // the snapshot does not fit) is the client's, and a directory
+    // without a snapshot is 404; a store that fails to verify or to
+    // write is ours.
+    int code = 500;
+    if (status.code() == StatusCode::kInvalidArgument ||
+        status.code() == StatusCode::kFailedPrecondition) {
+      code = 400;
+    } else if (status.code() == StatusCode::kNotFound) {
+      code = 404;
+    }
+    return HttpResponse::Error(code, status.message());
   }
   std::string out = "{\"generation\": " +
                     std::to_string(db_->snapshot_generation()) + "}\n";

@@ -21,8 +21,6 @@ struct QueryServerOptions {
   /// clamp). A client asking for more gets the clamp, so one request
   /// can never hold a worker past the operator's ceiling.
   double max_deadline_ms = 0.0;
-  /// Deadline applied when the request names none (0 = unlimited).
-  double default_deadline_ms = 0.0;
   /// Directory used by /admin/snapshot/{save,open} when the request
   /// body names none. Admin snapshot routes answer 400 when neither
   /// names a directory.

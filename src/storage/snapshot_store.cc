@@ -330,6 +330,32 @@ Status SnapshotStore::GarbageCollect(size_t keep,
                                      const GenerationPins* pins) {
   std::vector<uint64_t> generations = ListGenerations();
   if (generations.size() <= keep) return Status::OK();
+  // A WAL segment named wal-N.log means "gen-N plus these records" is a
+  // recoverable state (crash recovery and a catching-up follower both
+  // rebuild from it); deleting gen-N would orphan the segment.
+  std::vector<uint64_t> wal_bases;
+  {
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+      uint64_t base = 0;
+      if (ParseWalFileName(entry.path().filename().string(), &base)) {
+        wal_bases.push_back(base);
+      }
+    }
+  }
+  std::vector<uint64_t> removable;
+  for (size_t i = 0; i + keep < generations.size(); ++i) {
+    const uint64_t generation = generations[i];
+    if (pins != nullptr && pins->IsPinned(generation)) continue;
+    if (std::find(wal_bases.begin(), wal_bases.end(), generation) !=
+        wal_bases.end()) {
+      continue;
+    }
+    removable.push_back(generation);
+  }
+  // Nothing is read before this point, so a call with nothing to remove
+  // (every older generation pinned) costs one directory listing.
+  if (removable.empty()) return Status::OK();
   // Never delete the newest generation that actually verifies — it is
   // what Recover() would serve. Without this, GarbageCollect(0) deleted
   // every generation including the served one, and a small `keep` could
@@ -344,33 +370,13 @@ Status SnapshotStore::GarbageCollect(size_t keep,
       break;
     }
   }
-  // A WAL segment named wal-N.log means "gen-N plus these records" is a
-  // recoverable state (crash recovery and a catching-up follower both
-  // rebuild from it); deleting gen-N would orphan the segment.
-  std::vector<uint64_t> wal_bases;
-  {
+  for (const uint64_t generation : removable) {
+    if (have_served && generation == served) continue;
     std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-      uint64_t base = 0;
-      if (ParseWalFileName(entry.path().filename().string(), &base)) {
-        wal_bases.push_back(base);
-      }
-    }
-  }
-  const auto retained = [&](uint64_t generation) {
-    if (have_served && generation == served) return true;
-    if (pins != nullptr && pins->IsPinned(generation)) return true;
-    return std::find(wal_bases.begin(), wal_bases.end(), generation) !=
-           wal_bases.end();
-  };
-  const size_t remove = generations.size() - keep;
-  for (size_t i = 0; i < remove; ++i) {
-    if (retained(generations[i])) continue;
-    std::error_code ec;
-    fs::remove(PathTo(GenerationFileName(generations[i])), ec);
+    fs::remove(PathTo(GenerationFileName(generation)), ec);
     if (ec) {
       return Status::Internal("cannot remove generation " +
-                              std::to_string(generations[i]) + ": " +
+                              std::to_string(generation) + ": " +
                               ec.message());
     }
   }

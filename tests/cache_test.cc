@@ -6,12 +6,9 @@
 //  - CanonicalQueryKey: whitespace / case / literal-formatting
 //    invariance, LIMIT and literal-value sensitivity, AND-order
 //    sensitivity (floating-point fold order is part of the result).
-//  - InterpretationCache: epoch-keyed lookups, the deterministic
-//    serialized form (bit-exact round trip, byte-identical re-save), the
-//    current-epoch save rule, and the LRU byte bound (a distinct-key
-//    stream stays within budget, the most recently used key survives,
-//    overwrites charge once, save / oversize loads see only resident
-//    entries).
+//  - InterpretationCache: epoch-keyed lookups and the LRU byte bound (a
+//    distinct-key stream stays within budget, the most recently used key
+//    survives, overwrites charge once).
 //  - Engine never-cache rules: EXPLAIN queries bypass the result
 //    cache; partial (deadline) and degraded (fault) results
 //    are never inserted; hits are bit-identical at every trace level and
@@ -24,7 +21,6 @@
 //    query miss, PrecomputeDegrees, a query served from a precomputed
 //    list and an ingest refresh each run the cascade exactly as often
 //    as they have distinct keys to prepare (for ingest: the lists').
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,7 +228,7 @@ InterpretationCache::Entry MakeEntry(uint64_t epoch) {
   core::AtomInterpretation atom;
   atom.attribute = 2;
   atom.marker = 1;
-  atom.score = 0.1234567890123456789;  // Exercises max_digits10.
+  atom.score = 0.1234567890123456789;
   entry.interpretation.atoms.push_back(atom);
   entry.rep = {0.25f, -1.0f / 3.0f, 7.25e-12f};
   entry.sentiment = -0.125;
@@ -252,60 +248,6 @@ TEST(InterpretationCacheTest, EpochKeyedLookup) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Lookup("clean rooms", 3, &out));
-}
-
-TEST(InterpretationCacheTest, SerializedFormRoundTripsBitExactly) {
-  InterpretationCache cache;
-  cache.Insert("clean rooms", MakeEntry(3));
-  auto second = MakeEntry(3);
-  second.interpretation.method = core::InterpretMethod::kCooccurrence;
-  second.rep.clear();  // Text-ish entry with no embedding.
-  cache.Insert("quiet at night", second);
-
-  std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 3, &bytes).ok());
-  InterpretationCache loaded;
-  std::istringstream in(bytes.str());
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 9, &loaded).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  InterpretationCache::Entry out;
-  ASSERT_TRUE(loaded.Lookup("clean rooms", 9, &out));
-  const auto reference = MakeEntry(3);
-  EXPECT_EQ(out.interpretation.method, reference.interpretation.method);
-  EXPECT_EQ(out.interpretation.conjunctive,
-            reference.interpretation.conjunctive);
-  EXPECT_EQ(out.interpretation.confidence,
-            reference.interpretation.confidence);
-  EXPECT_FALSE(out.interpretation.degraded);
-  ASSERT_EQ(out.interpretation.atoms.size(), 1u);
-  EXPECT_EQ(out.interpretation.atoms[0].attribute, 2);
-  EXPECT_EQ(out.interpretation.atoms[0].marker, 1);
-  EXPECT_EQ(out.interpretation.atoms[0].score,
-            reference.interpretation.atoms[0].score);
-  ASSERT_EQ(out.rep.size(), reference.rep.size());
-  for (size_t i = 0; i < out.rep.size(); ++i) {
-    EXPECT_EQ(out.rep[i], reference.rep[i]);
-  }
-  EXPECT_EQ(out.sentiment, reference.sentiment);
-}
-
-TEST(InterpretationCacheTest, ReserializingIsByteIdentical) {
-  // Deterministic (sorted) output regardless of insertion order or the
-  // hash-map iteration order of the instance — the persistence suite
-  // pins save → open → save byte-identity on top of this.
-  InterpretationCache a;
-  a.Insert("zz last", MakeEntry(1));
-  a.Insert("aa first", MakeEntry(1));
-  a.Insert("mm mid", MakeEntry(1));
-  std::ostringstream bytes_a;
-  ASSERT_TRUE(cache::SaveInterpretationCache(a, 1, &bytes_a).ok());
-
-  InterpretationCache b;
-  std::istringstream in(bytes_a.str());
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 5, &b).ok());
-  std::ostringstream bytes_b;
-  ASSERT_TRUE(cache::SaveInterpretationCache(b, 5, &bytes_b).ok());
-  EXPECT_EQ(bytes_a.str(), bytes_b.str());
 }
 
 // ------------------------------------------ InterpretationCache LRU.
@@ -366,72 +308,6 @@ TEST(InterpretationCacheLruTest, OverwriteDoesNotChargeTwice) {
   EXPECT_EQ(cache.bytes(), once);
   InterpretationCache::Entry out;
   EXPECT_TRUE(cache.Lookup("clean rooms", 2, &out));
-}
-
-TEST(InterpretationCacheLruTest, SaveSeesOnlyResidentEntries) {
-  const size_t per_entry =
-      InterpretationCache::ApproxBytes(PredicateKey(0), MakeWideEntry(1));
-  InterpretationCache cache(1, 4 * per_entry);
-  for (size_t i = 0; i < 10; ++i) cache.Insert(PredicateKey(i), MakeWideEntry(1));
-  ASSERT_EQ(cache.size(), 4u);
-  // The four newest keys are resident.
-  const std::vector<std::string> want = {PredicateKey(6), PredicateKey(7),
-                                         PredicateKey(8), PredicateKey(9)};
-
-  std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 1, &bytes).ok());
-  InterpretationCache loaded(1, 1 << 20);
-  std::istringstream in(bytes.str());
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 1, &loaded).ok());
-  EXPECT_EQ(loaded.size(), 4u);
-  InterpretationCache::Entry out;
-  for (const auto& key : want) EXPECT_TRUE(loaded.Lookup(key, 1, &out)) << key;
-  EXPECT_FALSE(loaded.Lookup(PredicateKey(0), 1, &out));
-}
-
-TEST(InterpretationCacheLruTest, OversizeSectionLoadsWithinBudget) {
-  InterpretationCache big(4, 1 << 20);
-  for (size_t i = 0; i < 500; ++i) big.Insert(PredicateKey(i), MakeWideEntry(1));
-  ASSERT_EQ(big.size(), 500u);
-  std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(big, 1, &bytes).ok());
-
-  const size_t budget = 8 * 1024;
-  InterpretationCache small(4, budget);
-  std::istringstream in(bytes.str());
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 7, &small).ok());
-  EXPECT_LE(small.bytes(), budget);
-  EXPECT_GT(small.size(), 0u);
-  EXPECT_LT(small.size(), 500u);
-  EXPECT_GT(small.evictions(), 0u);
-  // Every resident entry carries the load epoch.
-  InterpretationCache::Entry out;
-  size_t hits = 0;
-  for (size_t i = 0; i < 500; ++i) {
-    if (small.Lookup(PredicateKey(i), 7, &out)) ++hits;
-  }
-  EXPECT_EQ(hits, small.size());
-}
-
-TEST(InterpretationCacheLruTest, SaveWritesOnlyCurrentEpochEntries) {
-  // Entries left at an older epoch (not queried since the last append)
-  // are stale: a load tags whatever it reads with the open epoch, so
-  // saving them would serve a pre-append interpretation as current.
-  InterpretationCache cache;
-  for (size_t i = 0; i < 6; ++i) {
-    cache.Insert(PredicateKey(i), MakeWideEntry(i % 2 == 0 ? 2 : 1));
-  }
-  std::ostringstream bytes;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 2, &bytes).ok());
-  InterpretationCache loaded;
-  std::istringstream in(bytes.str());
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 5, &loaded).ok());
-  EXPECT_EQ(loaded.size(), 3u);
-  InterpretationCache::Entry out;
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(loaded.Lookup(PredicateKey(i), 5, &out), i % 2 == 0)
-        << PredicateKey(i);
-  }
 }
 
 // ------------------------------------------- engine never-cache rules.

@@ -14,8 +14,10 @@
 //  3. engine-level golden tests over a small built domain: save /
 //     corrupt / reopen must serve the older generation with queries
 //     bit-identical to its goldens, save -> open -> save must
-//     reproduce byte-identical snapshot payloads, and a snapshot of
-//     another schema must be refused before it changes anything.
+//     reproduce byte-identical snapshot payloads, a snapshot of
+//     another schema must be refused before it changes anything, an
+//     earlier build's interp_cache section is ignored, and the answers
+//     after an open do not depend on the interpretation cache's state.
 //
 // The fault-site sweep self-skips in builds where OPINEDB_FAULT_INJECTION
 // is off; the fuzzer and engine tests run everywhere.
@@ -71,6 +73,20 @@ void FlipByteInFile(const fs::path& path, size_t offset, unsigned char mask) {
   bytes[offset] = static_cast<char>(
       static_cast<unsigned char>(bytes[offset]) ^ mask);
   WriteFileBytes(path, bytes);
+}
+
+/// Each statement's ResultToJson body; every statement must execute.
+std::vector<std::string> Answers(core::OpineDb* db,
+                                 const std::vector<std::string>& statements) {
+  std::vector<std::string> json;
+  json.reserve(statements.size());
+  for (const std::string& sql : statements) {
+    auto result = db->Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    json.push_back(result.ok() ? core::ResultToJson(*result)
+                               : result.status().ToString());
+  }
+  return json;
 }
 
 void ExpectSectionsEqual(const std::vector<SnapshotSection>& want,
@@ -393,6 +409,17 @@ class EnginePersistenceTest : public ::testing::Test {
            artifacts_->pool[0].text + "\" limit 10";
   }
 
+  /// The first six pool predicates as LIMIT 10 statements.
+  static std::vector<std::string> PoolStatements() {
+    std::vector<std::string> statements;
+    for (size_t i = 0; i < 6 && i < artifacts_->pool.size(); ++i) {
+      statements.push_back("select * from " + db().schema().objective_table +
+                           " where \"" + artifacts_->pool[i].text +
+                           "\" limit 10");
+    }
+    return statements;
+  }
+
   static core::QueryResult MustExecute(const std::string& sql) {
     auto result = db().Execute(sql);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -433,25 +460,15 @@ TEST_F(EnginePersistenceTest, SaveOpenRoundTripsQueriesBitIdentically) {
 TEST_F(EnginePersistenceTest, LegacyManifestFilesOpenSameGenerationAndAnswers) {
   const auto golden = MustExecute(Sql());
   ASSERT_TRUE(db().SaveDatabase(dir()).ok());
-  const auto answers = [] {
-    std::vector<std::string> json;
-    for (size_t i = 0; i < 6 && i < artifacts_->pool.size(); ++i) {
-      json.push_back(core::ResultToJson(
-          MustExecute("select * from " + db().schema().objective_table +
-                      " where \"" + artifacts_->pool[i].text +
-                      "\" limit 10")));
-    }
-    return json;
-  };
   ASSERT_TRUE(db().OpenDatabase(dir()).ok());
-  const std::vector<std::string> plain = answers();
+  const std::vector<std::string> plain = Answers(&db(), PoolStatements());
 
   WriteFileBytes(dir_ / "MANIFEST",
                  SnapshotStore::EncodeContainer({{"manifest", "1"}}));
   WriteFileBytes(dir_ / "MANIFEST.tmp", "torn pointer update");
   ASSERT_TRUE(db().OpenDatabase(dir()).ok());
   EXPECT_EQ(db().snapshot_generation(), 1u);
-  EXPECT_EQ(answers(), plain);
+  EXPECT_EQ(Answers(&db(), PoolStatements()), plain);
   ExpectBitIdentical(golden, MustExecute(Sql()));
 }
 
@@ -823,10 +840,10 @@ TEST_F(EnginePersistenceTest, SummaryTypeNamedApartFromItsAttributeReopens) {
   EXPECT_TRUE(opened.ok()) << opened.ToString();
 }
 
-// ----------------------- interpretation-cache snapshot section (§5g).
+// ------------------------------- the interpretation cache and snapshots.
 
 /// Enables both caches, runs one query to warm the interpretation
-/// cache, and returns the warm entry count.
+/// cache, and returns the resident entry count.
 size_t WarmCaches(core::OpineDb* db, const std::string& sql) {
   cache::CacheConfig on;
   on.enable_interpretation = true;
@@ -835,34 +852,6 @@ size_t WarmCaches(core::OpineDb* db, const std::string& sql) {
   auto warm = db->Execute(sql);
   EXPECT_TRUE(warm.ok()) << warm.status().ToString();
   return db->interpretation_cache()->size();
-}
-
-TEST_F(EnginePersistenceTest, WarmInterpretationCacheSurvivesSaveOpen) {
-  const size_t warm_entries = WarmCaches(&db(), Sql());
-  ASSERT_GT(warm_entries, 0u);
-  const auto golden = MustExecute(Sql());
-
-  ASSERT_TRUE(db().SaveDatabase(dir()).ok());
-  ASSERT_TRUE(db().OpenDatabase(dir()).ok());
-
-  // The reopened engine is warm: the saved entries are resident at the
-  // fresh epoch, and the first post-open query is an interp-cache hit.
-  EXPECT_EQ(db().interpretation_cache()->size(), warm_entries);
-  const uint64_t hits_before = db().interpretation_cache()->hits();
-  ExpectBitIdentical(golden, MustExecute(Sql()));
-  EXPECT_GT(db().interpretation_cache()->hits(), hits_before)
-      << "the reopened engine recomputed an interpretation it had saved";
-
-  // With the warm cache resident, save -> open -> save still produces
-  // byte-identical container payloads (the section serializer is
-  // deterministic and loading loses nothing).
-  ASSERT_TRUE(db().SaveDatabase(dir()).ok());
-  const std::string first =
-      ReadFileBytes(dir_ / SnapshotStore::GenerationFileName(1));
-  const std::string second =
-      ReadFileBytes(dir_ / SnapshotStore::GenerationFileName(2));
-  EXPECT_EQ(first, second);
-  db().ConfigureCaches(cache::CacheConfig());
 }
 
 TEST_F(EnginePersistenceTest, OldFormatSnapshotOpensColdWithoutError) {
@@ -882,116 +871,109 @@ TEST_F(EnginePersistenceTest, OldFormatSnapshotOpensColdWithoutError) {
   db().ConfigureCaches(cache::CacheConfig());
 }
 
-// Regression: a CRC-valid interp_cache section whose entry the scorer
-// cannot bind — an atom outside the opened schema, or an embedding of
-// another width — used to load, and the next query on its key read out
-// of bounds (attribute 99 segfaulted). The warm load must drop the whole
-// section: a cold open, counted as a warm-load failure.
-TEST_F(EnginePersistenceTest, InterpSectionWithUnbindableEntryOpensCold) {
-  // A marker phrase interprets to one of its own markers.
-  const std::string predicate =
-      db().schema().attributes[0].summary_type.markers[0];
-  const std::string sql = "select * from " + db().schema().objective_table +
-                          " where \"" + predicate + "\" limit 10";
-  ASSERT_GT(WarmCaches(&db(), sql), 0u);
-  const auto golden = MustExecute(sql);
-  const std::string key = NormalizePredicate(predicate);
-  cache::InterpretationCache::Entry real;
-  ASSERT_TRUE(
-      db().interpretation_cache()->Lookup(key, db().cache_epoch(), &real));
-  ASSERT_FALSE(real.interpretation.atoms.empty());
-  const auto& atom = real.interpretation.atoms[0];
-  const int markers = static_cast<int>(
-      db().schema().attributes[static_cast<size_t>(atom.attribute)]
-          .summary_type.num_markers());
+/// An interp_cache section in the text format an earlier build wrote
+/// ("opinedb-interp-cache 1"): one entry for `key` interpreted as marker
+/// `marker` of attribute `attribute`, with a constant `dim`-wide query
+/// embedding. A build that loaded it served this in place of the
+/// interpreter's own answer.
+std::string EarlierBuildInterpSection(const std::string& key, int attribute,
+                                      int marker, size_t dim) {
+  // Magic and version, the entry count, then the netstring key, method,
+  // connective, confidence, sentiment, atom count and embedding width,
+  // one line per atom, the embedding, and the closing sentinel.
+  std::string out = "opinedb-interp-cache 1\n1\n";
+  out += std::to_string(key.size()) + ":" + key + " w 0 0.5 0.125 1 " +
+         std::to_string(dim) + "\n";
+  out += std::to_string(attribute) + " " + std::to_string(marker) +
+         " 0.875\n";
+  for (size_t i = 0; i < dim; ++i) out += i == 0 ? "0.25" : " 0.25";
+  return out + "\nend\n";
+}
 
-  db().SetTraceLevel(obs::TraceLevel::kStats);
-  obs::MetricsRegistry::Counter* failures =
-      obs::MetricsRegistry::Global().GetCounter(
-          "engine.cache.warm_load_failures");
-  for (int variant = 0; variant < 4; ++variant) {
-    SCOPED_TRACE("variant " + std::to_string(variant));
-    cache::InterpretationCache::Entry forged = real;
-    auto& forged_atom = forged.interpretation.atoms[0];
-    switch (variant) {
-      case 0:
-        forged_atom.attribute = 99;
-        break;
-      case 1:
-        forged_atom.marker = markers;
-        break;
-      case 2:
-        forged_atom.marker = -1;
-        break;
-      case 3:
-        forged.rep.push_back(0.5f);
-        break;
-    }
-    cache::InterpretationCache forged_cache;
-    forged_cache.Insert(key, forged);
-    std::ostringstream forged_bytes;
-    ASSERT_TRUE(
-        cache::SaveInterpretationCache(forged_cache, forged.epoch,
-                                       &forged_bytes)
-            .ok());
+// A snapshot holds the schema and summaries sections only. Earlier
+// builds also wrote their interpretation cache as an interp_cache
+// section; a container carrying one, well-formed or garbage, opens at
+// its generation with the interpretation cache empty and the answers of
+// the same container without the section.
+TEST_F(EnginePersistenceTest, CorruptInterpSectionOpensColdGracefully) {
+  ASSERT_GT(WarmCaches(&db(), Sql()), 0u);
+  ASSERT_TRUE(db().SaveDatabase(dir()).ok());
+  SnapshotStore store(dir());
+  auto saved = store.Recover();
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->sections.size(), 2u)
+      << "a snapshot carries state only: schema and summaries";
+  const std::vector<std::string> statements = PoolStatements();
+  ASSERT_TRUE(db().OpenDatabase(dir()).ok());
+  const std::vector<std::string> plain = Answers(&db(), statements);
 
-    ASSERT_TRUE(db().SaveDatabase(dir()).ok());
-    SnapshotStore store(dir());
-    auto loaded = store.Recover();
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    std::vector<SnapshotSection> sections = loaded->sections;
-    bool forged_section = false;
-    for (auto& section : sections) {
-      if (section.name != "interp_cache") continue;
-      section.payload = forged_bytes.str();
-      forged_section = true;
-    }
-    ASSERT_TRUE(forged_section);
-    ASSERT_TRUE(store.Commit(sections).ok());
-
-    const uint64_t failures_before = failures->Value();
-    ASSERT_TRUE(db().OpenDatabase(dir()).ok())
-        << "derived-data corruption must never fail the open";
-    ASSERT_EQ(db().interpretation_cache()->size(), 0u)
-        << "an unbindable interpretation was left resident";
-    EXPECT_EQ(failures->Value(), failures_before + 1);
-    ExpectBitIdentical(golden, MustExecute(sql));
+  const std::string earlier = EarlierBuildInterpSection(
+      NormalizePredicate(artifacts_->pool[0].text), 0, 0,
+      db().phrase_embedder().dim());
+  const std::string garbage(64, '\xff');
+  for (const std::string& payload : {earlier, garbage}) {
+    SCOPED_TRACE(payload == earlier ? "earlier-build bytes" : "garbage");
+    std::vector<SnapshotSection> sections = saved->sections;
+    sections.push_back({"interp_cache", payload});
+    auto generation = store.Commit(sections);
+    ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+    const Status opened = db().OpenDatabase(dir());
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    EXPECT_EQ(db().snapshot_generation(), *generation);
+    EXPECT_EQ(db().interpretation_cache()->size(), 0u)
+        << "the open loaded entries from an interp_cache section";
+    EXPECT_EQ(Answers(&db(), statements), plain);
   }
-  db().SetTraceLevel(obs::TraceLevel::kOff);
   db().ConfigureCaches(cache::CacheConfig());
 }
 
-TEST_F(EnginePersistenceTest, CorruptInterpSectionOpensColdGracefully) {
-  // The interpretation cache is derived data: a snapshot whose
-  // container verifies but whose interp payload fails to decode must
-  // open cold, not fail the open (unlike schema/summaries corruption).
-  ASSERT_GT(WarmCaches(&db(), Sql()), 0u);
-  const auto golden = MustExecute(Sql());
-  ASSERT_TRUE(db().SaveDatabase(dir()).ok());
-
-  // Rebuild generation 2 with the interp payload truncated mid-entry —
-  // the container checksums are valid, only the section is garbage.
-  SnapshotStore store(dir());
-  auto loaded = store.Recover();
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  bool mangled = false;
-  std::vector<SnapshotSection> sections = loaded->sections;
-  for (auto& section : sections) {
-    if (section.name != "interp_cache") continue;
-    ASSERT_GT(section.payload.size(), 8u);
-    section.payload.resize(section.payload.size() / 2);
-    mangled = true;
+// An answer after an open depends on the snapshot, never on what the
+// interpretation cache held. On the seed hotel domain with the
+// interpretation cache on and every pool statement warmed, Save -> Open
+// renders each of the 190 statements alike (a) right after the open,
+// (b) after ConfigureCaches drops and re-creates the layer, and (c) with
+// caches off.
+TEST_F(EnginePersistenceTest, AnswersAfterOpenDoNotDependOnCacheState) {
+  eval::BuildOptions options;
+  options.generator.num_entities = 120;
+  options.generator.min_reviews_per_entity = 25;
+  options.generator.max_reviews_per_entity = 60;
+  options.generator.seed = 42;
+  options.predicate_pool_size = 190;
+  options.seed = 42;
+  options.engine.num_threads = 1;
+  eval::DomainArtifacts hotel =
+      eval::BuildArtifacts(datagen::HotelDomain(), options);
+  core::OpineDb& engine = *hotel.db;
+  std::vector<std::string> statements;
+  for (const auto& predicate : hotel.pool) {
+    statements.push_back("select * from " + engine.schema().objective_table +
+                         " where \"" + predicate.text + "\" limit 10");
   }
-  ASSERT_TRUE(mangled) << "warm save did not write an interp_cache section";
-  ASSERT_TRUE(store.Commit(sections).ok());
+  ASSERT_EQ(statements.size(), 190u);
 
-  ASSERT_TRUE(db().OpenDatabase(dir()).ok())
-      << "derived-data corruption must never fail the open";
-  EXPECT_EQ(db().snapshot_generation(), 2u);
-  EXPECT_EQ(db().interpretation_cache()->size(), 0u)
-      << "a half-decoded interp payload left entries resident";
-  ExpectBitIdentical(golden, MustExecute(Sql()));
-  db().ConfigureCaches(cache::CacheConfig());
+  cache::CacheConfig interpretation_only;
+  interpretation_only.enable_interpretation = true;
+  engine.ConfigureCaches(interpretation_only);
+  Answers(&engine, statements);
+  ASSERT_EQ(engine.interpretation_cache()->size(), statements.size());
+  ASSERT_TRUE(engine.SaveDatabase(dir()).ok());
+  ASSERT_TRUE(engine.OpenDatabase(dir()).ok());
+  const std::vector<std::string> opened = Answers(&engine, statements);
+
+  engine.ConfigureCaches(cache::CacheConfig());
+  engine.ConfigureCaches(interpretation_only);
+  const std::vector<std::string> recreated = Answers(&engine, statements);
+  engine.ConfigureCaches(cache::CacheConfig());
+  const std::vector<std::string> uncached = Answers(&engine, statements);
+
+  size_t recreated_differ = 0, uncached_differ = 0;
+  for (size_t i = 0; i < statements.size(); ++i) {
+    recreated_differ += opened[i] != recreated[i];
+    uncached_differ += opened[i] != uncached[i];
+  }
+  EXPECT_EQ(recreated_differ, 0u) << "of " << statements.size();
+  EXPECT_EQ(uncached_differ, 0u) << "of " << statements.size();
 }
 
 }  // namespace

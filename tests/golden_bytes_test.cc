@@ -1,10 +1,10 @@
 // Golden byte images of the persisted and shipped formats, encoded from
 // tiny hand-built inputs: the snapshot and WAL file names, a WAL segment
 // header with one record frame, a two-section snapshot container, a
-// version-3 summaries image, and the schema and interpretation-cache
-// netstring text. Every other persistence test is a round trip, which a
-// symmetric change to encoder and decoder would still pass; these
-// literals fail on any byte that moves. The record payload AppendReviews
+// version-3 summaries image, and the schema netstring text. Every other
+// persistence test is a round trip, which a symmetric change to encoder
+// and decoder would still pass; these literals fail on any byte that
+// moves. The record payload AppendReviews
 // journals is pinned the same way in ingest_test.cc
 // (IngestTest.JournaledBatchBytesArePinned).
 #include <cstdint>
@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/interpretation_cache.h"
 #include "core/columnar.h"
 #include "core/schema.h"
 #include "core/serialize.h"
@@ -150,27 +149,6 @@ TEST(GoldenBytesTest, SchemaNetstrings) {
             "1\n"
             "16:room_cleanliness L 2 1 1 1\n"
             "8:spotless\n11:a bit dirty\n10:very clean\n4:room\n5:clean\n");
-}
-
-TEST(GoldenBytesTest, InterpretationCacheNetstrings) {
-  cache::InterpretationCache cache;
-  cache::InterpretationCache::Entry entry;
-  entry.interpretation.method = core::InterpretMethod::kWord2Vec;
-  entry.interpretation.atoms = {core::AtomInterpretation{0, 1, 0.875}};
-  entry.interpretation.confidence = 0.5;
-  entry.rep = {0.25f, -1.5f};
-  entry.sentiment = 0.125;
-  entry.epoch = 4;
-  cache.Insert("very clean room", entry);
-  std::ostringstream out;
-  ASSERT_TRUE(cache::SaveInterpretationCache(cache, 4, &out).ok());
-  EXPECT_EQ(out.str(),
-            "opinedb-interp-cache 1\n"
-            "1\n"
-            "15:very clean room w 0 0.5 0.125 1 2\n"
-            "0 1 0.875\n"
-            "0.25 -1.5\n"
-            "end\n");
 }
 
 }  // namespace

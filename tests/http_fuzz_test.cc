@@ -31,7 +31,6 @@ namespace {
 
 using server::HttpParser;
 using server::JsonValue;
-using server::ParserLimits;
 
 const char* const kValidRequests[] = {
     "GET /healthz HTTP/1.1\r\n\r\n",
@@ -138,7 +137,6 @@ TEST(HttpFuzzTest, EveryTruncationIsNeedMoreOrError) {
 
 TEST(HttpFuzzTest, TenThousandMutatedRequestsNeverCrashOrOverbuffer) {
   std::mt19937_64 rng(0xF00DF00Du);
-  const ParserLimits limits;  // 16 KiB headers, 1 MiB body.
   size_t completes = 0, errors = 0, need_more = 0;
   for (int iteration = 0; iteration < 10000; ++iteration) {
     std::string wire =
@@ -173,7 +171,7 @@ TEST(HttpFuzzTest, TenThousandMutatedRequestsNeverCrashOrOverbuffer) {
         }
       }
     }
-    HttpParser parser(limits);
+    HttpParser parser;
     // Feed in random-sized chunks, the way a socket would deliver.
     size_t offset = 0;
     while (offset < wire.size() &&
@@ -184,7 +182,7 @@ TEST(HttpFuzzTest, TenThousandMutatedRequestsNeverCrashOrOverbuffer) {
       offset += len;
       // Bounded buffering: limits plus one chunk of slack.
       ASSERT_LE(parser.buffered_bytes(),
-                limits.max_header_bytes + limits.max_body_bytes + 577)
+                server::kMaxHeaderBytes + server::kMaxBodyBytes + 577)
           << "iteration " << iteration;
     }
     ExpectTypedOutcome(parser);

@@ -14,13 +14,13 @@
 //     one over the extended relation (120-entity hotel domain, every
 //     pool predicate), precomputed degree lists stay resident and equal
 //     a fresh PrecomputeDegrees after every append (a list whose
-//     interpretation is unchanged is patched, not rescored), a
-//     checkpoint saves only the interpretations queried since the last
-//     append, and refused mutations leave the epoch alone
-//     (min_reviewer_reviews, unknown entities);
+//     interpretation is unchanged is patched, not rescored), and
+//     refused mutations leave the epoch alone (min_reviewer_reviews,
+//     unknown entities);
 //  3. durability: EnableWal → append → reopen-from-snapshot → EnableWal
 //     replays the tail bit-identically; Checkpoint folds the log into
-//     the next snapshot generation and retires the segment; the
+//     the next snapshot generation, retires the segment and keeps the
+//     newest two generations plus every pinned one; the
 //     storage.wal_* crash sites (torn append, failed fsync, fold crash)
 //     each leave a state recovery repairs without losing an
 //     acknowledged batch, and every WAL entry of the fault catalog is
@@ -45,7 +45,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_config.h"
-#include "cache/interpretation_cache.h"
 #include "common/fault.h"
 #include "common/string_util.h"
 #include "core/engine.h"
@@ -55,6 +54,7 @@
 #include "obs/trace.h"
 #include "oracle/row_oracle.h"
 #include "server/server.h"
+#include "storage/snapshot_store.h"
 #include "storage/wal.h"
 
 namespace opinedb {
@@ -453,39 +453,6 @@ TEST_F(IngestTest, AppendedInterpreterEqualsAFreshOne) {
   EXPECT_GT(cooccurrence, 0u) << "no predicate reached the co-occurrence stage";
 }
 
-TEST_F(IngestTest, CheckpointSavesOnlyInterpretationsQueriedSinceAppend) {
-  cache::CacheConfig caches;
-  caches.enable_interpretation = true;
-  eval::DomainArtifacts live = BuildEngine();
-  live.db->ConfigureCaches(caches);
-  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
-  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
-  const auto queries = PoolQueries(live, 5);
-  for (const std::string& sql : queries) MustExecute(*live.db, sql);
-  ASSERT_GE(live.db->interpretation_cache()->size(), 2u);
-
-  // The append expires every entry; querying one predicate again
-  // refills only its entry at the new epoch.
-  ASSERT_TRUE(live.db
-                  ->AppendReviews(MakeBatch(
-                      30, 2,
-                      static_cast<int32_t>(live.db->corpus().num_entities())))
-                  .ok());
-  MustExecute(*live.db, queries[0]);
-  ASSERT_TRUE(live.db->Checkpoint().ok());
-
-  // A reopened engine serves only that entry; the others would be
-  // pre-append interpretations passed off as current.
-  eval::DomainArtifacts reopened = BuildEngine();
-  reopened.db->ConfigureCaches(caches);
-  ASSERT_TRUE(reopened.db->OpenDatabase(dir()).ok());
-  EXPECT_EQ(reopened.db->interpretation_cache()->size(), 1u);
-  cache::InterpretationCache::Entry entry;
-  EXPECT_TRUE(reopened.db->interpretation_cache()->Lookup(
-      NormalizePredicate(live.pool[0].text), reopened.db->cache_epoch(),
-      &entry));
-}
-
 // (Named for the degree cache this test first covered; it now pins the
 // precomputed lists.)
 TEST_F(IngestTest, DegreeCacheStaysWarmForUntouchedPredicates) {
@@ -699,6 +666,49 @@ TEST_F(IngestTest, CheckpointFoldsWalAndRetiresSegment) {
   EXPECT_EQ(recovered.db->snapshot_generation(), folded);
   ASSERT_TRUE(recovered.db->EnableWal(dir()).ok());
   ExpectEnginesAgree(*live.db, *recovered.db, queries, "post-checkpoint");
+}
+
+// Each checkpoint deletes the generations recovery no longer needs: six
+// rounds leave the newest two, a generation pinned through
+// generation_pins() outlives later rounds until it is unpinned, and the
+// bounded directory still recovers the newest generation and its tail.
+TEST_F(IngestTest, CheckpointKeepsTwoGenerationsAndEveryPinnedOne) {
+  eval::DomainArtifacts live = BuildEngine();
+  const auto queries = PoolQueries(live, 6);
+  ASSERT_TRUE(live.db->SaveDatabase(dir()).ok());
+  ASSERT_TRUE(live.db->EnableWal(dir()).ok());
+  const int32_t entities =
+      static_cast<int32_t>(live.db->corpus().num_entities());
+  uint64_t seed = 40;
+  const auto fold = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      ASSERT_TRUE(live.db->AppendReviews(MakeBatch(seed++, 2, entities)).ok());
+      ASSERT_TRUE(live.db->Checkpoint().ok());
+    }
+  };
+  const storage::SnapshotStore store(dir());
+  fold(6);
+  const uint64_t pinned = live.db->snapshot_generation();
+  EXPECT_EQ(pinned, 7u);
+  EXPECT_EQ(store.ListGenerations(),
+            (std::vector<uint64_t>{pinned - 1, pinned}));
+
+  live.db->generation_pins()->Pin(pinned);
+  fold(3);
+  const uint64_t newest = live.db->snapshot_generation();
+  EXPECT_EQ(store.ListGenerations(),
+            (std::vector<uint64_t>{pinned, newest - 1, newest}));
+  live.db->generation_pins()->Unpin(pinned);
+  fold(1);
+  EXPECT_EQ(store.ListGenerations(),
+            (std::vector<uint64_t>{newest, newest + 1}));
+
+  ASSERT_TRUE(live.db->AppendReviews(MakeBatch(seed, 2, entities)).ok());
+  eval::DomainArtifacts recovered = BuildEngine();
+  ASSERT_TRUE(recovered.db->OpenDatabase(dir()).ok());
+  EXPECT_EQ(recovered.db->snapshot_generation(), newest + 1);
+  ASSERT_TRUE(recovered.db->EnableWal(dir()).ok());
+  ExpectEnginesAgree(*live.db, *recovered.db, queries, "bounded directory");
 }
 
 TEST_F(IngestTest, SaveDatabaseIsRefusedWhileWalIsAttached) {

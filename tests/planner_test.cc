@@ -124,7 +124,7 @@ TEST(ExplainPlanTest, RendersFilteredScan) {
   EXPECT_NE(text.find("subjective \"friendly staff\""), std::string::npos);
   EXPECT_NE(text.find("ObjectiveFilter(2 hard predicates)"),
             std::string::npos);
-  EXPECT_NE(text.find("Rank(top 40, partial_sort)"), std::string::npos);
+  EXPECT_NE(text.find("Rank(top 40, heap)"), std::string::npos);
 }
 
 TEST(ExplainPlanTest, RendersDenseScanAndEmptyWhere) {

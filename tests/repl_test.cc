@@ -151,14 +151,13 @@ class ReplTest : public ::testing::Test {
 
   /// `primary_seed` other than the follower's 83 builds the primary on
   /// another base.
-  Cluster MakeCluster(repl::ReplicationSourceOptions source_options = {},
-                      bool initialize_client = true,
+  Cluster MakeCluster(bool initialize_client = true,
                       uint64_t primary_seed = 83) {
     Cluster cluster{BuildEngine(primary_seed), BuildEngine(), nullptr,
                     nullptr, nullptr};
     EXPECT_TRUE(cluster.primary_db().EnableWal(primary_dir()).ok());
-    cluster.source = std::make_unique<repl::ReplicationSource>(
-        cluster.primary.db.get(), source_options);
+    cluster.source =
+        std::make_unique<repl::ReplicationSource>(cluster.primary.db.get());
     server::QueryServerOptions server_options;
     server_options.httpd.num_workers = 2;
     server_options.httpd.queue_capacity = 16;
@@ -368,7 +367,7 @@ TEST_F(ReplTest, SnapshotCatchUpAfterRetiredSegment) {
 // generation, it made the restart path (OpenDatabase on the follower's
 // directory) refuse too.
 TEST_F(ReplTest, SnapshotCatchUpRefusesAnotherSchema) {
-  Cluster cluster = MakeCluster({}, /*initialize_client=*/false,
+  Cluster cluster = MakeCluster(/*initialize_client=*/false,
                                 /*primary_seed=*/84);
   ASSERT_FALSE(cluster.primary_db().schema() ==
                cluster.follower_db().schema());
@@ -534,8 +533,7 @@ TEST_F(ReplTest, PartitionDegradesThenHealsUnderThePullLoop) {
   if (!fault::CompiledIn()) {
     GTEST_SKIP() << "fault injection compiled out (plain Release build)";
   }
-  repl::ReplicationSourceOptions source_options;
-  Cluster cluster = MakeCluster(source_options);
+  Cluster cluster = MakeCluster();
   const int32_t entities =
       static_cast<int32_t>(cluster.primary_db().corpus().num_entities());
   Pump(*cluster.client);

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/interpretation_cache.h"
 #include "core/serialize.h"
 #include "oracle/row_oracle.h"
 
@@ -472,191 +471,6 @@ TEST(SerializeRoundtripTest, SummariesSurviveRandomBitFlips) {
   };
   FuzzFlips(EncodeSummaries(MakeSummaries(schema)), /*seed=*/0x5eed0004,
             /*bit_level=*/true, load, save);
-}
-
-// --------------------------- Interpretation-cache payload (§5g).
-//
-// Same doctrine as schema/summaries, but the cache type is
-// non-copyable (per-shard locks), so the fuzz loop is hand-rolled
-// rather than reusing FuzzFlips.
-
-cache::InterpretationCache::Entry MakeInterpEntry(double salt) {
-  cache::InterpretationCache::Entry entry;
-  entry.interpretation.method = InterpretMethod::kWord2Vec;
-  entry.interpretation.conjunctive = true;
-  entry.interpretation.confidence = 1.0 / 3.0 + salt;
-  AtomInterpretation atom;
-  atom.attribute = 1;
-  atom.marker = 2;
-  atom.score = 0.1234567890123456789 * (1.0 + salt);
-  entry.interpretation.atoms.push_back(atom);
-  atom.attribute = 0;
-  atom.marker = 0;
-  atom.score = -7.25e-12 + salt;
-  entry.interpretation.atoms.push_back(atom);
-  entry.rep = {0.25f + static_cast<float>(salt), -1.0f / 7.0f, 3.0e-30f};
-  entry.sentiment = salt - 0.125;
-  return entry;
-}
-
-std::string InterpGoldenBytes() {
-  cache::InterpretationCache golden;
-  golden.Insert("clean rooms", MakeInterpEntry(0.0));
-  golden.Insert("quiet at night", MakeInterpEntry(0.5));
-  auto fallback = MakeInterpEntry(0.25);
-  fallback.interpretation.method = InterpretMethod::kTextFallback;
-  fallback.interpretation.atoms.clear();
-  fallback.rep.clear();
-  golden.Insert("something obscure", fallback);
-  std::ostringstream out;
-  EXPECT_TRUE(cache::SaveInterpretationCache(golden, 0, &out).ok());
-  return out.str();
-}
-
-TEST(SerializeRoundtripTest, InterpCacheRoundTripsBitExactly) {
-  const std::string bytes = InterpGoldenBytes();
-  cache::InterpretationCache loaded;
-  std::istringstream in(bytes);
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 4, &loaded).ok());
-  ASSERT_EQ(loaded.size(), 3u);
-  cache::InterpretationCache::Entry got;
-  ASSERT_TRUE(loaded.Lookup("quiet at night", 4, &got));
-  const auto want = MakeInterpEntry(0.5);
-  EXPECT_EQ(got.interpretation.method, want.interpretation.method);
-  EXPECT_EQ(got.interpretation.conjunctive, want.interpretation.conjunctive);
-  EXPECT_EQ(got.interpretation.confidence, want.interpretation.confidence);
-  ASSERT_EQ(got.interpretation.atoms.size(),
-            want.interpretation.atoms.size());
-  for (size_t a = 0; a < want.interpretation.atoms.size(); ++a) {
-    EXPECT_EQ(got.interpretation.atoms[a].attribute,
-              want.interpretation.atoms[a].attribute);
-    EXPECT_EQ(got.interpretation.atoms[a].marker,
-              want.interpretation.atoms[a].marker);
-    // Bit-exact: EXPECT_EQ on raw doubles, no tolerance.
-    EXPECT_EQ(got.interpretation.atoms[a].score,
-              want.interpretation.atoms[a].score);
-  }
-  ASSERT_EQ(got.rep.size(), want.rep.size());
-  for (size_t d = 0; d < want.rep.size(); ++d) {
-    EXPECT_EQ(got.rep[d], want.rep[d]);
-  }
-  EXPECT_EQ(got.sentiment, want.sentiment);
-  EXPECT_EQ(got.epoch, 4u) << "loaded entries must carry the open epoch";
-}
-
-TEST(SerializeRoundtripTest, InterpCacheSecondCycleIsByteIdentical) {
-  const std::string first = InterpGoldenBytes();
-  cache::InterpretationCache loaded;
-  std::istringstream in(first);
-  ASSERT_TRUE(cache::LoadInterpretationCache(&in, 1, &loaded).ok());
-  std::ostringstream second;
-  ASSERT_TRUE(cache::SaveInterpretationCache(loaded, 1, &second).ok());
-  EXPECT_EQ(first, second.str());
-}
-
-TEST(SerializeRoundtripTest, InterpCacheTruncationErrsCleanly) {
-  const std::string full = InterpGoldenBytes();
-  // Every data-cutting prefix errs and leaves the cache EMPTY — a
-  // half-decoded payload must not leave entries resident (the engine
-  // relies on this for the graceful cold open). As with the schema
-  // loader, the final byte is the sentinel's trailing newline, which
-  // formatted reads legitimately tolerate, so the loop stops before it.
-  for (size_t length = 0; length + 1 < full.size(); ++length) {
-    cache::InterpretationCache cache;
-    cache.Insert("stale resident entry", MakeInterpEntry(0.0));
-    std::istringstream truncated(full.substr(0, length));
-    EXPECT_NO_THROW({
-      const Status status =
-          cache::LoadInterpretationCache(&truncated, 1, &cache);
-      EXPECT_FALSE(status.ok()) << "prefix length " << length;
-    });
-    EXPECT_EQ(cache.size(), 0u)
-        << "failed load left entries resident at prefix " << length;
-  }
-}
-
-TEST(SerializeRoundtripTest, InterpCacheWrongMagicIsParseError) {
-  cache::InterpretationCache cache;
-  std::istringstream in("definitely-not-a-cache 1\n0\nend\n");
-  const Status status = cache::LoadInterpretationCache(&in, 1, &cache);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-}
-
-TEST(SerializeRoundtripTest, InterpCacheUnknownVersionIsNotSupported) {
-  cache::InterpretationCache cache;
-  std::istringstream in("opinedb-interp-cache 99\n0\nend\n");
-  const Status status = cache::LoadInterpretationCache(&in, 1, &cache);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kNotSupported);
-}
-
-TEST(SerializeRoundtripTest, InterpCacheImplausibleCountsAreParseErrors) {
-  {
-    cache::InterpretationCache cache;
-    std::istringstream in("opinedb-interp-cache 1\n99999999999\n");
-    const Status status = cache::LoadInterpretationCache(&in, 1, &cache);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
-  }
-  {
-    // A corrupt netstring header must not attempt a huge allocation.
-    cache::InterpretationCache cache;
-    std::istringstream in("opinedb-interp-cache 1\n1\n99999999999:x");
-    const Status status = cache::LoadInterpretationCache(&in, 1, &cache);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
-  }
-  {
-    // Plausible key, ludicrous atom / embedding dimensions.
-    cache::InterpretationCache cache;
-    std::istringstream in(
-        "opinedb-interp-cache 1\n1\n3:abc w 1 0.5 0 999999999 2\n");
-    const Status status = cache::LoadInterpretationCache(&in, 1, &cache);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kParseError);
-  }
-}
-
-TEST(SerializeRoundtripTest, InterpCacheSurvivesRandomBitFlips) {
-  const std::string golden = InterpGoldenBytes();
-  std::mt19937 rng(0x5eed0005);
-  std::uniform_int_distribution<size_t> pick_offset(0, golden.size() - 1);
-  std::uniform_int_distribution<int> pick_bit(0, 7);
-  const auto load = [](const std::string& bytes,
-                       cache::InterpretationCache* cache) {
-    std::istringstream in(bytes);
-    return cache::LoadInterpretationCache(&in, 1, cache);
-  };
-  const auto save = [](const cache::InterpretationCache& cache) {
-    std::ostringstream out;
-    EXPECT_TRUE(cache::SaveInterpretationCache(cache, 1, &out).ok());
-    return out.str();
-  };
-  constexpr int kTrials = 2000;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    std::string mutated = golden;
-    const size_t offset = pick_offset(rng);
-    mutated[offset] = static_cast<char>(
-        static_cast<unsigned char>(mutated[offset]) ^ (1u << pick_bit(rng)));
-    ASSERT_NO_THROW({
-      cache::InterpretationCache cache;
-      const Status status = load(mutated, &cache);
-      if (status.ok()) {
-        // Accepted mutations must re-serialize stably (canonical form).
-        const std::string once = save(cache);
-        cache::InterpretationCache reloaded;
-        ASSERT_TRUE(load(once, &reloaded).ok())
-            << "reload of accepted mutation failed at offset " << offset;
-        EXPECT_EQ(save(reloaded), once)
-            << "unstable round trip for mutation at offset " << offset;
-      } else {
-        EXPECT_EQ(cache.size(), 0u)
-            << "rejected mutation left entries resident at offset "
-            << offset;
-      }
-    }) << "mutation at offset " << offset << " (trial " << trial << ")";
-  }
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +39,7 @@
 #include "server/httpd.h"
 #include "server/json.h"
 #include "server/server.h"
+#include "storage/snapshot_store.h"
 
 namespace opinedb {
 namespace {
@@ -517,6 +520,48 @@ TEST_F(ServerTest, AdminSnapshotSaveAndOpenRoundTrip) {
   EXPECT_EQ(query->body, EmbeddedJson(kQueries[0]));
 }
 
+// A refused snapshot request is the client's (400), a directory without
+// a snapshot is 404, and only a store that fails to verify is 500.
+TEST_F(ServerTest, SnapshotRoutesAnswerRefusalsAsClientErrors) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) /
+      "opinedb_server_snapshot_refusals";
+  std::filesystem::remove_all(root);
+  const std::string wal_dir = (root / "wal").string();
+  const std::string empty_dir = (root / "empty").string();
+  const std::string corrupt_dir = (root / "corrupt").string();
+  std::filesystem::create_directories(empty_dir);
+  std::filesystem::create_directories(corrupt_dir);
+  {
+    std::ofstream out(std::filesystem::path(corrupt_dir) /
+                      storage::SnapshotStore::GenerationFileName(1));
+    out << "not a snapshot container";
+  }
+  const auto post = [](const std::string& route, const std::string& dir) {
+    server::HttpClient client = Connected();
+    auto response = client.Post(route, "{\"dir\": " + JsonString(dir) + "}");
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response->status : 0;
+  };
+
+  ASSERT_EQ(post("/admin/snapshot/save", wal_dir), 200);
+  ASSERT_TRUE(db().EnableWal(wal_dir).ok());
+  EXPECT_EQ(post("/admin/snapshot/save", wal_dir), 400)
+      << "a save beside an attached WAL is refused";
+  // The open detaches the WAL again.
+  EXPECT_EQ(post("/admin/snapshot/open", wal_dir), 200);
+  EXPECT_FALSE(db().wal_enabled());
+
+  db().SetReadOnly(true);
+  EXPECT_EQ(post("/admin/snapshot/save", wal_dir), 400)
+      << "a follower refuses a save as it refuses a checkpoint";
+  db().SetReadOnly(false);
+
+  EXPECT_EQ(post("/admin/snapshot/open", empty_dir), 404);
+  EXPECT_EQ(post("/admin/snapshot/open", corrupt_dir), 500);
+  std::filesystem::remove_all(root);
+}
+
 // ---------------------------------------------- Optional sections.
 
 TEST_F(ServerTest, StatsSectionIsOptInViaFlagOrBody) {
@@ -650,7 +695,6 @@ TEST(ServerDrainTest, StopDrainsInFlightRequestAndRefusesNewOnes) {
   std::atomic<int> executing{0};
   server::HttpdOptions options;
   options.num_workers = 1;
-  options.drain_grace_ms = 5000;
   server::Httpd httpd(options, [&](const server::HttpRequest&) {
     executing.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);

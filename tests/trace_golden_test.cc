@@ -279,7 +279,7 @@ TEST_F(TraceGoldenTest, HotelExplainMatchesGolden) {
             "operators:\n"
             "  ObjectiveFilter(1 hard predicates)\n"
             "  SubjectiveScore(2 condition lists over survivors)\n"
-            "  Rank(top 5, partial_sort)\n");
+            "  Rank(top 5, heap)\n");
 }
 
 TEST_F(TraceGoldenTest, RestaurantExplainMatchesGolden) {
@@ -296,7 +296,7 @@ TEST_F(TraceGoldenTest, RestaurantExplainMatchesGolden) {
             "  [1] subjective \"great service\"\n"
             "operators:\n"
             "  SubjectiveScore(2 condition lists over all entities)\n"
-            "  Rank(top 3, partial_sort)\n");
+            "  Rank(top 3, heap)\n");
 }
 
 // The score.condition span says where each subjective condition's
